@@ -30,9 +30,9 @@ from .fourier import (
     FourierSignature,
     fourier_coefficients,
     reconstruct,
-    truncation_l2_error,
+    truncation_l2_errors,
 )
-from .geometry import Contour, polygon_iou, resample_equidistant
+from .geometry import Contour, contour_spans, resample_equidistant, spans_iou
 from .losses import OHEM_RATIO, cross_entropy, ohem_select, regression_loss, total_loss
 from .serialize import fmt9, json_line, read_tensor, round9, write_tensor
 from .svg import render_svg
@@ -69,10 +69,12 @@ def _safe_name(name: str) -> str:
 
 def _safe_dir_names(images) -> dict[str, str]:
     mapping = {}
+    used = set()
     for img in images:
         safe = _safe_name(img.image_id)
-        if safe in mapping.values():
+        if safe in used:
             raise ParseError(f"image ids collide after sanitizing: {img.image_id!r}")
+        used.add(safe)
         mapping[img.image_id] = safe
     return mapping
 
@@ -168,12 +170,13 @@ def cmd_fidelity(args, cfg: Config) -> int:
         img, inst = item
         samples = resample_equidistant(inst.polygon, cfg.n)
         full = fourier_coefficients(samples, kmax)
+        inst_spans = contour_spans(inst.polygon, cfg.iou_supersample)
+        errs = truncation_l2_errors(samples, degrees)
         rows = []
-        for deg in degrees:
+        for deg, err in zip(degrees, errs):
             sig = FourierSignature(full.coeffs[kmax - deg : kmax + deg + 1])
             recon = reconstruct(sig, cfg.n_prime)
-            iou = polygon_iou(inst.polygon, recon, cfg.iou_supersample)
-            err = truncation_l2_error(samples, deg)
+            iou = spans_iou(inst_spans, contour_spans(recon, cfg.iou_supersample))
             rows.append((deg, iou, err, recon))
         return img, inst, rows
 
@@ -335,10 +338,16 @@ def _image_loss(gt_dir: Path, pred_dir: Path, cfg: Config):
         pr_tr = read_tensor(pred_dir / f"{name}_tr.fct").astype(np.float64)
         pr_tcr = read_tensor(pred_dir / f"{name}_tcr.fct").astype(np.float64)
         pr_reg = read_tensor(pred_dir / f"{name}_reg.fct").astype(np.float64)
-        if pr_tr.shape != gt_tr.shape or pr_reg.shape != gt_reg.shape:
-            raise ParseError(
-                f"{pred_dir.name}/{name}: prediction shapes do not match targets"
-            )
+        for key, pred, target in (
+            ("tr", pr_tr, gt_tr),
+            ("tcr", pr_tcr, gt_tcr),
+            ("reg", pr_reg, gt_reg),
+        ):
+            if pred.shape != target.shape:
+                raise ParseError(
+                    f"{pred_dir.name}/{name}_{key}: prediction shape {pred.shape} "
+                    f"does not match target shape {target.shape}"
+                )
         care = gt_care.ravel() > 0.5
         losses = cross_entropy(pr_tr.ravel()[care], gt_tr.ravel()[care])
         positives = gt_tr.ravel()[care] == 1.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import evaluate_series, flat_to_coeffs
-from .geometry import Contour, polygon_iou
+from .geometry import Contour, ContourSpans, contour_spans, spans_iou
 
 __all__ = [
     "LevelPrediction",
@@ -146,20 +146,31 @@ def poly_nms(
     """Greedy polygon NMS.
 
     Candidates are visited by descending score, ties broken by earlier
-    origin; one is kept iff its IoU with every already-kept contour is
-    strictly below the threshold.
+    origin; one is kept iff its polygon_iou with every already-kept contour
+    is strictly below the threshold.  Each contour is rasterized at most
+    once, into a contour_spans record, and only when its bounding box first
+    meets that of a contour it is tested against; pairs with disjoint boxes
+    have IoU 0 and are skipped.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
     ordered = sorted(detections, key=lambda d: (-d.score, d.origin))
-    kept: list[Detection] = []
-    for cand in ordered:
-        if all(
-            polygon_iou(cand.contour, k.contour, supersample) < iou_thresh
-            for k in kept
-        ):
-            kept.append(cand)
-    return kept
+    boxes = np.array([d.contour.bounds() for d in ordered]).reshape(-1, 4)
+    spans: list[ContourSpans | None] = [None] * len(ordered)
+
+    def spans_of(i: int) -> ContourSpans:
+        if spans[i] is None:
+            spans[i] = contour_spans(ordered[i].contour, supersample)
+        return spans[i]
+
+    kept: list[int] = []
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        idx = np.asarray(kept, dtype=np.intp)
+        kb = boxes[idx]
+        meets = (kb[:, 2] > x0) & (x1 > kb[:, 0]) & (kb[:, 3] > y0) & (y1 > kb[:, 1])
+        if all(spans_iou(spans_of(i), spans_of(j)) < iou_thresh for j in idx[meets]):
+            kept.append(i)
+    return [ordered[i] for i in kept]
 
 
 def decode_all(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import polygon_iou
+from .geometry import contour_spans, spans_iou
 
 __all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure"]
 
@@ -53,12 +53,13 @@ def evaluate(detections, ground_truths, iou_thresh: float = 0.5, supersample: in
     if not 0.0 < iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must lie in (0, 1], got {iou_thresh}")
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    gt_spans = [contour_spans(gt.polygon, supersample) for gt in ground_truths]
     matched: set[int] = set()
     matches: list[MatchRecord] = []
     fp = 0
     for det_index in order:
-        det = detections[det_index]
-        ious = [polygon_iou(det.contour, gt.polygon, supersample) for gt in ground_truths]
+        det_spans = contour_spans(detections[det_index].contour, supersample)
+        ious = [spans_iou(det_spans, g) for g in gt_spans]
         best_gt = -1
         best_iou = 0.0
         for gi, gt in enumerate(ground_truths):

@@ -30,6 +30,7 @@ __all__ = [
     "reconstruct",
     "recenter",
     "truncation_l2_error",
+    "truncation_l2_errors",
     "flat_to_coeffs",
     "coeffs_to_flat",
     "evaluate_series",
@@ -168,17 +169,26 @@ def recenter(s: FourierSignature, origin) -> FourierSignature:
 
 def truncation_l2_error(points, k: int) -> float:
     """Mean squared point error of the degree-k reconstruction at the sample
-    parameters.
+    parameters; see truncation_l2_errors."""
+    return truncation_l2_errors(points, [k])[0]
 
-    Computed two ways that must agree to 1e-9 relative: directly, and as the
-    Parseval tail sum of |c_j|^2 over the discarded DFT residues.  The tail
-    form is returned; it is accumulated over residues ordered by descending
-    |frequency|, so the value is exactly non-increasing in k.
+
+def truncation_l2_errors(points, degrees) -> list[float]:
+    """Mean squared point error of the degree-k reconstruction at the sample
+    parameters, for every k in `degrees`, from one n x n DFT.
+
+    Each value is computed two ways that must agree to 1e-9 relative:
+    directly, and as the Parseval tail sum of |c_j|^2 over the discarded DFT
+    residues.  The tail form is returned; it is accumulated over residues
+    ordered by descending |frequency|, so the value is exactly non-increasing
+    in k.
     """
     pts = _sample_array(points)
     n = pts.shape[0]
-    if 2 * k + 1 > n:
-        raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
+    degrees = [int(k) for k in degrees]
+    for k in degrees:
+        if 2 * k + 1 > n:
+            raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
     z = pts[:, 0] + 1j * pts[:, 1]
     t = np.arange(n) / n
     residues = np.arange(n)
@@ -191,16 +201,19 @@ def truncation_l2_error(points, k: int) -> float:
     order = np.lexsort((-signed, -np.abs(signed)))
     power = np.abs(coeffs[order]) ** 2
     running = np.cumsum(power)
-    discarded = int(np.count_nonzero(np.abs(signed) > k))
-    tail = float(running[discarded - 1]) if discarded else 0.0
-
-    kept = np.abs(signed) <= k
-    recon = (np.conj(basis[kept]).T * coeffs[kept]).sum(axis=1)
-    direct = float(np.mean(np.abs(z - recon) ** 2))
-
     scale = float(np.mean(np.abs(z) ** 2))
-    if abs(direct - tail) > 1e-9 * max(direct, tail) + 1e-14 * max(scale, 1.0):
-        raise ArithmeticError(
-            f"Parseval check failed: direct {direct!r} vs tail {tail!r}"
-        )
-    return tail
+    out = []
+    for k in degrees:
+        discarded = int(np.count_nonzero(np.abs(signed) > k))
+        tail = float(running[discarded - 1]) if discarded else 0.0
+
+        kept = np.abs(signed) <= k
+        recon = (np.conj(basis[kept]).T * coeffs[kept]).sum(axis=1)
+        direct = float(np.mean(np.abs(z - recon) ** 2))
+
+        if abs(direct - tail) > 1e-9 * max(direct, tail) + 1e-14 * max(scale, 1.0):
+            raise ArithmeticError(
+                f"Parseval check failed at degree {k}: direct {direct!r} vs tail {tail!r}"
+            )
+        out.append(tail)
+    return out

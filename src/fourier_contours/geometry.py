@@ -32,6 +32,9 @@ __all__ = [
     "point_in_polygon",
     "rasterize_grid",
     "polygon_iou",
+    "ContourSpans",
+    "contour_spans",
+    "spans_iou",
     "vertex_removal_delta",
 ]
 
@@ -411,57 +414,110 @@ def _row_intervals(
     Crossings along each row pair up ascending into [enter, exit) spans; a
     sample is inside exactly when the count of crossings strictly to its
     right is odd, which is equivalent to landing in such a span.  Rows always
-    carry an even crossing count because the contour is closed.
+    carry an even crossing count because the contour is closed.  Every row is
+    given as many spans as the busiest row needs; the extra ones are empty
+    and sit at index len(xs).
     """
     a, b = _edges(v)
-    ay = a[:, 1][None, :]
-    by = b[:, 1][None, :]
-    rows = ys[:, None]
-    hit = (ay <= rows) != (by <= rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rows - ay) / (by - ay)
-        x = a[:, 0][None, :] + t * (b[:, 0][None, :] - a[:, 0][None, :])
-    x = np.where(hit, x, np.inf)
-    x.sort(axis=1)
-    if x.shape[1] % 2:
-        x = np.concatenate([x, np.full((x.shape[0], 1), np.inf)], axis=1)
-    idx = np.searchsorted(xs, x, side="left")
-    return idx[:, 0::2], idx[:, 1::2]
+    # edge (a, b) crosses row y iff min(a.y, b.y) <= y < max(a.y, b.y), so
+    # the rows it crosses are one contiguous run of the ascending ys
+    first = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]), side="left")
+    stop = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]), side="left")
+    runs = stop - first
+    e_idx = np.repeat(np.arange(runs.size), runs)
+    r_idx = np.arange(e_idx.size) - np.repeat(np.cumsum(runs) - runs - first, runs)
+    ea, eb = a[e_idx], b[e_idx]
+    t = (ys[r_idx] - ea[:, 1]) / (eb[:, 1] - ea[:, 1])
+    x = ea[:, 0] + t * (eb[:, 0] - ea[:, 0])
+    # the sample index of a crossing is monotone in x, so sorting the indices
+    # within each row orders the crossings
+    width = xs.size + 1
+    key = r_idx * width + np.searchsorted(xs, x, side="left")
+    key.sort()
+    rows = key // width
+    per_row = np.bincount(rows, minlength=ys.size)
+    starts = np.cumsum(per_row) - per_row
+    out = np.full((ys.size, int(per_row.max(initial=0))), xs.size, dtype=np.int64)
+    out[rows, np.arange(key.size) - starts[rows]] = key % width
+    return out[:, 0::2], out[:, 1::2]
 
 
-def polygon_iou(a: Contour, b: Contour, supersample: int = 4) -> float:
-    """Area IoU by counting supersampled cells over the joint bounding box.
+@dataclass(frozen=True)
+class ContourSpans:
+    """Inside samples of one contour on the global supersample lattice.
 
-    Each integer pixel of the joint box is subdivided `supersample` times per
-    axis and membership is evaluated at subcell centers with even-odd fill.
-    Disjoint bounding boxes short-circuit to 0.0; an empty union gives 0.0.
+    Lattice sample (gx, gy) sits at ((gx + 0.5) / s, (gy + 0.5) / s) whatever
+    the contour, so two records compare sample for sample.  Record row r is
+    lattice row row0 + r; its inside samples are the lattice columns in
+    [lo[r, j], hi[r, j]) for every j.  count is the number of inside samples.
     """
+
+    bbox: tuple[float, float, float, float]
+    supersample: int
+    row0: int
+    lo: np.ndarray
+    hi: np.ndarray
+    count: int
+
+
+def contour_spans(c: Contour, supersample: int = 4) -> ContourSpans:
+    """Even-odd inside samples of c on the lattice with `supersample` samples
+    per pixel side, as row spans over the contour's integer-aligned box."""
     s = int(supersample)
     if s < 1:
         raise ValueError(f"supersample must be >= 1, got {supersample}")
-    ax0, ay0, ax1, ay1 = a.bounds()
-    bx0, by0, bx1, by1 = b.bounds()
+    bbox = c.bounds()
+    x0, y0 = math.floor(bbox[0]), math.floor(bbox[1])
+    gx0, gy0 = x0 * s, y0 * s
+    w = max(math.ceil(bbox[2]) - x0, 1) * s
+    h = max(math.ceil(bbox[3]) - y0, 1) * s
+    xs = (np.arange(gx0, gx0 + w) + 0.5) / s
+    ys = (np.arange(gy0, gy0 + h) + 0.5) / s
+    lo, hi = _row_intervals(np.asarray(c.vertices), xs, ys)
+    return ContourSpans(bbox, s, gy0, lo + gx0, hi + gx0, int((hi - lo).sum()))
+
+
+def spans_iou(a: ContourSpans, b: ContourSpans) -> float:
+    """IoU of two span records in lattice samples.  Disjoint bounding boxes
+    short-circuit to 0.0; an empty union gives 0.0."""
+    if a.supersample != b.supersample:
+        raise ValueError(
+            f"span records on different lattices: {a.supersample} vs {b.supersample}"
+        )
+    ax0, ay0, ax1, ay1 = a.bbox
+    bx0, by0, bx1, by1 = b.bbox
     if ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0:
         return 0.0
-    x0 = math.floor(min(ax0, bx0))
-    y0 = math.floor(min(ay0, by0))
-    x1 = math.ceil(max(ax1, bx1))
-    y1 = math.ceil(max(ay1, by1))
-    w = max(int(x1 - x0), 1)
-    h = max(int(y1 - y0), 1)
-    xs = x0 + (np.arange(w * s) + 0.5) / s
-    ys = y0 + (np.arange(h * s) + 0.5) / s
-    lo_a, hi_a = _row_intervals(np.asarray(a.vertices), xs, ys)
-    lo_b, hi_b = _row_intervals(np.asarray(b.vertices), xs, ys)
-    count_a = int((hi_a - lo_a).sum())
-    count_b = int((hi_b - lo_b).sum())
-    lo = np.maximum(lo_a[:, :, None], lo_b[:, None, :])
-    hi = np.minimum(hi_a[:, :, None], hi_b[:, None, :])
-    inter = int(np.maximum(hi - lo, 0).sum())
-    union = count_a + count_b - inter
+    r0 = max(a.row0, b.row0)
+    r1 = min(a.row0 + a.lo.shape[0], b.row0 + b.lo.shape[0])
+    inter = 0
+    if r0 < r1:
+        ra = slice(r0 - a.row0, r1 - a.row0)
+        rb = slice(r0 - b.row0, r1 - b.row0)
+        lo = np.maximum(a.lo[ra, :, None], b.lo[rb, None, :])
+        hi = np.minimum(a.hi[ra, :, None], b.hi[rb, None, :])
+        inter = int(np.maximum(hi - lo, 0).sum())
+    union = a.count + b.count - inter
     if union == 0:
         return 0.0
     return inter / union
+
+
+def polygon_iou(a: Contour, b: Contour, supersample: int = 4) -> float:
+    """Area IoU by counting inside samples on the global supersample lattice.
+
+    Every integer pixel is subdivided `supersample` times per axis: lattice
+    sample g of an axis sits at (g + 0.5) / supersample, whatever the two
+    contours, and membership is even-odd fill at those points.  Disjoint
+    bounding boxes give 0.0, and so does an empty union.  For a power-of-two
+    supersample (the default 4) the sample coordinates are exact; for other
+    values they are rounded, so a sample lying on an edge can land on either
+    side of it.
+
+    To compare one contour with many, build its contour_spans record once
+    and call spans_iou for each pair.
+    """
+    return spans_iou(contour_spans(a, supersample), contour_spans(b, supersample))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from .annotations import AnnotatedImage, TextInstance
 from .errors import GeometryError
 from .fourier import embed
-from .geometry import rasterize_grid, shrink_polygon, signed_area
+from .geometry import Contour, rasterize_grid, shrink_polygon, signed_area
 
 __all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "generate_targets",
            "DEFAULT_LEVELS", "DEFAULT_SHRINK"]

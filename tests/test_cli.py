@@ -1,6 +1,7 @@
 """End-to-end drives of every subcommand through main(), on a tiny corpus."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from fourier_contours import polygon_iou
 from fourier_contours.cli import main
 from fourier_contours.geometry import Contour
+from fourier_contours.serialize import read_tensor, write_tensor
 from fourier_contours.synth import rect14, ribbon
 
 
@@ -234,6 +236,18 @@ class TestTargetsDecodeLossEval:
             ["loss", "--gt-dir", str(target_dir), "--pred-dir", str(other)], capsys
         )
         assert code == 2 and "match" in err
+
+    @pytest.mark.parametrize("key", ["tr", "tcr", "reg"])
+    def test_loss_rejects_any_misshaped_prediction(self, key, target_dir, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(target_dir, pred)
+        bad = pred / "img-a" / f"P3_{key}.fct"
+        write_tensor(bad, np.zeros(read_tensor(bad).shape[:-1] + (3,)))
+        code, _, err = run(
+            ["loss", "--gt-dir", str(target_dir), "--pred-dir", str(pred)], capsys
+        )
+        assert code == 2
+        assert f"P3_{key}" in err and "does not match" in err
 
     def test_decode_missing_dir(self, tmp_path, capsys):
         code, _, _ = run(["decode", "--maps-dir", str(tmp_path / "nope")], capsys)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_contours import (
     ChannelCountMismatch,
@@ -17,6 +19,8 @@ from fourier_contours import (
     recenter,
     score_map,
 )
+from fourier_contours.synth import ribbon
+from conftest import star_shaped
 
 
 def level_for(poly, name="P3", stride=8, grid=(16, 16), hot=(4, 4), k=5):
@@ -161,6 +165,39 @@ class TestPolyNms:
 
     def test_empty_input(self):
         assert poly_nms([], 0.1) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.sampled_from(["star", "ribbon"]),
+                st.sampled_from([3.0, 12.0, 40.0]),     # size in px
+                st.sampled_from([0.0, 1.0, 2.0]),       # snap: none, integers, halves
+                st.sampled_from([0.4, 0.6, 0.6, 0.9]),  # repeated scores force ties
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        supersample=st.sampled_from([1, 2, 3, 4, 5, 8]),
+        thresh=st.sampled_from([0.05, 0.1, 0.5]),
+    )
+    def test_span_cache_matches_brute_force(self, shapes, supersample, thresh):
+        dets = []
+        for i, (kind, size, snap, score, seed) in enumerate(shapes):
+            rng = np.random.default_rng(seed)
+            cx, cy = rng.uniform(30.0, 60.0, size=2)
+            if kind == "star":
+                pts = star_shaped(rng, center=(cx, cy), rmin=size / 4, rmax=size).vertices
+            else:
+                pts = ribbon(cx, cy, 2 * size, size / 3, size * rng.uniform(0.0, 0.3),
+                             phase=rng.uniform(0.0, 6.3), points_per_edge=9).vertices
+            if snap:
+                pts = np.round(pts * snap) / snap
+            dets.append(Detection(contour=Contour(pts), score=score, origin=(0, i)))
+        got = poly_nms(dets, thresh, supersample=supersample)
+        want = brute_nms(dets, thresh, supersample)
+        assert [d.origin for d in got] == [d.origin for d in want]
 
 
 class TestDecodeAll:

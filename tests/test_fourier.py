@@ -19,6 +19,7 @@ from fourier_contours import (
     reconstruct,
     resample_equidistant,
     truncation_l2_error,
+    truncation_l2_errors,
 )
 from conftest import star_shaped
 
@@ -229,6 +230,14 @@ class TestTruncationError:
             z = rs.points[:, 0] + 1j * rs.points[:, 1]
             direct = float(np.mean(np.abs(z - vals) ** 2))
             assert truncation_l2_error(rs, k) == pytest.approx(direct, rel=1e-9)
+
+    def test_batch_equals_single_degree_calls(self, rng):
+        rs = resample_equidistant(star_shaped(rng), 120)
+        degrees = [7, 1, 3, 1, 59]
+        assert truncation_l2_errors(rs, degrees) == [truncation_l2_error(rs, k) for k in degrees]
+        assert truncation_l2_errors(rs, []) == []
+        with pytest.raises(DegreeTooLarge):
+            truncation_l2_errors(rs, [3, 60])
 
     def test_zero_when_inversion_exact(self, rng):
         c = star_shaped(rng)

@@ -11,6 +11,7 @@ from fourier_contours import (
     ZeroPerimeter,
     canonical_start,
     contour_center,
+    contour_spans,
     perimeter,
     point_in_polygon,
     polygon_iou,
@@ -18,6 +19,7 @@ from fourier_contours import (
     resample_equidistant,
     shrink_polygon,
     signed_area,
+    spans_iou,
     vertex_removal_delta,
 )
 from conftest import star_shaped
@@ -292,7 +294,7 @@ class TestPolygonIoU:
         for _ in range(25):
             a = star_shaped(rng, m=int(rng.integers(3, 9)), rmin=4, rmax=16, center=(20, 20))
             b = star_shaped(rng, m=int(rng.integers(3, 9)), rmin=4, rmax=16, center=(26, 22))
-            s = int(rng.integers(1, 4))
+            s = int(rng.integers(1, 6))
             got = polygon_iou(a, b, s)
             ax0, ay0, ax1, ay1 = a.bounds()
             bx0, by0, bx1, by1 = b.bounds()
@@ -303,8 +305,9 @@ class TestPolygonIoU:
             y0 = math.floor(min(ay0, by0))
             x1 = math.ceil(max(ax1, bx1))
             y1 = math.ceil(max(ay1, by1))
-            xs = x0 + (np.arange((x1 - x0) * s) + 0.5) / s
-            ys = y0 + (np.arange((y1 - y0) * s) + 0.5) / s
+            # global lattice: sample g of an axis sits at (g + 0.5) / s
+            xs = (np.arange(x0 * s, x1 * s) + 0.5) / s
+            ys = (np.arange(y0 * s, y1 * s) + 0.5) / s
             inter = union = 0
             for y in ys:
                 for x in xs:
@@ -326,6 +329,32 @@ class TestPolygonIoU:
         exact = 10.0 / 400.0
         fine = polygon_iou(a, b, 8)
         assert fine == pytest.approx(exact, rel=0.1)
+
+
+class TestContourSpans:
+    def test_zero_width_span_before_a_live_one(self):
+        # a U whose left prong lies between two sample columns: rows through
+        # the prongs carry an empty span ahead of the live one
+        c = Contour([(1.6, 0), (1.8, 0), (1.8, 5), (3, 5), (3, 0), (10, 0), (10, 8), (1.6, 8)])
+        rec = contour_spans(c, 1)
+        assert rec.row0 == 0 and rec.lo.shape == (8, 2)
+        assert list(rec.lo[0]) == [2, 3] and list(rec.hi[0]) == [2, 10]
+        inside = [
+            point_in_polygon((x + 0.5, y + 0.5), c) for y in range(8) for x in range(1, 11)
+        ]
+        assert rec.count == sum(inside) == 5 * 7 + 3 * 8
+
+    def test_integer_shift_moves_the_record_along_the_lattice(self, rng):
+        for s in (1, 2, 4, 8):
+            c = star_shaped(rng, center=(20.3, 17.9), rmin=3, rmax=9)
+            a = contour_spans(c, s)
+            b = contour_spans(Contour(c.vertices + [7.0, -3.0]), s)
+            assert b.row0 == a.row0 - 3 * s and b.count == a.count
+            assert np.array_equal(b.lo, a.lo + 7 * s) and np.array_equal(b.hi, a.hi + 7 * s)
+
+    def test_records_compare_only_on_one_lattice(self):
+        with pytest.raises(ValueError):
+            spans_iou(contour_spans(UNIT_SQUARE, 2), contour_spans(UNIT_SQUARE, 4))
 
 
 class TestVertexRemovalDelta:
