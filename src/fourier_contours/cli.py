@@ -274,14 +274,35 @@ def cmd_targets(args, cfg: Config) -> int:
     return 0
 
 
+def _read_meta(map_dir: Path) -> dict:
+    """A map directory's meta.json, checked for every field decode and loss read."""
+    path = map_dir / "meta.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    # type() is int: JSON true and false are bools, which isinstance counts as int
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if not isinstance(meta.get("image_id"), str):
+        raise ParseError(f"{path}: image_id must be a string")
+    if type(meta.get("width")) is not int or type(meta.get("height")) is not int:
+        raise ParseError(f"{path}: width and height must be integers")
+    levels = meta.get("levels")
+    if not isinstance(levels, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and type(e.get("stride")) is int and e["stride"] >= 1
+        for e in levels
+    ):
+        raise ParseError(f"{path}: levels must be objects with a string name and a positive integer stride")
+    return meta
+
+
 def _load_prediction_dir(img_dir: Path) -> PredictionMaps:
-    meta = json.loads((img_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = _read_meta(img_dir)
     maps = PredictionMaps(meta["image_id"], meta["width"], meta["height"])
     for entry in meta["levels"]:
         name = entry["name"]
         maps.levels[name] = LevelPrediction(
             name=name,
-            stride=int(entry["stride"]),
+            stride=entry["stride"],
             tr_prob=read_tensor(img_dir / f"{name}_tr.fct"),
             tcr_prob=read_tensor(img_dir / f"{name}_tcr.fct"),
             regression=read_tensor(img_dir / f"{name}_reg.fct"),
@@ -327,7 +348,7 @@ def cmd_decode(args, cfg: Config) -> int:
 
 
 def _image_loss(gt_dir: Path, pred_dir: Path, cfg: Config):
-    meta = json.loads((gt_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = _read_meta(gt_dir)
     tr_sum = tr_cnt = tcr_sum = tcr_cnt = reg_sum = reg_px = 0.0
     for entry in meta["levels"]:
         name = entry["name"]
@@ -514,6 +535,8 @@ def cmd_plot(args, cfg: Config) -> int:
     grouped = _load_detections(args.detections) if args.detections else None
     out_root = Path(args.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
+    if args.degree < 0:
+        raise ConfigError(f"degree must be >= 0 (0 means k), got {args.degree}")
     degree = args.degree if args.degree else cfg.k
     if 2 * degree + 1 > cfg.n:
         raise ConfigError(f"degree {degree} too large for n = {cfg.n}")

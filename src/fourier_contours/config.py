@@ -1,35 +1,39 @@
 """Runtime configuration.
 
 One flat key = value file plus command-line overrides; no environment
-variables.  Unknown keys are rejected.  The defaults reproduce the reference
-operating point: degree 5 signatures from 400 samples, 50 reconstruction
-points, unit regression weight, 0.3 shrink, strides 8/16/32 with scale
-ranges [0, 0.4] / [0.3, 0.7] / [0.6, 1].
+variables.  Unknown keys are rejected.  The defaults, the reference operating
+point, are the DEFAULT_* constants of the modules that use them; README.md
+tables them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .annotations import DEFAULT_SUBSET_THRESHOLD
+from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH
 from .errors import ConfigError
-from .targets import DEFAULT_LEVELS, LevelSpec
+from .evaluation import DEFAULT_EVAL_IOU
+from .fourier import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES
+from .geometry import DEFAULT_SUPERSAMPLE
+from .targets import DEFAULT_LEVELS, DEFAULT_SHRINK, LevelSpec
 
 __all__ = ["Config", "load_config", "apply_overrides", "parse_levels"]
 
 
 @dataclass(frozen=True)
 class Config:
-    k: int = 5
-    n: int = 400
-    n_prime: int = 50
+    k: int = DEFAULT_DEGREE
+    n: int = DEFAULT_SAMPLES
+    n_prime: int = DEFAULT_RECON_POINTS
     lam: float = 1.0
-    shrink_factor: float = 0.3
+    shrink_factor: float = DEFAULT_SHRINK
     levels: tuple[LevelSpec, ...] = field(default_factory=lambda: DEFAULT_LEVELS)
-    score_thresh: float = 0.3
-    nms_iou: float = 0.1
-    eval_iou: float = 0.5
-    subset_threshold: float = 0.07
-    iou_supersample: int = 4
+    score_thresh: float = DEFAULT_SCORE_THRESH
+    nms_iou: float = DEFAULT_NMS_IOU
+    eval_iou: float = DEFAULT_EVAL_IOU
+    subset_threshold: float = DEFAULT_SUBSET_THRESHOLD
+    iou_supersample: int = DEFAULT_SUPERSAMPLE
 
     def validate(self) -> "Config":
         if self.k < 1:

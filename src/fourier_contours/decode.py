@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
-from .fourier import evaluate_series, flat_to_coeffs
-from .geometry import Contour, ContourSpans, contour_spans, spans_iou
+from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, ContourSpans, contour_spans, spans_iou
 
 __all__ = [
     "LevelPrediction",
@@ -107,7 +107,7 @@ def score_map(tr_prob: np.ndarray, tcr_prob: np.ndarray) -> np.ndarray:
 def decode_level(
     pred: LevelPrediction,
     score_thresh: float = DEFAULT_SCORE_THRESH,
-    n_points: int = 50,
+    n_points: int = DEFAULT_RECON_POINTS,
     level_rank: int = 0,
 ) -> list[Detection]:
     """Candidate contours of one level, in row-major cell order."""
@@ -141,7 +141,7 @@ def decode_level(
 def poly_nms(
     detections,
     iou_thresh: float = DEFAULT_NMS_IOU,
-    supersample: int = 4,
+    supersample: int = DEFAULT_SUPERSAMPLE,
 ) -> list[Detection]:
     """Greedy polygon NMS.
 
@@ -177,8 +177,8 @@ def decode_all(
     maps: PredictionMaps,
     score_thresh: float = DEFAULT_SCORE_THRESH,
     nms_iou: float = DEFAULT_NMS_IOU,
-    n_points: int = 50,
-    supersample: int = 4,
+    n_points: int = DEFAULT_RECON_POINTS,
+    supersample: int = DEFAULT_SUPERSAMPLE,
 ) -> list[Detection]:
     """Decode every level, then suppress across the pooled candidate list, so
     the same instance seen at two strides yields a single detection."""

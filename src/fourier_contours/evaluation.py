@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import contour_spans, spans_iou
+from .geometry import DEFAULT_SUPERSAMPLE, contour_spans, spans_iou
 
-__all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure"]
+__all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure", "DEFAULT_EVAL_IOU"]
+
+DEFAULT_EVAL_IOU = 0.5
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,9 @@ def fmeasure(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, hmean
 
 
-def evaluate(detections, ground_truths, iou_thresh: float = 0.5, supersample: int = 4) -> EvalReport:
+def evaluate(
+    detections, ground_truths, iou_thresh: float = DEFAULT_EVAL_IOU, supersample: int = DEFAULT_SUPERSAMPLE
+) -> EvalReport:
     """Score one image's detections against its annotated instances.
 
     `detections` is a sequence of objects with .contour and .score;

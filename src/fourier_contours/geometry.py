@@ -36,7 +36,10 @@ __all__ = [
     "contour_spans",
     "spans_iou",
     "vertex_removal_delta",
+    "DEFAULT_SUPERSAMPLE",
 ]
+
+DEFAULT_SUPERSAMPLE = 4
 
 
 class Point2(NamedTuple):
@@ -322,12 +325,8 @@ def shrink_polygon(c: Contour, factor: float) -> Contour:
             out[i] = anchors[j] + s * dp
 
     new_area = _signed_area(out)
-    ok = 0.0 < new_area < abs(area) and _is_simple(out)
-    if ok:
-        for p in out:
-            if not _point_in(v, p[0], p[1]):
-                ok = False
-                break
+    # NaN vertices fail the area test, so they never reach the containment test
+    ok = 0.0 < new_area < abs(area) and _is_simple(out) and _points_inside(v, out).all()
     if not ok:
         ctr = _center(v)
         out = np.array([ctr.x, ctr.y]) + (1.0 - factor) * (v - np.array([ctr.x, ctr.y]))
@@ -359,51 +358,37 @@ def point_in_polygon(p, c: Contour) -> bool:
     return _point_in(c.vertices, float(p[0]), float(p[1]))
 
 
-def _parity_fill(v: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Even-odd membership of every grid point (xs x ys) in one pass.
-
-    For each row, edges crossing the row are interpolated to x positions with
-    the same expression as _point_in, then each crossing is bucketed against
-    the ascending sample array.  A point is inside when the number of
-    crossings strictly to its right is odd.  Row blocks bound the histogram
-    workspace so large supersampled grids stay within a few MB.
-    """
-    a, b = _edges(v)
-    ay = a[:, 1][None, :]
-    by = b[:, 1][None, :]
-    rows = ys[:, None]
-    hit = (ay <= rows) != (by <= rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rows - ay) / (by - ay)
-        x = a[:, 0][None, :] + t * (b[:, 0][None, :] - a[:, 0][None, :])
-    r_idx, e_idx = np.nonzero(hit)
-    vals = x[r_idx, e_idx]
-    width = xs.size
-    # first sample index not left of the crossing == count of samples < x
-    col = np.searchsorted(xs, vals, side="left")
-    per_row = hit.sum(axis=1)
-    out = np.empty((ys.size, width), dtype=bool)
-    step = max(1, 2_000_000 // (width + 1))
-    for r0 in range(0, ys.size, step):
-        r1 = min(r0 + step, ys.size)
-        lo, hi = np.searchsorted(r_idx, [r0, r1])
-        hist = np.bincount(
-            (r_idx[lo:hi] - r0) * (width + 1) + col[lo:hi],
-            minlength=(r1 - r0) * (width + 1),
-        ).reshape(r1 - r0, width + 1)
-        at_most = np.cumsum(hist, axis=1)[:, :width]
-        out[r0:r1] = ((per_row[r0:r1, None] - at_most) & 1) == 1
-    return out
-
-
 def rasterize_grid(c: Contour, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Boolean even-odd membership mask of shape (len(ys), len(xs)) for the
     cartesian grid of sample points xs x ys.  Matches point_in_polygon.
-    xs must be ascending."""
+    xs must be strictly ascending; ys may come in any order and repeat.  The
+    row spans of _row_intervals are the one even-odd rule behind every sample
+    grid."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size > 1 and not np.all(xs[1:] > xs[:-1]):
         raise ValueError("sample columns must be strictly ascending")
-    return _parity_fill(np.asarray(c.vertices), xs, np.asarray(ys, float))
+    ys = np.asarray(ys, dtype=np.float64)
+    order = np.argsort(ys, kind="stable")
+    lo, hi = _row_intervals(np.asarray(c.vertices), xs, ys[order])
+    # spans within a row are disjoint, so every prefix sum is 0 or 1 and int8
+    # holds it; empty spans (lo == hi, the padding included) cancel out
+    diff = np.zeros((ys.size, xs.size + 1), dtype=np.int8)
+    np.add.at(diff, (np.arange(ys.size)[:, None], lo), 1)
+    np.add.at(diff, (np.arange(ys.size)[:, None], hi), -1)
+    np.cumsum(diff, axis=1, dtype=np.int8, out=diff)
+    out = np.empty((ys.size, xs.size), dtype=bool)
+    out[order] = diff[:, :-1] > 0
+    return out
+
+
+def _points_inside(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Even-odd membership of each point of pts in v, matching _point_in: the
+    distinct xs and ys of pts are the sample grid of _row_intervals."""
+    ux, col = np.unique(pts[:, 0], return_inverse=True)
+    uy, row = np.unique(pts[:, 1], return_inverse=True)
+    lo, hi = _row_intervals(v, ux, uy)
+    col = col[:, None]
+    return ((lo[row] <= col) & (col < hi[row])).any(axis=1)
 
 
 def _row_intervals(
@@ -417,6 +402,8 @@ def _row_intervals(
     carry an even crossing count because the contour is closed.  Every row is
     given as many spans as the busiest row needs; the extra ones are empty
     and sit at index len(xs).
+    xs and ys must be ascending.  This is the library's one even-odd rule
+    for sample grids; it matches _point_in point for point.
     """
     a, b = _edges(v)
     # edge (a, b) crosses row y iff min(a.y, b.y) <= y < max(a.y, b.y), so
@@ -460,7 +447,7 @@ class ContourSpans:
     count: int
 
 
-def contour_spans(c: Contour, supersample: int = 4) -> ContourSpans:
+def contour_spans(c: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> ContourSpans:
     """Even-odd inside samples of c on the lattice with `supersample` samples
     per pixel side, as row spans over the contour's integer-aligned box."""
     s = int(supersample)
@@ -503,7 +490,7 @@ def spans_iou(a: ContourSpans, b: ContourSpans) -> float:
     return inter / union
 
 
-def polygon_iou(a: Contour, b: Contour, supersample: int = 4) -> float:
+def polygon_iou(a: Contour, b: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> float:
     """Area IoU by counting inside samples on the global supersample lattice.
 
     Every integer pixel is subdivided `supersample` times per axis: lattice

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentMismatch, NonFinite
-from .fourier import evaluate_series, flat_to_coeffs
+from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
 
 __all__ = [
     "LossBreakdown",
@@ -88,7 +88,7 @@ def _check_pairs(gt_flat, pred_flat, in_tcr):
 
 
 def regression_loss(
-    gt_flat, pred_flat, in_tcr, n_points: int = 50, beta: float = 1.0
+    gt_flat, pred_flat, in_tcr, n_points: int = DEFAULT_RECON_POINTS, beta: float = 1.0
 ) -> float:
     """Signature regression loss over the text-region pixels supplied.
 
@@ -107,7 +107,7 @@ def regression_loss(
 
 
 def regression_loss_grad(
-    gt_flat, pred_flat, in_tcr, n_points: int = 50, beta: float = 1.0
+    gt_flat, pred_flat, in_tcr, n_points: int = DEFAULT_RECON_POINTS, beta: float = 1.0
 ) -> np.ndarray:
     """Analytic gradient of regression_loss with respect to pred_flat."""
     gt, pr, member = _check_pairs(gt_flat, pred_flat, in_tcr)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .annotations import AnnotatedImage, TextInstance
 from .errors import GeometryError
-from .fourier import embed
+from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, embed
 from .geometry import Contour, rasterize_grid, shrink_polygon, signed_area
 
 __all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "generate_targets",
@@ -111,8 +111,8 @@ def _grid(spec: LevelSpec, width: int, height: int) -> tuple[np.ndarray, np.ndar
 def generate_targets(
     img: AnnotatedImage,
     specs=DEFAULT_LEVELS,
-    k: int = 5,
-    n: int = 400,
+    k: int = DEFAULT_DEGREE,
+    n: int = DEFAULT_SAMPLES,
     shrink_factor: float = DEFAULT_SHRINK,
 ) -> TargetMaps:
     channels = 2 * (2 * k + 1)

@@ -249,6 +249,30 @@ class TestTargetsDecodeLossEval:
         assert code == 2
         assert f"P3_{key}" in err and "does not match" in err
 
+    @pytest.mark.parametrize(
+        "command, meta",
+        [
+            ("decode", []),
+            ("decode", {"image_id": 7, "width": 160, "height": 120, "levels": []}),
+            ("decode", {"image_id": "img-a", "width": "160", "height": 120, "levels": []}),
+            ("loss", {"image_id": "img-a", "width": 160, "height": 120, "levels": 3}),
+            ("loss", {"image_id": "img-a", "width": 160, "height": 120, "levels": [{"name": "P3"}]}),
+            ("decode", {"image_id": "img-a", "width": 160, "height": 120,
+                        "levels": [{"name": "P3", "stride": 0}]}),
+        ],
+    )
+    def test_malformed_meta_is_exit_2(self, command, meta, target_dir, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        shutil.copytree(target_dir, maps)
+        (maps / "img-a" / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        argv = {
+            "decode": ["decode", "--maps-dir", str(maps)],
+            "loss": ["loss", "--gt-dir", str(maps), "--pred-dir", str(target_dir)],
+        }[command]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "meta.json" in err
+
     def test_decode_missing_dir(self, tmp_path, capsys):
         code, _, _ = run(["decode", "--maps-dir", str(tmp_path / "nope")], capsys)
         assert code == 2
@@ -314,6 +338,13 @@ class TestSubsetPlot:
         # one green outline per visible instance, red fits for each by default
         assert body.count("#00a000") == 1
         assert body.count("#d00000") == 1
+
+    def test_plot_negative_degree_is_exit_3(self, corpus, tmp_path, capsys):
+        code, _, err = run(
+            ["plot", str(corpus), "--degree", "-2", "--out-dir", str(tmp_path / "plots")],
+            capsys,
+        )
+        assert code == 3 and err.startswith("config error: ")
 
     def test_plot_with_detections(self, corpus, tmp_path, capsys):
         gt = tmp_path / "gt"

@@ -22,6 +22,8 @@ from fourier_contours import (
     spans_iou,
     vertex_removal_delta,
 )
+from fourier_contours.geometry import _points_inside
+from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
 
@@ -44,6 +46,24 @@ def seg_lengths(pts):
 
 
 UNIT_SQUARE = Contour([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@st.composite
+def shapes(draw):
+    """Vertices in a 24 x 24 box: a star, a wavy ribbon, or a random,
+    usually self-intersecting, polygon."""
+    kind = draw(st.sampled_from(["star", "ribbon", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    m = draw(st.integers(3, 30))
+    if kind == "star":
+        return star_shaped(rng, m=m, rmin=1, rmax=12, center=(12, 12)).vertices
+    if kind == "ribbon":
+        length, thickness = rng.uniform(8, 22), rng.uniform(1, 6)
+        amplitude = rng.uniform(0, 12 - thickness)
+        cycles, phase = rng.uniform(0.5, 2), rng.uniform(0, 6)
+        rib = ribbon(12, 12, length, thickness, amplitude, cycles, phase, max(m // 2, 2))
+        return rib.vertices
+    return rng.uniform(0, 24, size=(m, 2))
 
 
 class TestContour:
@@ -257,21 +277,46 @@ class TestMembershipAndRaster:
         assert point_in_polygon((200, 200), c)
         assert not point_in_polygon((200 + 150, 200), c)
 
-    def test_raster_matches_scalar_membership(self, rng):
-        for _ in range(20):
-            c = star_shaped(rng, m=int(rng.integers(3, 12)), rmin=5, rmax=30, center=(30, 30))
-            xs = np.sort(rng.uniform(-5, 65, size=17))
-            if np.any(np.diff(xs) <= 0):
-                continue
-            ys = rng.uniform(-5, 65, size=13)
-            grid = rasterize_grid(c, xs, ys)
-            for i, y in enumerate(ys):
-                for j, x in enumerate(xs):
-                    assert grid[i, j] == point_in_polygon((x, y), c)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shapes(),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+        st.sampled_from([0.0, 0.5, 0.3]),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    def test_raster_matches_scalar_membership(self, units, step, offset, snap, seed):
+        # the grid samples sit at (g + offset) * step; snapped vertices land on them
+        if snap:
+            units = np.round(units)
+        c = Contour((units + offset) * step)
+        rng = np.random.default_rng(seed)
+        xs = (np.arange(-2, 27) + offset) * step
+        rows = np.arange(-2, 27)
+        rows = rng.permutation(np.concatenate([rows, rng.choice(rows, size=8)]))
+        ys = (rows + offset) * step
+        grid = rasterize_grid(c, xs, ys)
+        want = [[point_in_polygon((x, y), c) for x in xs] for y in ys]
+        assert np.array_equal(grid, np.array(want))
 
     def test_raster_requires_ascending_columns(self):
         with pytest.raises(ValueError):
             rasterize_grid(UNIT_SQUARE, np.array([1.0, 0.5]), np.array([0.5]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes(), st.booleans(), st.integers(0, 10_000))
+    def test_vertex_membership_matches_scalar(self, units, snap, seed):
+        # shrink_polygon's containment test: own vertices, points on edges
+        # (midpoints included) and random points, on and off the vertex grid
+        v = np.round(units) if snap else units
+        rng = np.random.default_rng(seed)
+        t = np.concatenate([np.full(len(v), 0.5), rng.uniform(0, 1, len(v))])[:, None]
+        a, b = np.tile(v, (2, 1)), np.tile(np.roll(v, -1, axis=0), (2, 1))
+        free = rng.uniform(-2, 26, size=(40, 2))
+        pts = np.concatenate([v, a + t * (b - a), free, np.round(free)])
+        c = Contour(v)
+        want = [point_in_polygon(p, c) for p in pts]
+        assert np.array_equal(_points_inside(v, pts), want)
 
 
 class TestPolygonIoU:

@@ -1,5 +1,7 @@
 import json
 import struct
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,13 @@ class TestNumberFormatting:
 class TestConfig:
     def test_defaults_validate(self):
         Config().validate()
+
+    def test_readme_defaults_table_matches(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = readme[readme.index("| key "):].splitlines()[2:]
+        rows = takewhile(lambda line: line.startswith("|"), lines)
+        table = {key.strip(): value.strip() for key, value, _ in (r.split("|")[1:4] for r in rows)}
+        assert table == {key: str(value) for key, value in Config().to_dict().items()}
 
     def test_to_dict_round_trips_levels(self):
         cfg = Config()
