@@ -369,6 +369,9 @@ def _image_loss(gt_dir: Path, pred_dir: Path, cfg: Config):
                     f"{pred_dir.name}/{name}_{key}: prediction shape {pred.shape} "
                     f"does not match target shape {target.shape}"
                 )
+        # decode's checks: probabilities in [0, 1], finite regression; the
+        # arrays are float64 already, so they are checked in place, not copied
+        LevelPrediction(name, entry["stride"], pr_tr, pr_tcr, pr_reg)
         care = gt_care.ravel() > 0.5
         losses = cross_entropy(pr_tr.ravel()[care], gt_tr.ravel()[care])
         positives = gt_tr.ravel()[care] == 1.0

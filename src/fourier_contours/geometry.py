@@ -243,43 +243,51 @@ def _dedupe(v: np.ndarray) -> np.ndarray:
     return v[keep] if keep.any() else v[:1]
 
 
-def _segments_intersect(p0, p1, q0, q1) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q0, q1, p0)
-    d2 = orient(q0, q1, p1)
-    d3 = orient(p0, p1, q0)
-    d4 = orient(p0, p1, q1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4:
-        return True
-
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    if d1 == 0 and on_seg(q0, q1, p0):
-        return True
-    if d2 == 0 and on_seg(q0, q1, p1):
-        return True
-    if d3 == 0 and on_seg(p0, p1, q0):
-        return True
-    if d4 == 0 and on_seg(p0, p1, q1):
-        return True
-    return False
+# edge pairs tested per block by _is_simple; bounds its working memory
+_SIMPLE_BLOCK_PAIRS = 1 << 14
 
 
 def _is_simple(v: np.ndarray) -> bool:
+    """True when no two non-adjacent edges of the closed polygon v meet.
+
+    Two edges meet when they cross properly, or when an endpoint of one has
+    zero orientation against the other and lies in its bounding box, so
+    touching vertices and collinear overlaps count.  Edge i is tested against
+    edges i + 2 .. m - 1 (edge 0 not against its wrapped neighbour m - 1) in
+    blocks of consecutive rows i of about _SIMPLE_BLOCK_PAIRS pairs; the first
+    block with a meeting pair ends the test.  Each orientation is the float64
+    expression (b - a) x (c - a) evaluated elementwise, so its sign and zero
+    tests match a scalar evaluation bit for bit.
+    """
     m = v.shape[0]
-    for i in range(m):
-        p0, p1 = v[i], v[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            if _segments_intersect(p0, p1, v[j], v[(j + 1) % m]):
-                return False
+    a, b = _edges(v)
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    ex, ey = bx - ax, by - ay
+    lox, loy = np.minimum(ax, bx), np.minimum(ay, by)
+    hix, hiy = np.maximum(ax, bx), np.maximum(ay, by)
+
+    def orient(e, x, y):
+        return ex[e] * (y - ay[e]) - ey[e] * (x - ax[e])
+
+    def in_box(e, x, y):
+        return (lox[e] <= x) & (x <= hix[e]) & (loy[e] <= y) & (y <= hiy[e])
+
+    step = max(1, _SIMPLE_BLOCK_PAIRS // m)
+    for r0 in range(0, m - 2, step):
+        p = (slice(r0, min(r0 + step, m - 2)), None)  # rows: edges i
+        q = slice(r0 + 2, m)  # columns: edges j
+        d1, d2 = orient(q, ax[p], ay[p]), orient(q, bx[p], by[p])
+        d3, d4 = orient(p, ax[q], ay[q]), orient(p, bx[q], by[q])
+        hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != d2) & (d3 != d4)
+        hit |= (d1 == 0) & in_box(q, ax[p], ay[p])
+        hit |= (d2 == 0) & in_box(q, bx[p], by[p])
+        hit |= (d3 == 0) & in_box(p, ax[q], ay[q])
+        hit |= (d4 == 0) & in_box(p, bx[q], by[q])
+        # drop the pairs left of the diagonal and edge 0 against edge m - 1
+        i, j = np.arange(m)[p], np.arange(m)[q]
+        hit &= (j >= i + 2) & ((i > 0) | (j < m - 1))
+        if hit.any():
+            return False
     return True
 
 
@@ -290,6 +298,8 @@ def shrink_polygon(c: Contour, factor: float) -> Contour:
     If that rebuild self-intersects, flips orientation, grows, or escapes the
     original outline, fall back to scaling the vertices toward the contour
     center by (1 - factor).  The result always has strictly smaller area.
+    The self-intersection test is one pass over all non-adjacent edge pairs,
+    evaluated as arrays in fixed-size blocks.
     """
     if not 0.0 < factor < 1.0:
         raise ValueError(f"shrink factor must lie in (0, 1), got {factor}")

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,14 @@ def corpus(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+def write_raw_tensor(path, values):
+    """The .fct layout without write_tensor's finiteness check, as a model
+    exporting NaN or inf would write it."""
+    arr = np.ascontiguousarray(values, dtype="<f4")
+    header = b"FCT1" + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+    Path(path).write_bytes(header + arr.tobytes())
 
 
 def run(argv, capsys):
@@ -248,6 +257,35 @@ class TestTargetsDecodeLossEval:
         )
         assert code == 2
         assert f"P3_{key}" in err and "does not match" in err
+
+    @pytest.mark.parametrize(
+        "key, index, value, message",
+        [
+            ("tr", (0, 0), np.nan, "tr probabilities"),
+            ("tcr", (0, 0), np.nan, "tcr probabilities"),
+            ("tr", ..., -0.5, "tr probabilities"),
+            ("tr", ..., 2.0, "tr probabilities"),
+            ("reg", (0, 0, 0), np.inf, "regression channels"),
+            ("reg", (1, 2, 3), np.nan, "regression channels"),
+        ],
+        ids=["tr-nan", "tcr-nan", "tr-negative", "tr-above-one", "reg-inf", "reg-nan"],
+    )
+    def test_loss_and_decode_reject_bad_values(
+        self, key, index, value, message, target_dir, tmp_path, capsys
+    ):
+        pred = tmp_path / "pred"
+        shutil.copytree(target_dir, pred)
+        path = pred / "img-a" / f"P3_{key}.fct"
+        values = read_tensor(path).copy()
+        values[index] = value
+        write_raw_tensor(path, values)
+        for argv in (
+            ["loss", "--gt-dir", str(target_dir), "--pred-dir", str(pred)],
+            ["decode", "--maps-dir", str(pred)],
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize(
         "command, meta",

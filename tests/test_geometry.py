@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from fourier_contours import (
     spans_iou,
     vertex_removal_delta,
 )
-from fourier_contours.geometry import _points_inside
+from fourier_contours import geometry
+from fourier_contours.geometry import _is_simple, _points_inside
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
@@ -257,6 +259,124 @@ class TestShrink:
         c = Contour([(0, 0), (5, 0), (10, 0)])
         with pytest.raises(DegenerateContour):
             shrink_polygon(c, 0.3)
+
+    def test_convex_keeps_offset_rebuild(self):
+        # every edge moves inward by d = 0.3 * 1700 / perimeter; recorded
+        # before the simplicity test was vectorized
+        c = Contour([(0, 0), (40, 0), (50, 30), (20, 50), (-10, 30)])
+        sh = shrink_polygon(c, 0.3)
+        assert np.array_equal(sh.vertices, [
+            [2.5894569338025626, 3.592679582511508],
+            [37.410543066197434, 3.592679582511506],
+            [45.72393258156224, 28.532848128605913],
+            [20.0, 45.682136516314074],
+            [-5.723932581562234, 28.532848128605913],
+        ])
+
+    def test_tight_bend_falls_back_to_scaling(self):
+        # a chevron ribbon with a 2 px tip: the offset pushes the tip's two
+        # rebuilt vertices past each other, so the rebuild self-intersects
+        # and the vertices are scaled by 0.7 toward the center instead;
+        # recorded before the simplicity test was vectorized
+        v = np.array([(0, 0), (50, 100), (100, 0), (100, 60), (51, 160), (49, 160), (0, 60)])
+        sh = shrink_polygon(Contour(v), 0.3)
+        assert np.array_equal(sh.vertices, [
+            [15.0, 20.903213829333055],
+            [50.0, 90.90321382933305],
+            [85.0, 20.903213829333055],
+            [85.0, 62.903213829333055],
+            [50.7, 132.90321382933305],
+            [49.3, 132.90321382933305],
+            [15.0, 62.903213829333055],
+        ])
+        ctr = contour_center(Contour(v))
+        assert np.allclose(sh.vertices, np.array(ctr) + 0.7 * (v - np.array(ctr)))
+
+
+def scalar_crossings(v):
+    """Scalar reference for _is_simple: every pair i < j of non-adjacent
+    edges that cross or touch, in row-major order."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def on_seg(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    m = v.shape[0]
+    for i in range(m):
+        p0, p1 = v[i], v[(i + 1) % m]
+        for j in range(i + 1, m):
+            if (j + 1) % m == i or (i + 1) % m == j:
+                continue
+            q0, q1 = v[j], v[(j + 1) % m]
+            d1, d2 = orient(q0, q1, p0), orient(q0, q1, p1)
+            d3, d4 = orient(p0, p1, q0), orient(p0, p1, q1)
+            if (
+                ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+                and d1 != d2 and d3 != d4
+            ) or (
+                (d1 == 0 and on_seg(q0, q1, p0))
+                or (d2 == 0 and on_seg(q0, q1, p1))
+                or (d3 == 0 and on_seg(p0, p1, q0))
+                or (d4 == 0 and on_seg(p0, p1, q1))
+            ):
+                yield i, j
+
+
+def scalar_is_simple(v):
+    return next(scalar_crossings(v), None) is None
+
+
+class TestIsSimple:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shapes(),
+        st.sampled_from(["free", "grid", "coarse"]),
+        st.sampled_from([1, 5, 37, geometry._SIMPLE_BLOCK_PAIRS]),
+    )
+    def test_matches_scalar(self, units, snap, block):
+        # snapping to a 6 x 6 or 3 x 3 grid makes collinear overlaps,
+        # T-junctions and repeated vertices; small blocks split the pairs
+        # into many blocks
+        v = {"free": units, "grid": np.round(units / 4), "coarse": np.round(units / 8)}[snap]
+        with mock.patch.object(geometry, "_SIMPLE_BLOCK_PAIRS", block):
+            assert _is_simple(v) == scalar_is_simple(v)
+
+    @pytest.mark.parametrize("block", [7, 900, geometry._SIMPLE_BLOCK_PAIRS])
+    def test_only_crossing_in_last_block(self, block):
+        # a convex 300-gon with its last two vertices swapped: edges 297 and
+        # 299 cross, and no other pair meets
+        m = 300
+        ang = 2 * np.pi * np.arange(m) / m
+        v = np.stack([100 * np.cos(ang), 100 * np.sin(ang)], axis=1)
+        assert _is_simple(v) and scalar_is_simple(v)
+        v[[298, 299]] = v[[299, 298]]
+        assert list(scalar_crossings(v)) == [(297, 299)]
+        # row 297 is the last row with a pair to test, so it sits in the last
+        # block: a block of its own at 7 pairs (one row per block) and at 900
+        # (three rows per block), rows 270-297 at the default
+        with mock.patch.object(geometry, "_SIMPLE_BLOCK_PAIRS", block):
+            assert not _is_simple(v)
+
+    @pytest.mark.parametrize(
+        "v, simple",
+        [
+            ([(0, 0), (4, 0), (4, 4), (0, 4)], True),
+            ([(0, 0), (4, 4), (4, 0), (0, 4)], False),  # bow tie
+            ([(0, 0), (4, 0), (2, 0), (2, 3)], False),  # edge folds back on itself
+            ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], False),  # vertex on an edge
+            ([(0, 0), (2, 0), (2, 2), (0, 0), (-2, 2), (-2, 0)], False),  # repeated vertex
+            ([(0, 0), (1, 0), (0, 1)], True),  # a triangle has no non-adjacent pair
+        ],
+    )
+    def test_touching_cases(self, v, simple):
+        v = np.array(v, dtype=np.float64)
+        assert scalar_is_simple(v) == simple
+        assert _is_simple(v) == simple
 
 
 class TestMembershipAndRaster:
