@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .fourier import (
     truncation_l2_errors,
 )
 from .geometry import Contour, contour_spans, resample_equidistant, spans_iou
-from .losses import OHEM_RATIO, cross_entropy, ohem_select, regression_loss, total_loss
+from .losses import LossSums, image_loss, total_loss
 from .serialize import fmt9, json_line, read_tensor, round9, write_tensor
 from .svg import render_svg
 from .targets import generate_targets
@@ -222,6 +222,7 @@ def cmd_fidelity(args, cfg: Config) -> int:
 # targets / decode / loss
 
 
+# a target level's <level>_<key>.fct tensors; a prediction level has the first three
 _TENSOR_KEYS = ("tr", "tcr", "reg", "weight", "care")
 
 
@@ -239,11 +240,8 @@ def cmd_targets(args, cfg: Config) -> int:
         img_dir.mkdir(parents=True, exist_ok=True)
         level_meta = []
         for name, lt in maps.levels.items():
-            write_tensor(img_dir / f"{name}_tr.fct", lt.tr)
-            write_tensor(img_dir / f"{name}_tcr.fct", lt.tcr)
-            write_tensor(img_dir / f"{name}_reg.fct", lt.regression)
-            write_tensor(img_dir / f"{name}_weight.fct", lt.weight)
-            write_tensor(img_dir / f"{name}_care.fct", lt.care)
+            for key, arr in zip(_TENSOR_KEYS, (lt.tr, lt.tcr, lt.regression, lt.weight, lt.care)):
+                write_tensor(img_dir / f"{name}_{key}.fct", arr)
             level_meta.append(
                 {
                     "name": name,
@@ -295,19 +293,28 @@ def _read_meta(map_dir: Path) -> dict:
     return meta
 
 
-def _load_prediction_dir(img_dir: Path) -> PredictionMaps:
-    meta = _read_meta(img_dir)
-    maps = PredictionMaps(meta["image_id"], meta["width"], meta["height"])
-    for entry in meta["levels"]:
-        name = entry["name"]
-        maps.levels[name] = LevelPrediction(
-            name=name,
-            stride=entry["stride"],
-            tr_prob=read_tensor(img_dir / f"{name}_tr.fct"),
-            tcr_prob=read_tensor(img_dir / f"{name}_tcr.fct"),
-            regression=read_tensor(img_dir / f"{name}_reg.fct"),
-        )
-    return maps
+def _read_level(map_dir: Path, name: str, keys, like: dict | None = None) -> dict:
+    """One level's <name>_<key>.fct tensors of a map directory, by key: tr, tcr
+    and care (H, W) and reg (C, H, W) with tr's (H, W), or, with `like`, each of
+    its target's shape.  The LevelPrediction built next checks tr is 2-d."""
+    level = {key: read_tensor(map_dir / f"{name}_{key}.fct") for key in keys}
+    hw = level["tr"].shape
+    for key, arr in level.items():
+        want = like[key].shape if like is not None else (arr.shape[:1] + hw if key == "reg" else hw)
+        if arr.shape != want:
+            ref = f"target shape {want}" if like is not None else f"(H, W) {hw} of {map_dir.name}/{name}_tr"
+            raise ParseError(f"{map_dir.name}/{name}_{key}: shape {arr.shape} does not match {ref}")
+    return level
+
+
+def _read_prediction(map_dir: Path, entry: dict, like: dict | None = None) -> LevelPrediction:
+    """A prediction level under decode's checks, which name the level."""
+    name = entry["name"]
+    level = _read_level(map_dir, name, _TENSOR_KEYS[:3], like)
+    try:
+        return LevelPrediction(name, entry["stride"], level["tr"], level["tcr"], level["reg"])
+    except ValueError as exc:
+        raise ParseError(f"{map_dir.name}/{name}: {exc}") from None
 
 
 def _map_dirs(root: str) -> list[Path]:
@@ -322,7 +329,9 @@ def _map_dirs(root: str) -> list[Path]:
 
 def cmd_decode(args, cfg: Config) -> int:
     def one(img_dir: Path) -> list[str]:
-        maps = _load_prediction_dir(img_dir)
+        meta = _read_meta(img_dir)
+        levels = {entry["name"]: _read_prediction(img_dir, entry) for entry in meta["levels"]}
+        maps = PredictionMaps(meta["image_id"], meta["width"], meta["height"], levels)
         detections = decode_all(
             maps,
             score_thresh=cfg.score_thresh,
@@ -347,72 +356,28 @@ def cmd_decode(args, cfg: Config) -> int:
     return 0
 
 
-def _image_loss(gt_dir: Path, pred_dir: Path, cfg: Config):
-    meta = _read_meta(gt_dir)
-    tr_sum = tr_cnt = tcr_sum = tcr_cnt = reg_sum = reg_px = 0.0
-    for entry in meta["levels"]:
-        name = entry["name"]
-        gt_tr = read_tensor(gt_dir / f"{name}_tr.fct").astype(np.float64)
-        gt_tcr = read_tensor(gt_dir / f"{name}_tcr.fct").astype(np.float64)
-        gt_reg = read_tensor(gt_dir / f"{name}_reg.fct").astype(np.float64)
-        gt_care = read_tensor(gt_dir / f"{name}_care.fct").astype(np.float64)
-        pr_tr = read_tensor(pred_dir / f"{name}_tr.fct").astype(np.float64)
-        pr_tcr = read_tensor(pred_dir / f"{name}_tcr.fct").astype(np.float64)
-        pr_reg = read_tensor(pred_dir / f"{name}_reg.fct").astype(np.float64)
-        for key, pred, target in (
-            ("tr", pr_tr, gt_tr),
-            ("tcr", pr_tcr, gt_tcr),
-            ("reg", pr_reg, gt_reg),
-        ):
-            if pred.shape != target.shape:
-                raise ParseError(
-                    f"{pred_dir.name}/{name}_{key}: prediction shape {pred.shape} "
-                    f"does not match target shape {target.shape}"
-                )
-        # decode's checks: probabilities in [0, 1], finite regression; the
-        # arrays are float64 already, so they are checked in place, not copied
-        LevelPrediction(name, entry["stride"], pr_tr, pr_tcr, pr_reg)
-        care = gt_care.ravel() > 0.5
-        losses = cross_entropy(pr_tr.ravel()[care], gt_tr.ravel()[care])
-        positives = gt_tr.ravel()[care] == 1.0
-        selected = ohem_select(losses, positives, OHEM_RATIO)
-        tr_sum += float(losses[selected].sum())
-        tr_cnt += int(selected.sum())
-        domain = (gt_tr == 1.0) & (gt_care > 0.5)
-        if domain.any():
-            tcr_losses = cross_entropy(pr_tcr[domain], gt_tcr[domain])
-            tcr_sum += float(tcr_losses.sum())
-            tcr_cnt += int(domain.sum())
-            reg_sum += regression_loss(
-                gt_reg[:, domain].T,
-                pr_reg[:, domain].T,
-                gt_tcr[domain] == 1.0,
-                n_points=cfg.n_prime,
-            )
-            reg_px += int(domain.sum())
-    return tr_sum, tr_cnt, tcr_sum, tcr_cnt, reg_sum, reg_px
-
-
 def cmd_loss(args, cfg: Config) -> int:
     gt_dirs = _map_dirs(args.gt_dir)
     pred_root = Path(args.pred_dir)
 
-    def one(gt_dir: Path):
+    def one(gt_dir: Path) -> LossSums:
         pred_dir = pred_root / gt_dir.name
         if not (pred_dir / "meta.json").is_file():
             raise ParseError(f"missing prediction directory {pred_dir}")
-        return _image_loss(gt_dir, pred_dir, cfg)
 
-    rows = _pmap(one, gt_dirs, args.jobs)
-    tr_sum = sum(r[0] for r in rows)
-    tr_cnt = sum(r[1] for r in rows)
-    tcr_sum = sum(r[2] for r in rows)
-    tcr_cnt = sum(r[3] for r in rows)
-    reg_sum = sum(r[4] for r in rows)
-    reg_px = sum(r[5] for r in rows)
-    l_tr = tr_sum / tr_cnt if tr_cnt else 0.0
-    l_tcr = tcr_sum / tcr_cnt if tcr_cnt else 0.0
-    breakdown = total_loss(l_tr, l_tcr, reg_sum, cfg.lam)
+        def levels():  # read one level at a time, as image_loss scores it
+            for entry in _read_meta(gt_dir)["levels"]:
+                target = _read_level(gt_dir, entry["name"], ("tr", "tcr", "reg", "care"))
+                pred = _read_prediction(pred_dir, entry, like=target)
+                yield SimpleNamespace(regression=target.pop("reg"), **target), pred
+
+        return image_loss(levels(), n_points=cfg.n_prime)
+
+    # field by field, in image order
+    sums = LossSums(*map(sum, zip(*_pmap(one, gt_dirs, args.jobs))))
+    l_tr = sums.tr / sums.tr_pixels if sums.tr_pixels else 0.0
+    l_tcr = sums.tcr / sums.domain_pixels if sums.domain_pixels else 0.0
+    breakdown = total_loss(l_tr, l_tcr, sums.reg, cfg.lam)
     report = {
         "l_tr": breakdown.l_tr,
         "l_tcr": breakdown.l_tcr,
@@ -420,9 +385,9 @@ def cmd_loss(args, cfg: Config) -> int:
         "lambda": breakdown.lam,
         "total": breakdown.total,
         "pixels": {
-            "tr_selected": int(tr_cnt),
-            "tcr_domain": int(tcr_cnt),
-            "regression": int(reg_px),
+            "tr_selected": sums.tr_pixels,
+            "tcr_domain": sums.domain_pixels,
+            "regression": sums.domain_pixels,
         },
         "config": cfg.to_dict(),
     }

@@ -8,7 +8,8 @@ tables them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .annotations import DEFAULT_SUBSET_THRESHOLD
 from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH
@@ -64,21 +65,15 @@ class Config:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "n_prime": self.n_prime,
-            "lambda": self.lam,
-            "shrink_factor": self.shrink_factor,
-            "levels": ",".join(
-                f"{s.name}:{s.stride}:{s.low:g}:{s.high:g}" for s in self.levels
-            ),
-            "score_thresh": self.score_thresh,
-            "nms_iou": self.nms_iou,
-            "eval_iou": self.eval_iou,
-            "subset_threshold": self.subset_threshold,
-            "iou_supersample": self.iou_supersample,
-        }
+        """Every key, in field order, under its configuration-file name."""
+        out = {key: getattr(self, attr) for key, attr in _KEYS.items()}
+        out["levels"] = ",".join(f"{s.name}:{s.stride}:{s.low:g}:{s.high:g}" for s in self.levels)
+        return out
+
+
+# configuration key -> Config field: lambda is a Python keyword, so its field is lam
+_KEYS = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(Config)}
+_TYPES = get_type_hints(Config)
 
 
 def parse_levels(raw: str) -> tuple[LevelSpec, ...]:
@@ -96,34 +91,18 @@ def parse_levels(raw: str) -> tuple[LevelSpec, ...]:
     return tuple(specs)
 
 
-_INT_KEYS = {"k", "n", "n_prime", "iou_supersample"}
-_FLOAT_KEYS = {
-    "lambda",
-    "shrink_factor",
-    "score_thresh",
-    "nms_iou",
-    "eval_iou",
-    "subset_threshold",
-}
-_ATTR = {"lambda": "lam"}
-
-
 def _apply(cfg: Config, key: str, raw: str) -> Config:
     key = key.strip()
     raw = raw.strip()
+    if key not in _KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
     if key == "levels":
         return replace(cfg, levels=parse_levels(raw))
-    if key in _INT_KEYS:
-        try:
-            return replace(cfg, **{key: int(raw)})
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return replace(cfg, **{_ATTR.get(key, key): float(raw)})
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    raise ConfigError(f"unknown configuration key {key!r}")
+    kind = _TYPES[_KEYS[key]]  # int or float
+    try:
+        return replace(cfg, **{_KEYS[key]: kind(raw)})
+    except ValueError:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
 
 
 def load_config(path, base: Config | None = None) -> Config:

@@ -1,8 +1,12 @@
 """Training losses.
 
-The total objective is L = L_cls + lambda * L_reg with L_cls = L_tr + L_tcr
-(cross-entropies over the text region and text center region maps, the text
-region one under online hard example mining) and
+The total objective is L = L_cls + lambda * L_reg with L_cls = L_tr + L_tcr,
+each term over its own cells of every pyramid level:
+
+* L_tr: text-region cross-entropy over the cared cells (care > 0.5), under
+  online hard example mining: every text cell plus the hardest non-text ones;
+* L_tcr: text-center-region cross-entropy over the cared text-region cells;
+* L_reg: over the same cared text-region cells,
 
     L_reg = (1 / N') * sum_{i in TR} sum_n w_i * [ sl1(dx_in) + sl1(dy_in) ]
 
@@ -16,19 +20,24 @@ values from differently sized regions are comparable only per pixel count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentMismatch, NonFinite
+from .decode import LevelPrediction
+from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
+from .targets import LevelTargets
 
 __all__ = [
     "LossBreakdown",
+    "LossSums",
     "smooth_l1",
     "cross_entropy",
     "regression_loss",
     "regression_loss_grad",
     "ohem_select",
+    "image_loss",
     "total_loss",
     "CLAMP_EPS",
     "OHEM_RATIO",
@@ -157,6 +166,48 @@ def ohem_select(losses, positive, ratio: int = OHEM_RATIO) -> np.ndarray:
         order = np.argsort(-loss[neg_idx], kind="stable")
         selected[neg_idx[order[:budget]]] = True
     return selected
+
+
+class LossSums(NamedTuple):
+    """Unnormalized loss sums of one image and the cells they cover.  Sums of
+    several images add field by field; L_tr = tr / tr_pixels and
+    L_tcr = tcr / domain_pixels, while reg enters the total as it is."""
+
+    tr: float
+    tr_pixels: int
+    tcr: float
+    reg: float
+    domain_pixels: int  # cared text-region cells: the tcr and reg domain
+
+
+def image_loss(
+    levels: Iterable[tuple[LevelTargets, LevelPrediction]],
+    n_points: int = DEFAULT_RECON_POINTS,
+) -> LossSums:
+    """Loss sums of one image over its (targets, prediction) level pairs.
+
+    A target is a LevelTargets, or anything with its tr, tcr, regression and
+    care arrays, of one (H, W); a prediction is a LevelPrediction of the same
+    shape.  Levels are scored one at a time, in the order given.
+    """
+    tr_sum = tcr_sum = reg_sum = 0.0
+    tr_px = domain_px = 0
+    for target, pred in levels:
+        if pred.regression.shape != target.regression.shape:
+            raise ShapeMismatch(f"prediction {pred.regression.shape} and target {target.regression.shape} differ")
+        care = target.care.ravel() > 0.5
+        labels = target.tr.ravel()[care]
+        ce = cross_entropy(pred.tr_prob.ravel()[care], labels)
+        selected = ohem_select(ce, labels == 1.0, OHEM_RATIO)
+        tr_sum += float(ce[selected].sum())
+        tr_px += int(selected.sum())
+        domain = (target.tr == 1.0) & (target.care > 0.5)
+        if domain.any():
+            tcr_sum += float(cross_entropy(pred.tcr_prob[domain], target.tcr[domain]).sum())
+            reg_sum += regression_loss(target.regression[:, domain].T, pred.regression[:, domain].T,
+                                       target.tcr[domain] == 1.0, n_points=n_points)
+            domain_px += int(domain.sum())
+    return LossSums(tr_sum, tr_px, tcr_sum, reg_sum, domain_px)
 
 
 def total_loss(l_tr: float, l_tcr: float, l_reg: float, lam: float = 1.0) -> LossBreakdown:

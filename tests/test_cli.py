@@ -258,6 +258,21 @@ class TestTargetsDecodeLossEval:
         assert code == 2
         assert f"P3_{key}" in err and "does not match" in err
 
+    @pytest.mark.parametrize("key", ["tr", "tcr", "reg", "care"])
+    def test_misshaped_target_is_named(self, key, target_dir, tmp_path, capsys):
+        gt = tmp_path / "gt-bad"
+        shutil.copytree(target_dir, gt)
+        bad = gt / "img-a" / f"P3_{key}.fct"
+        write_tensor(bad, np.zeros(read_tensor(bad).shape[:-1] + (19,)))  # P3 is (15, 20)
+        argvs = [["loss", "--gt-dir", str(gt), "--pred-dir", str(target_dir)]]
+        if key != "care":
+            argvs.append(["decode", "--maps-dir", str(gt)])
+        for argv in argvs:
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and f"img-a/P3_{key}" in err
+            assert "prediction" not in err
+
     @pytest.mark.parametrize(
         "key, index, value, message",
         [
@@ -286,6 +301,7 @@ class TestTargetsDecodeLossEval:
             code, out, err = run(argv, capsys)
             assert code == 2 and out == ""
             assert err.startswith("error: ") and message in err
+            assert "img-a" in err and "P3" in err
 
     @pytest.mark.parametrize(
         "command, meta",

@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 
 from fourier_contours import (
     AlignmentMismatch,
+    LevelPrediction,
     LossBreakdown,
     NonFinite,
+    ShapeMismatch,
     cross_entropy,
+    generate_targets,
+    image_loss,
     ohem_select,
     regression_loss,
     regression_loss_grad,
     smooth_l1,
     total_loss,
 )
+from fourier_contours.synth import roundtrip_corpus
 
 
 class TestSmoothL1:
@@ -208,6 +213,55 @@ class TestOhem:
         got = ohem_select(losses, positive, 3)
         want = brute_ohem(losses, positive, 3)
         assert np.array_equal(got, want)
+
+
+class TestImageLoss:
+    @pytest.fixture(scope="class")
+    def targets(self):
+        (img,) = roundtrip_corpus(seed=11, count=1, side=256)
+        return list(generate_targets(img).levels.values())
+
+    @staticmethod
+    def predict(lt, tr=None, regression=None):
+        return LevelPrediction(
+            lt.spec.name,
+            lt.spec.stride,
+            lt.tr if tr is None else tr,
+            lt.tcr,
+            lt.regression if regression is None else regression,
+        )
+
+    def test_targets_scored_against_themselves(self, targets):
+        sums = image_loss((lt, self.predict(lt)) for lt in targets)
+        assert sums.reg == 0.0
+        ohem = domain = 0
+        for lt in targets:
+            care = lt.care.ravel() > 0.5
+            labels = lt.tr.ravel()[care]
+            ohem += int(ohem_select(cross_entropy(labels, labels), labels == 1).sum())
+            domain += int(((lt.tr == 1) & (lt.care == 1)).sum())
+        assert sums.tr_pixels == ohem > 0
+        assert sums.domain_pixels == domain > 0
+        # clamped log(1 - eps) floor per cell, never exactly zero
+        assert 0.0 < sums.tr < 2e-7 * sums.tr_pixels
+        assert 0.0 < sums.tcr < 2e-7 * sums.domain_pixels
+
+    def test_sums_add_over_levels(self, targets, rng):
+        pairs = [
+            (lt, self.predict(lt, tr=rng.uniform(size=lt.shape),
+                              regression=lt.regression + rng.normal(0.0, 0.25, lt.regression.shape)))
+            for lt in targets
+        ]
+        whole = image_loss(pairs, n_points=30)
+        parts = [image_loss([pair], n_points=30) for pair in pairs]
+        assert whole.reg > 0.0
+        assert whole == pytest.approx(tuple(map(sum, zip(*parts))), rel=1e-12)
+
+    def test_shape_mismatch(self, targets):
+        big, small = targets[0], targets[-1]
+        assert big.shape != small.shape
+        with pytest.raises(ShapeMismatch):
+            image_loss([(big, self.predict(small))])
 
 
 class TestTotalLoss:

@@ -10,15 +10,22 @@ The targets hash covers every .fct tensor and meta.json under the output
 directory: each file's relative path, then its bytes, in sorted path order.
 It was recorded before rasterize_grid and shrink_polygon's containment test
 moved onto the row-span primitive, which must not move a single target cell.
+
+The loss hash scores seeded noisy predictions against the targets, so every
+term, the regression sum included, is nonzero.  It was recorded while the
+per-image loss still lived in the command-line module, before it moved into
+losses.image_loss, which must not change its summation order.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from fourier_contours.annotations import write_jsonl
 from fourier_contours.cli import main
-from fourier_contours.serialize import round9
+from fourier_contours.serialize import read_tensor, round9, write_tensor
 from fourier_contours.synth import roundtrip_corpus
 
 PINNED = {
@@ -63,3 +70,43 @@ def test_outputs_match_pinned_hashes(jobs, tmp_path, capsys):
     capsys.readouterr()
     got = {name: _digest(path) for name, path in outputs.items()}
     assert got == PINNED
+
+
+PINNED_LOSS = "8b89402a293516b963ec337f8b27020caa2c37bef9af8d467e85d1d720bb2798"
+
+
+def _write_noisy_predictions(gt_root, pred_root, seed=7):
+    """Prediction maps as a model might write them: probabilities
+    0.85 * target + U(0, 0.1), regression maps plus N(0, 0.25) noise."""
+    rng = np.random.default_rng(seed)
+    for gt_dir in sorted(p for p in gt_root.iterdir() if p.is_dir()):
+        out = pred_root / gt_dir.name
+        out.mkdir(parents=True)
+        meta = (gt_dir / "meta.json").read_text(encoding="utf-8")
+        (out / "meta.json").write_text(meta, encoding="utf-8")
+        for level in json.loads(meta)["levels"]:
+            for key in ("tr", "tcr", "reg"):
+                name = f"{level['name']}_{key}.fct"
+                gt = read_tensor(gt_dir / name).astype(np.float64)
+                if key == "reg":
+                    noisy = gt + rng.normal(0.0, 0.25, gt.shape)
+                else:
+                    noisy = 0.85 * gt + rng.uniform(0.0, 0.1, gt.shape)
+                write_tensor(out / name, noisy)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_loss_of_noisy_predictions_matches_pinned_hash(jobs, tmp_path, capsys):
+    ann = tmp_path / "ann.jsonl"
+    images = roundtrip_corpus(seed=11, count=4, side=256)
+    ann.write_text("".join(line + "\n" for line in write_jsonl(images, fmt=round9)), encoding="utf-8")
+    assert main(["targets", str(ann), "--out-dir", str(tmp_path / "gt")]) == 0
+    _write_noisy_predictions(tmp_path / "gt", tmp_path / "pred")
+    out = tmp_path / "loss.json"
+    argv = ["--jobs", jobs, "loss", "--gt-dir", str(tmp_path / "gt"),
+            "--pred-dir", str(tmp_path / "pred"), "-o", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert min(report["l_tr"], report["l_tcr"], report["l_reg"]) > 0.0
+    assert _digest(out) == PINNED_LOSS
