@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateContour, InvalidPolygon, ParseError
-from .geometry import Contour, vertex_removal_delta
+from .geometry import Contour, _removal_deltas
 
 __all__ = [
     "TextInstance",
@@ -202,9 +202,7 @@ def curved_subset_select(
         if m < 4:
             continue
         try:
-            worst = max(
-                vertex_removal_delta(inst.polygon, i) for i in range(1, m - 1)
-            )
+            worst = max(_removal_deltas(inst.polygon.vertices, range(1, m - 1)))
         except DegenerateContour:
             continue
         if worst >= threshold:

@@ -275,7 +275,10 @@ def cmd_targets(args, cfg: Config) -> int:
 def _read_meta(map_dir: Path) -> dict:
     """A map directory's meta.json, checked for every field decode and loss read."""
     path = map_dir / "meta.json"
-    meta = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON: {exc}") from None
     # type() is int: JSON true and false are bools, which isinstance counts as int
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -291,6 +294,11 @@ def _read_meta(map_dir: Path) -> dict:
     ):
         raise ParseError(f"{path}: levels must be objects with a string name and a positive integer stride")
     return meta
+
+
+def _meta_layout(meta: dict) -> tuple:
+    """What a prediction's meta.json must share with its target's."""
+    return meta["image_id"], [(e["name"], e["stride"]) for e in meta["levels"]]
 
 
 def _read_level(map_dir: Path, name: str, keys, like: dict | None = None) -> dict:
@@ -364,9 +372,15 @@ def cmd_loss(args, cfg: Config) -> int:
         pred_dir = pred_root / gt_dir.name
         if not (pred_dir / "meta.json").is_file():
             raise ParseError(f"missing prediction directory {pred_dir}")
+        gt_meta, pred_meta = _read_meta(gt_dir), _read_meta(pred_dir)
+        if _meta_layout(pred_meta) != _meta_layout(gt_meta):
+            raise ParseError(
+                f"prediction directory {pred_dir}: image_id and levels (name, stride) "
+                f"do not match the target's"
+            )
 
         def levels():  # read one level at a time, as image_loss scores it
-            for entry in _read_meta(gt_dir)["levels"]:
+            for entry in gt_meta["levels"]:
                 target = _read_level(gt_dir, entry["name"], ("tr", "tcr", "reg", "care"))
                 pred = _read_prediction(pred_dir, entry, like=target)
                 yield SimpleNamespace(regression=target.pop("reg"), **target), pred

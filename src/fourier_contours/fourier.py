@@ -7,7 +7,9 @@ coefficient of harmonic k is
     c_k = (1 / n) * sum_j z_j * exp(-2 pi i k j / n)
 
 computed by direct summation in a fixed order, never via an FFT, so results
-are bit-identical across runs and thread counts.  The degree-K signature keeps
+are bit-identical across runs and thread counts.  Each exp(-+2 pi i k j / n)
+basis depends only on its shape, so it is built once and kept, read-only, in a
+bounded cache shared by every call and thread.  The degree-K signature keeps
 k in [-K, K]; c_0 is the contour center, and the flat real layout interleaves
 real and imaginary parts from k = -K upward:
 
@@ -17,6 +19,7 @@ real and imaginary parts from k = -K upward:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +45,10 @@ __all__ = [
 DEFAULT_DEGREE = 5
 DEFAULT_SAMPLES = 400
 DEFAULT_RECON_POINTS = 50
+
+# distinct bases kept; one run uses a few shapes, and an n x n basis is
+# n * n * 16 bytes (2.5 MB at n = 400)
+_BASIS_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,24 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
+    """The read-only basis exp(sign * 2 pi i k j / n) for j = 0 .. n - 1 and k
+    in -degree .. degree, or in 0 .. n - 1 (every DFT residue) when degree is
+    None.  sign -1 gives the forward (len(k), n) array, sign +1 the inverse
+    (n, len(k)) array, both C-contiguous: evaluate_series' rounding depends on
+    that layout, so the inverse is stored as built, not as a transposed view.
+    Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries."""
+    t = np.arange(n) / n
+    ks = np.arange(n) if degree is None else np.arange(-degree, degree + 1)
+    if sign < 0:
+        basis = np.exp(-2j * np.pi * np.outer(ks, t))
+    else:
+        basis = np.exp(2j * np.pi * np.outer(t, ks))
+    basis.setflags(write=False)
+    return basis
+
+
 def fourier_coefficients(points, k: int) -> FourierSignature:
     """Degree-k signature of equidistant samples by direct summation.
 
@@ -119,10 +144,7 @@ def fourier_coefficients(points, k: int) -> FourierSignature:
     if 2 * k + 1 > n:
         raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
     z = pts[:, 0] + 1j * pts[:, 1]
-    t = np.arange(n) / n
-    ks = np.arange(-k, k + 1)
-    basis = np.exp(-2j * np.pi * np.outer(ks, t))
-    coeffs = (basis * z).sum(axis=1) / n
+    coeffs = (_dft_basis(n, k, -1) * z).sum(axis=1) / n
     return FourierSignature(coeffs)
 
 
@@ -144,9 +166,7 @@ def evaluate_series(coeffs, n_points: int) -> np.ndarray:
             f"coefficient axis must have odd length, got {arr.shape[-1]}"
         )
     deg = (arr.shape[-1] - 1) // 2
-    t = np.arange(n_points) / n_points
-    ks = np.arange(-deg, deg + 1)
-    basis = np.exp(2j * np.pi * np.outer(t, ks))  # (n_points, 2K + 1)
+    basis = _dft_basis(n_points, deg, 1)  # (n_points, 2K + 1)
     return (arr[..., None, :] * basis).sum(axis=-1)
 
 
@@ -190,9 +210,8 @@ def truncation_l2_errors(points, degrees) -> list[float]:
         if 2 * k + 1 > n:
             raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
     z = pts[:, 0] + 1j * pts[:, 1]
-    t = np.arange(n) / n
     residues = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(residues, t))
+    basis = _dft_basis(n, None, -1)
     coeffs = (basis * z).sum(axis=1) / n
     signed = np.where(residues <= n // 2, residues, residues - n)
 

@@ -121,11 +121,15 @@ def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.roll(v, -1, axis=0)
 
 
+def _cross_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Shoelace terms a x b of the segments from each row of a to b."""
+    return a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+
+
 def _signed_area(v: np.ndarray) -> float:
-    a, b = _edges(v)
     # fsum: exactly rounded, so the value is identical for any cyclic rotation
     # or reversal of the vertex list.
-    return 0.5 * math.fsum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
+    return 0.5 * math.fsum(_cross_terms(*_edges(v)))
 
 
 def signed_area(c: Contour) -> float:
@@ -530,8 +534,30 @@ def vertex_removal_delta(c: Contour, i: int) -> float:
         raise ValueError(f"need at least 4 vertices to remove one, got {m}")
     if not 0 <= i < m:
         raise ValueError(f"vertex index {i} out of range for {m} vertices")
-    before = abs(_signed_area(v))
+    return _removal_deltas(v, [i])[0]
+
+
+def _removal_deltas(v: np.ndarray, indices) -> list[float]:
+    """vertex_removal_delta for each vertex index in `indices` (each in
+    0 .. m - 1, m >= 4), from one set of shoelace terms.
+
+    Deleting vertex i replaces the terms of edges i - 1 and i by one bridge
+    term v[i - 1] x v[i + 1], computed as _signed_area computes its terms.
+    fsum is exactly rounded, so each value equals _signed_area of the polygon
+    with vertex i deleted, bit for bit.
+    """
+    a, b = _edges(v)
+    terms = _cross_terms(a, b)
+    before = abs(0.5 * math.fsum(terms))
     if before == 0.0:
         raise DegenerateContour("zero-area contour has no usable removal delta")
-    after = abs(_signed_area(np.delete(v, i, axis=0)))
-    return abs(before - after) / before
+    bridge = _cross_terms(np.roll(v, 1, axis=0), b).tolist()
+    terms = terms.tolist()
+    out = []
+    for i in indices:
+        # terms i - 1 and i go; for i = 0 those are the last and the first
+        kept = terms[1:-1] if i == 0 else terms[: i - 1] + terms[i + 1 :]
+        kept.append(bridge[i])
+        after = abs(0.5 * math.fsum(kept))
+        out.append(abs(before - after) / before)
+    return out

@@ -327,6 +327,33 @@ class TestTargetsDecodeLossEval:
         assert code == 2
         assert err.startswith("error: ") and "meta.json" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: "not json at all", "meta.json"),
+            (lambda meta: {**meta, "levels": 3}, "meta.json"),
+            (lambda meta: {**meta, "image_id": "img-b"}, "do not match"),
+            (lambda meta: {**meta, "levels": meta["levels"][:-1]}, "do not match"),
+            (lambda meta: {**meta, "levels": meta["levels"][::-1]}, "do not match"),
+            (lambda meta: {**meta, "levels": [{**e, "stride": e["stride"] * 2}
+                                              for e in meta["levels"]]}, "do not match"),
+        ],
+        ids=["not-json", "levels-not-list", "image-id", "level-missing",
+             "level-order", "stride"],
+    )
+    def test_loss_checks_prediction_meta(self, edit, message, target_dir, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(target_dir, pred)
+        path = pred / "img-a" / "meta.json"
+        meta = edit(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(meta if isinstance(meta, str) else json.dumps(meta), encoding="utf-8")
+        code, out, err = run(
+            ["loss", "--gt-dir", str(target_dir), "--pred-dir", str(pred)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert str(pred / "img-a") in err
+
     def test_decode_missing_dir(self, tmp_path, capsys):
         code, _, _ = run(["decode", "--maps-dir", str(tmp_path / "nope")], capsys)
         assert code == 2

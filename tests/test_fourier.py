@@ -1,4 +1,6 @@
 import cmath
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from fourier_contours import (
     truncation_l2_error,
     truncation_l2_errors,
 )
+from fourier_contours.fourier import _dft_basis
 from conftest import star_shaped
 
 
@@ -253,3 +256,108 @@ class TestTruncationError:
             power = float(np.mean(np.abs(z) ** 2))
             coeff_power = float(np.sum(np.abs(sig.coeffs) ** 2))
             assert coeff_power == pytest.approx(power, rel=1e-9)
+
+
+def inline_basis(n, degree, sign):
+    """Each caller's basis as it was built on every call before the cache."""
+    t = np.arange(n) / n
+    if degree is None:
+        return np.exp(-2j * np.pi * np.outer(np.arange(n), t))
+    ks = np.arange(-degree, degree + 1)
+    if sign < 0:
+        return np.exp(-2j * np.pi * np.outer(ks, t))
+    return np.exp(2j * np.pi * np.outer(t, ks))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def uncached_series(coeffs, n_points):
+    arr = np.asarray(coeffs, dtype=np.complex128)
+    return (arr[..., None, :] * inline_basis(n_points, (arr.shape[-1] - 1) // 2, 1)).sum(axis=-1)
+
+
+class TestBasisCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(-1, "degree"), (1, "degree"), (-1, "residues")]),
+        st.integers(1, 420),
+        st.integers(0, 30),
+    )
+    def test_cached_basis_is_the_inline_expression(self, kind, n, degree):
+        sign, keys = kind
+        degree = None if keys == "residues" else degree
+        basis = _dft_basis(n, degree, sign)
+        assert same_bits(basis, inline_basis(n, degree, sign))
+        assert basis.flags.c_contiguous and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
+        assert _dft_basis(n, degree, sign) is basis
+
+    def test_cache_is_bounded(self):
+        # the bound the README and the _dft_basis docstring state
+        assert _dft_basis.cache_info().maxsize == 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 12),
+        st.integers(3, 80),
+        st.sampled_from([(), (5,), (3, 4)]),
+    )
+    def test_callers_match_uncached_reference(self, seed, k, n_points, batch):
+        rng = np.random.default_rng(seed)
+        rs = resample_equidistant(star_shaped(rng), max(2 * k + 1, 25))
+        n = rs.points.shape[0]
+        z = rs.points[:, 0] + 1j * rs.points[:, 1]
+        want = (inline_basis(n, k, -1) * z).sum(axis=1) / n
+        assert same_bits(fourier_coefficients(rs, k).coeffs, want)
+
+        coeffs = rng.normal(size=batch + (2 * k + 1,)) + 1j * rng.normal(size=batch + (2 * k + 1,))
+        assert same_bits(evaluate_series(coeffs, n_points), uncached_series(coeffs, n_points))
+
+    def test_truncation_errors_unchanged(self):
+        rng = np.random.default_rng(5)
+        rs = resample_equidistant(star_shaped(rng), 64)
+        z = rs.points[:, 0] + 1j * rs.points[:, 1]
+        coeffs = (inline_basis(64, None, -1) * z).sum(axis=1) / 64
+        signed = np.where(np.arange(64) <= 32, np.arange(64), np.arange(64) - 64)
+        order = np.lexsort((-signed, -np.abs(signed)))
+        running = np.cumsum(np.abs(coeffs[order]) ** 2)
+        degrees = [1, 5, 31]
+        want = [float(running[np.count_nonzero(np.abs(signed) > k) - 1]) for k in degrees]
+        assert truncation_l2_errors(rs, degrees) == want
+
+    def test_threads_share_the_cache(self):
+        """Eight threads on two cores, switching every microsecond, fill and
+        read one cleared cache; every result equals the single-thread one."""
+        rng = np.random.default_rng(11)
+        shapes = [resample_equidistant(star_shaped(rng), 96) for _ in range(8)]
+
+        def work(rs):
+            sig = fourier_coefficients(rs, 6)
+            return sig.coeffs, evaluate_series(sig.coeffs, 40), truncation_l2_errors(rs, [2, 6])
+
+        want = [work(rs) for rs in shapes]
+        _dft_basis.cache_clear()
+        got = [None] * len(shapes)
+
+        def run(i):
+            for _ in range(5):
+                got[i] = work(shapes[i])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(shapes))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        for (c, s, e), (wc, ws, we) in zip(got, want):
+            assert same_bits(c, wc) and same_bits(s, ws) and e == we

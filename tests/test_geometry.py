@@ -24,7 +24,7 @@ from fourier_contours import (
     vertex_removal_delta,
 )
 from fourier_contours import geometry
-from fourier_contours.geometry import _is_simple, _points_inside
+from fourier_contours.geometry import _is_simple, _points_inside, _removal_deltas, _signed_area
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
@@ -543,6 +543,51 @@ class TestVertexRemovalDelta:
         after = abs(shoelace(pts[:i] + pts[i + 1 :]))
         want = abs(before - after) / before
         assert vertex_removal_delta(c, i) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shapes(),
+        st.integers(0, 29),
+        st.booleans(),
+        st.integers(0, 29),
+        st.sampled_from(["free", "integer", "half"]),
+    )
+    def test_shared_terms_match_delete_reference(self, v, shift, flip, edge, snap):
+        """Every removal delta equals _signed_area of the np.delete'd polygon
+        bit for bit, and is the same for any rotation or reversal of the
+        vertex list.  A vertex inserted at an edge's midpoint of an integer
+        or half-integer polygon is collinear with exactly representable
+        shoelace terms, so its delta is exactly 0."""
+        if snap == "integer":
+            v = np.round(v)
+        elif snap == "half":
+            v = np.round(v * 2) / 2
+        if snap != "free":
+            e = edge % len(v)
+            v = np.insert(v, e + 1, (v[e] + v[(e + 1) % len(v)]) / 2, axis=0)
+        m = len(v)
+        if m < 4:
+            return
+        # vertex j of the rotated, maybe reversed, list is vertex order[j] of v
+        order = np.roll(np.arange(m), shift % m)
+        if flip:
+            order = order[::-1]
+        w = v[order]
+        before = abs(_signed_area(w))
+        if before == 0.0:
+            with pytest.raises(DegenerateContour):
+                _removal_deltas(w, range(m))
+            return
+        got = np.array(_removal_deltas(w, range(m)))
+        want = np.array(
+            [abs(before - abs(_signed_area(np.delete(w, i, axis=0)))) / before for i in range(m)]
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.tolist() == [vertex_removal_delta(Contour(w), i) for i in range(m)]
+        unrotated = np.array(_removal_deltas(v, range(m)))
+        assert np.array_equal(got.view(np.int64), unrotated[order].view(np.int64))
+        if snap != "free":
+            assert unrotated[e + 1] == 0.0
 
     def test_needs_four_vertices(self):
         with pytest.raises(ValueError):
