@@ -62,16 +62,22 @@ class AnnotatedImage:
         object.__setattr__(self, "instances", tuple(self.instances))
 
 
+def _point_array(values: list, lineno: int) -> np.ndarray:
+    """(m, 2) points of a flat coordinate list, checked: even, >= 3 points, finite."""
+    if len(values) % 2:
+        raise InvalidPolygon(f"odd coordinate count {len(values)}", line=lineno)
+    if len(values) < 6:
+        raise InvalidPolygon(f"need at least 3 points, got {len(values) // 2}", line=lineno)
+    pts = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise InvalidPolygon("coordinates must be finite", line=lineno)
+    return pts
+
+
 def _instance_points(raw, lineno: int, width: int, height: int) -> tuple[Contour, int]:
     if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
         raise InvalidPolygon("points must be a flat list of numbers", line=lineno)
-    if len(raw) % 2:
-        raise InvalidPolygon(f"odd coordinate count {len(raw)}", line=lineno)
-    if len(raw) < 6:
-        raise InvalidPolygon(f"need at least 3 points, got {len(raw) // 2}", line=lineno)
-    pts = np.asarray(raw, dtype=np.float64).reshape(-1, 2)
-    if not np.isfinite(pts).all():
-        raise InvalidPolygon("coordinates must be finite", line=lineno)
+    pts = _point_array(raw, lineno)
     clamped = np.clip(pts, [0.0, 0.0], [float(width), float(height)])
     moved = int(np.count_nonzero(np.any(clamped != pts, axis=1)))
     return Contour(clamped), moved
@@ -149,15 +155,7 @@ def parse_delimited(lines, drop_transcription: bool = True) -> list[TextInstance
             values = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ParseError(f"non-numeric coordinate: {exc}", line=lineno) from None
-        if len(values) % 2:
-            raise InvalidPolygon(f"odd coordinate count {len(values)}", line=lineno)
-        if len(values) < 6:
-            raise InvalidPolygon(
-                f"need at least 3 points, got {len(values) // 2}", line=lineno
-            )
-        pts = np.asarray(values, dtype=np.float64).reshape(-1, 2)
-        if not np.isfinite(pts).all():
-            raise InvalidPolygon("coordinates must be finite", line=lineno)
+        pts = _point_array(values, lineno)
         out.append(TextInstance(polygon=Contour(pts), ignore=ignore, id=f"L{lineno}"))
     return out
 

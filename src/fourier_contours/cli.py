@@ -3,8 +3,9 @@
 Commands read annotation JSON-lines or binary tensor directories and write
 JSON-lines, CSV, SVG, or tensor directories.  All outputs are deterministic:
 floats are formatted with 9 significant digits, iteration orders are fixed,
-and worker threads only ever map a pure function over images with ordered
-collection, so --jobs never changes a single output byte.
+and every command maps a pure per-image or per-record function through
+_pmap, whose threads collect results in order, so --jobs never changes a
+single output byte.
 
 Exit codes: 0 success, 2 malformed input, 3 bad configuration.
 """
@@ -28,6 +29,7 @@ from .errors import ConfigError, GeometryError, ParseError
 from .evaluation import evaluate, fmeasure
 from .fourier import (
     FourierSignature,
+    embed,
     fourier_coefficients,
     reconstruct,
     truncation_l2_errors,
@@ -61,6 +63,26 @@ def _write_text(path: str, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write each line followed by a newline; no lines write an empty file."""
+    lines = list(lines)
+    _write_text(path, "\n".join(lines) + "\n" if lines else "")
+
+
+def _read_records(path: str, what: str, parse) -> list:
+    """parse(obj) of each non-blank JSON line, in order.  A line that is not
+    JSON or that parse rejects raises ParseError naming the line."""
+    records = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(parse(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad {what} record: {exc}", line=lineno) from None
+    return records
 
 
 def _safe_name(name: str) -> str:
@@ -103,9 +125,7 @@ def cmd_embed(args, cfg: Config) -> int:
     def one(img) -> list[str]:
         lines = []
         for inst in img.instances:
-            sig = fourier_coefficients(
-                resample_equidistant(inst.polygon, cfg.n), cfg.k
-            )
+            sig = embed(inst.polygon, cfg.k, cfg.n)
             lines.append(
                 json_line(
                     {
@@ -120,33 +140,29 @@ def cmd_embed(args, cfg: Config) -> int:
         return lines
 
     blocks = _pmap(one, images, args.jobs)
-    _write_text(args.out, "".join(line + "\n" for block in blocks for line in block))
+    _write_lines(args.out, (line for block in blocks for line in block))
     return 0
 
 
 def cmd_reconstruct(args, cfg: Config) -> int:
-    out_lines = []
-    for lineno, line in enumerate(_read_lines(args.signatures), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            sig = FourierSignature.from_flat(obj["coeffs"])
-            image_id = obj["image_id"]
-            instance_id = obj["instance_id"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad signature record: {exc}", line=lineno) from None
+    records = _read_records(
+        args.signatures,
+        "signature",
+        lambda obj: (obj["image_id"], obj["instance_id"], FourierSignature.from_flat(obj["coeffs"])),
+    )
+
+    def one(record) -> str:
+        image_id, instance_id, sig = record
         contour = reconstruct(sig, cfg.n_prime)
-        out_lines.append(
-            json_line(
-                {
-                    "image_id": image_id,
-                    "instance_id": instance_id,
-                    "points": [round9(v) for v in contour.flat()],
-                }
-            )
+        return json_line(
+            {
+                "image_id": image_id,
+                "instance_id": instance_id,
+                "points": [round9(v) for v in contour.flat()],
+            }
         )
-    _write_text(args.out, "".join(line + "\n" for line in out_lines))
+
+    _write_lines(args.out, _pmap(one, records, args.jobs))
     return 0
 
 
@@ -214,7 +230,7 @@ def cmd_fidelity(args, cfg: Config) -> int:
                 ]
             )
         )
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -262,7 +278,7 @@ def cmd_targets(args, cfg: Config) -> int:
             "levels": level_meta,
             "skipped": [[inst_id, reason] for inst_id, reason in maps.skipped],
         }
-        _write_text(str(img_dir / "meta.json"), json_line(meta) + "\n")
+        _write_lines(str(img_dir / "meta.json"), [json_line(meta)])
         return maps.skipped
 
     skipped = _pmap(one, images, args.jobs)
@@ -360,7 +376,7 @@ def cmd_decode(args, cfg: Config) -> int:
         ]
 
     blocks = _pmap(one, _map_dirs(args.maps_dir), args.jobs)
-    _write_text(args.out, "".join(line + "\n" for block in blocks for line in block))
+    _write_lines(args.out, (line for block in blocks for line in block))
     return 0
 
 
@@ -405,7 +421,7 @@ def cmd_loss(args, cfg: Config) -> int:
         },
         "config": cfg.to_dict(),
     }
-    _write_text(args.out, json_line(report) + "\n")
+    _write_lines(args.out, [json_line(report)])
     return 0
 
 
@@ -413,23 +429,17 @@ def cmd_loss(args, cfg: Config) -> int:
 # eval / subset / plot
 
 
+def _detection_fields(obj) -> tuple[str, float, Contour, str]:
+    if not isinstance(obj["image_id"], str):
+        raise TypeError("image_id must be a string")
+    return obj["image_id"], float(obj["score"]), Contour.from_flat(obj["points"]), str(obj.get("level", ""))
+
+
 def _load_detections(path: str) -> dict[str, list[Detection]]:
     grouped: dict[str, list[Detection]] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            image_id = obj["image_id"]
-            score = float(obj["score"])
-            contour = Contour.from_flat(obj["points"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad detection record: {exc}", line=lineno) from None
+    for image_id, score, contour, level in _read_records(path, "detection", _detection_fields):
         bucket = grouped.setdefault(image_id, [])
-        bucket.append(
-            Detection(contour=contour, score=score, level=str(obj.get("level", "")),
-                      origin=(0, len(bucket)))
-        )
+        bucket.append(Detection(contour=contour, score=score, level=level, origin=(0, len(bucket))))
     return grouped
 
 
@@ -478,36 +488,34 @@ def cmd_eval(args, cfg: Config) -> int:
         ],
         "config": cfg.to_dict(),
     }
-    _write_text(args.out, json_line(report) + "\n")
+    _write_lines(args.out, [json_line(report)])
     if args.csv:
         csv_lines = [
             _config_header(cfg),
             "precision,recall,hmean,tp,fp,fn",
             ",".join([fmt9(precision), fmt9(recall), fmt9(hmean), str(tp), str(fp), str(fn)]),
         ]
-        _write_text(args.csv, "".join(line + "\n" for line in csv_lines))
+        _write_lines(args.csv, csv_lines)
     return 0
 
 
 def cmd_subset(args, cfg: Config) -> int:
     images = _parse_annotations(args.annotations)
-    kept_images = []
-    for img in images:
+
+    def one(img):  # None when no instance is curved
         selected = curved_subset_select(
             [inst for inst in img.instances if not inst.ignore],
             cfg.subset_threshold,
         )
         if not selected:
-            continue
+            return None
         carried = tuple(selected) + tuple(
             inst for inst in img.instances if inst.ignore
         )
-        kept_images.append(
-            type(img)(img.image_id, img.width, img.height, carried)
-        )
-    _write_text(
-        args.out, "".join(line + "\n" for line in write_jsonl(kept_images, fmt=round9))
-    )
+        return type(img)(img.image_id, img.width, img.height, carried)
+
+    kept = [img for img in _pmap(one, images, args.jobs) if img is not None]
+    _write_lines(args.out, write_jsonl(kept, fmt=round9))
     return 0
 
 
@@ -531,12 +539,7 @@ def cmd_plot(args, cfg: Config) -> int:
             red = [det.contour.vertices for det in grouped.get(img.image_id, [])]
         else:
             red = [
-                reconstruct(
-                    fourier_coefficients(
-                        resample_equidistant(inst.polygon, cfg.n), degree
-                    ),
-                    cfg.n_prime,
-                ).vertices
+                reconstruct(embed(inst.polygon, degree, cfg.n), cfg.n_prime).vertices
                 for inst in img.instances
                 if not inst.ignore
             ]
@@ -568,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one configuration key (repeatable)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for per-image work"
+        "--jobs", type=int, default=1, help="worker threads for per-image or per-record work"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

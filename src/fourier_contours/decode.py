@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, ContourSpans, contour_spans, spans_iou
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, contour_spans, spans_iou
 
 __all__ = [
     "LevelPrediction",
@@ -147,28 +147,21 @@ def poly_nms(
 
     Candidates are visited by descending score, ties broken by earlier
     origin; one is kept iff its polygon_iou with every already-kept contour
-    is strictly below the threshold.  Each contour is rasterized at most
-    once, into a contour_spans record, and only when its bounding box first
-    meets that of a contour it is tested against; pairs with disjoint boxes
+    is strictly below the threshold.  Every contour is rasterized once, up
+    front, into a contour_spans record; pairs with disjoint bounding boxes
     have IoU 0 and are skipped.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
     ordered = sorted(detections, key=lambda d: (-d.score, d.origin))
-    boxes = np.array([d.contour.bounds() for d in ordered]).reshape(-1, 4)
-    spans: list[ContourSpans | None] = [None] * len(ordered)
-
-    def spans_of(i: int) -> ContourSpans:
-        if spans[i] is None:
-            spans[i] = contour_spans(ordered[i].contour, supersample)
-        return spans[i]
-
+    spans = [contour_spans(d.contour, supersample) for d in ordered]
+    boxes = np.array([rec.bbox for rec in spans]).reshape(-1, 4)
     kept: list[int] = []
     for i, (x0, y0, x1, y1) in enumerate(boxes):
         idx = np.asarray(kept, dtype=np.intp)
         kb = boxes[idx]
         meets = (kb[:, 2] > x0) & (x1 > kb[:, 0]) & (kb[:, 3] > y0) & (y1 > kb[:, 1])
-        if all(spans_iou(spans_of(i), spans_of(j)) < iou_thresh for j in idx[meets]):
+        if all(spans_iou(spans[i], spans[j]) < iou_thresh for j in idx[meets]):
             kept.append(i)
     return [ordered[i] for i in kept]
 

@@ -78,9 +78,9 @@ def evaluate(
             continue
         # no usable match: discard silently when the best overlap at or above
         # the threshold is with a do-not-care region
+        top = max(ious, default=0.0)
         ignored_hit = any(
-            gt.ignore and ious[gi] >= iou_thresh
-            and ious[gi] == max(ious)
+            gt.ignore and ious[gi] >= iou_thresh and ious[gi] == top
             for gi, gt in enumerate(ground_truths)
         )
         if not ignored_hit:

@@ -89,7 +89,7 @@ class FourierSignature:
 def flat_to_coeffs(flat) -> np.ndarray:
     """Interleaved real layout -> complex coefficients (last axis 2K + 1)."""
     arr = np.asarray(flat, dtype=np.float64)
-    m = arr.shape[-1]
+    m = arr.shape[-1] if arr.ndim else 0  # a scalar has no channels
     if m % 2 or (m // 2) % 2 == 0:
         raise ChannelCountMismatch(
             f"flat signature length must be 2 * (2K + 1), got {m}"

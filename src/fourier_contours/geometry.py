@@ -170,28 +170,12 @@ def contour_center(c: Contour) -> Point2:
 # canonical start and resampling
 
 
-def _scan_crossings(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge indices and crossing parameters where the boundary crosses row y.
-
-    Half-open rule: edge (a, b) crosses iff (a.y <= y) != (b.y <= y), so a
-    vertex exactly on the row is counted once and horizontal edges never.
-    """
-    a, b = _edges(v)
-    hit = (a[:, 1] <= y) != (b[:, 1] <= y)
-    idx = np.nonzero(hit)[0]
-    t = (y - a[idx, 1]) / (b[idx, 1] - a[idx, 1])
-    return idx, t
-
-
 def _canonical_start(v: np.ndarray) -> tuple[int, float]:
-    cy = _center(v).y
-    idx, t = _scan_crossings(v, cy)
-    if idx.size == 0:
+    edge, _, t, x = _crossings(v, np.array([_center(v).y]))
+    if edge.size == 0:
         raise DegenerateContour("no horizontal crossing through the center")
-    a, b = _edges(v)
-    x = a[idx, 0] + t * (b[idx, 0] - a[idx, 0])
     best = int(np.argmax(x))  # rightmost; argmax keeps the first on exact ties
-    return int(idx[best]), float(t[best])
+    return int(edge[best]), float(t[best])
 
 
 def canonical_start(c: Contour) -> tuple[int, float]:
@@ -405,6 +389,28 @@ def _points_inside(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return ((lo[row] <= col) & (col < hi[row])).any(axis=1)
 
 
+def _crossings(
+    v: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Crossings of v's boundary with the rows y = ys[r] (ys ascending), as
+    arrays (edge, row, t, x), edge by edge, then row by row: edge i, from
+    v[i] to v[i + 1], meets row `row` at parameter t and abscissa x.
+    Half-open rule: edge (a, b) crosses row y iff min(a.y, b.y) <= y <
+    max(a.y, b.y), so a vertex on a row counts once and a horizontal edge
+    never."""
+    a, b = _edges(v)
+    # the rows an edge crosses are one contiguous run of the ascending ys
+    first = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]), side="left")
+    stop = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]), side="left")
+    runs = stop - first
+    e_idx = np.repeat(np.arange(runs.size), runs)
+    r_idx = np.arange(e_idx.size) - np.repeat(np.cumsum(runs) - runs - first, runs)
+    ea, eb = a[e_idx], b[e_idx]
+    t = (ys[r_idx] - ea[:, 1]) / (eb[:, 1] - ea[:, 1])
+    x = ea[:, 0] + t * (eb[:, 0] - ea[:, 0])
+    return e_idx, r_idx, t, x
+
+
 def _row_intervals(
     v: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -419,17 +425,7 @@ def _row_intervals(
     xs and ys must be ascending.  This is the library's one even-odd rule
     for sample grids; it matches _point_in point for point.
     """
-    a, b = _edges(v)
-    # edge (a, b) crosses row y iff min(a.y, b.y) <= y < max(a.y, b.y), so
-    # the rows it crosses are one contiguous run of the ascending ys
-    first = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]), side="left")
-    stop = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]), side="left")
-    runs = stop - first
-    e_idx = np.repeat(np.arange(runs.size), runs)
-    r_idx = np.arange(e_idx.size) - np.repeat(np.cumsum(runs) - runs - first, runs)
-    ea, eb = a[e_idx], b[e_idx]
-    t = (ys[r_idx] - ea[:, 1]) / (eb[:, 1] - ea[:, 1])
-    x = ea[:, 0] + t * (eb[:, 0] - ea[:, 0])
+    _, r_idx, _, x = _crossings(v, ys)
     # the sample index of a crossing is monotone in x, so sorting the indices
     # within each row orders the crossings
     width = xs.size + 1

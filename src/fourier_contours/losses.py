@@ -26,7 +26,7 @@ import numpy as np
 
 from .decode import LevelPrediction
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
-from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
+from .fourier import DEFAULT_RECON_POINTS, _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
 from .targets import LevelTargets
 
 __all__ = [
@@ -127,18 +127,13 @@ def regression_loss_grad(
     zp = evaluate_series(flat_to_coeffs(pr), n_points)
     gx = _smooth_l1_grad(zp.real - zg.real, beta)  # (M, n)
     gy = _smooth_l1_grad(zp.imag - zg.imag, beta)
-    t = np.arange(n_points) / n_points
-    theta = 2.0 * np.pi * np.outer(np.arange(-deg, deg + 1), t)  # (2K + 1, n)
-    cos, sin = np.cos(theta), np.sin(theta)
-    # point (x, y) at parameter n responds to coefficient k as
-    #   dx/du_k = cos, dx/dv_k = -sin, dy/du_k = sin, dy/dv_k = cos
-    gu = (gx[:, None, :] * cos[None] + gy[:, None, :] * sin[None]).sum(axis=2)
-    gv = (-gx[:, None, :] * sin[None] + gy[:, None, :] * cos[None]).sum(axis=2)
-    weights = np.where(member, 1.0, 0.5)[:, None]
-    out = np.empty_like(pr)
-    out[:, 0::2] = gu * weights / n_points
-    out[:, 1::2] = gv * weights / n_points
-    return out
+    g = gx + 1j * gy
+    # the IFT is linear in c_k = u_k + i v_k with d(x + iy)/du_k = e^{i theta}
+    # and d(x + iy)/dv_k = i e^{i theta}, so (dL/du_k, dL/dv_k) is the real and
+    # imaginary part of sum_n g_n e^{-i theta}: the forward transform of g
+    coeff_grad = (g[:, None, :] * _dft_basis(n_points, deg, -1)).sum(axis=-1)  # (M, 2K + 1)
+    weights = np.where(member, 1.0, 0.5)[:, None] / n_points
+    return coeffs_to_flat(coeff_grad * weights)
 
 
 def ohem_select(losses, positive, ratio: int = OHEM_RATIO) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fourier_contours import polygon_iou
+from fourier_contours import cli, polygon_iou
 from fourier_contours.cli import main
 from fourier_contours.geometry import Contour
 from fourier_contours.serialize import read_tensor, write_tensor
@@ -95,6 +95,25 @@ class TestEmbedReconstruct:
         bad.write_text('{"image_id": "x"}\n', encoding="utf-8")
         code, _, err = run(["reconstruct", str(bad)], capsys)
         assert code == 2 and "line 1" in err
+
+    def test_reconstruct_rejects_scalar_coeffs(self, tmp_path, capsys):
+        bad = tmp_path / "sigs.jsonl"
+        bad.write_text('{"image_id": "x", "instance_id": "t0", "coeffs": 6}\n', encoding="utf-8")
+        code, _, err = run(["reconstruct", str(bad)], capsys)
+        assert code == 2 and "line 1: bad signature record" in err
+
+    def test_bad_record_is_reported_before_any_reconstruction(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        sig_path = tmp_path / "sigs.jsonl"
+        assert run(["embed", str(corpus), "-o", str(sig_path)], capsys)[0] == 0
+        good = sig_path.read_text(encoding="utf-8").splitlines()[0]
+        sig_path.write_text(good + "\n\n" + '{"image_id": "x"}\n', encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "reconstruct", lambda *a: calls.append(a))
+        code, out, err = run(["reconstruct", str(sig_path)], capsys)
+        assert code == 2 and out == "" and calls == []
+        assert "line 3: bad signature record" in err
 
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         code, _, err = run(["embed", str(tmp_path / "absent.jsonl")], capsys)
@@ -496,6 +515,41 @@ class TestGlobalBehavior:
             ["targets", str(path), "--out-dir", str(tmp_path / "gt")], capsys
         )
         assert code == 2 and "collide" in err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"image_id": "img-a", "score": 0.9, "points": [1, 2, 3]}',
+            '{"image_id": ["img-a"], "score": 0.9, "points": [1, 2, 3, 4, 5, 6]}',
+        ],
+    )
+    def test_bad_detection_record_names_its_line(self, record, corpus, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("\n" + record + "\n", encoding="utf-8")
+        code, _, err = run(
+            ["eval", "--detections", str(dets), "--annotations", str(corpus)], capsys
+        )
+        assert code == 2 and "line 2: bad detection record" in err
+
+    @pytest.mark.parametrize("command", ["subset", "reconstruct"])
+    def test_command_runs_on_the_jobs_threads(
+        self, command, corpus, tmp_path, capsys, monkeypatch
+    ):
+        source = corpus
+        if command == "reconstruct":
+            source = tmp_path / "sigs.jsonl"
+            assert run(["embed", str(corpus), "-o", str(source)], capsys)[0] == 0
+        seen = []
+        pmap = cli._pmap
+
+        def spy(fn, items, jobs):
+            seen.append(jobs)
+            return pmap(fn, items, jobs)
+
+        monkeypatch.setattr(cli, "_pmap", spy)
+        code, out, _ = run(["--jobs", "2", command, str(source)], capsys)
+        assert code == 0 and out != ""
+        assert seen == [2]
 
     def test_jobs_do_not_change_output(self, corpus, tmp_path, capsys):
         outs = []

@@ -94,6 +94,8 @@ class TestFlatLayout:
         for bad in (0, 3, 4, 8, 12, 21):
             with pytest.raises(ChannelCountMismatch):
                 flat_to_coeffs(np.zeros(bad))
+        with pytest.raises(ChannelCountMismatch):
+            flat_to_coeffs(6.0)
 
     def test_flat_batched(self):
         arr = np.arange(2 * 3 * 6, dtype=float).reshape(2, 3, 6)

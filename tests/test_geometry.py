@@ -123,6 +123,24 @@ class TestAreaPerimeterCenter:
             contour_center(c)
 
 
+def scan_start(pts):
+    """Scalar reference for canonical_start on a vertex list: the rightmost
+    crossing of the center row by the half-open edge rule, the first edge on
+    ties, as (edge, t); None when no edge crosses."""
+    cy = contour_center(Contour(pts)).y
+    best = None
+    m = len(pts)
+    for i in range(m):
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % m]
+        if (ay <= cy) != (by <= cy):
+            t = (cy - ay) / (by - ay)
+            x = ax + t * (bx - ax)
+            if best is None or x > best[0]:
+                best = (x, i, t)
+    return None if best is None else (best[1], best[2])
+
+
 class TestCanonicalStart:
     def test_square_starts_mid_right_edge(self):
         edge, t = canonical_start(UNIT_SQUARE)
@@ -157,6 +175,40 @@ class TestCanonicalStart:
             if (p[1] <= ctr.y) != (q[1] <= ctr.y):
                 u = (ctr.y - p[1]) / (q[1] - p[1])
                 assert p[0] + u * (q[0] - p[0]) <= x + 1e-9
+
+    def test_vertex_on_center_row_counts_once(self):
+        # symmetric about y = 0, so the center row passes through (2, 0)
+        c = Contour([(-2, 0), (0, -1), (2, 0), (0, 1)])
+        assert contour_center(c).y == 0.0
+        assert canonical_start(c) == (2, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["float", "int", "half", "mirror"]))
+    def test_matches_scalar_oracle(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "mirror":
+            # a chain at y >= 0 and its mirror image: the center row is
+            # exactly y = 0, which every vertex with y = 0 lies on
+            k = int(rng.integers(2, 8))
+            upper = np.stack([np.sort(rng.integers(-20, 20, k)), rng.integers(0, 4, k)], axis=1)
+            pts = np.concatenate([upper, upper[::-1] * [1, -1]]).astype(np.float64)
+        else:
+            pts = star_shaped(rng, center=(20.0, 20.0), rmin=2.0, rmax=12.0).vertices
+            pts = {"float": pts, "int": np.round(pts), "half": np.round(2.0 * pts) / 2.0}[kind]
+        c = Contour(pts)
+        try:
+            want = scan_start(pts.tolist())
+        except ZeroPerimeter:
+            with pytest.raises(ZeroPerimeter):
+                canonical_start(c)
+            return
+        if kind == "mirror":
+            assert contour_center(c).y == 0.0
+        if want is None:
+            with pytest.raises(DegenerateContour):
+                canonical_start(c)
+        else:
+            assert canonical_start(c) == want
 
 
 class TestResample:

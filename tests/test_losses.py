@@ -21,6 +21,7 @@ from fourier_contours import (
     smooth_l1,
     total_loss,
 )
+from fourier_contours.fourier import evaluate_series, flat_to_coeffs
 from fourier_contours.synth import roundtrip_corpus
 
 
@@ -137,7 +138,41 @@ class TestRegressionLoss:
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
+def cos_sin_grad(gt, pred, member, n_points, beta=1.0):
+    """Reference gradient of regression_loss from the real cos/sin basis:
+    point (x, y) at parameter n responds to coefficient k = u + iv as
+    dx/du = cos, dx/dv = -sin, dy/du = sin, dy/dv = cos."""
+    deg = (gt.shape[1] // 2 - 1) // 2
+    zg = evaluate_series(flat_to_coeffs(gt), n_points)
+    zp = evaluate_series(flat_to_coeffs(pred), n_points)
+    dx, dy = zp.real - zg.real, zp.imag - zg.imag
+    gx = np.where(np.abs(dx) < beta, dx / beta, np.sign(dx))
+    gy = np.where(np.abs(dy) < beta, dy / beta, np.sign(dy))
+    theta = 2.0 * np.pi * np.outer(np.arange(-deg, deg + 1), np.arange(n_points) / n_points)
+    cos, sin = np.cos(theta), np.sin(theta)
+    gu = (gx[:, None, :] * cos[None] + gy[:, None, :] * sin[None]).sum(axis=2)
+    gv = (-gx[:, None, :] * sin[None] + gy[:, None, :] * cos[None]).sum(axis=2)
+    weights = np.where(member, 1.0, 0.5)[:, None]
+    out = np.empty_like(pred)
+    out[:, 0::2] = gu * weights / n_points
+    out[:, 1::2] = gv * weights / n_points
+    return out
+
+
 class TestRegressionGrad:
+    @pytest.mark.parametrize("deg", [1, 2, 3, 4, 5])
+    def test_matches_cos_sin_basis(self, deg, rng):
+        width = 2 * (2 * deg + 1)
+        for n_points in range(3, 60):
+            m = int(rng.integers(1, 5))
+            gt = rng.normal(scale=20.0, size=(m, width))
+            # both smooth-L1 branches: offsets inside and outside beta
+            pred = gt + rng.normal(scale=1.0, size=(m, width))
+            member = rng.integers(0, 2, size=m).astype(bool)
+            want = cos_sin_grad(gt, pred, member, n_points)
+            got = regression_loss_grad(gt, pred, member, n_points=n_points)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_finite_difference_agreement(self, rng):
         for _ in range(10):
             m = int(rng.integers(1, 4))
