@@ -74,10 +74,15 @@ def _point_array(values: list, lineno: int) -> np.ndarray:
     return pts
 
 
-def _instance_points(raw, lineno: int, width: int, height: int) -> tuple[Contour, int]:
+def _number_list(raw, what: str, lineno: int | None = None) -> list:
+    """raw, when it is a flat JSON list of numbers; InvalidPolygon otherwise."""
     if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
-        raise InvalidPolygon("points must be a flat list of numbers", line=lineno)
-    pts = _point_array(raw, lineno)
+        raise InvalidPolygon(f"{what} must be a flat list of numbers", line=lineno)
+    return raw
+
+
+def _instance_points(raw, lineno: int, width: int, height: int) -> tuple[Contour, int]:
+    pts = _point_array(_number_list(raw, "points", lineno), lineno)
     clamped = np.clip(pts, [0.0, 0.0], [float(width), float(height)])
     moved = int(np.count_nonzero(np.any(clamped != pts, axis=1)))
     return Contour(clamped), moved

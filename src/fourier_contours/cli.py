@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .annotations import curved_subset_select, parse_jsonl, write_jsonl
+from .annotations import _number_list, curved_subset_select, parse_jsonl, write_jsonl
 from .config import Config, apply_overrides, load_config
 from .decode import Detection, LevelPrediction, PredictionMaps, decode_all
 from .errors import ConfigError, GeometryError, ParseError
@@ -34,7 +35,7 @@ from .fourier import (
     reconstruct,
     truncation_l2_errors,
 )
-from .geometry import Contour, contour_spans, resample_equidistant, spans_iou
+from .geometry import Contour, contour_spans_many, resample_equidistant, spans_iou
 from .losses import LossSums, image_loss, total_loss
 from .serialize import fmt9, json_line, read_tensor, round9, write_tensor
 from .svg import render_svg
@@ -148,7 +149,11 @@ def cmd_reconstruct(args, cfg: Config) -> int:
     records = _read_records(
         args.signatures,
         "signature",
-        lambda obj: (obj["image_id"], obj["instance_id"], FourierSignature.from_flat(obj["coeffs"])),
+        lambda obj: (
+            obj["image_id"],
+            obj["instance_id"],
+            FourierSignature.from_flat(_number_list(obj["coeffs"], "coeffs")),
+        ),
     )
 
     def one(record) -> str:
@@ -186,14 +191,16 @@ def cmd_fidelity(args, cfg: Config) -> int:
         img, inst = item
         samples = resample_equidistant(inst.polygon, cfg.n)
         full = fourier_coefficients(samples, kmax)
-        inst_spans = contour_spans(inst.polygon, cfg.iou_supersample)
         errs = truncation_l2_errors(samples, degrees)
-        rows = []
-        for deg, err in zip(degrees, errs):
-            sig = FourierSignature(full.coeffs[kmax - deg : kmax + deg + 1])
-            recon = reconstruct(sig, cfg.n_prime)
-            iou = spans_iou(inst_spans, contour_spans(recon, cfg.iou_supersample))
-            rows.append((deg, iou, err, recon))
+        recons = [
+            reconstruct(FourierSignature(full.coeffs[kmax - deg : kmax + deg + 1]), cfg.n_prime)
+            for deg in degrees
+        ]
+        inst_spans, *recon_spans = contour_spans_many([inst.polygon] + recons, cfg.iou_supersample)
+        rows = [
+            (deg, spans_iou(inst_spans, spans), err, recon)
+            for deg, err, recon, spans in zip(degrees, errs, recons, recon_spans)
+        ]
         return img, inst, rows
 
     results = _pmap(one, work, args.jobs)
@@ -317,24 +324,34 @@ def _meta_layout(meta: dict) -> tuple:
     return meta["image_id"], [(e["name"], e["stride"]) for e in meta["levels"]]
 
 
-def _read_level(map_dir: Path, name: str, keys, like: dict | None = None) -> dict:
+def _read_level(map_dir: Path, meta: dict, entry: dict, keys, like: dict | None = None) -> dict:
     """One level's <name>_<key>.fct tensors of a map directory, by key: tr, tcr
-    and care (H, W) and reg (C, H, W) with tr's (H, W), or, with `like`, each of
-    its target's shape.  The LevelPrediction built next checks tr is 2-d."""
+    and care (H, W) and reg (C, H, W), where (H, W) is (ceil(height / stride),
+    ceil(width / stride)) of the directory's meta.json, the shape targets
+    writes.  With `like`, each must also have its target's shape."""
+    name, stride = entry["name"], entry["stride"]
+    hw = (-(-meta["height"] // stride), -(-meta["width"] // stride))
     level = {key: read_tensor(map_dir / f"{name}_{key}.fct") for key in keys}
-    hw = level["tr"].shape
     for key, arr in level.items():
-        want = like[key].shape if like is not None else (arr.shape[:1] + hw if key == "reg" else hw)
+        want = arr.shape[:1] + hw if key == "reg" else hw
         if arr.shape != want:
-            ref = f"target shape {want}" if like is not None else f"(H, W) {hw} of {map_dir.name}/{name}_tr"
-            raise ParseError(f"{map_dir.name}/{name}_{key}: shape {arr.shape} does not match {ref}")
+            raise ParseError(
+                f"{map_dir.name}/{name}_{key}: shape {arr.shape} does not match {want}, "
+                f"which meta.json's height {meta['height']}, width {meta['width']} "
+                f"and stride {stride} give"
+            )
+        if like is not None and arr.shape != like[key].shape:
+            raise ParseError(
+                f"{map_dir.name}/{name}_{key}: shape {arr.shape} does not match "
+                f"target shape {like[key].shape}"
+            )
     return level
 
 
-def _read_prediction(map_dir: Path, entry: dict, like: dict | None = None) -> LevelPrediction:
+def _read_prediction(map_dir: Path, meta: dict, entry: dict, like: dict | None = None) -> LevelPrediction:
     """A prediction level under decode's checks, which name the level."""
     name = entry["name"]
-    level = _read_level(map_dir, name, _TENSOR_KEYS[:3], like)
+    level = _read_level(map_dir, meta, entry, _TENSOR_KEYS[:3], like)
     try:
         return LevelPrediction(name, entry["stride"], level["tr"], level["tcr"], level["reg"])
     except ValueError as exc:
@@ -354,15 +371,18 @@ def _map_dirs(root: str) -> list[Path]:
 def cmd_decode(args, cfg: Config) -> int:
     def one(img_dir: Path) -> list[str]:
         meta = _read_meta(img_dir)
-        levels = {entry["name"]: _read_prediction(img_dir, entry) for entry in meta["levels"]}
+        levels = {entry["name"]: _read_prediction(img_dir, meta, entry) for entry in meta["levels"]}
         maps = PredictionMaps(meta["image_id"], meta["width"], meta["height"], levels)
-        detections = decode_all(
-            maps,
-            score_thresh=cfg.score_thresh,
-            nms_iou=cfg.nms_iou,
-            n_points=cfg.n_prime,
-            supersample=cfg.iou_supersample,
-        )
+        try:
+            detections = decode_all(
+                maps,
+                score_thresh=cfg.score_thresh,
+                nms_iou=cfg.nms_iou,
+                n_points=cfg.n_prime,
+                supersample=cfg.iou_supersample,
+            )
+        except ValueError as exc:  # decode_level's candidate bound names the level
+            raise ParseError(f"{img_dir.name}/{exc}") from None
         return [
             json_line(
                 {
@@ -397,8 +417,8 @@ def cmd_loss(args, cfg: Config) -> int:
 
         def levels():  # read one level at a time, as image_loss scores it
             for entry in gt_meta["levels"]:
-                target = _read_level(gt_dir, entry["name"], ("tr", "tcr", "reg", "care"))
-                pred = _read_prediction(pred_dir, entry, like=target)
+                target = _read_level(gt_dir, gt_meta, entry, ("tr", "tcr", "reg", "care"))
+                pred = _read_prediction(pred_dir, pred_meta, entry, like=target)
                 yield SimpleNamespace(regression=target.pop("reg"), **target), pred
 
         return image_loss(levels(), n_points=cfg.n_prime)
@@ -430,9 +450,15 @@ def cmd_loss(args, cfg: Config) -> int:
 
 
 def _detection_fields(obj) -> tuple[str, float, Contour, str]:
-    if not isinstance(obj["image_id"], str):
+    image_id, score, level = obj["image_id"], obj["score"], obj.get("level", "")
+    if not isinstance(image_id, str):
         raise TypeError("image_id must be a string")
-    return obj["image_id"], float(obj["score"]), Contour.from_flat(obj["points"]), str(obj.get("level", ""))
+    # bool is an int subclass, and json reads NaN and Infinity as floats
+    if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+        raise TypeError("score must be a finite number")
+    if not isinstance(level, str):
+        raise TypeError("level must be a string")
+    return image_id, float(score), Contour.from_flat(_number_list(obj["points"], "points")), level
 
 
 def _load_detections(path: str) -> dict[str, list[Detection]]:

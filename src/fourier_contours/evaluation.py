@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import DEFAULT_SUPERSAMPLE, contour_spans, spans_iou
+from .geometry import DEFAULT_SUPERSAMPLE, contour_spans_many, spans_iou
 
 __all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure", "DEFAULT_EVAL_IOU"]
 
@@ -52,18 +52,21 @@ def evaluate(
     """Score one image's detections against its annotated instances.
 
     `detections` is a sequence of objects with .contour and .score;
-    `ground_truths` a sequence with .polygon, .ignore, and .id.
+    `ground_truths` a sequence with .polygon, .ignore, and .id.  The ground
+    truths and the detections are rasterized once each, by one
+    contour_spans_many call per set (blocks of about 4096 lattice rows,
+    geometry._SPANS_BLOCK_ROWS), and every IoU is a spans_iou of two records.
     """
     if not 0.0 < iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must lie in (0, 1], got {iou_thresh}")
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    gt_spans = [contour_spans(gt.polygon, supersample) for gt in ground_truths]
+    gt_spans = contour_spans_many([gt.polygon for gt in ground_truths], supersample)
+    det_spans = contour_spans_many([d.contour for d in detections], supersample)
     matched: set[int] = set()
     matches: list[MatchRecord] = []
     fp = 0
     for det_index in order:
-        det_spans = contour_spans(detections[det_index].contour, supersample)
-        ious = [spans_iou(det_spans, g) for g in gt_spans]
+        ious = [spans_iou(det_spans[det_index], g) for g in gt_spans]
         best_gt = -1
         best_iou = 0.0
         for gi, gt in enumerate(ground_truths):

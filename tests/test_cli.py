@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from fourier_contours import cli, polygon_iou
 from fourier_contours.cli import main
 from fourier_contours.geometry import Contour
 from fourier_contours.serialize import read_tensor, write_tensor
-from fourier_contours.synth import rect14, ribbon
+from fourier_contours.synth import ellipse_polygon, rect14, regular_polygon, ribbon
 
 
 def _rect_record(image_id, instances):
@@ -101,6 +102,17 @@ class TestEmbedReconstruct:
         bad.write_text('{"image_id": "x", "instance_id": "t0", "coeffs": 6}\n', encoding="utf-8")
         code, _, err = run(["reconstruct", str(bad)], capsys)
         assert code == 2 and "line 1: bad signature record" in err
+
+    def test_reconstruct_rejects_string_coeffs(self, tmp_path, capsys):
+        bad = tmp_path / "sigs.jsonl"
+        coeffs = ["0", "0", "1", "0", "0", "0"]
+        bad.write_text(
+            json.dumps({"image_id": "x", "instance_id": "t0", "coeffs": coeffs}) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(["reconstruct", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert "line 1: bad signature record: coeffs must be a flat list of numbers" in err
 
     def test_bad_record_is_reported_before_any_reconstruction(
         self, corpus, tmp_path, capsys, monkeypatch
@@ -377,6 +389,42 @@ class TestTargetsDecodeLossEval:
         code, _, _ = run(["decode", "--maps-dir", str(tmp_path / "nope")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("side", ["decode", "loss-prediction", "loss-target"])
+    def test_level_shapes_follow_meta(self, side, target_dir, tmp_path, capsys):
+        # 8 px wider, so P3 needs ceil(168 / 8) = 21 columns, not the 20 written
+        maps = tmp_path / "maps"
+        shutil.copytree(target_dir, maps)
+        path = maps / "img-b" / "meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**meta, "width": meta["width"] + 8}), encoding="utf-8")
+        argv = {
+            "decode": ["decode", "--maps-dir", str(maps)],
+            "loss-prediction": ["loss", "--gt-dir", str(target_dir), "--pred-dir", str(maps)],
+            "loss-target": ["loss", "--gt-dir", str(maps), "--pred-dir", str(target_dir)],
+        }[side]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: img-b/P3_tr: shape (15, 20) does not match (15, 21)")
+        assert "meta.json" in err
+
+    def test_decode_rejects_candidates_far_outside_the_image(self, target_dir, tmp_path, capsys):
+        # finite but huge regression values: each candidate becomes a contour
+        # some 1e5 px across, whose span record alone would take over 100 MB
+        pred = tmp_path / "pred"
+        shutil.copytree(target_dir, pred)
+        for path in sorted(pred.glob("*/*_reg.fct")):
+            write_tensor(path, read_tensor(path) * 1e4)
+        tracemalloc.start()
+        try:
+            code, out, err = run(["decode", "--maps-dir", str(pred)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: img-a/P") and "past the 160 x 120 px image" in err
+        assert "Traceback" not in err
+        assert peak < 16 * 2**20
+
 
 class TestSubsetPlot:
     def test_subset_drops_rectangles(self, tmp_path, capsys):
@@ -531,6 +579,29 @@ class TestGlobalBehavior:
         )
         assert code == 2 and "line 2: bad detection record" in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"points": "805680"}, "points must be a flat list of numbers"),
+            ({"points": [[1, 2], [3, 4], [5, 6]]}, "points must be a flat list of numbers"),
+            ({"score": "0.9"}, "score must be a finite number"),
+            ({"score": True}, "score must be a finite number"),
+            ({"score": float("nan")}, "score must be a finite number"),
+            ({"level": 3}, "level must be a string"),
+        ],
+        ids=["points-string", "points-nested", "score-string", "score-bool", "score-nan",
+             "level-number"],
+    )
+    def test_detection_record_field_types(self, fields, message, corpus, tmp_path, capsys):
+        record = {"image_id": "img-a", "score": 0.9, "points": [10, 10, 70, 10, 70, 40], **fields}
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        code, out, err = run(
+            ["eval", "--detections", str(dets), "--annotations", str(corpus)], capsys
+        )
+        assert code == 2 and out == ""
+        assert f"line 2: bad detection record: {message}" in err
+
     @pytest.mark.parametrize("command", ["subset", "reconstruct"])
     def test_command_runs_on_the_jobs_threads(
         self, command, corpus, tmp_path, capsys, monkeypatch
@@ -558,6 +629,51 @@ class TestGlobalBehavior:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_jobs_do_not_change_decode_or_eval(self, tmp_path, capsys):
+        """Two crowded images decoded from noisy maps: decode and eval write
+        the same bytes at --jobs 1 and 2."""
+        rng = np.random.default_rng(11)
+        shapes = [
+            lambda cx, cy, r: ellipse_polygon(cx, cy, r, 0.6 * r, n=40, rot=rng.uniform(-0.5, 0.5)),
+            lambda cx, cy, r: regular_polygon(cx, cy, r, n=36),
+            lambda cx, cy, r: rect14(cx - r, cy - 0.6 * r, 2 * r, 1.2 * r),
+            lambda cx, cy, r: ribbon(cx, cy, 2 * r, 0.5 * r, 0.15 * r, 0.8, rng.uniform(0, 6), 12),
+        ]
+        lines = []
+        for i in range(2):
+            instances = []
+            for j in range(12):
+                row, col = divmod(j, 4)
+                r = rng.uniform(12.0, 20.0)
+                poly = shapes[(i + j) % 4](40.0 + 80.0 * col, 32.0 + 64.0 * row, r)
+                instances.append({"id": f"i{j:02d}", "points": poly.flat(), "ignore": j == 5})
+            lines.append(json.dumps({"image_id": f"crowd{i}", "width": 320, "height": 192,
+                                     "instances": instances}))
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        assert run(["targets", str(ann), "--out-dir", str(gt)], capsys)[0] == 0
+        shutil.copytree(gt, pred)
+        for path in sorted(pred.glob("*/*.fct")):
+            values = read_tensor(path).astype(np.float64)
+            if path.stem.endswith(("_tr", "_tcr")):
+                write_tensor(path, 0.85 * values + rng.uniform(0.0, 0.1, values.shape))
+            elif path.stem.endswith("_reg"):
+                write_tensor(path, values + rng.normal(0.0, 0.25, values.shape))
+        outputs = {}
+        for jobs in ("1", "2"):
+            dets, report = tmp_path / f"dets_{jobs}.jsonl", tmp_path / f"report_{jobs}.json"
+            argv = ["--jobs", jobs, "decode", "--maps-dir", str(pred), "-o", str(dets)]
+            assert run(argv, capsys)[0] == 0
+            argv = ["--jobs", jobs, "eval", "--detections", str(dets), "--annotations", str(ann),
+                    "-o", str(report)]
+            assert run(argv, capsys)[0] == 0
+            outputs[jobs] = dets.read_bytes(), report.read_bytes()
+        assert outputs["1"] == outputs["2"]
+        dets = outputs["1"][0].decode().splitlines()
+        assert {json.loads(line)["image_id"] for line in dets} == {"crowd0", "crowd1"}
+        assert json.loads(outputs["1"][1])["tp"] >= 20
 
     def test_repeat_runs_byte_identical(self, corpus, tmp_path, capsys):
         a, b = (

@@ -13,6 +13,7 @@ from fourier_contours import (
     canonical_start,
     contour_center,
     contour_spans,
+    contour_spans_many,
     perimeter,
     point_in_polygon,
     polygon_iou,
@@ -24,7 +25,15 @@ from fourier_contours import (
     vertex_removal_delta,
 )
 from fourier_contours import geometry
-from fourier_contours.geometry import _is_simple, _points_inside, _removal_deltas, _signed_area
+from fourier_contours.geometry import (
+    ContourSpans,
+    _edges,
+    _is_simple,
+    _points_inside,
+    _removal_deltas,
+    _row_intervals,
+    _signed_area,
+)
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
@@ -572,6 +581,96 @@ class TestContourSpans:
     def test_records_compare_only_on_one_lattice(self):
         with pytest.raises(ValueError):
             spans_iou(contour_spans(UNIT_SQUARE, 2), contour_spans(UNIT_SQUARE, 4))
+
+
+def reference_contour_spans(c, supersample):
+    """contour_spans before the batch: one contour on the lattice samples of
+    its own integer-aligned box, with _row_intervals' default padding."""
+    s = int(supersample)
+    bbox = c.bounds()
+    x0, y0 = math.floor(bbox[0]), math.floor(bbox[1])
+    gx0, gy0 = x0 * s, y0 * s
+    w = max(math.ceil(bbox[2]) - x0, 1) * s
+    h = max(math.ceil(bbox[3]) - y0, 1) * s
+    xs = (np.arange(gx0, gx0 + w) + 0.5) / s
+    ys = (np.arange(gy0, gy0 + h) + 0.5) / s
+    lo, hi, _ = _row_intervals(*_edges(np.asarray(c.vertices)), xs, ys)
+    return ContourSpans(bbox, s, gy0, lo + gx0, hi + gx0, int((hi - lo).sum()))
+
+
+def assert_same_spans(got, want):
+    assert got.bbox == want.bbox and got.supersample == want.supersample
+    assert type(got.row0) is int and got.row0 == want.row0
+    assert type(got.count) is int and got.count == want.count
+    assert got.lo.shape == want.lo.shape and got.hi.shape == want.hi.shape
+    assert got.lo.dtype == want.lo.dtype and got.hi.dtype == want.hi.dtype
+    assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+
+
+@st.composite
+def span_contours(draw, s):
+    """One contour for a contour_spans_many batch on lattice s: a simple or
+    tangled (self-intersecting) star, a random polygon, one repeated point,
+    or a polygon on the lattice: every vertex exactly on a lattice row and
+    column, many edges horizontal.  Centres range over negative and positive
+    coordinates."""
+    kind = draw(st.sampled_from(["star", "tangled", "random", "point", "lattice"]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    m = draw(st.integers(3, 40))
+    cx, cy = (draw(st.floats(-80.0, 80.0)) for _ in range(2))
+    if kind in ("star", "tangled"):
+        v = star_shaped(rng, m=m, rmin=0.5, rmax=draw(st.floats(1.0, 30.0)), center=(cx, cy)).vertices
+        return Contour(v[rng.permutation(m)] if kind == "tangled" else v)
+    if kind == "random":
+        return Contour(rng.uniform(-20, 20, size=(m, 2)) + [cx, cy])
+    if kind == "point":
+        return Contour(np.full((m, 2), [cx, cy]))
+    g = rng.integers(-12, 12, size=(m, 2)) + np.floor(np.array([cx, cy]) * s).astype(np.int64)
+    return Contour((g + 0.5) / s)
+
+
+class TestContourSpansMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([1, 3, 4]).flatmap(
+            lambda s: st.tuples(st.just(s), st.lists(span_contours(s), max_size=12))
+        ),
+        st.sampled_from([1, 7, 64, geometry._SPANS_BLOCK_ROWS]),
+    )
+    def test_batch_equals_one_contour_at_a_time(self, batch, block):
+        """Every record of a mixed batch, split into blocks of `block` rows,
+        equals the reference record of its contour alone, field for field."""
+        s, contours = batch
+        with mock.patch.object(geometry, "_SPANS_BLOCK_ROWS", block):
+            got = contour_spans_many(contours, s)
+        assert len(got) == len(contours)
+        for rec, c in zip(got, contours):
+            assert_same_spans(rec, reference_contour_spans(c, s))
+
+    def test_batch_larger_than_one_block(self):
+        rng = np.random.default_rng(7)
+        contours = [
+            star_shaped(rng, m=int(rng.integers(3, 60)), center=(c * 37.0, -c * 11.0), rmin=40, rmax=90)
+            for c in range(16)
+        ]
+        rows = [reference_contour_spans(c, 4).lo.shape[0] for c in contours]
+        assert sum(rows) > 2 * geometry._SPANS_BLOCK_ROWS
+        for rec, c in zip(contour_spans_many(contours, 4), contours):
+            assert_same_spans(rec, reference_contour_spans(c, 4))
+
+    def test_empty_batch(self):
+        assert contour_spans_many([], 4) == []
+
+    def test_coordinates_beyond_the_lattice_are_rejected(self):
+        far = Contour([(0.0, 0.0), (1e300, 0.0), (1e300, 1.0)])
+        with pytest.raises(ValueError, match="too large"):
+            contour_spans_many([UNIT_SQUARE, far], 4)
+
+    def test_records_own_their_spans(self, rng):
+        # a record's arrays are its own rows, not views of the block's table
+        contours = [star_shaped(rng, m=40, center=(c * 9.0, 0.0), rmin=2, rmax=12) for c in range(5)]
+        for rec in contour_spans_many(contours, 4):
+            assert rec.lo.base is None and rec.hi.base is None
 
 
 class TestVertexRemovalDelta:
