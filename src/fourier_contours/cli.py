@@ -26,6 +26,7 @@ import numpy as np
 from .annotations import _number_list, curved_subset_select, parse_jsonl, write_jsonl
 from .config import Config, apply_overrides, load_config
 from .decode import Detection, LevelPrediction, PredictionMaps, decode_all
+from .decode import _CANDIDATE_MARGIN, _beyond_margin
 from .errors import ConfigError, GeometryError, ParseError
 from .evaluation import evaluate, fmeasure
 from .fourier import (
@@ -45,11 +46,18 @@ _INPUT_ERRORS = (ParseError, GeometryError, ValueError, OSError, KeyError)
 
 
 def _pmap(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items] on up to `jobs` threads, one task each: a
+    contiguous chunk of items, mapped in order.  A chunk stops at its first
+    failing item, and the chunks' errors are raised in chunk order, so the
+    error raised is the first failing item's, as with one thread."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    n = min(jobs, len(items))
+    if n <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    cuts = [len(items) * w // n for w in range(n + 1)]
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        chunks = pool.map(lambda w: [fn(item) for item in items[cuts[w] : cuts[w + 1]]], range(n))
+        return [result for chunk in chunks for result in chunk]
 
 
 def _read_lines(path: str) -> list[str]:
@@ -461,9 +469,25 @@ def _detection_fields(obj) -> tuple[str, float, Contour, str]:
     return image_id, float(score), Contour.from_flat(_number_list(obj["points"], "points")), level
 
 
-def _load_detections(path: str) -> dict[str, list[Detection]]:
+def _load_detections(path: str, sizes: dict | None = None) -> dict[str, list[Detection]]:
+    """Detections by image id.  With `sizes` ({image_id: (width, height)}), a
+    detection reaching past its image by more than decode's candidate margin
+    is a bad record: evaluation rasterizes it on a lattice linear in its box."""
+
+    def parse(obj):
+        image_id, score, contour, level = fields = _detection_fields(obj)
+        if sizes and image_id in sizes:
+            width, height = sizes[image_id]
+            v = contour.vertices.T
+            if (_beyond_margin(v[0], width) | _beyond_margin(v[1], height)).any():
+                raise ValueError(
+                    f"image {image_id!r}: the detection reaches more than "
+                    f"{_CANDIDATE_MARGIN:g} image side past the {width} x {height} px image"
+                )
+        return fields
+
     grouped: dict[str, list[Detection]] = {}
-    for image_id, score, contour, level in _read_records(path, "detection", _detection_fields):
+    for image_id, score, contour, level in _read_records(path, "detection", parse):
         bucket = grouped.setdefault(image_id, [])
         bucket.append(Detection(contour=contour, score=score, level=level, origin=(0, len(bucket))))
     return grouped
@@ -471,7 +495,7 @@ def _load_detections(path: str) -> dict[str, list[Detection]]:
 
 def cmd_eval(args, cfg: Config) -> int:
     images = _parse_annotations(args.annotations)
-    grouped = _load_detections(args.detections)
+    grouped = _load_detections(args.detections, {img.image_id: (img.width, img.height) for img in images})
     known = {img.image_id for img in images}
     unknown = sorted(set(grouped) - known)
     if unknown:

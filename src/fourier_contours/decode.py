@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, contour_spans_many, spans_iou
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, contour_spans, contour_spans_many, spans_iou
+from .geometry import _iou_lower_bound, _spans_many
 
 __all__ = [
     "LevelPrediction",
@@ -39,8 +40,12 @@ DEFAULT_NMS_IOU = 0.1
 # How far, in image sides, a candidate's bounding box may reach past the
 # image before decode_level rejects it.  Rasterizing a contour costs memory
 # linear in its box, so a regression map with huge finite values must fail
-# here rather than in NMS.
+# here rather than in NMS.  `fctool eval` bounds detections by the same rule.
 _CANDIDATE_MARGIN = 1.0
+
+# poly_nms first rasterizes every candidate on every _CERT_ROW_STEP-th
+# lattice row only, to prove most suppressions from a bound (see poly_nms)
+_CERT_ROW_STEP = 3
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,13 @@ def score_map(tr_prob: np.ndarray, tcr_prob: np.ndarray) -> np.ndarray:
     return tr * tcr
 
 
+def _beyond_margin(coords: np.ndarray, side: float) -> np.ndarray:
+    """Per row of coords, whether it reaches more than _CANDIDATE_MARGIN
+    image sides past [0, side]."""
+    margin = _CANDIDATE_MARGIN * side
+    return (coords.min(axis=-1) < -margin) | (coords.max(axis=-1) > side + margin)
+
+
 def decode_level(
     pred: LevelPrediction,
     score_thresh: float = DEFAULT_SCORE_THRESH,
@@ -134,10 +146,9 @@ def decode_level(
     coeffs[:, deg] += (ix + 0.5) * pred.stride + 1j * (iy + 0.5) * pred.stride
     pts = evaluate_series(coeffs, n_points)  # (M, n_points) complex
     height, width = pred.tr_prob.shape
-    out_of_bounds = np.zeros(iy.size, dtype=bool)
-    for part, side in ((pts.real, width * pred.stride), (pts.imag, height * pred.stride)):
-        margin = _CANDIDATE_MARGIN * side
-        out_of_bounds |= (part.min(axis=1) < -margin) | (part.max(axis=1) > side + margin)
+    out_of_bounds = _beyond_margin(pts.real, width * pred.stride) | _beyond_margin(
+        pts.imag, height * pred.stride
+    )
     if out_of_bounds.any():
         row = int(np.argmax(out_of_bounds))
         raise ValueError(
@@ -169,28 +180,54 @@ def poly_nms(
 
     Candidates are visited by descending score, ties broken by earlier
     origin; one is kept iff its polygon_iou with every already-kept contour
-    is strictly below the threshold.  Every contour is rasterized once, up
-    front, by one contour_spans_many call, which takes the candidates in
-    blocks of about 4096 lattice rows (geometry._SPANS_BLOCK_ROWS) and
-    handles each block with a few large array operations rather than a chain
-    of small ones per contour.  Built contour by contour, the thousands of
-    small calls made `fctool --jobs 2 decode` about 1.5 times slower than
-    `--jobs 1`, its two threads contending for the GIL; built in blocks, it
-    takes about as long at either setting.  Pairs with disjoint bounding
-    boxes have IoU 0 and are skipped.
+    is strictly below the threshold.  Pairs with disjoint bounding boxes
+    have IoU 0 and are skipped.
+
+    Filter and refine: one batched call rasterizes every candidate on the
+    lattice rows g with g % _CERT_ROW_STEP == 0 only.  A candidate is
+    suppressed outright when, for some kept k whose box meets its own, the
+    bound I_lb / (C_ub + |k| - I_lb) reaches the threshold: I_lb is the
+    intersection on the sampled rows, C_ub the sampled count plus the box
+    width for each unsampled box row (geometry._iou_lower_bound), and the
+    bound is at most the exact IoU.  Any other candidate gets its full
+    record and the exact spans_iou test; a kept one keeps that record.  So
+    the kept set is the exact test's, while traced counts of
+    contour_spans_many and spans_iou fall to about one per kept candidate.
+
+    Against its own copy a contour spread over many rows bounds at about
+    1 / (2 * step - 1) = 0.2, so from a threshold of 0.2 every row is
+    rasterized up front (step 1).  Below it, once the exact test has
+    suppressed more candidates than are kept, the rest are rasterized in
+    full in one batch: one call per contour costs far more per contour.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
     ordered = sorted(detections, key=lambda d: (-d.score, d.origin))
-    spans = contour_spans_many([d.contour for d in ordered], supersample)
-    boxes = np.array([rec.bbox for rec in spans]).reshape(-1, 4)
+    contours = [d.contour for d in ordered]
+    step = _CERT_ROW_STEP if iou_thresh * (2 * _CERT_ROW_STEP - 1) < 1.0 else 1
+    sparse = _spans_many(contours, supersample, step)
+    boxes = np.array([rec.bbox for rec in sparse]).reshape(-1, 4)
     kept: list[int] = []
+    # full records: of every kept candidate, and of the rest once built
+    full = dict(enumerate(sparse)) if step == 1 else {}
+    misses = 0  # suppressions the bound did not prove
     for i, (x0, y0, x1, y1) in enumerate(boxes):
         idx = np.asarray(kept, dtype=np.intp)
         kb = boxes[idx]
         meets = (kb[:, 2] > x0) & (x1 > kb[:, 0]) & (kb[:, 3] > y0) & (y1 > kb[:, 1])
-        if all(spans_iou(spans[i], spans[j]) < iou_thresh for j in idx[meets]):
+        near = [full[j] for j in idx[meets].tolist()]
+        if i not in full:
+            if any(_iou_lower_bound(sparse[i], k) >= iou_thresh for k in near):
+                continue
+            if misses > len(kept):
+                full.update(enumerate(contour_spans_many(contours[i:], supersample), start=i))
+            else:
+                full[i] = contour_spans(contours[i], supersample)
+        if all(spans_iou(full[i], k) < iou_thresh for k in near):
             kept.append(i)
+        else:
+            misses += 1
+            del full[i]
     return [ordered[i] for i in kept]
 
 

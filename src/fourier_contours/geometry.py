@@ -467,6 +467,12 @@ class ContourSpans:
     the contour, so two records compare sample for sample.  Record row r is
     lattice row row0 + r; its inside samples are the lattice columns in
     [lo[r, j], hi[r, j]) for every j.  count is the number of inside samples.
+
+    A record with row_step > 1 holds only the lattice rows g of the box with
+    g % row_step == 0: record row r is lattice row row0 + r * row_step, equal
+    to the full record's row there, and count counts the inside samples on
+    those rows.  poly_nms builds such records through _spans_many to bound
+    IoUs (_iou_lower_bound); spans_iou refuses them.
     """
 
     bbox: tuple[float, float, float, float]
@@ -475,6 +481,7 @@ class ContourSpans:
     lo: np.ndarray
     hi: np.ndarray
     count: int
+    row_step: int = 1
 
 
 # Record rows rasterized together by contour_spans_many.  Contours are taken
@@ -485,14 +492,17 @@ class ContourSpans:
 _SPANS_BLOCK_ROWS = 4096
 
 
-def _lattice(g0: np.ndarray, size: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (g + 0.5) / s, ascending, of the lattice samples g lying in
-    any of the ranges [g0[i], g0[i] + size[i]), and the index of each g0[i]
-    among them.  The samples of one range are consecutive, so a value inside
-    range i has the same searchsorted index, less that of g0[i], as it has in
-    range i's own samples; the coordinates are those of the global lattice.
-    Gaps between the ranges hold no samples, so however far apart a block's
-    contours lie, its lattice is no longer than their boxes together."""
+def _lattice(
+    g0: np.ndarray, size: np.ndarray, s: int, step: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (g + 0.5) / s, ascending, of the lattice samples g = k * step
+    with k in any of the ranges [g0[i], g0[i] + size[i]), and the index of
+    each g0[i] among them.  The samples of one range are consecutive, so a
+    value inside range i has the same searchsorted index, less that of g0[i],
+    as it has in range i's own samples; the coordinates are those of the
+    global lattice, whatever the step.  Gaps between the ranges hold no
+    samples, so however far apart a block's contours lie, its lattice is no
+    longer than their boxes together."""
     order = np.argsort(g0, kind="stable")
     start = g0[order]
     reach = np.maximum.accumulate(start + size[order])
@@ -500,8 +510,8 @@ def _lattice(g0: np.ndarray, size: np.ndarray, s: int) -> tuple[np.ndarray, np.n
     first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
     run0 = start[first]
     runs = reach[np.append(first[1:] - 1, reach.size - 1)] - run0
-    g = np.arange(runs.sum()) + np.repeat(run0 - (np.cumsum(runs) - runs), runs)
-    return (g + 0.5) / s, np.searchsorted(g, g0)
+    k = np.arange(runs.sum()) + np.repeat(run0 - (np.cumsum(runs) - runs), runs)
+    return (k * step + 0.5) / s, np.searchsorted(k, g0)
 
 
 def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list[ContourSpans]:
@@ -517,6 +527,12 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
     field for field, what rasterizing each contour alone gives.  Contours may
     have any vertex counts.
     """
+    return _spans_many(contours, supersample, 1)
+
+
+def _spans_many(contours, supersample: int, row_step: int) -> list[ContourSpans]:
+    """contour_spans_many on the lattice rows g with g % row_step == 0 only: a
+    contour whose box holds no such row gets a record with no rows."""
     s = int(supersample)
     if s < 1:
         raise ValueError(f"supersample must be >= 1, got {supersample}")
@@ -535,13 +551,15 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
     g0 = np.floor(low).astype(np.int64)
     n = np.maximum(np.ceil(high).astype(np.int64) - g0, 1) * s
     g0 *= s
-    h = n[:, 1]
+    # record rows: lattice rows k * row_step for k in [k0, k0 + h)
+    k0 = -(-g0[:, 1] // row_step)
+    h = -(-(g0[:, 1] + n[:, 1]) // row_step) - k0
     block = (np.cumsum(h) - h) // _SPANS_BLOCK_ROWS
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [h.size]))
     records = []
     for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         xs, xpos = _lattice(g0[i:j, 0], n[i:j, 0], s)
-        ys, ypos = _lattice(g0[i:j, 1], n[i:j, 1], s)
+        ys, ypos = _lattice(k0[i:j], h[i:j], s, row_step)
         row_off = np.cumsum(h[i:j]) - h[i:j]
         e0, e1 = vstart[i], vstart[j - 1] + sizes[j - 1]
         nxt = np.arange(e0 + 1, e1 + 1)
@@ -554,13 +572,17 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
             shift=np.repeat(row_off - ypos, sizes[i:j]),
             pad=np.repeat(xpos + n[i:j, 0], h[i:j]),
         )
-        counts = np.add.reduceat((hi - lo).sum(axis=1), row_off)
-        n_spans = np.maximum.reduceat(per_row, row_off) // 2
+        inside = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
+        counts = inside[row_off + h[i:j]] - inside[row_off]
+        n_spans = np.zeros(j - i, dtype=np.int64)
+        some = h[i:j] > 0  # reduceat needs each segment to hold a row
+        if some.any():
+            n_spans[some] = np.maximum.reduceat(per_row, row_off[some]) // 2
         # adding dx turns indices into the block's lattice samples into
         # lattice columns, and copies the record's rows out of the table
         for bbox, gy0, r0, rows, k, dx, count in zip(
             bboxes[i:j],
-            g0[i:j, 1].tolist(),
+            (k0[i:j] * row_step).tolist(),
             row_off.tolist(),
             h[i:j].tolist(),
             n_spans.tolist(),
@@ -568,7 +590,9 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
             counts.tolist(),
         ):
             rs = slice(r0, r0 + rows)
-            records.append(ContourSpans(tuple(bbox), s, gy0, lo[rs, :k] + dx, hi[rs, :k] + dx, count))
+            records.append(
+                ContourSpans(tuple(bbox), s, gy0, lo[rs, :k] + dx, hi[rs, :k] + dx, count, row_step)
+            )
     return records
 
 
@@ -584,30 +608,60 @@ def contour_spans(c: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> Contour
     return contour_spans_many([c], supersample)[0]
 
 
+def _shared_samples(a: ContourSpans, b: ContourSpans) -> int:
+    """Samples inside both records on a's rows; b must hold every row."""
+    step, shift = a.row_step, a.row0 - b.row0
+    # a's rows r whose lattice row a.row0 + r * step is one of b's rows
+    r0 = max(0, -(shift // step))
+    r1 = min(a.lo.shape[0], -((shift - b.lo.shape[0]) // step))
+    if r0 >= r1:
+        return 0
+    rb = slice(shift + r0 * step, shift + (r1 - 1) * step + 1, step)
+    lo = np.maximum(a.lo[r0:r1, :, None], b.lo[rb, None, :])
+    hi = np.minimum(a.hi[r0:r1, :, None], b.hi[rb, None, :])
+    return int(np.maximum(hi - lo, 0).sum())
+
+
 def spans_iou(a: ContourSpans, b: ContourSpans) -> float:
     """IoU of two span records in lattice samples.  Disjoint bounding boxes
-    short-circuit to 0.0; an empty union gives 0.0."""
+    short-circuit to 0.0; an empty union gives 0.0.  Records on different
+    lattices, or holding only every row_step-th row, raise ValueError."""
     if a.supersample != b.supersample:
         raise ValueError(
             f"span records on different lattices: {a.supersample} vs {b.supersample}"
         )
+    if a.row_step != 1 or b.row_step != 1:
+        raise ValueError(f"span records sample every row, not every {max(a.row_step, b.row_step)}th")
     ax0, ay0, ax1, ay1 = a.bbox
     bx0, by0, bx1, by1 = b.bbox
     if ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0:
         return 0.0
-    r0 = max(a.row0, b.row0)
-    r1 = min(a.row0 + a.lo.shape[0], b.row0 + b.lo.shape[0])
-    inter = 0
-    if r0 < r1:
-        ra = slice(r0 - a.row0, r1 - a.row0)
-        rb = slice(r0 - b.row0, r1 - b.row0)
-        lo = np.maximum(a.lo[ra, :, None], b.lo[rb, None, :])
-        hi = np.minimum(a.hi[ra, :, None], b.hi[rb, None, :])
-        inter = int(np.maximum(hi - lo, 0).sum())
+    inter = _shared_samples(a, b)
     union = a.count + b.count - inter
     if union == 0:
         return 0.0
     return inter / union
+
+
+def _iou_lower_bound(a: ContourSpans, b: ContourSpans) -> float:
+    """At most spans_iou of a's full record and b, from a's record `a` on
+    every a.row_step-th lattice row and b's full record (same lattice).
+
+    I_lb, the intersection on a's rows, is at most the full intersection, and
+    C_ub, a.count plus the box width for each of a's box rows left out, at
+    least a's full count.  I / (|a| + |b| - I) grows with I and falls with
+    |a|, so I_lb / (C_ub + |b| - I_lb) is at most it, and division rounds
+    monotonically, so the quotient is at most spans_iou's.  0.0 when I_lb is
+    0.  With row_step 1 it equals spans_iou.
+    """
+    inter = _shared_samples(a, b)
+    if inter == 0:
+        return 0.0
+    x0, y0, x1, y1 = a.bbox
+    width = max(math.ceil(x1) - math.floor(x0), 1) * a.supersample
+    rows = max(math.ceil(y1) - math.floor(y0), 1) * a.supersample
+    count_ub = a.count + (rows - a.lo.shape[0]) * width
+    return inter / (count_ub + b.count - inter)
 
 
 def polygon_iou(a: Contour, b: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> float:

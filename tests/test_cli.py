@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -425,6 +426,35 @@ class TestTargetsDecodeLossEval:
         assert "Traceback" not in err
         assert peak < 16 * 2**20
 
+    def test_eval_rejects_detections_far_outside_the_image(self, corpus, tmp_path, capsys):
+        # one vertex at x = 1e15: its span record would take petabytes
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(
+            '{"image_id": "img-a", "score": 0.9, "points": [10, 10, 70, 10, 70, 40]}\n'
+            '{"image_id": "img-b", "score": 0.9, "points": [8, 8, 1e15, 8, 56, 32]}\n',
+            encoding="utf-8",
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run(["eval", "--detections", str(dets), "--annotations", str(corpus)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: bad detection record: image 'img-b'")
+        assert "past the 160 x 120 px image" in err and "Traceback" not in err
+        assert peak < 16 * 2**20
+
+    def test_eval_keeps_detections_within_the_margin(self, corpus, tmp_path, capsys):
+        # one image side past the 160 x 120 image on every side is allowed
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(
+            '{"image_id": "img-a", "score": 0.9, "points": [-160, -120, 320, -120, 320, 240]}\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(["eval", "--detections", str(dets), "--annotations", str(corpus)], capsys)
+        assert code == 0 and json.loads(out)["fp"] == 1
+
 
 class TestSubsetPlot:
     def test_subset_drops_rectangles(self, tmp_path, capsys):
@@ -621,6 +651,31 @@ class TestGlobalBehavior:
         code, out, _ = run(["--jobs", "2", command, str(source)], capsys)
         assert code == 0 and out != ""
         assert seen == [2]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 8, 20])
+    def test_pmap_submits_one_task_per_thread(self, jobs, monkeypatch):
+        tasks = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                tasks.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        assert cli._pmap(lambda item: item * item, range(10), jobs) == [i * i for i in range(10)]
+        assert len(tasks) == min(jobs, 10)
+
+    def test_pmap_raises_the_first_failing_items_error(self):
+        def fn(item):
+            if item == 2:
+                time.sleep(0.05)  # the later chunk fails first in time
+            if item in (2, 3, 7):
+                raise ValueError(f"item {item}")
+            return item
+
+        for jobs in (1, 2, 3):
+            with pytest.raises(ValueError, match="item 2"):
+                cli._pmap(fn, range(10), jobs)
 
     def test_jobs_do_not_change_output(self, corpus, tmp_path, capsys):
         outs = []

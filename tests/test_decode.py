@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from fourier_contours import (
     recenter,
     score_map,
 )
+from fourier_contours import decode
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
@@ -198,6 +201,81 @@ class TestPolyNms:
         got = poly_nms(dets, thresh, supersample=supersample)
         want = brute_nms(dets, thresh, supersample)
         assert [d.origin for d in got] == [d.origin for d in want]
+
+
+def jittered_candidates(rng, instances, copies, jitter):
+    """`copies` candidates per instance, as a noisy regressor gives them:
+    each instance a star or a ribbon, each candidate its vertices plus
+    N(0, jitter * size) noise, with repeated scores."""
+    dets = []
+    for n in range(instances):
+        size = float(rng.choice([4.0, 12.0, 30.0]))
+        cx, cy = rng.uniform(20.0, 90.0, size=2)
+        if rng.random() < 0.5:
+            base = star_shaped(rng, center=(cx, cy), rmin=size / 2, rmax=size).vertices
+        else:
+            base = ribbon(cx, cy, 2 * size, size / 2, size * 0.2, phase=rng.uniform(0, 6),
+                          points_per_edge=8).vertices
+        for c in range(copies):
+            pts = base + rng.normal(0.0, jitter * size, base.shape)
+            score = float(rng.choice([0.5, 0.7, 0.7, 0.9]))
+            dets.append(Detection(contour=Contour(pts), score=score, origin=(n, c)))
+    return dets
+
+
+class TestFilterAndRefine:
+    """poly_nms proves suppressions from row-sampled records and rasterizes
+    in full only the candidates the bound does not suppress."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        instances=st.integers(1, 4),
+        copies=st.integers(1, 12),
+        jitter=st.sampled_from([0.01, 0.05, 0.2]),
+        supersample=st.sampled_from([1, 2, 4]),
+        thresh=st.sampled_from([0.05, 0.1, 0.15, 0.19, 0.2, 0.5]),
+    )
+    def test_matches_brute_force_on_dense_candidates(
+        self, seed, instances, copies, jitter, supersample, thresh
+    ):
+        dets = jittered_candidates(np.random.default_rng(seed), instances, copies, jitter)
+        got = poly_nms(dets, thresh, supersample=supersample)
+        want = brute_nms(dets, thresh, supersample)
+        assert [d.origin for d in got] == [d.origin for d in want]
+
+    def test_only_kept_candidates_are_rasterized_in_full(self):
+        rng = np.random.default_rng(5)
+        dets = []
+        for n, center in enumerate([(30.0, 30.0), (90.0, 30.0), (60.0, 90.0)]):
+            base = square(*center, 20.0).vertices
+            dets += [
+                Detection(Contour(base + rng.normal(0.0, 0.3, base.shape)), 0.9 - 0.01 * c, origin=(n, c))
+                for c in range(20)
+            ]
+        with mock.patch.object(decode, "contour_spans", wraps=decode.contour_spans) as full, \
+                mock.patch.object(decode, "contour_spans_many") as batch:
+            kept = poly_nms(dets, 0.1)
+        assert [d.origin for d in kept] == [(0, 0), (1, 0), (2, 0)]
+        assert full.call_count == 3 and batch.call_count == 0
+
+    def test_unprovable_suppressions_switch_to_one_batch(self):
+        # at 0.18 the bound proves almost nothing: after more misses than
+        # kept candidates, the rest are rasterized in one batch
+        dets = jittered_candidates(np.random.default_rng(5), 3, 30, 0.02)
+        with mock.patch.object(decode, "contour_spans", wraps=decode.contour_spans) as full, \
+                mock.patch.object(decode, "contour_spans_many", wraps=decode.contour_spans_many) as batch:
+            kept = poly_nms(dets, 0.18)
+        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.18, 4)]
+        assert batch.call_count == 1 and full.call_count < 10
+
+    def test_thresholds_past_the_bounds_reach_rasterize_every_row(self):
+        dets = jittered_candidates(np.random.default_rng(5), 3, 10, 0.02)
+        with mock.patch.object(decode, "_spans_many", wraps=decode._spans_many) as spans, \
+                mock.patch.object(decode, "contour_spans") as full:
+            kept = poly_nms(dets, 0.2)
+        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.2, 4)]
+        assert spans.call_args.args[2] == 1 and full.call_count == 0
 
 
 class TestDecodeAll:

@@ -15,6 +15,12 @@ The loss hash scores seeded noisy predictions against the targets, so every
 term, the regression sum included, is nonzero.  It was recorded while the
 per-image loss still lived in the command-line module, before it moved into
 losses.image_loss, which must not change its summation order.
+
+The dense decode hashes decode noisier predictions (regression noise
+N(0, 2) px), so every instance yields tens of candidates whose IoUs with
+the kept one spread over the whole range, at two NMS thresholds.  They
+were recorded before poly_nms first tested candidates on sparse lattice
+rows, which must not change which candidates it keeps.
 """
 
 import hashlib
@@ -75,9 +81,9 @@ def test_outputs_match_pinned_hashes(jobs, tmp_path, capsys):
 PINNED_LOSS = "8b89402a293516b963ec337f8b27020caa2c37bef9af8d467e85d1d720bb2798"
 
 
-def _write_noisy_predictions(gt_root, pred_root, seed=7):
+def _write_noisy_predictions(gt_root, pred_root, seed=7, reg_sigma=0.25):
     """Prediction maps as a model might write them: probabilities
-    0.85 * target + U(0, 0.1), regression maps plus N(0, 0.25) noise."""
+    0.85 * target + U(0, 0.1), regression maps plus N(0, reg_sigma) noise."""
     rng = np.random.default_rng(seed)
     for gt_dir in sorted(p for p in gt_root.iterdir() if p.is_dir()):
         out = pred_root / gt_dir.name
@@ -89,7 +95,7 @@ def _write_noisy_predictions(gt_root, pred_root, seed=7):
                 name = f"{level['name']}_{key}.fct"
                 gt = read_tensor(gt_dir / name).astype(np.float64)
                 if key == "reg":
-                    noisy = gt + rng.normal(0.0, 0.25, gt.shape)
+                    noisy = gt + rng.normal(0.0, reg_sigma, gt.shape)
                 else:
                     noisy = 0.85 * gt + rng.uniform(0.0, 0.1, gt.shape)
                 write_tensor(out / name, noisy)
@@ -110,3 +116,26 @@ def test_loss_of_noisy_predictions_matches_pinned_hash(jobs, tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert min(report["l_tr"], report["l_tcr"], report["l_reg"]) > 0.0
     assert _digest(out) == PINNED_LOSS
+
+
+PINNED_DENSE_DECODE = {
+    "0.1": "3ee190194e57b1621979661b756795d242c42694ebce5f50a388e3c33cd23967",
+    "0.5": "d14540e217b49ea20bb696699cc74cfaf59c5cc7a8f8eec0d347ea3179ca406d",
+}
+
+
+@pytest.mark.parametrize("nms_iou", sorted(PINNED_DENSE_DECODE))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_decode_of_dense_noisy_candidates_matches_pinned_hash(jobs, nms_iou, tmp_path, capsys):
+    ann = tmp_path / "ann.jsonl"
+    images = roundtrip_corpus(seed=11, count=4, side=256)
+    ann.write_text("".join(line + "\n" for line in write_jsonl(images, fmt=round9)), encoding="utf-8")
+    assert main(["targets", str(ann), "--out-dir", str(tmp_path / "gt")]) == 0
+    _write_noisy_predictions(tmp_path / "gt", tmp_path / "pred", reg_sigma=2.0)
+    out = tmp_path / "dets.jsonl"
+    argv = ["--jobs", jobs, "--set", f"nms_iou={nms_iou}", "decode",
+            "--maps-dir", str(tmp_path / "pred"), "-o", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(out.read_text(encoding="utf-8").splitlines()) >= 8
+    assert _digest(out) == PINNED_DENSE_DECODE[nms_iou]
