@@ -46,18 +46,11 @@ _INPUT_ERRORS = (ParseError, GeometryError, ValueError, OSError, KeyError)
 
 
 def _pmap(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items] on up to `jobs` threads, one task each: a
-    contiguous chunk of items, mapped in order.  A chunk stops at its first
-    failing item, and the chunks' errors are raised in chunk order, so the
-    error raised is the first failing item's, as with one thread."""
     items = list(items)
-    n = min(jobs, len(items))
-    if n <= 1:
+    if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    cuts = [len(items) * w // n for w in range(n + 1)]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        chunks = pool.map(lambda w: [fn(item) for item in items[cuts[w] : cuts[w + 1]]], range(n))
-        return [result for chunk in chunks for result in chunk]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def _read_lines(path: str) -> list[str]:
@@ -471,7 +464,7 @@ def _detection_fields(obj) -> tuple[str, float, Contour, str]:
 
 def _load_detections(path: str, sizes: dict | None = None) -> dict[str, list[Detection]]:
     """Detections by image id.  With `sizes` ({image_id: (width, height)}), a
-    detection reaching past its image by more than decode's candidate margin
+    detection reaching past that area by more than decode's candidate margin
     is a bad record: evaluation rasterizes it on a lattice linear in its box."""
 
     def parse(obj):
@@ -495,7 +488,13 @@ def _load_detections(path: str, sizes: dict | None = None) -> dict[str, list[Det
 
 def cmd_eval(args, cfg: Config) -> int:
     images = _parse_annotations(args.annotations)
-    grouped = _load_detections(args.detections, {img.image_id: (img.width, img.height) for img in images})
+
+    def covered(side: int) -> int:
+        # decode_level's image is its map's: the side rounded up to the stride
+        return max(-(-side // spec.stride) * spec.stride for spec in cfg.levels)
+
+    sizes = {img.image_id: (covered(img.width), covered(img.height)) for img in images}
+    grouped = _load_detections(args.detections, sizes)
     known = {img.image_id for img in images}
     unknown = sorted(set(grouped) - known)
     if unknown:

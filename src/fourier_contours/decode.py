@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, contour_spans, contour_spans_many, spans_iou
-from .geometry import _iou_lower_bound, _spans_many
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, contour_spans, spans_iou
+from .geometry import _bound_row_step, _iou_lower_bound, _spans_many
 
 __all__ = [
     "LevelPrediction",
@@ -42,10 +42,6 @@ DEFAULT_NMS_IOU = 0.1
 # linear in its box, so a regression map with huge finite values must fail
 # here rather than in NMS.  `fctool eval` bounds detections by the same rule.
 _CANDIDATE_MARGIN = 1.0
-
-# poly_nms first rasterizes every candidate on every _CERT_ROW_STEP-th
-# lattice row only, to prove most suppressions from a bound (see poly_nms)
-_CERT_ROW_STEP = 3
 
 
 @dataclass(frozen=True)
@@ -184,33 +180,30 @@ def poly_nms(
     have IoU 0 and are skipped.
 
     Filter and refine: one batched call rasterizes every candidate on the
-    lattice rows g with g % _CERT_ROW_STEP == 0 only.  A candidate is
-    suppressed outright when, for some kept k whose box meets its own, the
-    bound I_lb / (C_ub + |k| - I_lb) reaches the threshold: I_lb is the
-    intersection on the sampled rows, C_ub the sampled count plus the box
-    width for each unsampled box row (geometry._iou_lower_bound), and the
-    bound is at most the exact IoU.  Any other candidate gets its full
-    record and the exact spans_iou test; a kept one keeps that record.  So
-    the kept set is the exact test's, while traced counts of
-    contour_spans_many and spans_iou fall to about one per kept candidate.
-
-    Against its own copy a contour spread over many rows bounds at about
-    1 / (2 * step - 1) = 0.2, so from a threshold of 0.2 every row is
-    rasterized up front (step 1).  Below it, once the exact test has
-    suppressed more candidates than are kept, the rest are rasterized in
-    full in one batch: one call per contour costs far more per contour.
+    lattice rows g with g % step == 0 only, the step being
+    geometry._bound_row_step(iou_thresh): geometry._CERT_ROW_STEP (3) up to
+    geometry._CERT_MAX_IOU (0.1, the default threshold), 1 above it.  A
+    candidate is suppressed outright when, for some kept k whose box meets
+    its own, the bound I_lb / (C_ub + |k| - I_lb) reaches the threshold:
+    I_lb is the intersection on the sampled rows, C_ub the sampled count
+    plus the box width for each unsampled box row
+    (geometry._iou_lower_bound), and the bound is at most the exact IoU.
+    Any other candidate gets its full record and the exact spans_iou test;
+    a kept one keeps that record.  So the kept set is the exact test's,
+    while at step 3 traced counts of contour_spans_many and spans_iou fall
+    to about one per kept candidate.  At step 1 every record is full and
+    the exact test decides every pair.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
     ordered = sorted(detections, key=lambda d: (-d.score, d.origin))
     contours = [d.contour for d in ordered]
-    step = _CERT_ROW_STEP if iou_thresh * (2 * _CERT_ROW_STEP - 1) < 1.0 else 1
+    step = _bound_row_step(iou_thresh)
     sparse = _spans_many(contours, supersample, step)
     boxes = np.array([rec.bbox for rec in sparse]).reshape(-1, 4)
     kept: list[int] = []
-    # full records: of every kept candidate, and of the rest once built
+    # full records: of every kept candidate, and at step 1 of all of them
     full = dict(enumerate(sparse)) if step == 1 else {}
-    misses = 0  # suppressions the bound did not prove
     for i, (x0, y0, x1, y1) in enumerate(boxes):
         idx = np.asarray(kept, dtype=np.intp)
         kb = boxes[idx]
@@ -219,14 +212,10 @@ def poly_nms(
         if i not in full:
             if any(_iou_lower_bound(sparse[i], k) >= iou_thresh for k in near):
                 continue
-            if misses > len(kept):
-                full.update(enumerate(contour_spans_many(contours[i:], supersample), start=i))
-            else:
-                full[i] = contour_spans(contours[i], supersample)
+            full[i] = contour_spans(contours[i], supersample)
         if all(spans_iou(full[i], k) < iou_thresh for k in near):
             kept.append(i)
         else:
-            misses += 1
             del full[i]
     return [ordered[i] for i in kept]
 

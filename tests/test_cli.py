@@ -442,11 +442,12 @@ class TestTargetsDecodeLossEval:
             tracemalloc.stop()
         assert code == 2 and out == ""
         assert err.startswith("error: line 2: bad detection record: image 'img-b'")
-        assert "past the 160 x 120 px image" in err and "Traceback" not in err
+        assert "past the 160 x 128 px image" in err and "Traceback" not in err
         assert peak < 16 * 2**20
 
     def test_eval_keeps_detections_within_the_margin(self, corpus, tmp_path, capsys):
         # one image side past the 160 x 120 image on every side is allowed
+        # (and more: at stride 32 decode's maps cover 160 x 128 px)
         dets = tmp_path / "dets.jsonl"
         dets.write_text(
             '{"image_id": "img-a", "score": 0.9, "points": [-160, -120, 320, -120, 320, 240]}\n',
@@ -455,6 +456,32 @@ class TestTargetsDecodeLossEval:
         code, out, _ = run(["eval", "--detections", str(dets), "--annotations", str(corpus)], capsys)
         assert code == 0 and json.loads(out)["fp"] == 1
 
+
+    def test_eval_scores_what_decode_writes_past_an_unaligned_image(
+        self, corpus, target_dir, tmp_path, capsys
+    ):
+        # 120 px high is 4 rows of 128 px at P5's stride 32, so P5 candidates
+        # may reach y = 128 + 128 = 256, past the 240 of the annotated height
+        pred = tmp_path / "pred"
+        shutil.copytree(target_dir, pred)
+        for path in pred.glob("*/*_tr.fct"):
+            write_tensor(path, np.zeros_like(read_tensor(path)))
+        hot = np.zeros((4, 5))
+        hot[3, 2] = 1.0
+        reg = np.zeros((22, 4, 5))
+        reg[11, 3, 2] = 134.0  # c_0: from the cell center (80, 112) to (80, 246)
+        reg[12, 3, 2] = 8.0  # c_1: a circle of radius 8, down to y = 254
+        for key, arr in (("tr", hot), ("tcr", hot), ("reg", reg)):
+            write_tensor(pred / "img-a" / f"P5_{key}.fct", arr)
+        dets = tmp_path / "dets.jsonl"
+        code, _, err = run(["decode", "--maps-dir", str(pred), "-o", str(dets)], capsys)
+        assert code == 0 and err == ""
+        ys = json.loads(dets.read_text(encoding="utf-8"))["points"][1::2]
+        assert 240.0 < max(ys) <= 256.0
+        argv = ["eval", "--detections", str(dets), "--annotations", str(corpus)]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["fp"] == 1
 
 class TestSubsetPlot:
     def test_subset_drops_rectangles(self, tmp_path, capsys):
@@ -652,23 +679,10 @@ class TestGlobalBehavior:
         assert code == 0 and out != ""
         assert seen == [2]
 
-    @pytest.mark.parametrize("jobs", [2, 3, 8, 20])
-    def test_pmap_submits_one_task_per_thread(self, jobs, monkeypatch):
-        tasks = []
-
-        class Pool(cli.ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                tasks.append(args)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
-        assert cli._pmap(lambda item: item * item, range(10), jobs) == [i * i for i in range(10)]
-        assert len(tasks) == min(jobs, 10)
-
     def test_pmap_raises_the_first_failing_items_error(self):
         def fn(item):
             if item == 2:
-                time.sleep(0.05)  # the later chunk fails first in time
+                time.sleep(0.05)  # a later item fails first in time
             if item in (2, 3, 7):
                 raise ValueError(f"item {item}")
             return item

@@ -254,27 +254,17 @@ class TestFilterAndRefine:
                 for c in range(20)
             ]
         with mock.patch.object(decode, "contour_spans", wraps=decode.contour_spans) as full, \
-                mock.patch.object(decode, "contour_spans_many") as batch:
+                mock.patch.object(decode, "_spans_many", wraps=decode._spans_many) as sampled:
             kept = poly_nms(dets, 0.1)
         assert [d.origin for d in kept] == [(0, 0), (1, 0), (2, 0)]
-        assert full.call_count == 3 and batch.call_count == 0
+        assert full.call_count == 3 and sampled.call_args.args[2] == 3
 
-    def test_unprovable_suppressions_switch_to_one_batch(self):
-        # at 0.18 the bound proves almost nothing: after more misses than
-        # kept candidates, the rest are rasterized in one batch
-        dets = jittered_candidates(np.random.default_rng(5), 3, 30, 0.02)
-        with mock.patch.object(decode, "contour_spans", wraps=decode.contour_spans) as full, \
-                mock.patch.object(decode, "contour_spans_many", wraps=decode.contour_spans_many) as batch:
-            kept = poly_nms(dets, 0.18)
-        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.18, 4)]
-        assert batch.call_count == 1 and full.call_count < 10
-
-    def test_thresholds_past_the_bounds_reach_rasterize_every_row(self):
+    def test_thresholds_above_the_default_rasterize_every_row(self):
         dets = jittered_candidates(np.random.default_rng(5), 3, 10, 0.02)
         with mock.patch.object(decode, "_spans_many", wraps=decode._spans_many) as spans, \
                 mock.patch.object(decode, "contour_spans") as full:
-            kept = poly_nms(dets, 0.2)
-        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.2, 4)]
+            kept = poly_nms(dets, 0.15)
+        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.15, 4)]
         assert spans.call_args.args[2] == 1 and full.call_count == 0
 
 
