@@ -34,9 +34,14 @@ __all__ = [
     "write_jsonl",
     "curved_subset_select",
     "DEFAULT_SUBSET_THRESHOLD",
+    "MAX_IMAGE_SIDE",
 ]
 
 DEFAULT_SUBSET_THRESHOLD = 0.07
+
+# Largest image width or height parse_jsonl accepts: the default levels'
+# target maps of one image this size take about 1 GB.
+MAX_IMAGE_SIDE = 16384
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,8 @@ def _instance_points(raw, lineno: int, width: int, height: int) -> tuple[Contour
 def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
     """Parse JSON-lines annotations.  Returns (images, clamped point count).
 
-    Raises ParseError / InvalidPolygon with the offending 1-based line number.
+    Raises ParseError / InvalidPolygon with the offending 1-based line number,
+    also for a width or height above MAX_IMAGE_SIDE.
     """
     images: list[AnnotatedImage] = []
     seen_images: set[str] = set()
@@ -117,10 +123,13 @@ def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
         if image_id in seen_images:
             raise ParseError(f"duplicate image_id {image_id!r}", line=lineno)
         seen_images.add(image_id)
-        if not isinstance(width, int) or not isinstance(height, int):
+        # type() is int: JSON true and false are bools, which isinstance counts as int
+        if type(width) is not int or type(height) is not int:
             raise ParseError("width and height must be integers", line=lineno)
-        if width <= 0 or height <= 0:
-            raise ParseError("width and height must be positive", line=lineno)
+        if not (0 < width <= MAX_IMAGE_SIDE and 0 < height <= MAX_IMAGE_SIDE):
+            raise ParseError(
+                f"width and height must lie in 1..{MAX_IMAGE_SIDE}, got {width} x {height}", line=lineno
+            )
         if not isinstance(raw_instances, list):
             raise ParseError("instances must be a list", line=lineno)
         instances = []

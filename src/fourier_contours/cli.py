@@ -40,7 +40,7 @@ from .geometry import Contour, contour_spans_many, resample_equidistant, spans_i
 from .losses import LossSums, image_loss, total_loss
 from .serialize import fmt9, json_line, read_tensor, round9, write_tensor
 from .svg import render_svg
-from .targets import generate_targets
+from .targets import cell_count, generate_targets
 
 _INPUT_ERRORS = (ParseError, GeometryError, ValueError, OSError, KeyError)
 
@@ -135,7 +135,7 @@ def cmd_embed(args, cfg: Config) -> int:
                         "instance_id": inst.id,
                         "k": cfg.k,
                         "ignore": inst.ignore,
-                        "coeffs": [round9(v) for v in sig.flat],
+                        "coeffs": sig.flat.tolist(),
                     }
                 )
             )
@@ -164,7 +164,7 @@ def cmd_reconstruct(args, cfg: Config) -> int:
             {
                 "image_id": image_id,
                 "instance_id": instance_id,
-                "points": [round9(v) for v in contour.flat()],
+                "points": contour.flat(),
             }
         )
 
@@ -270,8 +270,8 @@ def cmd_targets(args, cfg: Config) -> int:
                 {
                     "name": name,
                     "stride": lt.spec.stride,
-                    "low": round9(lt.spec.low),
-                    "high": round9(lt.spec.high),
+                    "low": lt.spec.low,
+                    "high": lt.spec.high,
                     "height": int(lt.shape[0]),
                     "width": int(lt.shape[1]),
                 }
@@ -282,7 +282,7 @@ def cmd_targets(args, cfg: Config) -> int:
             "height": maps.height,
             "k": maps.k,
             "n": cfg.n,
-            "shrink_factor": round9(cfg.shrink_factor),
+            "shrink_factor": cfg.shrink_factor,
             "levels": level_meta,
             "skipped": [[inst_id, reason] for inst_id, reason in maps.skipped],
         }
@@ -331,7 +331,7 @@ def _read_level(map_dir: Path, meta: dict, entry: dict, keys, like: dict | None 
     ceil(width / stride)) of the directory's meta.json, the shape targets
     writes.  With `like`, each must also have its target's shape."""
     name, stride = entry["name"], entry["stride"]
-    hw = (-(-meta["height"] // stride), -(-meta["width"] // stride))
+    hw = (cell_count(meta["height"], stride), cell_count(meta["width"], stride))
     level = {key: read_tensor(map_dir / f"{name}_{key}.fct") for key in keys}
     for key, arr in level.items():
         want = arr.shape[:1] + hw if key == "reg" else hw
@@ -389,8 +389,8 @@ def cmd_decode(args, cfg: Config) -> int:
                 {
                     "image_id": maps.image_id,
                     "level": det.level,
-                    "score": round9(det.score),
-                    "points": [round9(v) for v in det.contour.flat()],
+                    "score": det.score,
+                    "points": det.contour.flat(),
                 }
             )
             for det in detections
@@ -491,7 +491,7 @@ def cmd_eval(args, cfg: Config) -> int:
 
     def covered(side: int) -> int:
         # decode_level's image is its map's: the side rounded up to the stride
-        return max(-(-side // spec.stride) * spec.stride for spec in cfg.levels)
+        return max(cell_count(side, spec.stride) * spec.stride for spec in cfg.levels)
 
     sizes = {img.image_id: (covered(img.width), covered(img.height)) for img in images}
     grouped = _load_detections(args.detections, sizes)

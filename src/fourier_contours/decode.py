@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, contour_spans, spans_iou
-from .geometry import _bound_row_step, _iou_lower_bound, _spans_many
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, _greedy_nms
 
 __all__ = [
     "LevelPrediction",
@@ -177,46 +176,13 @@ def poly_nms(
     Candidates are visited by descending score, ties broken by earlier
     origin; one is kept iff its polygon_iou with every already-kept contour
     is strictly below the threshold.  Pairs with disjoint bounding boxes
-    have IoU 0 and are skipped.
-
-    Filter and refine: one batched call rasterizes every candidate on the
-    lattice rows g with g % step == 0 only, the step being
-    geometry._bound_row_step(iou_thresh): geometry._CERT_ROW_STEP (3) up to
-    geometry._CERT_MAX_IOU (0.1, the default threshold), 1 above it.  A
-    candidate is suppressed outright when, for some kept k whose box meets
-    its own, the bound I_lb / (C_ub + |k| - I_lb) reaches the threshold:
-    I_lb is the intersection on the sampled rows, C_ub the sampled count
-    plus the box width for each unsampled box row
-    (geometry._iou_lower_bound), and the bound is at most the exact IoU.
-    Any other candidate gets its full record and the exact spans_iou test;
-    a kept one keeps that record.  So the kept set is the exact test's,
-    while at step 3 traced counts of contour_spans_many and spans_iou fall
-    to about one per kept candidate.  At step 1 every record is full and
-    the exact test decides every pair.
+    have IoU 0 and are skipped.  geometry._greedy_nms decides which are
+    kept, proving most suppressions from row-sampled records.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
     ordered = sorted(detections, key=lambda d: (-d.score, d.origin))
-    contours = [d.contour for d in ordered]
-    step = _bound_row_step(iou_thresh)
-    sparse = _spans_many(contours, supersample, step)
-    boxes = np.array([rec.bbox for rec in sparse]).reshape(-1, 4)
-    kept: list[int] = []
-    # full records: of every kept candidate, and at step 1 of all of them
-    full = dict(enumerate(sparse)) if step == 1 else {}
-    for i, (x0, y0, x1, y1) in enumerate(boxes):
-        idx = np.asarray(kept, dtype=np.intp)
-        kb = boxes[idx]
-        meets = (kb[:, 2] > x0) & (x1 > kb[:, 0]) & (kb[:, 3] > y0) & (y1 > kb[:, 1])
-        near = [full[j] for j in idx[meets].tolist()]
-        if i not in full:
-            if any(_iou_lower_bound(sparse[i], k) >= iou_thresh for k in near):
-                continue
-            full[i] = contour_spans(contours[i], supersample)
-        if all(spans_iou(full[i], k) < iou_thresh for k in near):
-            kept.append(i)
-        else:
-            del full[i]
+    kept = _greedy_nms([d.contour for d in ordered], iou_thresh, supersample)
     return [ordered[i] for i in kept]
 
 

@@ -471,7 +471,7 @@ class ContourSpans:
     A record with row_step > 1 holds only the lattice rows g of the box with
     g % row_step == 0: record row r is lattice row row0 + r * row_step, equal
     to the full record's row there, and count counts the inside samples on
-    those rows.  poly_nms builds such records through _spans_many to bound
+    those rows.  _greedy_nms builds such records through _spans_many to bound
     IoUs (_iou_lower_bound); spans_iou refuses them.
     """
 
@@ -643,19 +643,13 @@ def spans_iou(a: ContourSpans, b: ContourSpans) -> float:
     return inter / union
 
 
-# poly_nms bounds IoUs from records on every _CERT_ROW_STEP-th lattice row at
-# NMS thresholds up to _CERT_MAX_IOU.  Against its own copy a contour spread
+# _greedy_nms bounds IoUs from records on every _CERT_ROW_STEP-th lattice row
+# at NMS thresholds up to _CERT_MAX_IOU.  Against its own copy a contour spread
 # over many rows bounds at about 1 / (2 * step - 1) = 0.2, as C_ub charges a
 # whole box row for each row left out; measured on the benchmark corpora, the
 # sampled pass already costs more than it saves at 0.15 (see CHANGES.md).
 _CERT_ROW_STEP = 3
 _CERT_MAX_IOU = 0.1
-
-
-def _bound_row_step(iou_thresh: float) -> int:
-    """Row step of the records to bound IoUs from against iou_thresh: 1, where
-    _iou_lower_bound is the exact IoU, above _CERT_MAX_IOU."""
-    return _CERT_ROW_STEP if iou_thresh <= _CERT_MAX_IOU else 1
 
 
 def _iou_lower_bound(a: ContourSpans, b: ContourSpans) -> float:
@@ -677,6 +671,30 @@ def _iou_lower_bound(a: ContourSpans, b: ContourSpans) -> float:
     rows = max(math.ceil(y1) - math.floor(y0), 1) * a.supersample
     count_ub = a.count + (rows - a.lo.shape[0]) * width
     return inter / (count_ub + b.count - inter)
+
+
+def _greedy_nms(contours, iou_thresh: float, supersample: int) -> list[int]:
+    """Indices, in the given order, of the contours greedy NMS keeps: each is
+    kept iff its spans_iou with every kept one is below iou_thresh.  Up to
+    _CERT_MAX_IOU, _iou_lower_bound from records on every _CERT_ROW_STEP-th
+    row proves most suppressions and the rest get full records and the exact
+    test; above it every row is rasterized and the bound is the exact IoU."""
+    step = _CERT_ROW_STEP if iou_thresh <= _CERT_MAX_IOU else 1
+    sparse = _spans_many(contours, supersample, step)
+    boxes = np.array([rec.bbox for rec in sparse]).reshape(-1, 4)
+    kept: dict[int, ContourSpans] = {}  # kept index -> its full record
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
+        kb = boxes[idx]
+        meets = (kb[:, 2] > x0) & (x1 > kb[:, 0]) & (kb[:, 3] > y0) & (y1 > kb[:, 1])
+        near = [kept[j] for j in idx[meets].tolist()]
+        if any(_iou_lower_bound(sparse[i], k) >= iou_thresh for k in near):
+            continue
+        full = contour_spans(contours[i], supersample) if step > 1 else sparse[i]
+        if step > 1 and any(spans_iou(full, k) >= iou_thresh for k in near):
+            continue
+        kept[i] = full
+    return list(kept)
 
 
 def polygon_iou(a: Contour, b: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> float:

@@ -23,7 +23,6 @@ is never aborted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,8 @@ from .errors import GeometryError
 from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, embed
 from .geometry import Contour, rasterize_grid, shrink_polygon, signed_area
 
-__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "generate_targets",
-           "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
+__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_count",
+           "generate_targets", "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
 
 DEFAULT_SHRINK = 0.3
 
@@ -100,11 +99,15 @@ def assign_levels(scale: float, specs=DEFAULT_LEVELS) -> list[LevelSpec]:
     return [spec for spec in specs if spec.low <= scale <= spec.high]
 
 
+def cell_count(side: int, stride: int) -> int:
+    """Cells of a level's grid along an image side: the side in whole strides,
+    rounded up.  Decode's maps and eval's bound on detections cover that many."""
+    return -(-side // stride)
+
+
 def _grid(spec: LevelSpec, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    w = math.ceil(width / spec.stride)
-    h = math.ceil(height / spec.stride)
-    xs = (np.arange(w) + 0.5) * spec.stride
-    ys = (np.arange(h) + 0.5) * spec.stride
+    xs = (np.arange(cell_count(width, spec.stride)) + 0.5) * spec.stride
+    ys = (np.arange(cell_count(height, spec.stride)) + 0.5) * spec.stride
     return xs, ys
 
 
@@ -164,7 +167,6 @@ def generate_targets(
             center = rasterize_grid(shrunk, xs, ys) & inside
             lt.tr[inside] = 1
             lt.tcr[inside] = center[inside].astype(np.uint8)
-            lt.weight[inside] = np.where(center[inside], 1.0, 0.5)
             lt.regression[:, inside] = base[:, None]
             iy, ix = np.nonzero(inside)
             lt.regression[2 * k, iy, ix] -= xs[ix]      # u_0 channel
@@ -172,5 +174,5 @@ def generate_targets(
     for spec in specs:
         lt = levels[spec.name]
         lt.care = (~(ignore_masks[spec.name] & (lt.tr == 0))).astype(np.uint8)
-        lt.weight[lt.tr == 0] = 0.0
+        lt.weight = np.where(lt.tr == 1, np.where(lt.tcr == 1, 1.0, 0.5), 0.0)
     return out

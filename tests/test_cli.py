@@ -1,18 +1,24 @@
 """End-to-end drives of every subcommand through main(), on a tiny corpus."""
 
+import contextlib
+import io
 import json
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_contours import cli, polygon_iou
+from fourier_contours.annotations import MAX_IMAGE_SIDE
 from fourier_contours.cli import main
 from fourier_contours.geometry import Contour
 from fourier_contours.serialize import read_tensor, write_tensor
@@ -759,3 +765,80 @@ class TestGlobalBehavior:
         )
         assert proc.returncode == 0
         assert "embed" in proc.stdout and "decode" in proc.stdout
+
+
+# one valid annotation line, and strategies for what can be wrong with it
+VALID_RECORD = {
+    "image_id": "a",
+    "width": 64,
+    "height": 48,
+    "instances": [{"points": [8, 8, 56, 8, 56, 32, 8, 32]}],
+}
+NOT_AN_INT = st.one_of(
+    st.floats(), st.text(max_size=4), st.booleans(), st.none(), st.lists(st.integers(), max_size=2)
+)
+BAD_SIDE = st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_IMAGE_SIDE + 1), NOT_AN_INT)
+BAD_POINTS = st.one_of(
+    st.lists(st.integers(0, 64), min_size=1, max_size=9).filter(lambda v: len(v) % 2),
+    st.lists(st.integers(0, 64), max_size=2).map(lambda v: v * 2),  # fewer than 3 points
+    st.lists(
+        st.one_of(st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=2)), min_size=6, max_size=8
+    ),
+    st.text(max_size=8),
+    st.integers(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+MUTATED_RECORD = st.one_of(
+    st.sampled_from(sorted(VALID_RECORD)).map(
+        lambda key: {k: v for k, v in VALID_RECORD.items() if k != key}
+    ),
+    st.tuples(st.sampled_from(["width", "height"]), BAD_SIDE).map(lambda kv: {**VALID_RECORD, kv[0]: kv[1]}),
+    st.one_of(st.just(""), st.integers(), st.none()).map(lambda v: {**VALID_RECORD, "image_id": v}),
+    st.one_of(st.text(max_size=4), st.integers(), st.lists(st.integers(), min_size=1, max_size=2)).map(
+        lambda v: {**VALID_RECORD, "instances": v}
+    ),
+    BAD_POINTS.map(lambda v: {**VALID_RECORD, "instances": [{"points": v}]}),
+)
+
+
+def _annotation_commands(tmp: Path) -> dict:
+    return {
+        "embed": ["embed", str(tmp / "ann.jsonl"), "-o", str(tmp / "sigs.jsonl")],
+        "targets": ["targets", str(tmp / "ann.jsonl"), "--out-dir", str(tmp / "gt")],
+        "eval": ["eval", "--detections", str(tmp / "dets.jsonl"), "--annotations", str(tmp / "ann.jsonl"),
+                 "-o", str(tmp / "report.json")],
+    }
+
+
+class TestMalformedAnnotations:
+    @settings(max_examples=150, deadline=None)
+    @given(record=MUTATED_RECORD)
+    def test_any_bad_line_is_exit_2(self, record):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            (tmp / "ann.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+            (tmp / "dets.jsonl").write_text("", encoding="utf-8")
+            for command, argv in _annotation_commands(tmp).items():
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code == 2, (command, record)
+                assert err.getvalue().startswith("error: "), (command, err.getvalue())
+
+    @pytest.mark.parametrize("command", ["targets", "eval"])
+    def test_huge_image_side_allocates_nothing(self, command, tmp_path, capsys):
+        # a 10^12 px side used to reach numpy as a terabyte-sized allocation
+        record = {**VALID_RECORD, "width": 10**12}
+        (tmp_path / "ann.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (tmp_path / "dets.jsonl").write_text(
+            '{"image_id": "a", "score": 0.9, "points": [8, 8, 1e11, 8, 56, 32]}\n', encoding="utf-8"
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run(_annotation_commands(tmp_path)[command], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line 1: width and height must lie in 1..{MAX_IMAGE_SIDE}")
+        assert peak < 16 * 2**20

@@ -21,7 +21,7 @@ from fourier_contours import (
     recenter,
     score_map,
 )
-from fourier_contours import decode
+from fourier_contours import geometry
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
@@ -253,16 +253,16 @@ class TestFilterAndRefine:
                 Detection(Contour(base + rng.normal(0.0, 0.3, base.shape)), 0.9 - 0.01 * c, origin=(n, c))
                 for c in range(20)
             ]
-        with mock.patch.object(decode, "contour_spans", wraps=decode.contour_spans) as full, \
-                mock.patch.object(decode, "_spans_many", wraps=decode._spans_many) as sampled:
+        with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full, \
+                mock.patch.object(geometry, "_spans_many", wraps=geometry._spans_many) as sampled:
             kept = poly_nms(dets, 0.1)
         assert [d.origin for d in kept] == [(0, 0), (1, 0), (2, 0)]
-        assert full.call_count == 3 and sampled.call_args.args[2] == 3
+        assert full.call_count == 3 and sampled.call_args_list[0].args[2] == 3
 
     def test_thresholds_above_the_default_rasterize_every_row(self):
         dets = jittered_candidates(np.random.default_rng(5), 3, 10, 0.02)
-        with mock.patch.object(decode, "_spans_many", wraps=decode._spans_many) as spans, \
-                mock.patch.object(decode, "contour_spans") as full:
+        with mock.patch.object(geometry, "_spans_many", wraps=geometry._spans_many) as spans, \
+                mock.patch.object(geometry, "contour_spans") as full:
             kept = poly_nms(dets, 0.15)
         assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.15, 4)]
         assert spans.call_args.args[2] == 1 and full.call_count == 0
