@@ -5,7 +5,7 @@ Two input shapes are supported:
 * JSON-lines, one image per line:
     {"image_id": str, "width": int, "height": int,
      "instances": [{"points": [x1, y1, x2, y2, ...], "ignore": bool}, ...]}
-  Instances may carry an optional "id"; absent ids become "i<index>".
+  Instances may carry an optional string "id"; absent ids become "i<index>".
 
 * Delimited text, one instance per line:
     x1,y1,x2,y2,...[,transcription]
@@ -35,6 +35,7 @@ __all__ = [
     "curved_subset_select",
     "DEFAULT_SUBSET_THRESHOLD",
     "MAX_IMAGE_SIDE",
+    "MAX_VERTICES",
 ]
 
 DEFAULT_SUBSET_THRESHOLD = 0.07
@@ -42,6 +43,9 @@ DEFAULT_SUBSET_THRESHOLD = 0.07
 # Largest image width or height parse_jsonl accepts: the default levels'
 # target maps of one image this size take about 1 GB.
 MAX_IMAGE_SIDE = 16384
+
+# Most points one instance may have; shrink_polygon's simplicity test is quadratic.
+MAX_VERTICES = 1024
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,11 @@ class AnnotatedImage:
 
 
 def _point_array(values: list, lineno: int) -> np.ndarray:
-    """(m, 2) points of a flat coordinate list, checked: even, >= 3 points, finite."""
+    """(m, 2) points of a flat coordinate list, checked: even, 3..MAX_VERTICES points, finite."""
     if len(values) % 2:
         raise InvalidPolygon(f"odd coordinate count {len(values)}", line=lineno)
-    if len(values) < 6:
-        raise InvalidPolygon(f"need at least 3 points, got {len(values) // 2}", line=lineno)
+    if not 3 <= len(values) // 2 <= MAX_VERTICES:
+        raise InvalidPolygon(f"need 3 to {MAX_VERTICES} points, got {len(values) // 2}", line=lineno)
     pts = np.asarray(values, dtype=np.float64).reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise InvalidPolygon("coordinates must be finite", line=lineno)
@@ -81,7 +85,8 @@ def _point_array(values: list, lineno: int) -> np.ndarray:
 
 def _number_list(raw, what: str, lineno: int | None = None) -> list:
     """raw, when it is a flat JSON list of numbers; InvalidPolygon otherwise."""
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    # type(): JSON true and false are bools, which isinstance counts as ints
+    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
         raise InvalidPolygon(f"{what} must be a flat list of numbers", line=lineno)
     return raw
 
@@ -97,7 +102,8 @@ def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
     """Parse JSON-lines annotations.  Returns (images, clamped point count).
 
     Raises ParseError / InvalidPolygon with the offending 1-based line number,
-    also for a width or height above MAX_IMAGE_SIDE.
+    also for a width or height above MAX_IMAGE_SIDE and for an instance of
+    more than MAX_VERTICES points.
     """
     images: list[AnnotatedImage] = []
     seen_images: set[str] = set()
@@ -139,13 +145,15 @@ def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
                 raise ParseError(f"instance {idx} needs a points field", line=lineno)
             contour, moved = _instance_points(inst["points"], lineno, width, height)
             clamped_total += moved
-            inst_id = str(inst.get("id", f"i{idx}"))
+            inst_id, ignore = inst.get("id", f"i{idx}"), inst.get("ignore", False)
+            if not isinstance(inst_id, str):
+                raise ParseError(f"instance {idx}: id must be a string", line=lineno)
+            if not isinstance(ignore, bool):
+                raise ParseError(f"instance {idx}: ignore must be true or false", line=lineno)
             if inst_id in seen_ids:
                 raise ParseError(f"duplicate instance id {inst_id!r}", line=lineno)
             seen_ids.add(inst_id)
-            instances.append(
-                TextInstance(polygon=contour, ignore=bool(inst.get("ignore", False)), id=inst_id)
-            )
+            instances.append(TextInstance(polygon=contour, ignore=ignore, id=inst_id))
         images.append(AnnotatedImage(image_id, width, height, tuple(instances)))
     return images, clamped_total
 

@@ -177,7 +177,7 @@ def poly_nms(
     origin; one is kept iff its polygon_iou with every already-kept contour
     is strictly below the threshold.  Pairs with disjoint bounding boxes
     have IoU 0 and are skipped.  geometry._greedy_nms decides which are
-    kept, proving most suppressions from row-sampled records.
+    kept, proving most suppressions from the candidates' matching vertices.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")

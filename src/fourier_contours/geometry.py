@@ -467,12 +467,6 @@ class ContourSpans:
     the contour, so two records compare sample for sample.  Record row r is
     lattice row row0 + r; its inside samples are the lattice columns in
     [lo[r, j], hi[r, j]) for every j.  count is the number of inside samples.
-
-    A record with row_step > 1 holds only the lattice rows g of the box with
-    g % row_step == 0: record row r is lattice row row0 + r * row_step, equal
-    to the full record's row there, and count counts the inside samples on
-    those rows.  _greedy_nms builds such records through _spans_many to bound
-    IoUs (_iou_lower_bound); spans_iou refuses them.
     """
 
     bbox: tuple[float, float, float, float]
@@ -481,7 +475,6 @@ class ContourSpans:
     lo: np.ndarray
     hi: np.ndarray
     count: int
-    row_step: int = 1
 
 
 # Record rows rasterized together by contour_spans_many.  Contours are taken
@@ -492,17 +485,14 @@ class ContourSpans:
 _SPANS_BLOCK_ROWS = 4096
 
 
-def _lattice(
-    g0: np.ndarray, size: np.ndarray, s: int, step: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (g + 0.5) / s, ascending, of the lattice samples g = k * step
-    with k in any of the ranges [g0[i], g0[i] + size[i]), and the index of
-    each g0[i] among them.  The samples of one range are consecutive, so a
-    value inside range i has the same searchsorted index, less that of g0[i],
-    as it has in range i's own samples; the coordinates are those of the
-    global lattice, whatever the step.  Gaps between the ranges hold no
-    samples, so however far apart a block's contours lie, its lattice is no
-    longer than their boxes together."""
+def _lattice(g0: np.ndarray, size: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (g + 0.5) / s, ascending, of the lattice samples g lying in
+    any of the ranges [g0[i], g0[i] + size[i]), and the index of each g0[i]
+    among them.  The samples of one range are consecutive, so a value inside
+    range i has the same searchsorted index, less that of g0[i], as it has in
+    range i's own samples; the coordinates are those of the global lattice.
+    Gaps between the ranges hold no samples, so however far apart a block's
+    contours lie, its lattice is no longer than their boxes together."""
     order = np.argsort(g0, kind="stable")
     start = g0[order]
     reach = np.maximum.accumulate(start + size[order])
@@ -510,8 +500,8 @@ def _lattice(
     first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
     run0 = start[first]
     runs = reach[np.append(first[1:] - 1, reach.size - 1)] - run0
-    k = np.arange(runs.sum()) + np.repeat(run0 - (np.cumsum(runs) - runs), runs)
-    return (k * step + 0.5) / s, np.searchsorted(k, g0)
+    g = np.arange(runs.sum()) + np.repeat(run0 - (np.cumsum(runs) - runs), runs)
+    return (g + 0.5) / s, np.searchsorted(g, g0)
 
 
 def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list[ContourSpans]:
@@ -527,12 +517,6 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
     field for field, what rasterizing each contour alone gives.  Contours may
     have any vertex counts.
     """
-    return _spans_many(contours, supersample, 1)
-
-
-def _spans_many(contours, supersample: int, row_step: int) -> list[ContourSpans]:
-    """contour_spans_many on the lattice rows g with g % row_step == 0 only: a
-    contour whose box holds no such row gets a record with no rows."""
     s = int(supersample)
     if s < 1:
         raise ValueError(f"supersample must be >= 1, got {supersample}")
@@ -551,15 +535,13 @@ def _spans_many(contours, supersample: int, row_step: int) -> list[ContourSpans]
     g0 = np.floor(low).astype(np.int64)
     n = np.maximum(np.ceil(high).astype(np.int64) - g0, 1) * s
     g0 *= s
-    # record rows: lattice rows k * row_step for k in [k0, k0 + h)
-    k0 = -(-g0[:, 1] // row_step)
-    h = -(-(g0[:, 1] + n[:, 1]) // row_step) - k0
+    h = n[:, 1]
     block = (np.cumsum(h) - h) // _SPANS_BLOCK_ROWS
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [h.size]))
     records = []
     for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         xs, xpos = _lattice(g0[i:j, 0], n[i:j, 0], s)
-        ys, ypos = _lattice(k0[i:j], h[i:j], s, row_step)
+        ys, ypos = _lattice(g0[i:j, 1], h[i:j], s)
         row_off = np.cumsum(h[i:j]) - h[i:j]
         e0, e1 = vstart[i], vstart[j - 1] + sizes[j - 1]
         nxt = np.arange(e0 + 1, e1 + 1)
@@ -572,17 +554,13 @@ def _spans_many(contours, supersample: int, row_step: int) -> list[ContourSpans]
             shift=np.repeat(row_off - ypos, sizes[i:j]),
             pad=np.repeat(xpos + n[i:j, 0], h[i:j]),
         )
-        inside = np.concatenate(([0], np.cumsum((hi - lo).sum(axis=1))))
-        counts = inside[row_off + h[i:j]] - inside[row_off]
-        n_spans = np.zeros(j - i, dtype=np.int64)
-        some = h[i:j] > 0  # reduceat needs each segment to hold a row
-        if some.any():
-            n_spans[some] = np.maximum.reduceat(per_row, row_off[some]) // 2
+        counts = np.add.reduceat((hi - lo).sum(axis=1), row_off)
+        n_spans = np.maximum.reduceat(per_row, row_off) // 2
         # adding dx turns indices into the block's lattice samples into
         # lattice columns, and copies the record's rows out of the table
         for bbox, gy0, r0, rows, k, dx, count in zip(
             bboxes[i:j],
-            (k0[i:j] * row_step).tolist(),
+            g0[i:j, 1].tolist(),
             row_off.tolist(),
             h[i:j].tolist(),
             n_spans.tolist(),
@@ -590,9 +568,7 @@ def _spans_many(contours, supersample: int, row_step: int) -> list[ContourSpans]
             counts.tolist(),
         ):
             rs = slice(r0, r0 + rows)
-            records.append(
-                ContourSpans(tuple(bbox), s, gy0, lo[rs, :k] + dx, hi[rs, :k] + dx, count, row_step)
-            )
+            records.append(ContourSpans(tuple(bbox), s, gy0, lo[rs, :k] + dx, hi[rs, :k] + dx, count))
     return records
 
 
@@ -608,92 +584,105 @@ def contour_spans(c: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> Contour
     return contour_spans_many([c], supersample)[0]
 
 
-def _shared_samples(a: ContourSpans, b: ContourSpans) -> int:
-    """Samples inside both records on a's rows; b must hold every row."""
-    step, shift = a.row_step, a.row0 - b.row0
-    # a's rows r whose lattice row a.row0 + r * step is one of b's rows
-    r0 = max(0, -(shift // step))
-    r1 = min(a.lo.shape[0], -((shift - b.lo.shape[0]) // step))
-    if r0 >= r1:
-        return 0
-    rb = slice(shift + r0 * step, shift + (r1 - 1) * step + 1, step)
-    lo = np.maximum(a.lo[r0:r1, :, None], b.lo[rb, None, :])
-    hi = np.minimum(a.hi[r0:r1, :, None], b.hi[rb, None, :])
-    return int(np.maximum(hi - lo, 0).sum())
-
-
 def spans_iou(a: ContourSpans, b: ContourSpans) -> float:
     """IoU of two span records in lattice samples.  Disjoint bounding boxes
-    short-circuit to 0.0; an empty union gives 0.0.  Records on different
-    lattices, or holding only every row_step-th row, raise ValueError."""
+    short-circuit to 0.0; an empty union gives 0.0."""
     if a.supersample != b.supersample:
         raise ValueError(
             f"span records on different lattices: {a.supersample} vs {b.supersample}"
         )
-    if a.row_step != 1 or b.row_step != 1:
-        raise ValueError(f"span records sample every row, not every {max(a.row_step, b.row_step)}th")
     ax0, ay0, ax1, ay1 = a.bbox
     bx0, by0, bx1, by1 = b.bbox
     if ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0:
         return 0.0
-    inter = _shared_samples(a, b)
+    r0 = max(a.row0, b.row0)
+    r1 = min(a.row0 + a.lo.shape[0], b.row0 + b.lo.shape[0])
+    inter = 0
+    if r0 < r1:
+        ra = slice(r0 - a.row0, r1 - a.row0)
+        rb = slice(r0 - b.row0, r1 - b.row0)
+        lo = np.maximum(a.lo[ra, :, None], b.lo[rb, None, :])
+        hi = np.minimum(a.hi[ra, :, None], b.hi[rb, None, :])
+        inter = int(np.maximum(hi - lo, 0).sum())
     union = a.count + b.count - inter
     if union == 0:
         return 0.0
     return inter / union
 
 
-# _greedy_nms bounds IoUs from records on every _CERT_ROW_STEP-th lattice row
-# at NMS thresholds up to _CERT_MAX_IOU.  Against its own copy a contour spread
-# over many rows bounds at about 1 / (2 * step - 1) = 0.2, as C_ub charges a
-# whole box row for each row left out; measured on the benchmark corpora, the
-# sampled pass already costs more than it saves at 0.15 (see CHANGES.md).
-_CERT_ROW_STEP = 3
-_CERT_MAX_IOU = 0.1
+def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
+    """D[i] >= the lattice-s samples inside exactly one of the vertex arrays
+    k (n, 2) and c[i] (c is (M, n, 2)), as contour_spans records count them.
 
+    (1 - u) k + u c[i], u in [0, 1], moves each k_j straight to c_j, so edge
+    j sweeps P_j = hull(k_j, k_j+1, c_j, c_j+1).  The even-odd membership of
+    a point off the polygon is its winding number mod 2, which changes only
+    when an edge passes over the point, so the samples inside exactly one
+    polygon lie in the P_j.  A convex P holds at most s^2 area(P) + s (w_x +
+    w_y) + 1 samples, as their disjoint 1/s cells lie in P plus a cell.  The
+    four triangles on P_j's corners cover it twice, so their summed |cross|
+    is 4 area(P_j).
 
-def _iou_lower_bound(a: ContourSpans, b: ContourSpans) -> float:
-    """At most spans_iou of a's full record and b, from a's record `a` on
-    every a.row_step-th lattice row and b's full record (same lattice).
-
-    I_lb, the intersection on a's rows, is at most the full intersection, and
-    C_ub, a.count plus the box width for each of a's box rows left out, at
-    least a's full count.  I / (|a| + |b| - I) grows with I and falls with
-    |a|, so I_lb / (C_ub + |b| - I_lb) is at most it, and division rounds
-    monotonically, so the quotient is at most spans_iou's.  0.0 when I_lb is
-    0.  With row_step 1 it equals spans_iou.
+    Margin, with eps = 2^-53 and M the largest coordinate magnitude plus 1:
+    a lattice coordinate (s not a power of two) is rounded by at most eps M,
+    for both records alike, and a crossing ax + t (bx - ax) is computed
+    within 11 eps M, so a sample whose computed side differs from its exact
+    side lies that close to an edge of k or c[i].  Widening P_j by r = 2^-40
+    M covers both, adding 4 r to w_x + w_y and 2 r (w_x + w_y + 4 r) to the
+    area; that term also covers the area's rounding, within 40 eps M (w_x +
+    w_y).  The factor 1 + 2^-20 covers the rounding of the sum and of a
+    caller's (1 - iou) * count, a relative (n + 4) eps.
     """
-    inter = _shared_samples(a, b)
-    if inter == 0:
-        return 0.0
-    x0, y0, x1, y1 = a.bbox
-    width = max(math.ceil(x1) - math.floor(x0), 1) * a.supersample
-    rows = max(math.ceil(y1) - math.floor(y0), 1) * a.supersample
-    count_ub = a.count + (rows - a.lo.shape[0]) * width
-    return inter / (count_ub + b.count - inter)
+    r = 2.0**-40 * (np.maximum(np.abs(k).max(), np.abs(c).max(axis=(1, 2))) + 1.0)[:, None]
+    kn, cn = np.roll(k, -1, axis=0), np.roll(c, -1, axis=1)
+    u, v, w = kn - k, c - k, cn - k  # corners k_j+1, c_j, c_j+1 less k_j
+    uv = u[:, 0] * v[..., 1] - u[:, 1] * v[..., 0]
+    uw = u[:, 0] * w[..., 1] - u[:, 1] * w[..., 0]
+    vw = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+    area = (np.abs(uv) + np.abs(uw) + np.abs(vw) + np.abs(vw + uv - uw)) / 4
+    hi = np.maximum(np.maximum(k, kn), np.maximum(c, cn))
+    width = (hi - np.minimum(np.minimum(k, kn), np.minimum(c, cn))).sum(axis=2) + 4 * r
+    return (s * s * (area + 2 * r * width) + s * width + 1).sum(axis=1) * (1 + 2.0**-20)
 
 
 def _greedy_nms(contours, iou_thresh: float, supersample: int) -> list[int]:
     """Indices, in the given order, of the contours greedy NMS keeps: each is
-    kept iff its spans_iou with every kept one is below iou_thresh.  Up to
-    _CERT_MAX_IOU, _iou_lower_bound from records on every _CERT_ROW_STEP-th
-    row proves most suppressions and the rest get full records and the exact
-    test; above it every row is rasterized and the bound is the exact IoU."""
-    step = _CERT_ROW_STEP if iou_thresh <= _CERT_MAX_IOU else 1
-    sparse = _spans_many(contours, supersample, step)
-    boxes = np.array([rec.bbox for rec in sparse]).reshape(-1, 4)
-    kept: dict[int, ContourSpans] = {}  # kept index -> its full record
-    for i, (x0, y0, x1, y1) in enumerate(boxes):
+    kept iff its spans_iou with every kept one is below iou_thresh.
+
+    A newly kept k bounds, in one _sym_diff_bound call, every later live
+    contour c of its vertex count whose box meets its own, and suppresses c
+    unrasterized where D <= (1 - iou_thresh) |k|: with d1 samples of k
+    outside c and d2 of c outside k, d1 + d2 <= D, the IoU (|k| - d1) / (|k|
+    + d2) is at least 1 - D / |k|.  A contour still live at its turn gets its
+    contour_spans record and the exact test against the kept contours whose
+    boxes meet its own.
+    """
+    verts = [np.asarray(c.vertices) for c in contours]
+    if not verts:
+        return []
+    sizes = np.array([v.shape[0] for v in verts])
+    vstart = np.cumsum(sizes) - sizes
+    a = np.concatenate(verts)
+    boxes = np.concatenate([np.minimum.reduceat(a, vstart), np.maximum.reduceat(a, vstart)], axis=1)
+
+    def meets(idx, i):
+        b, (x0, y0, x1, y1) = boxes[idx], boxes[i]
+        return (b[:, 2] > x0) & (x1 > b[:, 0]) & (b[:, 3] > y0) & (y1 > b[:, 1])
+
+    live = np.ones(len(verts), dtype=bool)
+    kept: dict[int, ContourSpans] = {}  # kept index -> its record
+    for i in range(len(verts)):
+        if not live[i]:
+            continue
         idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
-        kb = boxes[idx]
-        meets = (kb[:, 2] > x0) & (x1 > kb[:, 0]) & (kb[:, 3] > y0) & (y1 > kb[:, 1])
-        near = [kept[j] for j in idx[meets].tolist()]
-        if any(_iou_lower_bound(sparse[i], k) >= iou_thresh for k in near):
+        rec = contour_spans(contours[i], supersample)
+        if any(spans_iou(rec, kept[j]) >= iou_thresh for j in idx[meets(idx, i)].tolist()):
             continue
-        full = contour_spans(contours[i], supersample) if step > 1 else sparse[i]
-        if step > 1 and any(spans_iou(full, k) >= iou_thresh for k in near):
-            continue
-        kept[i] = full
+        kept[i] = rec
+        later = slice(i + 1, None)
+        pos = i + 1 + np.flatnonzero((sizes[later] == sizes[i]) & live[later] & meets(later, i))
+        bound = _sym_diff_bound(verts[i], a[vstart[pos, None] + np.arange(sizes[i])], rec.supersample)
+        live[pos[bound <= (1 - iou_thresh) * rec.count]] = False
     return list(kept)
 
 

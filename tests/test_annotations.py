@@ -13,6 +13,7 @@ from fourier_contours import (
     parse_jsonl,
     write_jsonl,
 )
+from fourier_contours.annotations import MAX_VERTICES
 from fourier_contours.serialize import round9
 from fourier_contours.synth import rect14, ribbon
 
@@ -91,6 +92,31 @@ class TestParseJsonl:
     def test_duplicate_image_ids_rejected(self):
         with pytest.raises(ParseError):
             parse_jsonl([one_image(), one_image()])
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"ignore": "false"}, "ignore must be true or false"),
+            ({"ignore": 0}, "ignore must be true or false"),
+            ({"ignore": None}, "ignore must be true or false"),
+            ({"id": None}, "id must be a string"),
+            ({"id": 7}, "id must be a string"),
+            ({"points": [True, True, 10, 0, 10, 5, 0, 5]}, "points must be a flat list of numbers"),
+        ],
+    )
+    def test_instance_field_types_are_checked_not_coerced(self, extra, message):
+        with pytest.raises(ParseError, match=f"line 2: .*{message}"):
+            parse_jsonl([one_image(), one_image(**extra).replace('"a"', '"b"', 1)])
+
+    def test_vertex_count_is_capped(self):
+        ang = np.linspace(0.0, 2.0 * np.pi, MAX_VERTICES, endpoint=False)
+        ring = np.stack([50 + 30 * np.cos(ang), 40 + 30 * np.sin(ang)], axis=1)
+        images, _ = parse_jsonl([one_image(points=ring.ravel().tolist())])
+        assert len(images[0].instances[0].polygon) == MAX_VERTICES
+        ang = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+        ring = np.stack([50 + 30 * np.cos(ang), 40 + 30 * np.sin(ang)], axis=1)
+        with pytest.raises(ParseError, match=f"line 2: need 3 to {MAX_VERTICES} points, got 2000"):
+            parse_jsonl(["", one_image(points=ring.ravel().tolist())])
 
 
 class TestParseDelimited:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_contours import cli, polygon_iou
-from fourier_contours.annotations import MAX_IMAGE_SIDE
+from fourier_contours.annotations import MAX_IMAGE_SIDE, MAX_VERTICES
 from fourier_contours.cli import main
 from fourier_contours.geometry import Contour
 from fourier_contours.serialize import read_tensor, write_tensor
@@ -665,6 +665,37 @@ class TestGlobalBehavior:
         assert code == 2 and out == ""
         assert f"line 2: bad detection record: {message}" in err
 
+    @pytest.mark.parametrize("command", ["embed", "reconstruct", "eval"])
+    def test_booleans_are_not_numbers(self, command, corpus, tmp_path, capsys):
+        # JSON true and false are Python bools, which isinstance counts as ints
+        records = {
+            "embed": _rect_record("x", [{"points": [True, True, 56, 8, 56, 32, 8, 32]}]),
+            "reconstruct": json.dumps({"image_id": "x", "instance_id": "t0", "coeffs": [0, 0, True, 0, 0, 0]}),
+            "eval": json.dumps({"image_id": "img-a", "score": 0.9, "points": [True, 8, 70, 10, 70, 40]}),
+        }
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n" + records[command] + "\n", encoding="utf-8")
+        argv = {
+            "embed": ["embed", str(path)],
+            "reconstruct": ["reconstruct", str(path)],
+            "eval": ["eval", "--detections", str(path), "--annotations", str(corpus)],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "line 2: " in err and "must be a flat list of numbers" in err
+
+    def test_instance_vertex_cap(self, tmp_path, capsys):
+        ang = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+        ring = np.stack([80 + 40 * np.cos(ang), 60 + 40 * np.sin(ang)], axis=1).tolist()
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            _rect_record("a", [_inst(RECT_A, "t0")]) + "\n" + _rect_record("b", [_inst(ring, "t0")]) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(["embed", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line 2: need 3 to {MAX_VERTICES} points, got 2000")
+
     @pytest.mark.parametrize("command", ["subset", "reconstruct"])
     def test_command_runs_on_the_jobs_threads(
         self, command, corpus, tmp_path, capsys, monkeypatch
@@ -782,7 +813,9 @@ BAD_POINTS = st.one_of(
     st.lists(st.integers(0, 64), min_size=1, max_size=9).filter(lambda v: len(v) % 2),
     st.lists(st.integers(0, 64), max_size=2).map(lambda v: v * 2),  # fewer than 3 points
     st.lists(
-        st.one_of(st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=2)), min_size=6, max_size=8
+        st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.lists(st.integers(), max_size=2)),
+        min_size=6,
+        max_size=8,
     ),
     st.text(max_size=8),
     st.integers(),
@@ -798,6 +831,9 @@ MUTATED_RECORD = st.one_of(
         lambda v: {**VALID_RECORD, "instances": v}
     ),
     BAD_POINTS.map(lambda v: {**VALID_RECORD, "instances": [{"points": v}]}),
+    st.tuples(
+        st.sampled_from(["id", "ignore"]), st.one_of(st.integers(), st.none(), st.lists(st.booleans(), max_size=1))
+    ).map(lambda kv: {**VALID_RECORD, "instances": [{**VALID_RECORD["instances"][0], kv[0]: kv[1]}]}),
 )
 
 

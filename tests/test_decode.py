@@ -224,8 +224,8 @@ def jittered_candidates(rng, instances, copies, jitter):
 
 
 class TestFilterAndRefine:
-    """poly_nms proves suppressions from row-sampled records and rasterizes
-    in full only the candidates the bound does not suppress."""
+    """poly_nms proves suppressions from matching vertices and rasterizes
+    only the candidates the bound does not suppress."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -233,8 +233,8 @@ class TestFilterAndRefine:
         instances=st.integers(1, 4),
         copies=st.integers(1, 12),
         jitter=st.sampled_from([0.01, 0.05, 0.2]),
-        supersample=st.sampled_from([1, 2, 4]),
-        thresh=st.sampled_from([0.05, 0.1, 0.15, 0.19, 0.2, 0.5]),
+        supersample=st.sampled_from([1, 2, 3, 4]),
+        thresh=st.sampled_from([0.05, 0.1, 0.15, 0.19, 0.2, 0.5, 0.7, 0.9]),
     )
     def test_matches_brute_force_on_dense_candidates(
         self, seed, instances, copies, jitter, supersample, thresh
@@ -253,19 +253,35 @@ class TestFilterAndRefine:
                 Detection(Contour(base + rng.normal(0.0, 0.3, base.shape)), 0.9 - 0.01 * c, origin=(n, c))
                 for c in range(20)
             ]
-        with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full, \
-                mock.patch.object(geometry, "_spans_many", wraps=geometry._spans_many) as sampled:
+        with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full:
             kept = poly_nms(dets, 0.1)
         assert [d.origin for d in kept] == [(0, 0), (1, 0), (2, 0)]
-        assert full.call_count == 3 and sampled.call_args_list[0].args[2] == 3
+        assert full.call_count == 3
 
-    def test_thresholds_above_the_default_rasterize_every_row(self):
-        dets = jittered_candidates(np.random.default_rng(5), 3, 10, 0.02)
-        with mock.patch.object(geometry, "_spans_many", wraps=geometry._spans_many) as spans, \
-                mock.patch.object(geometry, "contour_spans") as full:
-            kept = poly_nms(dets, 0.15)
-        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, 0.15, 4)]
-        assert spans.call_args.args[2] == 1 and full.call_count == 0
+    @pytest.mark.parametrize("thresh", [0.1, 0.5, 0.7])
+    def test_rasterizes_the_candidates_the_bound_leaves(self, thresh):
+        """contour_spans runs once for each candidate that no earlier kept
+        contour's vertex bound suppresses, in visit order, and for no other."""
+        dets = jittered_candidates(np.random.default_rng(11), 4, 10, 0.05)
+        dets.append(Detection(square(60.0, 60.0, 25.0), 0.5, origin=(9, 0)))  # 4 vertices
+        with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full:
+            kept = poly_nms(dets, thresh)
+        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, thresh, 4)]
+        ordered = sorted(dets, key=lambda d: (-d.score, d.origin))
+        rank = {d.origin: i for i, d in enumerate(ordered)}
+        left = [
+            i
+            for i, d in enumerate(ordered)
+            if not any(
+                rank[k.origin] < i
+                and len(k.contour) == len(d.contour)
+                and geometry._sym_diff_bound(k.contour.vertices, d.contour.vertices[None], 4)[0]
+                <= (1 - thresh) * geometry.contour_spans(k.contour, 4).count
+                for k in kept
+            )
+        ]
+        assert [id(call.args[0]) for call in full.call_args_list] == [id(ordered[i].contour) for i in left]
+        assert 0 < len(left) < len(dets)
 
 
 class TestDecodeAll:

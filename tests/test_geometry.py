@@ -28,13 +28,12 @@ from fourier_contours import geometry
 from fourier_contours.geometry import (
     ContourSpans,
     _edges,
-    _iou_lower_bound,
     _is_simple,
     _points_inside,
     _removal_deltas,
     _row_intervals,
     _signed_area,
-    _spans_many,
+    _sym_diff_bound,
 )
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
@@ -675,116 +674,80 @@ class TestContourSpansMany:
             assert rec.lo.base is None and rec.hi.base is None
 
 
-def nms_candidate(rng, kind, size, snap, center):
-    """Vertices of a star, a ribbon, a tangled (self-intersecting) star, or a
-    sliver: a bar whose y extent lies inside one pixel row, so that at
-    supersample 1 its box holds one lattice row.  snap 1 or 2 puts every
-    vertex on the integers or the halves."""
-    cx, cy = center
-    if kind == "sliver":
-        y0 = math.floor(cy)
-        v = np.array([[cx - size, y0 + 0.3], [cx + size, y0 + 0.3], [cx + size, y0 + 0.7], [cx - size, y0 + 0.7]])
-        return v  # snapping would move it off its row
-    if kind == "ribbon":
-        v = ribbon(cx, cy, 2 * size, size / 3, size * rng.uniform(0.0, 0.3),
-                   phase=rng.uniform(0.0, 6.3), points_per_edge=9).vertices
-    else:
-        m = int(rng.integers(3, 24))
-        v = star_shaped(rng, m=m, rmin=size / 4, rmax=size, center=(cx, cy)).vertices
-        if kind == "tangled":
-            v = v[rng.permutation(m)]
-    return np.round(v * snap) / snap if snap else v
+def inside_samples(rec):
+    """The (lattice row, lattice column) of every inside sample of a record."""
+    return {
+        (rec.row0 + r, g)
+        for r in range(rec.lo.shape[0])
+        for lo, hi in zip(rec.lo[r].tolist(), rec.hi[r].tolist())
+        for g in range(lo, hi)
+    }
 
 
 @st.composite
-def candidate_pairs(draw):
-    """Two NMS candidates: a shape, and a jittered and shifted copy of it, or
-    another shape nearby."""
+def matched_pairs(draw):
+    """(s, k, c): a lattice s, a contour k, and a candidate c with as many
+    vertices: k with every vertex jittered and the whole shifted.  k is a
+    star, a thin wavy ribbon or a tangled (self-intersecting) star.  The
+    vertices are free or snapped to the half-lattice points, the multiples
+    of 1 / (2 s), where the samples and the cell corners lie."""
+    s = draw(st.sampled_from([1, 2, 3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["star", "ribbon", "tangled", "sliver"]))
-    size = draw(st.sampled_from([0.6, 3.0, 12.0, 40.0]))
-    snap = draw(st.sampled_from([0, 1, 2]))
-    center = rng.uniform(-20.0, 60.0, size=2)
-    a = nms_candidate(rng, kind, size, snap, center)
-    if draw(st.booleans()):
-        jitter = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3])) * size
-        b = a + rng.normal(0.0, jitter, a.shape) + rng.normal(0.0, jitter, 2)
+    kind = draw(st.sampled_from(["star", "ribbon", "tangled"]))
+    size = draw(st.sampled_from([0.6, 3.0, 12.0, 30.0]))
+    cx, cy = rng.uniform(-20.0, 60.0, size=2)
+    if kind == "ribbon":
+        k = ribbon(cx, cy, 2 * size, size / 10, size * rng.uniform(0.0, 0.3),
+                   phase=rng.uniform(0.0, 6.3), points_per_edge=int(rng.integers(2, 12))).vertices
     else:
-        b = nms_candidate(rng, draw(st.sampled_from(["star", "ribbon", "tangled", "sliver"])),
-                          size, snap, center + rng.uniform(-size, size, 2))
-    return Contour(a), Contour(b)
+        m = int(rng.integers(3, 40))
+        k = star_shaped(rng, m=m, rmin=size / 4, rmax=size, center=(cx, cy)).vertices
+        if kind == "tangled":
+            k = k[rng.permutation(m)]
+    jitter = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])) * size
+    c = k + rng.normal(0.0, jitter, k.shape) + rng.normal(0.0, jitter, 2)
+    if draw(st.booleans()):
+        k, c = (np.round(v * 2 * s) / (2 * s) for v in (k, c))
+    return s, Contour(k), Contour(c)
 
 
-class TestRowSampledSpans:
-    """Records on every row_step-th lattice row, and the IoU bound poly_nms
-    proves suppressions from."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(candidate_pairs(), min_size=1, max_size=6),
-        st.sampled_from([1, 2, 3, 4, 5, 8]),
-        st.sampled_from([2, 3, 4, 7]),
-        st.sampled_from([1, 7, geometry._SPANS_BLOCK_ROWS]),
-    )
-    def test_sampled_rows_are_the_full_records_rows(self, pairs, s, step, block):
-        contours = [c for pair in pairs for c in pair]
-        with mock.patch.object(geometry, "_SPANS_BLOCK_ROWS", block):
-            sampled = _spans_many(contours, s, step)
-        for rec, want in zip(sampled, contour_spans_many(contours, s)):
-            assert rec.row_step == step and rec.bbox == want.bbox and rec.supersample == s
-            # the rows are the lattice rows g of the box with g % step == 0
-            assert type(rec.row0) is int and rec.row0 % step == 0
-            assert 0 <= rec.row0 - want.row0 < step
-            rows = np.arange(want.row0, want.row0 + want.lo.shape[0])
-            full_rows = rows[rows % step == 0] - want.row0
-            assert rec.lo.shape[0] == rec.hi.shape[0] == full_rows.size
-            k = rec.lo.shape[1]
-            assert np.array_equal(rec.lo, want.lo[full_rows, :k])
-            assert np.array_equal(rec.hi, want.hi[full_rows, :k])
-            # the full rows' spans past k are empty padding
-            assert np.array_equal(want.lo[full_rows, k:], want.hi[full_rows, k:])
-            assert type(rec.count) is int
-            assert rec.count == int((want.hi[full_rows] - want.lo[full_rows]).sum())
+class TestVertexBound:
+    """The bound on the symmetric difference of two contours with matching
+    vertices, from which poly_nms proves suppressions."""
 
     @settings(max_examples=300, deadline=None)
-    @given(candidate_pairs(), st.sampled_from([1, 2, 3, 4, 5, 8]), st.sampled_from([2, 3, 4]),
-           st.sampled_from([0.05, 0.1, 0.5]))
-    def test_certified_implies_the_exact_iou_reaches_the_threshold(self, pair, s, step, t):
-        a, b = contour_spans_many(pair, s)
-        sampled = _spans_many(pair[:1], s, step)[0]
-        exact = spans_iou(a, b)
-        bound = _iou_lower_bound(sampled, b)
-        assert bound <= exact
-        if bound >= t:
-            assert exact >= t
-        if sampled.lo.shape[0] == 0:  # no sampled row: never certified
-            assert sampled.count == 0 and bound == 0.0
-        # on every row the bound is the exact IoU
-        assert _iou_lower_bound(a, b) == exact
+    @given(matched_pairs())
+    def test_bound_covers_the_symmetric_difference(self, pair):
+        s, k, c = pair
+        a, b = contour_spans_many([k, c], s)
+        (bound,) = _sym_diff_bound(k.vertices, c.vertices[None], s)
+        assert bound >= len(inside_samples(a) ^ inside_samples(b))
+        if a.count:
+            assert 1.0 - bound / a.count <= spans_iou(a, b)
 
-    def test_a_box_without_a_sampled_row_gives_an_empty_record(self):
-        # one lattice row, y = 4.5, at supersample 1; 4 % 3 != 0
-        bar = Contour([(2.0, 4.3), (9.0, 4.3), (9.0, 4.7), (2.0, 4.7)])
-        full = contour_spans(bar, 1)
-        assert full.count == 7
-        rec = _spans_many([UNIT_SQUARE, bar, UNIT_SQUARE], 1, 3)[1]
-        assert rec.lo.shape == rec.hi.shape == (0, 0) and rec.count == 0
-        assert _iou_lower_bound(rec, full) == 0.0 and spans_iou(full, full) == 1.0
-
-    def test_near_duplicates_are_certified(self):
+    def test_near_duplicates_are_proven(self):
         rng = np.random.default_rng(3)
         a = star_shaped(rng, m=16, center=(50.0, 40.0), rmin=15, rmax=20)
         b = Contour(a.vertices + [0.4, -0.3])
-        sampled = _spans_many([a], 4, 3)[0]
-        full_b = contour_spans(b, 4)
-        assert 0.1 <= _iou_lower_bound(sampled, full_b) <= spans_iou(contour_spans(a, 4), full_b)
+        (bound,) = _sym_diff_bound(a.vertices, b.vertices[None], 4)
+        exact = polygon_iou(a, b, 4)
+        assert 0.8 <= 1.0 - bound / contour_spans(a, 4).count <= exact
 
-    def test_spans_iou_refuses_sampled_records(self):
-        sampled = _spans_many([UNIT_SQUARE], 4, 3)[0]
-        full = contour_spans(UNIT_SQUARE, 4)
-        for pair in ((sampled, full), (full, sampled)):
-            with pytest.raises(ValueError, match="every row"):
-                spans_iou(*pair)
+    def test_each_edge_pays_for_a_sample_it_may_sweep(self):
+        # a 0.1 px triangle moved off the one sample it holds: its hulls have
+        # almost no area or extent, and the + 1 per edge counts the sample
+        k = np.array([[0.45, 0.45], [0.55, 0.45], [0.5, 0.55]])
+        c = k + [0.1, 0.0]
+        a, b = contour_spans_many([Contour(k), Contour(c)], 1)
+        assert a.count == 1 and b.count == 0
+        assert _sym_diff_bound(k, c[None], 1)[0] >= 1
+
+    def test_one_array_operation_bounds_many_candidates(self, rng):
+        k = star_shaped(rng, m=12, center=(30.0, 30.0), rmin=8, rmax=12).vertices
+        cands = k + rng.normal(0.0, 0.5, (5, 12, 2))
+        got = _sym_diff_bound(k, cands, 3)
+        assert got.shape == (5,)
+        assert got.tolist() == [_sym_diff_bound(k, c[None], 3)[0] for c in cands]
 
 
 class TestVertexRemovalDelta:
