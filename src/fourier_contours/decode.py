@@ -7,8 +7,10 @@ vector after adding the cell center back onto c_0.  Candidates from all
 levels are pooled and reduced by greedy polygon non-maximum suppression.
 
 Everything is ordered: cells are visited row-major, levels in their declared
-order, and all ties break toward the earlier origin, so output is the same
-byte-for-byte on every run.
+order, and all score ties break toward the earlier level, then the earlier
+cell, so output is the same byte-for-byte on every run.  Candidates stay one
+(M, n, 2) array from the series evaluation through NMS; only the kept ones
+become Detection objects.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ class Detection:
     contour: Contour
     score: float
     level: str = ""
-    # (level rank, row-major cell index): the deterministic tie-break key
-    origin: tuple[int, int] = (0, 0)
 
 
 def score_map(tr_prob: np.ndarray, tcr_prob: np.ndarray) -> np.ndarray:
@@ -121,9 +121,9 @@ def decode_level(
     pred: LevelPrediction,
     score_thresh: float = DEFAULT_SCORE_THRESH,
     n_points: int = DEFAULT_RECON_POINTS,
-    level_rank: int = 0,
-) -> list[Detection]:
-    """Candidate contours of one level, in row-major cell order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate contours of one level as (points, scores): points is
+    (M, n_points, 2) and scores (M,), both in row-major cell order.
 
     The level's map covers an image of (W * stride) x (H * stride) px.  A
     candidate whose bounding box reaches past it by more than _CANDIDATE_MARGIN
@@ -133,8 +133,6 @@ def decode_level(
         raise ValueError(f"score threshold must lie in (0, 1), got {score_thresh}")
     scores = score_map(pred.tr_prob, pred.tcr_prob)
     iy, ix = np.nonzero(scores >= score_thresh)  # np.nonzero is row-major
-    if iy.size == 0:
-        return []
     flat = pred.regression[:, iy, ix].T  # (M, C)
     coeffs = flat_to_coeffs(flat)
     deg = pred.degree
@@ -151,39 +149,34 @@ def decode_level(
             f"more than {_CANDIDATE_MARGIN:g} image side past the "
             f"{width * pred.stride} x {height * pred.stride} px image"
         )
-    out = []
-    for row in range(iy.size):
-        contour = Contour(np.stack([pts[row].real, pts[row].imag], axis=1))
-        cell = int(iy[row]) * width + int(ix[row])
-        out.append(
-            Detection(
-                contour=contour,
-                score=float(scores[iy[row], ix[row]]),
-                level=pred.name,
-                origin=(level_rank, cell),
-            )
-        )
-    return out
+    return np.stack([pts.real, pts.imag], axis=-1), scores[iy, ix]
 
 
 def poly_nms(
-    detections,
+    points,
+    scores,
     iou_thresh: float = DEFAULT_NMS_IOU,
     supersample: int = DEFAULT_SUPERSAMPLE,
-) -> list[Detection]:
-    """Greedy polygon NMS.
+) -> list[int]:
+    """Greedy polygon NMS over candidates points (M, n, 2) with scores (M,):
+    the indices of the kept candidates, in visit order.
 
-    Candidates are visited by descending score, ties broken by earlier
-    origin; one is kept iff its polygon_iou with every already-kept contour
+    Candidates are visited by descending score, ties broken by the earlier
+    index; one is kept iff its polygon_iou with every already-kept contour
     is strictly below the threshold.  Pairs with disjoint bounding boxes
     have IoU 0 and are skipped.  geometry._greedy_nms decides which are
     kept, proving most suppressions from the candidates' matching vertices.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
-    ordered = sorted(detections, key=lambda d: (-d.score, d.origin))
-    kept = _greedy_nms([d.contour for d in ordered], iou_thresh, supersample)
-    return [ordered[i] for i in kept]
+    points = np.asarray(points, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
+        raise ValueError(f"candidate points must be an (M, n >= 3, 2) array, got shape {points.shape}")
+    if scores.shape != points.shape[:1]:
+        raise ValueError(f"scores must be an ({points.shape[0]},) array, got shape {scores.shape}")
+    order = np.argsort(-scores, kind="stable")
+    return order[_greedy_nms(points[order], iou_thresh, supersample)].tolist()
 
 
 def decode_all(
@@ -193,11 +186,17 @@ def decode_all(
     n_points: int = DEFAULT_RECON_POINTS,
     supersample: int = DEFAULT_SUPERSAMPLE,
 ) -> list[Detection]:
-    """Decode every level, then suppress across the pooled candidate list, so
-    the same instance seen at two strides yields a single detection."""
-    candidates: list[Detection] = []
-    for rank, pred in enumerate(maps.levels.values()):
-        candidates.extend(
-            decode_level(pred, score_thresh=score_thresh, n_points=n_points, level_rank=rank)
-        )
-    return poly_nms(candidates, iou_thresh=nms_iou, supersample=supersample)
+    """Decode every level, then suppress across the pooled candidates, so the
+    same instance seen at two strides yields a single detection.  The pool
+    runs level by level in declared order, each level row-major, so equal
+    scores go to the earlier level, then the earlier cell."""
+    found = [decode_level(pred, score_thresh, n_points) for pred in maps.levels.values()]
+    if not found:
+        return []
+    points, scores = (np.concatenate(arrays) for arrays in zip(*found))
+    names = list(maps.levels)
+    rank = np.repeat(np.arange(len(names)), [len(sc) for _, sc in found])
+    return [
+        Detection(Contour(points[i]), float(scores[i]), names[rank[i]])
+        for i in poly_nms(points, scores, nms_iou, supersample)
+    ]

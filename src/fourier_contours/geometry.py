@@ -310,18 +310,17 @@ def shrink_polygon(c: Contour, factor: float) -> Contour:
     normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
     anchors = a + normals * d
 
-    m = v.shape[0]
-    out = np.empty_like(v)
-    for i in range(m):
-        j = (i - 1) % m
-        dp, dc = dirs[j], dirs[i]
-        cross = dp[0] * dc[1] - dp[1] * dc[0]
-        if abs(cross) < 1e-12:
-            out[i] = v[i] + normals[i] * d  # collinear neighbours share the line
-        else:
-            w = anchors[i] - anchors[j]
-            s = (w[0] * dc[1] - w[1] * dc[0]) / cross
-            out[i] = anchors[j] + s * dp
+    # vertex i joins the offset lines of edges i - 1 (p) and i, each float64
+    # operation the one a per-vertex evaluation makes
+    dp, ap = np.roll(dirs, 1, axis=0), np.roll(anchors, 1, axis=0)
+    cross = dp[:, 0] * dirs[:, 1] - dp[:, 1] * dirs[:, 0]
+    w = anchors - ap
+    # rows with parallel neighbours divide by ~0; np.where drops them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (w[:, 0] * dirs[:, 1] - w[:, 1] * dirs[:, 0]) / cross
+        joined = ap + s[:, None] * dp
+    # collinear neighbours share the line
+    out = np.where((np.abs(cross) < 1e-12)[:, None], v + normals * d, joined)
 
     new_area = _signed_area(out)
     # NaN vertices fail the area test, so they never reach the containment test
@@ -645,43 +644,38 @@ def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
     return (s * s * (area + 2 * r * width) + s * width + 1).sum(axis=1) * (1 + 2.0**-20)
 
 
-def _greedy_nms(contours, iou_thresh: float, supersample: int) -> list[int]:
-    """Indices, in the given order, of the contours greedy NMS keeps: each is
-    kept iff its spans_iou with every kept one is below iou_thresh.
+def _greedy_nms(points: np.ndarray, iou_thresh: float, supersample: int) -> list[int]:
+    """Indices, in the given order, of the candidates greedy NMS keeps, from
+    their vertex arrays points (M, n, 2): each is kept iff its spans_iou with
+    every kept one is below iou_thresh.
 
     A newly kept k bounds, in one _sym_diff_bound call, every later live
-    contour c of its vertex count whose box meets its own, and suppresses c
-    unrasterized where D <= (1 - iou_thresh) |k|: with d1 samples of k
-    outside c and d2 of c outside k, d1 + d2 <= D, the IoU (|k| - d1) / (|k|
-    + d2) is at least 1 - D / |k|.  A contour still live at its turn gets its
-    contour_spans record and the exact test against the kept contours whose
-    boxes meet its own.
+    candidate c whose box meets its own, and suppresses c unrasterized where
+    D <= (1 - iou_thresh) |k|: with d1 samples of k outside c and d2 of c
+    outside k, d1 + d2 <= D, the IoU (|k| - d1) / (|k| + d2) is at least
+    1 - D / |k|.  A candidate still live at its turn gets its contour_spans
+    record and the exact test against the kept contours whose boxes meet its
+    own.
     """
-    verts = [np.asarray(c.vertices) for c in contours]
-    if not verts:
-        return []
-    sizes = np.array([v.shape[0] for v in verts])
-    vstart = np.cumsum(sizes) - sizes
-    a = np.concatenate(verts)
-    boxes = np.concatenate([np.minimum.reduceat(a, vstart), np.maximum.reduceat(a, vstart)], axis=1)
+    boxes = np.concatenate([points.min(axis=1), points.max(axis=1)], axis=1)
 
     def meets(idx, i):
         b, (x0, y0, x1, y1) = boxes[idx], boxes[i]
         return (b[:, 2] > x0) & (x1 > b[:, 0]) & (b[:, 3] > y0) & (y1 > b[:, 1])
 
-    live = np.ones(len(verts), dtype=bool)
+    live = np.ones(len(points), dtype=bool)
     kept: dict[int, ContourSpans] = {}  # kept index -> its record
-    for i in range(len(verts)):
+    for i in range(len(points)):
         if not live[i]:
             continue
         idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
-        rec = contour_spans(contours[i], supersample)
+        rec = contour_spans(Contour(points[i]), supersample)
         if any(spans_iou(rec, kept[j]) >= iou_thresh for j in idx[meets(idx, i)].tolist()):
             continue
         kept[i] = rec
         later = slice(i + 1, None)
-        pos = i + 1 + np.flatnonzero((sizes[later] == sizes[i]) & live[later] & meets(later, i))
-        bound = _sym_diff_bound(verts[i], a[vstart[pos, None] + np.arange(sizes[i])], rec.supersample)
+        pos = i + 1 + np.flatnonzero(live[later] & meets(later, i))
+        bound = _sym_diff_bound(points[i], points[pos], rec.supersample)
         live[pos[bound <= (1 - iou_thresh) * rec.count]] = False
     return list(kept)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from fourier_contours import (
     Contour,
-    Detection,
     LevelPrediction,
     PredictionMaps,
     curved_subset_select,
@@ -347,16 +346,16 @@ def _ohem_brute(losses, positive, ratio=3):
     )
 
 
-def _nms_brute(dets, thresh, supersample):
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].origin))
+def _nms_brute(points, scores, thresh, supersample):
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     kept = []
     for i in order:
         if all(
-            polygon_iou(dets[i].contour, dets[j].contour, supersample) < thresh
+            polygon_iou(Contour(points[i]), Contour(points[j]), supersample) < thresh
             for j in kept
         ):
             kept.append(i)
-    return [dets[i] for i in kept]
+    return kept
 
 
 def _square(x, y, side):
@@ -390,18 +389,16 @@ def test_09_mining_and_suppression_rules():
     scores = [0.3, 0.5, 0.5, 0.7, 0.9, 1.0]
     for n in range(1, 7):
         for _ in range(60):
-            dets = []
-            for idx in range(n):
+            points, drawn = [], []
+            for _ in range(n):
                 x = float(rng.integers(0, 5)) * 4.0
                 y = float(rng.integers(0, 3)) * 4.0
                 side = float(rng.integers(2, 4)) * 4.0
-                score = scores[int(rng.integers(len(scores)))]
-                dets.append(
-                    Detection(_square(x, y, side), score, "P3", (0, idx))
-                )
-            got = poly_nms(dets, iou_thresh=0.4, supersample=2)
-            want = _nms_brute(dets, 0.4, 2)
-            if [d.origin for d in got] != [d.origin for d in want]:
+                points.append(_square(x, y, side).vertices)
+                drawn.append(scores[int(rng.integers(len(scores)))])
+            points, drawn = np.array(points), np.array(drawn)
+            got = poly_nms(points, drawn, iou_thresh=0.4, supersample=2)
+            if got != _nms_brute(points, drawn, 0.4, 2):
                 nms_ok = False
     _verdict(9, "mining and suppression rules", ok and nms_ok)
 

@@ -171,6 +171,16 @@ class TestFidelity:
         body = (svg_dir / names[0]).read_text(encoding="utf-8")
         assert "#00a000" in body and "#d00000" in body
 
+    def test_median_does_not_import_numpy_ma(self, corpus, tmp_path):
+        # np.median's first call imports numpy.ma, some 14 ms a process
+        script = (
+            "import sys; from fourier_contours.cli import main; "
+            f"code = main(['fidelity', {str(corpus)!r}, '-o', {str(tmp_path / 'f.csv')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
     def test_degree_errors(self, corpus, capsys):
         code, _, _ = run(["fidelity", str(corpus), "--degrees", "0"], capsys)
         assert code == 3
@@ -391,6 +401,15 @@ class TestTargetsDecodeLossEval:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
         assert str(pred / "img-a") in err
+
+    def test_decode_of_no_levels_is_empty(self, target_dir, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        shutil.copytree(target_dir, maps)
+        for img_dir in maps.iterdir():
+            path = img_dir / "meta.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "levels": []}), encoding="utf-8")
+        code, out, err = run(["decode", "--maps-dir", str(maps)], capsys)
+        assert (code, out, err) == (0, "", "")
 
     def test_decode_missing_dir(self, tmp_path, capsys):
         code, _, _ = run(["decode", "--maps-dir", str(tmp_path / "nope")], capsys)
@@ -878,3 +897,87 @@ class TestMalformedAnnotations:
         assert code == 2 and out == ""
         assert err.startswith(f"error: line 1: width and height must lie in 1..{MAX_IMAGE_SIDE}")
         assert peak < 16 * 2**20
+
+
+# strategies for what can be wrong with a map directory: a meta.json field,
+# a level entry's field, a .fct header word, a truncated or overwritten payload
+ANY_VALUE = st.one_of(
+    st.integers(-(2**40), 2**40), st.floats(), st.text(max_size=4), st.booleans(), st.none(),
+    st.lists(st.integers(-4, 64), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+MISSING = "<missing>"
+TENSOR = st.tuples(st.sampled_from(["P3", "P4", "P5"]), st.sampled_from(["tr", "tcr", "reg", "care"])).map(
+    lambda lk: f"{lk[0]}_{lk[1]}.fct"
+)
+MAP_MUTATION = st.one_of(
+    st.tuples(st.just("meta"), st.sampled_from(["image_id", "width", "height", "k", "n", "levels", "skipped"]),
+              st.one_of(st.just(MISSING), ANY_VALUE)),
+    st.tuples(st.just("level"), st.integers(0, 2), st.sampled_from(["name", "stride", "height", "width"]),
+              st.one_of(st.just(MISSING), ANY_VALUE)),
+    st.tuples(st.just("header"), TENSOR, st.integers(0, 3), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("truncate"), TENSOR, st.floats(0.0, 1.0)),
+    st.tuples(st.just("payload"), TENSOR, st.floats(0.0, 1.0), st.binary(min_size=4, max_size=4)),
+)
+
+
+def _mutate_maps(img_dir: Path, mutation) -> None:
+    kind, *rest = mutation
+    if kind in ("meta", "level"):
+        path = img_dir / "meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        entry = meta if kind == "meta" else meta["levels"][rest.pop(0)]
+        key, value = rest
+        if value == MISSING:
+            entry.pop(key)
+        else:
+            entry[key] = value
+        path.write_text(json.dumps(meta), encoding="utf-8")
+        return
+    path = img_dir / rest[0]
+    blob = bytearray(path.read_bytes())
+    if kind == "header":  # word 0 is the magic, 1 the rank, then the dims
+        struct.pack_into("<I", blob, 4 * rest[1], rest[2])
+    elif kind == "truncate":
+        del blob[int(rest[1] * len(blob)):]
+    else:
+        start = 8 + 4 * struct.unpack_from("<I", blob, 4)[0]
+        at = start + 4 * int(rest[1] * ((len(blob) - start) // 4 - 1))
+        blob[at:at + 4] = rest[2]
+    path.write_bytes(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def valid_maps(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "ann.jsonl").write_text(
+        _rect_record("img-a", [_inst(RECT_A, "t0"), _inst(RECT_B, "t1")]) + "\n", encoding="utf-8"
+    )
+    assert main(["targets", str(root / "ann.jsonl"), "--out-dir", str(root / "gt")]) == 0
+    return root / "gt"
+
+
+class TestMalformedMaps:
+    @settings(max_examples=120, deadline=None)
+    @given(mutation=MAP_MUTATION)
+    def test_any_bad_map_is_exit_0_2_or_3(self, mutation, valid_maps):
+        with tempfile.TemporaryDirectory() as name:
+            bad = Path(name) / "bad"
+            shutil.copytree(valid_maps, bad)
+            _mutate_maps(bad / "img-a", mutation)
+            for argv in (
+                ["decode", "--maps-dir", str(bad), "-o", str(Path(name) / "dets.jsonl")],
+                ["loss", "--gt-dir", str(valid_maps), "--pred-dir", str(bad), "-o", str(Path(name) / "l.json")],
+                ["loss", "--gt-dir", str(bad), "--pred-dir", str(valid_maps), "-o", str(Path(name) / "l.json")],
+            ):
+                err = io.StringIO()
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code in (0, 2, 3), (argv[0], mutation)
+                assert code == 0 or "error:" in err.getvalue(), (argv[0], mutation, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                assert peak < 16 * 2**20, (argv[0], mutation, peak)

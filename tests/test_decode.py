@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fourier_contours import (
     ChannelCountMismatch,
     Contour,
-    Detection,
     LevelPrediction,
     PredictionMaps,
     ShapeMismatch,
@@ -17,7 +16,6 @@ from fourier_contours import (
     embed,
     poly_nms,
     polygon_iou,
-    reconstruct,
     recenter,
     score_map,
 )
@@ -75,13 +73,10 @@ class TestDecodeLevel:
     def test_recovers_instance_from_hot_cell(self):
         poly = square(64, 72, 30)
         lp = level_for(poly, hot=(9, 8))
-        dets = decode_level(lp)
-        assert len(dets) == 1
-        det = dets[0]
-        assert det.score == 1.0
-        assert det.level == "P3"
-        assert polygon_iou(poly, det.contour, 8) > 0.95
-        assert len(det.contour) == 50
+        points, scores = decode_level(lp)
+        assert points.shape == (1, 50, 2)
+        assert scores.tolist() == [1.0]
+        assert polygon_iou(poly, Contour(points[0]), 8) > 0.95
 
     def test_threshold_is_inclusive(self):
         poly = square(64, 64, 20)
@@ -89,23 +84,32 @@ class TestDecodeLevel:
         weak = LevelPrediction(
             "P3", 8, lp.tr_prob * 0.6, lp.tcr_prob * 0.5, lp.regression
         )
-        assert len(decode_level(weak, score_thresh=0.3)) == 1  # 0.30 == 0.30
-        assert len(decode_level(weak, score_thresh=0.31)) == 0
+        assert len(decode_level(weak, score_thresh=0.3)[1]) == 1  # 0.30 == 0.30
+        assert len(decode_level(weak, score_thresh=0.31)[1]) == 0
 
     def test_candidates_in_row_major_order(self):
-        poly = square(64, 64, 20)
+        # each cell regresses the same square about its own center, with its
+        # own score, so both arrays show which cell each candidate came from
+        poly = square(0, 0, 20)
         k = 5
         tr = np.zeros((16, 16))
-        tcr = np.zeros((16, 16))
+        tcr = np.ones((16, 16))
         reg = np.zeros((22, 16, 16))
         cells = [(2, 9), (5, 1), (5, 12), (11, 3)]
-        for iy, ix in cells:
-            tr[iy, ix] = 1.0
-            tcr[iy, ix] = 1.0
-            reg[:, iy, ix] = recenter(embed(poly, k), ((ix + 0.5) * 8, (iy + 0.5) * 8)).flat
+        for score, (iy, ix) in zip([0.6, 0.9, 0.7, 0.8], cells):
+            tr[iy, ix] = score
+            reg[:, iy, ix] = embed(poly, k).flat
         lp = LevelPrediction("P3", 8, tr, tcr, reg)
-        dets = decode_level(lp, level_rank=2)
-        assert [d.origin for d in dets] == [(2, iy * 16 + ix) for iy, ix in cells]
+        points, scores = decode_level(lp)
+        assert scores.tolist() == [0.6, 0.9, 0.7, 0.8]
+        centers = [((ix + 0.5) * 8, (iy + 0.5) * 8) for iy, ix in cells]
+        assert np.allclose(points.mean(axis=1), centers)
+
+    def test_no_candidates(self):
+        lp = level_for(square(64, 64, 20))
+        cold = LevelPrediction("P3", 8, lp.tr_prob * 0.1, lp.tcr_prob, lp.regression)
+        points, scores = decode_level(cold, n_points=17)
+        assert points.shape == (0, 17, 2) and scores.shape == (0,)
 
     def test_score_thresh_range_validated(self):
         lp = level_for(square(64, 64, 20))
@@ -115,59 +119,72 @@ class TestDecodeLevel:
 
     def test_reconstruction_count_parameter(self):
         lp = level_for(square(64, 64, 20))
-        dets = decode_level(lp, n_points=17)
-        assert len(dets[0].contour) == 17
+        points, _ = decode_level(lp, n_points=17)
+        assert points.shape == (1, 17, 2)
 
 
-def brute_nms(dets, thresh, supersample):
-    """Direct transcription of the rule: visit by descending score (origin
-    breaks ties), keep when IoU with every kept polygon is below threshold."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].origin))
+def candidates(contours, scores):
+    """poly_nms's input: the contours' vertex arrays stacked, and the scores."""
+    return np.stack([c.vertices for c in contours]), np.array(scores, dtype=np.float64)
+
+
+def brute_nms(points, scores, thresh, supersample):
+    """Direct transcription of the rule: visit by descending score (the
+    earlier index breaks ties), keep when IoU with every kept polygon is
+    below threshold."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     kept = []
     for i in order:
         ok = True
         for j in kept:
-            if polygon_iou(dets[i].contour, dets[j].contour, supersample) >= thresh:
+            if polygon_iou(Contour(points[i]), Contour(points[j]), supersample) >= thresh:
                 ok = False
                 break
         if ok:
             kept.append(i)
-    return [dets[i] for i in kept]
+    return kept
 
 
 class TestPolyNms:
     def test_keeps_highest_scored_of_cluster(self):
-        a = Detection(contour=square(50, 50, 20), score=0.9, origin=(0, 0))
-        b = Detection(contour=square(52, 50, 20), score=0.8, origin=(0, 1))
-        c = Detection(contour=square(150, 150, 20), score=0.7, origin=(0, 2))
-        kept = poly_nms([a, b, c], 0.1)
-        assert [d.score for d in kept] == [0.9, 0.7]
+        points, scores = candidates(
+            [square(50, 50, 20), square(52, 50, 20), square(150, 150, 20)], [0.9, 0.8, 0.7]
+        )
+        assert poly_nms(points, scores, 0.1) == [0, 2]
 
-    def test_tie_broken_by_origin(self):
-        a = Detection(contour=square(50, 50, 20), score=0.8, origin=(1, 7))
-        b = Detection(contour=square(51, 50, 20), score=0.8, origin=(0, 3))
-        kept = poly_nms([a, b], 0.1)
-        assert len(kept) == 1
-        assert kept[0].origin == (0, 3)
+    def test_kept_in_visit_order(self):
+        points, scores = candidates([square(50, 50, 20), square(150, 150, 20)], [0.5, 0.9])
+        assert poly_nms(points, scores, 0.1) == [1, 0]
+
+    def test_tie_broken_by_pooled_order(self):
+        a, b = square(50, 50, 20), square(51, 50, 20)
+        assert poly_nms(*candidates([a, b], [0.8, 0.8]), 0.1) == [0]
+        assert poly_nms(*candidates([b, a], [0.8, 0.8]), 0.1) == [0]
 
     def test_exhaustive_small_cases_match_brute_force(self, rng):
         for trial in range(120):
             n = int(rng.integers(1, 7))
-            dets = []
-            for i in range(n):
+            contours, scores = [], []
+            for _ in range(n):
                 cx = float(rng.integers(30, 90))
                 cy = float(rng.integers(30, 90))
                 half = float(rng.integers(8, 25))
-                score = float(rng.choice([0.4, 0.6, 0.6, 0.8, 0.9]))
-                dets.append(
-                    Detection(contour=square(cx, cy, half), score=score, origin=(0, i))
-                )
-            got = poly_nms(dets, 0.1, supersample=2)
-            want = brute_nms(dets, 0.1, supersample=2)
-            assert [d.origin for d in got] == [d.origin for d in want], trial
+                contours.append(square(cx, cy, half))
+                scores.append(float(rng.choice([0.4, 0.6, 0.6, 0.8, 0.9])))
+            points, scores = candidates(contours, scores)
+            got = poly_nms(points, scores, 0.1, supersample=2)
+            assert got == brute_nms(points, scores, 0.1, supersample=2), trial
 
     def test_empty_input(self):
-        assert poly_nms([], 0.1) == []
+        assert poly_nms(np.empty((0, 4, 2)), np.empty(0), 0.1) == []
+
+    @pytest.mark.parametrize(
+        "points_shape, scores_shape",
+        [((4, 2), (4,)), ((2, 2, 2), (2,)), ((2, 4, 3), (2,)), ((2, 4, 2), (3,)), ((2, 4, 2), (2, 1))],
+    )
+    def test_rejects_malformed_arrays(self, points_shape, scores_shape):
+        with pytest.raises(ValueError):
+            poly_nms(np.zeros(points_shape), np.full(scores_shape, 0.5), 0.1)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -186,41 +203,43 @@ class TestPolyNms:
         thresh=st.sampled_from([0.05, 0.1, 0.5]),
     )
     def test_span_cache_matches_brute_force(self, shapes, supersample, thresh):
-        dets = []
-        for i, (kind, size, snap, score, seed) in enumerate(shapes):
+        contours, scores = [], []
+        for kind, size, snap, score, seed in shapes:
             rng = np.random.default_rng(seed)
             cx, cy = rng.uniform(30.0, 60.0, size=2)
+            # 18 vertices each, as decoded candidates all have n_prime
             if kind == "star":
-                pts = star_shaped(rng, center=(cx, cy), rmin=size / 4, rmax=size).vertices
+                pts = star_shaped(rng, m=18, center=(cx, cy), rmin=size / 4, rmax=size).vertices
             else:
                 pts = ribbon(cx, cy, 2 * size, size / 3, size * rng.uniform(0.0, 0.3),
                              phase=rng.uniform(0.0, 6.3), points_per_edge=9).vertices
             if snap:
                 pts = np.round(pts * snap) / snap
-            dets.append(Detection(contour=Contour(pts), score=score, origin=(0, i)))
-        got = poly_nms(dets, thresh, supersample=supersample)
-        want = brute_nms(dets, thresh, supersample)
-        assert [d.origin for d in got] == [d.origin for d in want]
+            contours.append(Contour(pts))
+            scores.append(score)
+        points, scores = candidates(contours, scores)
+        got = poly_nms(points, scores, thresh, supersample=supersample)
+        assert got == brute_nms(points, scores, thresh, supersample)
 
 
 def jittered_candidates(rng, instances, copies, jitter):
-    """`copies` candidates per instance, as a noisy regressor gives them:
-    each instance a star or a ribbon, each candidate its vertices plus
-    N(0, jitter * size) noise, with repeated scores."""
-    dets = []
-    for n in range(instances):
+    """(points, scores) of `copies` candidates per instance, as a noisy
+    regressor gives them: each instance a 16-vertex star or ribbon, each
+    candidate its vertices plus N(0, jitter * size) noise, with repeated
+    scores."""
+    points, scores = [], []
+    for _ in range(instances):
         size = float(rng.choice([4.0, 12.0, 30.0]))
         cx, cy = rng.uniform(20.0, 90.0, size=2)
         if rng.random() < 0.5:
-            base = star_shaped(rng, center=(cx, cy), rmin=size / 2, rmax=size).vertices
+            base = star_shaped(rng, m=16, center=(cx, cy), rmin=size / 2, rmax=size).vertices
         else:
             base = ribbon(cx, cy, 2 * size, size / 2, size * 0.2, phase=rng.uniform(0, 6),
                           points_per_edge=8).vertices
-        for c in range(copies):
-            pts = base + rng.normal(0.0, jitter * size, base.shape)
-            score = float(rng.choice([0.5, 0.7, 0.7, 0.9]))
-            dets.append(Detection(contour=Contour(pts), score=score, origin=(n, c)))
-    return dets
+        for _ in range(copies):
+            points.append(base + rng.normal(0.0, jitter * size, base.shape))
+            scores.append(float(rng.choice([0.5, 0.7, 0.7, 0.9])))
+    return np.array(points), np.array(scores)
 
 
 class TestFilterAndRefine:
@@ -239,49 +258,46 @@ class TestFilterAndRefine:
     def test_matches_brute_force_on_dense_candidates(
         self, seed, instances, copies, jitter, supersample, thresh
     ):
-        dets = jittered_candidates(np.random.default_rng(seed), instances, copies, jitter)
-        got = poly_nms(dets, thresh, supersample=supersample)
-        want = brute_nms(dets, thresh, supersample)
-        assert [d.origin for d in got] == [d.origin for d in want]
+        points, scores = jittered_candidates(np.random.default_rng(seed), instances, copies, jitter)
+        got = poly_nms(points, scores, thresh, supersample=supersample)
+        assert got == brute_nms(points, scores, thresh, supersample)
 
     def test_only_kept_candidates_are_rasterized_in_full(self):
         rng = np.random.default_rng(5)
-        dets = []
-        for n, center in enumerate([(30.0, 30.0), (90.0, 30.0), (60.0, 90.0)]):
+        points, scores = [], []
+        for center in [(30.0, 30.0), (90.0, 30.0), (60.0, 90.0)]:
             base = square(*center, 20.0).vertices
-            dets += [
-                Detection(Contour(base + rng.normal(0.0, 0.3, base.shape)), 0.9 - 0.01 * c, origin=(n, c))
-                for c in range(20)
-            ]
+            points += [base + rng.normal(0.0, 0.3, base.shape) for _ in range(20)]
+            scores += [0.9 - 0.01 * c for c in range(20)]
         with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full:
-            kept = poly_nms(dets, 0.1)
-        assert [d.origin for d in kept] == [(0, 0), (1, 0), (2, 0)]
+            kept = poly_nms(np.array(points), np.array(scores), 0.1)
+        assert kept == [0, 20, 40]
         assert full.call_count == 3
 
     @pytest.mark.parametrize("thresh", [0.1, 0.5, 0.7])
     def test_rasterizes_the_candidates_the_bound_leaves(self, thresh):
         """contour_spans runs once for each candidate that no earlier kept
         contour's vertex bound suppresses, in visit order, and for no other."""
-        dets = jittered_candidates(np.random.default_rng(11), 4, 10, 0.05)
-        dets.append(Detection(square(60.0, 60.0, 25.0), 0.5, origin=(9, 0)))  # 4 vertices
+        points, scores = jittered_candidates(np.random.default_rng(11), 4, 10, 0.05)
         with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full:
-            kept = poly_nms(dets, thresh)
-        assert [d.origin for d in kept] == [d.origin for d in brute_nms(dets, thresh, 4)]
-        ordered = sorted(dets, key=lambda d: (-d.score, d.origin))
-        rank = {d.origin: i for i, d in enumerate(ordered)}
+            kept = poly_nms(points, scores, thresh)
+        assert kept == brute_nms(points, scores, thresh, 4)
+        order = np.argsort(-scores, kind="stable").tolist()
+        rank = {i: r for r, i in enumerate(order)}
         left = [
             i
-            for i, d in enumerate(ordered)
+            for i in order
             if not any(
-                rank[k.origin] < i
-                and len(k.contour) == len(d.contour)
-                and geometry._sym_diff_bound(k.contour.vertices, d.contour.vertices[None], 4)[0]
-                <= (1 - thresh) * geometry.contour_spans(k.contour, 4).count
+                rank[k] < rank[i]
+                and geometry._sym_diff_bound(points[k], points[i][None], 4)[0]
+                <= (1 - thresh) * geometry.contour_spans(Contour(points[k]), 4).count
                 for k in kept
             )
         ]
-        assert [id(call.args[0]) for call in full.call_args_list] == [id(ordered[i].contour) for i in left]
-        assert 0 < len(left) < len(dets)
+        rasterized = [call.args[0].vertices for call in full.call_args_list]
+        assert len(rasterized) == len(left)
+        assert all(np.array_equal(v, points[i]) for v, i in zip(rasterized, left))
+        assert 0 < len(left) < len(scores)
 
 
 class TestDecodeAll:
@@ -294,7 +310,7 @@ class TestDecodeAll:
         maps.levels["P4"] = p4
         dets = decode_all(maps)
         assert len(dets) == 1
-        # equal scores: the earlier-declared level wins via origin rank
+        # equal scores: the earlier-declared level comes first in the pool
         assert dets[0].level == "P3"
 
     def test_separate_instances_survive(self):
@@ -322,6 +338,13 @@ class TestDecodeAll:
         lp = level_for(poly, hot=(8, 8))
         det = decode_all_single(lp)
         assert polygon_iou(poly, det.contour, 8) >= 0.99
+
+    def test_kept_candidates_become_detections(self):
+        det = decode_all_single(level_for(square(64, 72, 30), name="P4", hot=(9, 8)))
+        assert (det.score, det.level, len(det.contour)) == (1.0, "P4", 50)
+
+    def test_no_levels(self):
+        assert decode_all(PredictionMaps("img", 128, 128)) == []
 
 
 def decode_all_single(lp):

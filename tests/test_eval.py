@@ -17,8 +17,8 @@ def square(cx, cy, half):
     )
 
 
-def det(cx, cy, half, score, idx=0):
-    return Detection(contour=square(cx, cy, half), score=score, origin=(0, idx))
+def det(cx, cy, half, score):
+    return Detection(contour=square(cx, cy, half), score=score)
 
 
 def gt(cx, cy, half, ignore=False, id=""):
@@ -61,14 +61,14 @@ class TestEvaluate:
 
     def test_one_to_one_matching(self):
         # two detections on one GT: second becomes a false positive
-        dets = [det(50, 50, 20, 0.9, 0), det(51, 50, 20, 0.8, 1)]
+        dets = [det(50, 50, 20, 0.9), det(51, 50, 20, 0.8)]
         report = evaluate(dets, [gt(50, 50, 20, id="g0")])
         assert (report.tp, report.fp, report.fn) == (1, 1, 0)
         assert report.matches[0].det_index == 0
 
     def test_score_order_priority(self):
         # lower-scored detection fits better but the higher one claims first
-        dets = [det(54, 50, 20, 0.95, 0), det(50, 50, 20, 0.60, 1)]
+        dets = [det(54, 50, 20, 0.95), det(50, 50, 20, 0.60)]
         report = evaluate(dets, [gt(50, 50, 20, id="g0")], iou_thresh=0.5)
         assert report.matches[0].det_index == 0
         assert (report.tp, report.fp) == (1, 1)
@@ -132,7 +132,6 @@ class TestEvaluate:
                     float(rng.integers(20, 200)),
                     float(rng.integers(5, 25)),
                     float(rng.random()),
-                    i,
                 )
                 for i in range(n_det)
             ]

@@ -354,6 +354,62 @@ class TestShrink:
         ctr = contour_center(Contour(v))
         assert np.allclose(sh.vertices, np.array(ctr) + 0.7 * (v - np.array(ctr)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shapes(),
+        st.sampled_from(["free", "grid", "coarse", "nudged"]),
+        st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    )
+    def test_matches_scalar(self, units, snap, factor):
+        # snapping makes collinear neighbours, repeated vertices and zero areas;
+        # nudging the snapped vertices by ~1e-12 puts neighbour crosses on both
+        # sides of the 1e-12 collinearity cut
+        grid = np.round(units / 4)
+        v = {"free": units, "grid": grid, "coarse": np.round(units / 8), "nudged": grid + 1e-12 * units}[snap]
+        try:
+            want = scalar_shrink(Contour(v), factor)
+        except Exception as exc:  # the same exception, or the same vertices
+            with pytest.raises(type(exc)):
+                shrink_polygon(Contour(v), factor)
+        else:
+            assert np.array_equal(shrink_polygon(Contour(v), factor).vertices, want, equal_nan=True)
+
+
+def scalar_shrink(c, factor):
+    """Scalar reference for shrink_polygon: the offset rebuild one vertex at
+    a time, the rest as shrink_polygon does it."""
+    area = _signed_area(c.vertices)
+    if area == 0.0:
+        raise DegenerateContour("zero-area contour cannot be shrunk")
+    flip = area < 0.0
+    v = geometry._dedupe(c.vertices[::-1] if flip else np.asarray(c.vertices))
+    if v.shape[0] < 3:
+        raise DegenerateContour("fewer than 3 distinct vertices")
+    d = factor * abs(area) / math.fsum(geometry._edge_lengths(v))
+    a, b = _edges(v)
+    ev = b - a
+    ln = np.hypot(ev[:, 0], ev[:, 1])
+    dirs = ev / ln[:, None]
+    normals = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    anchors = a + normals * d
+    m = v.shape[0]
+    out = np.empty_like(v)
+    for i in range(m):
+        j = (i - 1) % m
+        dp, dc = dirs[j], dirs[i]
+        cross = dp[0] * dc[1] - dp[1] * dc[0]
+        if abs(cross) < 1e-12:
+            out[i] = v[i] + normals[i] * d
+        else:
+            w = anchors[i] - anchors[j]
+            s = (w[0] * dc[1] - w[1] * dc[0]) / cross
+            out[i] = anchors[j] + s * dp
+    new_area = _signed_area(out)
+    if not (0.0 < new_area < abs(area) and _is_simple(out) and _points_inside(v, out).all()):
+        ctr = geometry._center(v)
+        out = np.array([ctr.x, ctr.y]) + (1.0 - factor) * (v - np.array([ctr.x, ctr.y]))
+    return out[::-1] if flip else out
+
 
 def scalar_crossings(v):
     """Scalar reference for _is_simple: every pair i < j of non-adjacent
