@@ -8,6 +8,7 @@ tables them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -62,6 +63,16 @@ class Config:
         strides = [spec.stride for spec in self.levels]
         if sorted(strides) != strides or len(set(strides)) != len(strides):
             raise ConfigError(f"level strides must be strictly ascending, got {strides}")
+        names = [spec.name for spec in self.levels]
+        if len(set(names)) < len(names) or not all(re.fullmatch(r"[\w.-]+", n, re.ASCII) for n in names):
+            raise ConfigError(f"level names must be distinct file-name tokens ([A-Za-z0-9._-]+), got {names}")
+        # instance scales lie in [0, 1]; sorted by low, closed ranges chain until a gap
+        reach = 0.0
+        for spec in sorted(self.levels, key=lambda spec: spec.low):
+            reach = max(reach, spec.high) if spec.low <= reach else reach
+        if reach < 1.0:
+            end = min((spec.low for spec in self.levels if spec.low > reach), default=1.0)
+            raise ConfigError(f"level scale ranges must cover [0, 1]; no level covers {reach:g} to {end:g}")
         return self
 
     def to_dict(self) -> dict:

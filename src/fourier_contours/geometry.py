@@ -324,7 +324,12 @@ def shrink_polygon(c: Contour, factor: float) -> Contour:
 
     new_area = _signed_area(out)
     # NaN vertices fail the area test, so they never reach the containment test
-    ok = 0.0 < new_area < abs(area) and _is_simple(out) and _points_inside(v, out).all()
+    ok = 0.0 < new_area < abs(area) and _is_simple(out)
+    if ok:
+        # every rebuilt vertex inside: the grid of their distinct xs and ys
+        ux, col = np.unique(out[:, 0], return_inverse=True)
+        uy, row = np.unique(out[:, 1], return_inverse=True)
+        ok = rasterize_grid(Contour(v), ux, uy)[row, col].all()
     if not ok:
         ctr = _center(v)
         out = np.array([ctr.x, ctr.y]) + (1.0 - factor) * (v - np.array([ctr.x, ctr.y]))
@@ -377,16 +382,6 @@ def rasterize_grid(c: Contour, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     out = np.empty((ys.size, xs.size), dtype=bool)
     out[order] = diff[:, :-1] > 0
     return out
-
-
-def _points_inside(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd membership of each point of pts in v, matching _point_in: the
-    distinct xs and ys of pts are the sample grid of _row_intervals."""
-    ux, col = np.unique(pts[:, 0], return_inverse=True)
-    uy, row = np.unique(pts[:, 1], return_inverse=True)
-    lo, hi, _ = _row_intervals(*_edges(v), ux, uy)
-    col = col[:, None]
-    return ((lo[row] <= col) & (col < hi[row])).any(axis=1)
 
 
 def _crossings(

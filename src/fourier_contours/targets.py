@@ -6,7 +6,9 @@ assigned to every level whose scale range contains its relative size
 (longest bounding-box side divided by the longest image side; range ends are
 inclusive, so ranges deliberately overlap).
 
-Per assigned level an instance paints:
+Each instance is prepared once, and each level is painted once into an owner
+map: the index of the instance that owns a cell, or -1.  Every map is built
+from it.  Per assigned level an instance paints:
 
 * tr:     text region, cells whose center lies inside the polygon
 * tcr:    text center region, cells inside the inward-shrunk polygon
@@ -118,61 +120,52 @@ def generate_targets(
     n: int = DEFAULT_SAMPLES,
     shrink_factor: float = DEFAULT_SHRINK,
 ) -> TargetMaps:
-    channels = 2 * (2 * k + 1)
-    levels: dict[str, LevelTargets] = {}
-    grids: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    ignore_masks: dict[str, np.ndarray] = {}
-    for spec in specs:
-        xs, ys = _grid(spec, img.width, img.height)
-        shape = (ys.size, xs.size)
-        levels[spec.name] = LevelTargets(
-            spec=spec,
-            tr=np.zeros(shape, dtype=np.uint8),
-            tcr=np.zeros(shape, dtype=np.uint8),
-            regression=np.zeros((channels,) + shape, dtype=np.float64),
-            weight=np.zeros(shape, dtype=np.float64),
-            care=np.ones(shape, dtype=np.uint8),
-        )
-        grids[spec.name] = (xs, ys)
-        ignore_masks[spec.name] = np.zeros(shape, dtype=bool)
-
-    out = TargetMaps(img.image_id, img.width, img.height, k, levels)
-
-    for inst in img.instances:
-        if not inst.ignore:
-            continue
-        scale = instance_scale(inst.polygon, img.width, img.height)
-        for spec in assign_levels(scale, specs):
-            xs, ys = grids[spec.name]
-            ignore_masks[spec.name] |= rasterize_grid(inst.polygon, xs, ys)
-
+    out = TargetMaps(img.image_id, img.width, img.height, k, {})
+    ignored, cared, bases = [], [], []  # (polygon, levels), (polygon, levels, shrunk), signatures
     # big instances first, so smaller ones overwrite shared cells and win
-    valid = [inst for inst in img.instances if not inst.ignore]
-    order = sorted(valid, key=lambda inst: -abs(signed_area(inst.polygon)))
-    for inst in order:
+    for inst in sorted(img.instances, key=lambda inst: -abs(signed_area(inst.polygon))):
+        levels = assign_levels(instance_scale(inst.polygon, img.width, img.height), specs)
+        if inst.ignore:
+            ignored.append((inst.polygon, levels))
+            continue
         try:
-            signature = embed(inst.polygon, k=k, n=n)
+            base = embed(inst.polygon, k=k, n=n).flat
             shrunk = shrink_polygon(inst.polygon, shrink_factor)
         except GeometryError as exc:
             out.skipped.append((inst.id, str(exc)))
             continue
-        base = signature.flat
-        scale = instance_scale(inst.polygon, img.width, img.height)
-        for spec_a in assign_levels(scale, specs):
-            xs, ys = grids[spec_a.name]
-            lt = levels[spec_a.name]
-            inside = rasterize_grid(inst.polygon, xs, ys)
-            if not inside.any():
-                continue
-            center = rasterize_grid(shrunk, xs, ys) & inside
-            lt.tr[inside] = 1
-            lt.tcr[inside] = center[inside].astype(np.uint8)
-            lt.regression[:, inside] = base[:, None]
-            iy, ix = np.nonzero(inside)
-            lt.regression[2 * k, iy, ix] -= xs[ix]      # u_0 channel
-            lt.regression[2 * k + 1, iy, ix] -= ys[iy]  # v_0 channel
+        bases.append(base)
+        cared.append((inst.polygon, levels, shrunk))
+    channels = 2 * (2 * k + 1)
+    bases = np.array(bases, dtype=np.float64).reshape(-1, channels)
+
     for spec in specs:
-        lt = levels[spec.name]
-        lt.care = (~(ignore_masks[spec.name] & (lt.tr == 0))).astype(np.uint8)
-        lt.weight = np.where(lt.tr == 1, np.where(lt.tcr == 1, 1.0, 0.5), 0.0)
+        xs, ys = _grid(spec, img.width, img.height)
+        shape = (ys.size, xs.size)
+        ignore = np.zeros(shape, dtype=bool)
+        for polygon, levels in ignored:
+            if spec in levels:
+                ignore |= rasterize_grid(polygon, xs, ys)
+        owner = np.full(shape, -1, dtype=np.intp)
+        tcr = np.zeros(shape, dtype=np.uint8)
+        for i, (polygon, levels, shrunk) in enumerate(cared):
+            if spec in levels:
+                inside = rasterize_grid(polygon, xs, ys)
+                if inside.any():
+                    owner[inside] = i
+                    tcr[inside] = rasterize_grid(shrunk, xs, ys)[inside]
+        tr = (owner >= 0).astype(np.uint8)
+        iy, ix = np.nonzero(tr)
+        regression = np.zeros((channels,) + shape, dtype=np.float64)
+        regression[:, iy, ix] = bases[owner[iy, ix]].T
+        regression[2 * k, iy, ix] -= xs[ix]      # u_0 channel
+        regression[2 * k + 1, iy, ix] -= ys[iy]  # v_0 channel
+        out.levels[spec.name] = LevelTargets(
+            spec=spec,
+            tr=tr,
+            tcr=tcr,
+            regression=regression,
+            weight=np.where(tr == 1, np.where(tcr == 1, 1.0, 0.5), 0.0),
+            care=(~(ignore & (tr == 0))).astype(np.uint8),
+        )
     return out

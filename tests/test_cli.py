@@ -605,6 +605,24 @@ class TestGlobalBehavior:
         code, _, _ = run(["--set", "mystery=1", "embed", str(corpus)], capsys)
         assert code == 3
 
+    def targets_config_error(self, corpus, tmp_path, capsys, levels):
+        out_dir = tmp_path / "gt"
+        code, _, err = run(["--set", f"levels={levels}", "targets", str(corpus), "--out-dir", str(out_dir)], capsys)
+        assert code == 3 and err.startswith("config error: ") and not out_dir.exists()
+        return err
+
+    def test_duplicate_level_names_are_exit_3(self, corpus, tmp_path, capsys):
+        err = self.targets_config_error(corpus, tmp_path, capsys, "P3:8:0:1,P3:16:0:1")
+        assert "distinct" in err
+
+    def test_level_name_that_is_no_file_name_token_is_exit_3(self, corpus, tmp_path, capsys):
+        err = self.targets_config_error(corpus, tmp_path, capsys, "P/3:8:0:1")
+        assert "'P/3'" in err
+
+    def test_level_ranges_that_leave_scales_uncovered_are_exit_3(self, corpus, tmp_path, capsys):
+        err = self.targets_config_error(corpus, tmp_path, capsys, "P3:8:0:0.1,P5:32:0.9:1")
+        assert "no level covers 0.1 to 0.9" in err
+
     def test_bad_jobs_is_exit_3(self, corpus, capsys):
         code, _, _ = run(["--jobs", "0", "embed", str(corpus)], capsys)
         assert code == 3

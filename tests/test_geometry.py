@@ -29,7 +29,6 @@ from fourier_contours.geometry import (
     ContourSpans,
     _edges,
     _is_simple,
-    _points_inside,
     _removal_deltas,
     _row_intervals,
     _signed_area,
@@ -405,7 +404,8 @@ def scalar_shrink(c, factor):
             s = (w[0] * dc[1] - w[1] * dc[0]) / cross
             out[i] = anchors[j] + s * dp
     new_area = _signed_area(out)
-    if not (0.0 < new_area < abs(area) and _is_simple(out) and _points_inside(v, out).all()):
+    if not (0.0 < new_area < abs(area) and _is_simple(out)
+            and all(point_in_polygon(p, Contour(v)) for p in out)):
         ctr = geometry._center(v)
         out = np.array([ctr.x, ctr.y]) + (1.0 - factor) * (v - np.array([ctr.x, ctr.y]))
     return out[::-1] if flip else out
@@ -554,7 +554,10 @@ class TestMembershipAndRaster:
         pts = np.concatenate([v, a + t * (b - a), free, np.round(free)])
         c = Contour(v)
         want = [point_in_polygon(p, c) for p in pts]
-        assert np.array_equal(_points_inside(v, pts), want)
+        # the grid of the points' distinct xs and ys, each point read back from it
+        ux, col = np.unique(pts[:, 0], return_inverse=True)
+        uy, row = np.unique(pts[:, 1], return_inverse=True)
+        assert np.array_equal(rasterize_grid(c, ux, uy)[row, col], want)
 
 
 class TestPolygonIoU:

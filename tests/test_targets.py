@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from conftest import star_shaped
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_contours import (
     AnnotatedImage,
     Contour,
+    GeometryError,
     LevelSpec,
     TextInstance,
     assign_levels,
@@ -13,9 +17,11 @@ from fourier_contours import (
     generate_targets,
     instance_scale,
     point_in_polygon,
+    rasterize_grid,
     shrink_polygon,
+    signed_area,
 )
-from fourier_contours.targets import DEFAULT_LEVELS
+from fourier_contours.targets import DEFAULT_LEVELS, LevelTargets, TargetMaps, _grid
 
 
 def image_with(instances, width=256, height=256):
@@ -231,3 +237,121 @@ class TestCare:
             assert np.all(lt.care[positives] == 1)
             # cells outside any ignore region stay trainable negatives
             assert np.all(lt.care == 1)
+
+
+def reference_targets(img, specs, k, n, shrink_factor):
+    """Oracle for generate_targets: every instance painted into full-size
+    maps in turn, do-not-care instances first, then the cared ones biggest
+    first, each overwriting the cells it shares with those before it."""
+    channels = 2 * (2 * k + 1)
+    levels, grids, ignore_masks = {}, {}, {}
+    for spec in specs:
+        xs, ys = _grid(spec, img.width, img.height)
+        shape = (ys.size, xs.size)
+        levels[spec.name] = LevelTargets(
+            spec=spec,
+            tr=np.zeros(shape, dtype=np.uint8),
+            tcr=np.zeros(shape, dtype=np.uint8),
+            regression=np.zeros((channels,) + shape, dtype=np.float64),
+            weight=np.zeros(shape, dtype=np.float64),
+            care=np.ones(shape, dtype=np.uint8),
+        )
+        grids[spec.name] = (xs, ys)
+        ignore_masks[spec.name] = np.zeros(shape, dtype=bool)
+    out = TargetMaps(img.image_id, img.width, img.height, k, levels)
+    for inst in img.instances:
+        if inst.ignore:
+            scale = instance_scale(inst.polygon, img.width, img.height)
+            for spec in assign_levels(scale, specs):
+                xs, ys = grids[spec.name]
+                ignore_masks[spec.name] |= rasterize_grid(inst.polygon, xs, ys)
+    valid = [inst for inst in img.instances if not inst.ignore]
+    for inst in sorted(valid, key=lambda inst: -abs(signed_area(inst.polygon))):
+        try:
+            signature = embed(inst.polygon, k=k, n=n)
+            shrunk = shrink_polygon(inst.polygon, shrink_factor)
+        except GeometryError as exc:
+            out.skipped.append((inst.id, str(exc)))
+            continue
+        scale = instance_scale(inst.polygon, img.width, img.height)
+        for spec in assign_levels(scale, specs):
+            xs, ys = grids[spec.name]
+            lt = levels[spec.name]
+            inside = rasterize_grid(inst.polygon, xs, ys)
+            if not inside.any():
+                continue
+            center = rasterize_grid(shrunk, xs, ys) & inside
+            lt.tr[inside] = 1
+            lt.tcr[inside] = center[inside].astype(np.uint8)
+            lt.regression[:, inside] = signature.flat[:, None]
+            iy, ix = np.nonzero(inside)
+            lt.regression[2 * k, iy, ix] -= xs[ix]
+            lt.regression[2 * k + 1, iy, ix] -= ys[iy]
+    for spec in specs:
+        lt = levels[spec.name]
+        lt.care = (~(ignore_masks[spec.name] & (lt.tr == 0))).astype(np.uint8)
+        lt.weight = np.where(lt.tr == 1, np.where(lt.tcr == 1, 1.0, 0.5), 0.0)
+    return out
+
+
+@st.composite
+def level_specs(draw):
+    """One to three levels at strides that need not be powers of two, their
+    closed scale ranges overlapping so that together they cover [0, 1]."""
+    strides = sorted(draw(st.lists(st.integers(3, 24), min_size=1, max_size=3, unique=True)))
+    m = len(strides)
+    return tuple(
+        LevelSpec(f"L{i}", stride, max(0.0, i / m - 0.1), min(1.0, (i + 1) / m + 0.1))
+        for i, stride in enumerate(strides)
+    )
+
+
+@st.composite
+def target_images(draw):
+    """Rectangles and stars, some nested in, shifted across or duplicating an
+    earlier one (an equal area, so the tie order shows), do-not-care regions,
+    and degenerate outlines: collinear vertices and a repeated point."""
+    width, height = draw(st.integers(16, 160)), draw(st.integers(16, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["rect", "star", "nested", "shifted", "duplicate", "flat", "point"]
+    polygons, instances = [], []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds), max_size=8))):
+        if kind in ("nested", "shifted", "duplicate") and polygons:
+            v = polygons[int(rng.integers(len(polygons)))].vertices
+            x0, y0, x1, y1 = v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()
+            ctr = np.array([(x0 + x1) / 2, (y0 + y1) / 2])
+            if kind == "nested":
+                v = ctr + rng.uniform(0.5, 0.95) * (v - ctr)
+            elif kind == "shifted":
+                v = v + rng.uniform(-0.5, 0.5, 2) * [x1 - x0, y1 - y0]
+            polygon = Contour(v)
+        elif kind == "flat":
+            x, y = rng.uniform(0, [width, height])
+            polygon = Contour([(x, y), (x + 10, y + 5), (x + 20, y + 10)])
+        elif kind == "point":
+            polygon = Contour(np.tile(rng.uniform(0, [width, height]), (3, 1)))
+        else:
+            ctr = rng.uniform(-4, [width + 4, height + 4])
+            size = rng.uniform(2, max(width, height) / 2)
+            if kind == "star":
+                polygon = star_shaped(rng, center=ctr, rmin=size / 4, rmax=size)
+            else:
+                x0, y0 = ctr - size / 2
+                polygon = rect(x0, y0, x0 + size * rng.uniform(0.2, 1.0), y0 + size)
+        polygons.append(polygon)
+        instances.append(TextInstance(polygon=polygon, ignore=draw(st.booleans()), id=f"i{i}"))
+    return image_with(instances, width=width, height=height)
+
+
+class TestReferencePainter:
+    @settings(max_examples=150, deadline=None)
+    @given(target_images(), level_specs(), st.sampled_from([0.3, 0.6]))
+    def test_matches_reference(self, img, specs, shrink_factor):
+        got = generate_targets(img, specs, k=3, n=64, shrink_factor=shrink_factor)
+        want = reference_targets(img, specs, k=3, n=64, shrink_factor=shrink_factor)
+        assert got.skipped == want.skipped
+        assert list(got.levels) == list(want.levels)
+        for name, lt in want.levels.items():
+            for key in ("tr", "tcr", "regression", "weight", "care"):
+                a, b = getattr(got.levels[name], key), getattr(lt, key)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, key)
