@@ -176,9 +176,17 @@ def cmd_reconstruct(args, cfg: Config) -> int:
 # fidelity
 
 
+def _degree(token: str) -> int:
+    """One token of fidelity's --degrees list."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"--degrees takes a comma list of integers; {token!r} is not one") from None
+
+
 def cmd_fidelity(args, cfg: Config) -> int:
     images = _parse_annotations(args.annotations)
-    degrees = sorted({int(tok) for tok in args.degrees.split(",")}) if args.degrees else [cfg.k]
+    degrees = sorted({_degree(tok) for tok in args.degrees.split(",")}) if args.degrees else [cfg.k]
     if any(deg < 1 for deg in degrees):
         raise ConfigError(f"degrees must be >= 1, got {degrees}")
     if 2 * max(degrees) + 1 > cfg.n:

@@ -3,7 +3,8 @@
 One flat key = value file plus command-line overrides; no environment
 variables.  Unknown keys are rejected.  The defaults, the reference operating
 point, are the DEFAULT_* constants of the modules that use them; README.md
-tables them.
+tables them.  Values that size allocations are capped by the MAX_* constants
+beside them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .annotations import DEFAULT_SUBSET_THRESHOLD
 from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH
 from .errors import ConfigError
 from .evaluation import DEFAULT_EVAL_IOU
-from .fourier import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES
-from .geometry import DEFAULT_SUPERSAMPLE
+from .fourier import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, MAX_RECON_POINTS, MAX_SAMPLES
+from .geometry import DEFAULT_SUPERSAMPLE, MAX_SUPERSAMPLE
 from .targets import DEFAULT_LEVELS, DEFAULT_SHRINK, LevelSpec
 
 __all__ = ["Config", "load_config", "apply_overrides", "parse_levels"]
@@ -42,8 +43,10 @@ class Config:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if 2 * self.k + 1 > self.n:
             raise ConfigError(f"n = {self.n} too small for k = {self.k} (need 2k + 1 <= n)")
-        if self.n_prime < 3:
-            raise ConfigError(f"n_prime must be >= 3, got {self.n_prime}")
+        if self.n > MAX_SAMPLES:
+            raise ConfigError(f"n must be <= {MAX_SAMPLES}, got {self.n}")
+        if not 3 <= self.n_prime <= MAX_RECON_POINTS:
+            raise ConfigError(f"n_prime must lie in [3, {MAX_RECON_POINTS}], got {self.n_prime}")
         if not 0.0 < self.shrink_factor < 1.0:
             raise ConfigError(f"shrink_factor must lie in (0, 1), got {self.shrink_factor}")
         if not 0.0 < self.score_thresh < 1.0:
@@ -56,8 +59,8 @@ class Config:
             raise ConfigError(f"subset_threshold must be >= 0, got {self.subset_threshold}")
         if self.lam < 0.0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.iou_supersample < 1:
-            raise ConfigError(f"iou_supersample must be >= 1, got {self.iou_supersample}")
+        if not 1 <= self.iou_supersample <= MAX_SUPERSAMPLE:
+            raise ConfigError(f"iou_supersample must lie in [1, {MAX_SUPERSAMPLE}], got {self.iou_supersample}")
         if not self.levels:
             raise ConfigError("need at least one pyramid level")
         strides = [spec.stride for spec in self.levels]

@@ -3,8 +3,9 @@
 Per level: the detection score of a cell is the product of its text-region
 and text-center-region probabilities.  Cells at or above the score threshold
 contribute a candidate contour, reconstructed from the cell's regression
-vector after adding the cell center back onto c_0.  Candidates from all
-levels are pooled and reduced by greedy polygon non-maximum suppression.
+vector after adding the cell center (targets.cell_centers, where the targets
+were painted) back onto c_0.  Candidates from all levels are pooled and
+reduced by greedy polygon non-maximum suppression.
 
 Everything is ordered: cells are visited row-major, levels in their declared
 order, and all score ties break toward the earlier level, then the earlier
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
 from .geometry import DEFAULT_SUPERSAMPLE, Contour, _greedy_nms
+from .targets import cell_centers
 
 __all__ = [
     "LevelPrediction",
@@ -135,10 +137,10 @@ def decode_level(
     iy, ix = np.nonzero(scores >= score_thresh)  # np.nonzero is row-major
     flat = pred.regression[:, iy, ix].T  # (M, C)
     coeffs = flat_to_coeffs(flat)
-    deg = pred.degree
-    coeffs[:, deg] += (ix + 0.5) * pred.stride + 1j * (iy + 0.5) * pred.stride
-    pts = evaluate_series(coeffs, n_points)  # (M, n_points) complex
     height, width = pred.tr_prob.shape
+    xs, ys = cell_centers(width, pred.stride), cell_centers(height, pred.stride)
+    coeffs[:, pred.degree] += xs[ix] + 1j * ys[iy]
+    pts = evaluate_series(coeffs, n_points)  # (M, n_points) complex
     out_of_bounds = _beyond_margin(pts.real, width * pred.stride) | _beyond_margin(
         pts.imag, height * pred.stride
     )

@@ -40,11 +40,18 @@ __all__ = [
     "DEFAULT_DEGREE",
     "DEFAULT_SAMPLES",
     "DEFAULT_RECON_POINTS",
+    "MAX_SAMPLES",
+    "MAX_RECON_POINTS",
 ]
 
 DEFAULT_DEGREE = 5
 DEFAULT_SAMPLES = 400
 DEFAULT_RECON_POINTS = 50
+
+# Largest n accepted: fidelity's n x n DFT basis takes 256 MiB at 4096.
+MAX_SAMPLES = 4096
+# Largest n' accepted: decode holds all candidates' n' points, 16 KiB each at 1024.
+MAX_RECON_POINTS = 1024
 
 # distinct bases kept; one run uses a few shapes, and an n x n basis is
 # n * n * 16 bytes (2.5 MB at n = 400)

@@ -38,9 +38,12 @@ __all__ = [
     "spans_iou",
     "vertex_removal_delta",
     "DEFAULT_SUPERSAMPLE",
+    "MAX_SUPERSAMPLE",
 ]
 
 DEFAULT_SUPERSAMPLE = 4
+# Largest supersample accepted: a span record holds s rows per pixel of height.
+MAX_SUPERSAMPLE = 16
 
 
 class Point2(NamedTuple):
@@ -365,23 +368,15 @@ def rasterize_grid(c: Contour, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Boolean even-odd membership mask of shape (len(ys), len(xs)) for the
     cartesian grid of sample points xs x ys.  Matches point_in_polygon.
     xs must be strictly ascending; ys may come in any order and repeat.  The
-    row spans of _row_intervals are the one even-odd rule behind every sample
-    grid."""
+    rows are _grid_cells of one contour on the distinct ys: the row spans of
+    _row_intervals are the one even-odd rule behind every sample grid."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size > 1 and not np.all(xs[1:] > xs[:-1]):
         raise ValueError("sample columns must be strictly ascending")
-    ys = np.asarray(ys, dtype=np.float64)
-    order = np.argsort(ys, kind="stable")
-    lo, hi, _ = _row_intervals(*_edges(np.asarray(c.vertices)), xs, ys[order])
-    # spans within a row are disjoint, so every prefix sum is 0 or 1 and int8
-    # holds it; empty spans (lo == hi, the padding included) cancel out
-    diff = np.zeros((ys.size, xs.size + 1), dtype=np.int8)
-    np.add.at(diff, (np.arange(ys.size)[:, None], lo), 1)
-    np.add.at(diff, (np.arange(ys.size)[:, None], hi), -1)
-    np.cumsum(diff, axis=1, dtype=np.int8, out=diff)
-    out = np.empty((ys.size, xs.size), dtype=bool)
-    out[order] = diff[:, :-1] > 0
-    return out
+    uy, row = np.unique(np.asarray(ys, dtype=np.float64), return_inverse=True)
+    inside = np.zeros(uy.size * xs.size, dtype=bool)
+    inside[_grid_cells([c], xs, uy)[1]] = True
+    return inside.reshape(uy.size, xs.size)[row]
 
 
 def _crossings(
@@ -414,8 +409,8 @@ def _row_intervals(
     b: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
-    shift: np.ndarray | None = None,
-    pad: np.ndarray | None = None,
+    shift: np.ndarray,
+    pad: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Half-open sample-index intervals of the inside samples, row by row, as
     (lo, hi, crossings per row).
@@ -423,22 +418,17 @@ def _row_intervals(
     Crossings along each row pair up ascending into [enter, exit) spans; a
     sample is inside exactly when the count of crossings strictly to its
     right is odd, which is equivalent to landing in such a span.  Rows always
-    carry an even crossing count because the polygons are closed.  Every row
-    is given as many spans as the busiest row needs; the extra ones are
-    empty and sit at index len(xs).
+    carry an even crossing count because the polygons are closed.
     xs and ys must be ascending.  This is the library's one even-odd rule
     for sample grids; it matches _point_in point for point.
 
-    With `shift` (an int per edge) and `pad` (an int per output row), the
-    rows of many polygons share one table: edge i's crossing with row r goes
-    to output row r + shift[i], and the extra spans of output row q sit at
-    pad[q].
+    The rows of many polygons share one table: edge i's crossing with row r
+    goes to output row r + shift[i].  Every output row is given as many spans
+    as the busiest row needs; the extra spans of output row q are empty and
+    sit at pad[q].
     """
     edge, row, _, x = _crossings(a, b, ys)
-    if shift is not None:
-        row = row + shift[edge]
-    if pad is None:
-        pad = np.full(ys.size, xs.size, dtype=np.int64)
+    row = row + shift[edge]
     # the sample index of a crossing is monotone in x, so sorting the indices
     # within each row orders the crossings
     width = xs.size + 1
@@ -451,6 +441,39 @@ def _row_intervals(
     out[:] = pad[:, None]
     out[rows, np.arange(key.size) - starts[rows]] = cols
     return out[:, 0::2], out[:, 1::2], per_row
+
+
+def _polygon_spans(verts, xs, ys, row0, rows, pad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_row_intervals of the closed polygons verts[i] on one ascending grid.
+    Polygon i may cross only grid rows row0[i] .. row0[i] + rows[i] - 1: they
+    become its table rows, after the previous polygon's; its padding is pad[i]."""
+    sizes = np.array([v.shape[0] for v in verts], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    a = np.concatenate(verts)
+    nxt = np.arange(1, a.shape[0] + 1)
+    nxt[start + sizes - 1] = start  # each polygon closes
+    shift = np.repeat(np.cumsum(rows) - rows - row0, sizes)
+    return _row_intervals(a, a[nxt], xs, ys, shift, np.repeat(pad, rows))
+
+
+def _grid_cells(contours, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(contour index, flat cell index row * len(xs) + column) of every point
+    of the ascending grid xs x ys inside each contour, contour by contour,
+    cells ascending: one _polygon_spans pass.  Matches point_in_polygon."""
+    verts = [np.asarray(c.vertices) for c in contours]
+    if not verts:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    y_range = np.array([(v[:, 1].min(), v[:, 1].max()) for v in verts])
+    row0, stop = np.searchsorted(ys, y_range.T, side="left")
+    rows = stop - row0
+    lo, hi, _ = _polygon_spans(verts, xs, ys, row0, rows, np.full(len(verts), xs.size))
+    # each table row's grid row; each span's cells run on from its first one
+    grid_row = np.arange(lo.shape[0]) + np.repeat(row0 - (np.cumsum(rows) - rows), rows)
+    first = (grid_row[:, None] * xs.size + lo).ravel()
+    runs = (hi - lo).ravel()
+    cells = np.arange(runs.sum()) + np.repeat(first - (np.cumsum(runs) - runs), runs)
+    which = np.repeat(np.repeat(np.arange(len(verts)), rows), (hi - lo).sum(axis=1))
+    return which, cells
 
 
 @dataclass(frozen=True)
@@ -502,10 +525,10 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
     """contour_spans of every contour, in order, from one vectorized pass per
     block of about _SPANS_BLOCK_ROWS record rows.
 
-    A block concatenates its contours' edges and finds their crossings with
-    the lattice rows covering its boxes (_row_intervals); one sort orders
-    every crossing by (record row, column), where a contour's record rows
-    follow the previous contour's.  Each record's lo and hi are its rows of
+    A block's contours go through one _polygon_spans pass on the lattice
+    rows and columns covering their boxes; one sort orders every crossing by
+    (record row, column), where a contour's record rows follow the previous
+    contour's.  Each record's lo and hi are its rows of
     the block's span table, trimmed to its own busiest row and copied out, so
     a record does not keep the block-wide table alive.  The records equal,
     field for field, what rasterizing each contour alone gives.  Contours may
@@ -536,18 +559,8 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
     for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         xs, xpos = _lattice(g0[i:j, 0], n[i:j, 0], s)
         ys, ypos = _lattice(g0[i:j, 1], h[i:j], s)
+        lo, hi, per_row = _polygon_spans(verts[i:j], xs, ys, ypos, h[i:j], xpos + n[i:j, 0])
         row_off = np.cumsum(h[i:j]) - h[i:j]
-        e0, e1 = vstart[i], vstart[j - 1] + sizes[j - 1]
-        nxt = np.arange(e0 + 1, e1 + 1)
-        nxt[vstart[i:j] + sizes[i:j] - 1 - e0] = vstart[i:j]  # each contour closes
-        lo, hi, per_row = _row_intervals(
-            a[e0:e1],
-            a[nxt],
-            xs,
-            ys,
-            shift=np.repeat(row_off - ypos, sizes[i:j]),
-            pad=np.repeat(xpos + n[i:j, 0], h[i:j]),
-        )
         counts = np.add.reduceat((hi - lo).sum(axis=1), row_off)
         n_spans = np.maximum.reduceat(per_row, row_off) // 2
         # adding dx turns indices into the block's lattice samples into

@@ -1,14 +1,15 @@
 """Ground-truth map generation for multi-scale dense prediction.
 
 Each pyramid level owns a cell grid at its stride; cell (row i, col j) looks
-at the image point ((j + 0.5) * stride, (i + 0.5) * stride).  An instance is
-assigned to every level whose scale range contains its relative size
-(longest bounding-box side divided by the longest image side; range ends are
-inclusive, so ranges deliberately overlap).
+at the image point ((j + 0.5) * stride, (i + 0.5) * stride), cell_centers'
+rule, which decode reads too.  An instance is assigned to every level whose
+scale range contains its relative size (longest bounding-box side divided by
+the longest image side; range ends are inclusive, so ranges overlap).
 
-Each instance is prepared once, and each level is painted once into an owner
-map: the index of the instance that owns a cell, or -1.  Every map is built
-from it.  Per assigned level an instance paints:
+Each instance is prepared once.  Each level is rasterized in one pass per
+polygon list (do-not-care, cared-for, shrunk) into an owner map, the index
+of the instance that owns a cell or -1; every map is built from it.  Per
+assigned level an instance paints:
 
 * tr:     text region, cells whose center lies inside the polygon
 * tcr:    text center region, cells inside the inward-shrunk polygon
@@ -32,9 +33,9 @@ import numpy as np
 from .annotations import AnnotatedImage, TextInstance
 from .errors import GeometryError
 from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, embed
-from .geometry import Contour, rasterize_grid, shrink_polygon, signed_area
+from .geometry import Contour, _grid_cells, shrink_polygon, signed_area
 
-__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_count",
+__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_count", "cell_centers",
            "generate_targets", "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
 
 DEFAULT_SHRINK = 0.3
@@ -107,9 +108,14 @@ def cell_count(side: int, stride: int) -> int:
     return -(-side // stride)
 
 
+def cell_centers(cells: int, stride: int) -> np.ndarray:
+    """Image coordinates (g + 0.5) * stride of the cells g < `cells` of a side."""
+    return (np.arange(cells) + 0.5) * stride
+
+
 def _grid(spec: LevelSpec, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = (np.arange(cell_count(width, spec.stride)) + 0.5) * spec.stride
-    ys = (np.arange(cell_count(height, spec.stride)) + 0.5) * spec.stride
+    xs = cell_centers(cell_count(width, spec.stride), spec.stride)
+    ys = cell_centers(cell_count(height, spec.stride), spec.stride)
     return xs, ys
 
 
@@ -142,18 +148,17 @@ def generate_targets(
     for spec in specs:
         xs, ys = _grid(spec, img.width, img.height)
         shape = (ys.size, xs.size)
-        ignore = np.zeros(shape, dtype=bool)
-        for polygon, levels in ignored:
-            if spec in levels:
-                ignore |= rasterize_grid(polygon, xs, ys)
-        owner = np.full(shape, -1, dtype=np.intp)
-        tcr = np.zeros(shape, dtype=np.uint8)
-        for i, (polygon, levels, shrunk) in enumerate(cared):
-            if spec in levels:
-                inside = rasterize_grid(polygon, xs, ys)
-                if inside.any():
-                    owner[inside] = i
-                    tcr[inside] = rasterize_grid(shrunk, xs, ys)[inside]
+        ignore = np.zeros(ys.size * xs.size, dtype=bool)
+        ignore[_grid_cells([p for p, levels in ignored if spec in levels], xs, ys)[1]] = True
+        here = np.flatnonzero([spec in levels for _, levels, _ in cared])
+        # cared is largest first: the highest index on a cell owns it
+        owner = np.full(ignore.size, -1, dtype=np.intp)
+        which, cells = _grid_cells([cared[i][0] for i in here], xs, ys)
+        np.maximum.at(owner, cells, here[which])
+        tcr = np.zeros(ignore.size, dtype=np.uint8)
+        which, cells = _grid_cells([cared[i][2] for i in here], xs, ys)
+        tcr[cells[owner[cells] == here[which]]] = 1
+        ignore, owner, tcr = (arr.reshape(shape) for arr in (ignore, owner, tcr))
         tr = (owner >= 0).astype(np.uint8)
         iy, ix = np.nonzero(tr)
         regression = np.zeros((channels,) + shape, dtype=np.float64)

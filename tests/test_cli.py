@@ -185,9 +185,15 @@ class TestFidelity:
         code, _, _ = run(["fidelity", str(corpus), "--degrees", "0"], capsys)
         assert code == 3
         code, _, _ = run(["fidelity", str(corpus), "--degrees", "cat"], capsys)
-        assert code == 2
+        assert code == 3
         code, _, _ = run(["fidelity", str(corpus), "--degrees", "300"], capsys)
         assert code == 3  # 2*300+1 > n=400
+
+    @pytest.mark.parametrize("degrees, token", [("5,x", "'x'"), ("5,,6", "''")], ids=["word", "empty"])
+    def test_bad_degree_token_is_a_config_error(self, degrees, token, corpus, capsys):
+        code, out, err = run(["fidelity", str(corpus), "--degrees", degrees], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("config error: ") and f"{token} is not one" in err
 
 
 class TestTargetsDecodeLossEval:

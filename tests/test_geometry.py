@@ -645,7 +645,7 @@ class TestContourSpans:
 
 def reference_contour_spans(c, supersample):
     """contour_spans before the batch: one contour on the lattice samples of
-    its own integer-aligned box, with _row_intervals' default padding."""
+    its own integer-aligned box, its extra spans padded at len(xs)."""
     s = int(supersample)
     bbox = c.bounds()
     x0, y0 = math.floor(bbox[0]), math.floor(bbox[1])
@@ -654,7 +654,8 @@ def reference_contour_spans(c, supersample):
     h = max(math.ceil(bbox[3]) - y0, 1) * s
     xs = (np.arange(gx0, gx0 + w) + 0.5) / s
     ys = (np.arange(gy0, gy0 + h) + 0.5) / s
-    lo, hi, _ = _row_intervals(*_edges(np.asarray(c.vertices)), xs, ys)
+    a, b = _edges(np.asarray(c.vertices))
+    lo, hi, _ = _row_intervals(a, b, xs, ys, shift=np.zeros(len(a), dtype=np.int64), pad=np.full(h, w))
     return ContourSpans(bbox, s, gy0, lo + gx0, hi + gx0, int((hi - lo).sum()))
 
 
@@ -731,6 +732,56 @@ class TestContourSpansMany:
         contours = [star_shaped(rng, m=40, center=(c * 9.0, 0.0), rmin=2, rmax=12) for c in range(5)]
         for rec in contour_spans_many(contours, 4):
             assert rec.lo.base is None and rec.hi.base is None
+
+
+@st.composite
+def grid_batches(draw):
+    """(xs, ys, contours) for _grid_cells: the cell centres (g + 0.5) * pitch
+    of a grid whose pitch need not be a power of two, and 0-12 contours:
+    simple or tangled stars, one repeated point, polygons with every vertex
+    exactly on a grid row and column and most edges horizontal, and polygons
+    between two grid rows or beyond the first or last, whose y range meets
+    no grid row."""
+    pitch = draw(st.sampled_from([0.3, 0.7, 1.0, 3.0, 5.0, 12.0, 20.0]))
+    w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    xs, ys = (np.arange(w) + 0.5) * pitch, (np.arange(h) + 0.5) * pitch
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    contours = []
+    for kind in draw(st.lists(st.sampled_from(["star", "tangled", "point", "grid", "between"]), max_size=12)):
+        m = int(rng.integers(3, 16))
+        cx, cy = rng.uniform(-1.0, [w + 1.0, h + 1.0]) * pitch
+        if kind in ("star", "tangled"):
+            v = star_shaped(rng, m=m, center=(cx, cy), rmin=0.2 * pitch, rmax=rng.uniform(0.5, 6.0) * pitch).vertices
+            v = v[rng.permutation(m)] if kind == "tangled" else v
+        elif kind == "point":
+            v = np.full((m, 2), [cx, cy])
+        elif kind == "grid":
+            # three rows at most, so consecutive vertices often share one
+            row = rng.integers(-2, h + 2) + rng.integers(0, 3, size=m)
+            v = (np.stack([rng.integers(-2, w + 2, size=m), row], axis=1) + 0.5) * pitch
+        else:
+            row = rng.integers(-1, h)
+            v = np.stack([rng.uniform(-1.0, w + 1.0, m), row + 0.5 + rng.uniform(0.01, 0.99, m)], axis=1) * pitch
+        contours.append(Contour(v))
+    return xs, ys, contours
+
+
+class TestGridCells:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_batches())
+    def test_cells_match_scalar_membership(self, batch):
+        """Every contour's cells, in order, are the grid points
+        point_in_polygon puts inside it, row by row."""
+        xs, ys, contours = batch
+        which, cells = geometry._grid_cells(contours, xs, ys)
+        want = [
+            (i, r * xs.size + col)
+            for i, c in enumerate(contours)
+            for r, y in enumerate(ys)
+            for col, x in enumerate(xs)
+            if point_in_polygon((x, y), c)
+        ]
+        assert list(zip(which.tolist(), cells.tolist())) == want
 
 
 def inside_samples(rec):

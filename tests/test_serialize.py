@@ -9,6 +9,8 @@ import pytest
 from fourier_contours import ParseError, read_tensor, write_tensor
 from fourier_contours.config import Config, apply_overrides, load_config, parse_levels
 from fourier_contours.errors import ConfigError
+from fourier_contours.fourier import MAX_RECON_POINTS, MAX_SAMPLES
+from fourier_contours.geometry import MAX_SUPERSAMPLE
 from fourier_contours.serialize import fmt9, json_line, round9
 from fourier_contours.svg import render_svg
 
@@ -151,6 +153,18 @@ class TestConfig:
     def test_out_of_range_rejected(self, pair):
         with pytest.raises(ConfigError):
             apply_overrides(Config(), [pair])
+
+    def test_allocation_caps(self):
+        # validation only: nothing is allocated at the caps
+        cfg = apply_overrides(
+            Config(), [f"n={MAX_SAMPLES}", f"n_prime={MAX_RECON_POINTS}", f"iou_supersample={MAX_SUPERSAMPLE}"]
+        )
+        assert (cfg.n, cfg.n_prime, cfg.iou_supersample) == (MAX_SAMPLES, MAX_RECON_POINTS, MAX_SUPERSAMPLE)
+        for key, cap in (("n", MAX_SAMPLES), ("n_prime", MAX_RECON_POINTS), ("iou_supersample", MAX_SUPERSAMPLE)):
+            with pytest.raises(ConfigError, match=f"{key} must .*{cap}"):
+                apply_overrides(Config(), [f"{key}={cap + 1}"])
+        with pytest.raises(ConfigError, match="n must be <= "):
+            apply_overrides(Config(), ["n=1000000000"])
 
     def test_degree_capacity_cross_check(self):
         with pytest.raises(ConfigError):
