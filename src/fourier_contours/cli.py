@@ -31,12 +31,13 @@ from .errors import ConfigError, GeometryError, ParseError
 from .evaluation import evaluate, fmeasure
 from .fourier import (
     FourierSignature,
-    embed,
-    fourier_coefficients,
+    _coefficient_rows,
+    _embed_many,
+    coeffs_to_flat,
     reconstruct,
     truncation_l2_errors,
 )
-from .geometry import Contour, contour_spans_many, resample_equidistant, spans_iou
+from .geometry import Contour, _resample_many, contour_spans_many, spans_iou
 from .losses import LossSums, image_loss, total_loss
 from .serialize import fmt9, json_line, read_tensor, round9, write_tensor
 from .svg import render_svg
@@ -44,13 +45,26 @@ from .targets import cell_count, generate_targets
 
 _INPUT_ERRORS = (ParseError, GeometryError, ValueError, OSError, KeyError)
 
+# Most worker threads --jobs may ask for; the work is numpy under the GIL,
+# so more threads than cores add only their own cost.
+MAX_JOBS = 64
+
 
 def _pmap(fn, items, jobs: int) -> list:
+    """fn of each item, in order, on at most min(jobs, len(items)) threads."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _first_error(errors) -> None:
+    """Raise the first of a batch's per-instance errors, if any."""
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def _read_lines(path: str) -> list[str]:
@@ -125,21 +139,20 @@ def cmd_embed(args, cfg: Config) -> int:
     images = _parse_annotations(args.annotations)
 
     def one(img) -> list[str]:
-        lines = []
-        for inst in img.instances:
-            sig = embed(inst.polygon, cfg.k, cfg.n)
-            lines.append(
-                json_line(
-                    {
-                        "image_id": img.image_id,
-                        "instance_id": inst.id,
-                        "k": cfg.k,
-                        "ignore": inst.ignore,
-                        "coeffs": sig.flat.tolist(),
-                    }
-                )
+        coeffs, errors = _embed_many([inst.polygon.vertices for inst in img.instances], cfg.k, cfg.n)
+        _first_error(errors)
+        return [
+            json_line(
+                {
+                    "image_id": img.image_id,
+                    "instance_id": inst.id,
+                    "k": cfg.k,
+                    "ignore": inst.ignore,
+                    "coeffs": flat,
+                }
             )
-        return lines
+            for inst, flat in zip(img.instances, coeffs_to_flat(coeffs).tolist())
+        ]
 
     blocks = _pmap(one, images, args.jobs)
     _write_lines(args.out, (line for block in blocks for line in block))
@@ -192,27 +205,27 @@ def cmd_fidelity(args, cfg: Config) -> int:
     if 2 * max(degrees) + 1 > cfg.n:
         raise ConfigError(f"degree {max(degrees)} too large for n = {cfg.n}")
     kmax = max(degrees)
-    work = [
-        (img, inst) for img in images for inst in img.instances if not inst.ignore
-    ]
 
-    def one(item):
-        img, inst = item
-        samples = resample_equidistant(inst.polygon, cfg.n)
-        full = fourier_coefficients(samples, kmax)
-        errs = truncation_l2_errors(samples, degrees)
-        recons = [
-            reconstruct(FourierSignature(full.coeffs[kmax - deg : kmax + deg + 1]), cfg.n_prime)
-            for deg in degrees
-        ]
-        inst_spans, *recon_spans = contour_spans_many([inst.polygon] + recons, cfg.iou_supersample)
-        rows = [
-            (deg, spans_iou(inst_spans, spans), err, recon)
-            for deg, err, recon, spans in zip(degrees, errs, recons, recon_spans)
-        ]
-        return img, inst, rows
+    def one(img):
+        insts = [inst for inst in img.instances if not inst.ignore]
+        points, errors = _resample_many([inst.polygon.vertices for inst in insts], cfg.n)
+        _first_error(errors)
+        results = []
+        for inst, samples, full in zip(insts, points, _coefficient_rows(points, kmax)):
+            errs = truncation_l2_errors(samples, degrees)
+            recons = [
+                reconstruct(FourierSignature(full[kmax - deg : kmax + deg + 1]), cfg.n_prime)
+                for deg in degrees
+            ]
+            inst_spans, *recon_spans = contour_spans_many([inst.polygon] + recons, cfg.iou_supersample)
+            rows = [
+                (deg, spans_iou(inst_spans, spans), err, recon)
+                for deg, err, recon, spans in zip(degrees, errs, recons, recon_spans)
+            ]
+            results.append((img, inst, rows))
+        return results
 
-    results = _pmap(one, work, args.jobs)
+    results = [result for block in _pmap(one, images, args.jobs) for result in block]
 
     if args.svg_dir:
         svg_dir = Path(args.svg_dir)
@@ -598,11 +611,10 @@ def cmd_plot(args, cfg: Config) -> int:
         if grouped is not None:
             red = [det.contour.vertices for det in grouped.get(img.image_id, [])]
         else:
-            red = [
-                reconstruct(embed(inst.polygon, degree, cfg.n), cfg.n_prime).vertices
-                for inst in img.instances
-                if not inst.ignore
-            ]
+            polygons = [inst.polygon.vertices for inst in img.instances if not inst.ignore]
+            coeffs, errors = _embed_many(polygons, degree, cfg.n)
+            _first_error(errors)
+            red = [reconstruct(FourierSignature(row), cfg.n_prime).vertices for row in coeffs]
         _write_text(
             str(out_root / f"{dirnames[img.image_id]}.svg"),
             render_svg(img.width, img.height, green, red),
@@ -631,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one configuration key (repeatable)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for per-image or per-record work"
+        "--jobs", type=int, default=1, help=f"worker threads for per-image or per-record work (1 to {MAX_JOBS})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -695,8 +707,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else Config()
         cfg = apply_overrides(cfg, args.overrides)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if not 1 <= args.jobs <= MAX_JOBS:
+            raise ConfigError(f"--jobs must lie in [1, {MAX_JOBS}], got {args.jobs}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ChannelCountMismatch, DegreeTooLarge, NonFinite
-from .geometry import Contour, ResampledContour, resample_equidistant
+from .geometry import Contour, ResampledContour, _cuts, _resample_many
 
 __all__ = [
     "FourierSignature",
@@ -143,23 +143,52 @@ def fourier_coefficients(points, k: int) -> FourierSignature:
     """Degree-k signature of equidistant samples by direct summation.
 
     Requires 2k + 1 <= n so every kept harmonic is a distinct DFT residue.
+    This is _coefficient_rows with a batch of one.
     """
-    pts = _sample_array(points)
-    n = pts.shape[0]
+    return FourierSignature(_coefficient_rows(_sample_array(points)[None], k)[0])
+
+
+def _coefficient_rows(points: np.ndarray, k: int) -> np.ndarray:
+    """The degree-k coefficients (N, 2k + 1) of each (n, 2) sample block in
+    points (N, n, 2), as fourier_coefficients sums them: (N, 2k + 1, n)
+    basis products in blocks of about geometry._BATCH_ELEMENTS, each row
+    summed on its own, so every value equals the one-contour value bit for
+    bit."""
+    n = points.shape[1]
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     if 2 * k + 1 > n:
         raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
-    z = pts[:, 0] + 1j * pts[:, 1]
-    coeffs = (_dft_basis(n, k, -1) * z).sum(axis=1) / n
-    return FourierSignature(coeffs)
+    basis = _dft_basis(n, k, -1)
+    z = points[..., 0] + 1j * points[..., 1]
+    out = np.empty((len(points), 2 * k + 1), dtype=np.complex128)
+    for i, j in _cuts(np.full(len(points), basis.size)):
+        out[i:j] = (basis * z[i:j, None, :]).sum(axis=2) / n
+    return out
 
 
 def embed(c: Contour, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> FourierSignature:
     """Resample the contour to n equidistant points and take its degree-k
     signature.  The resampling fixes start point, direction, and speed, so
-    congruent contours with different vertex lists embed identically."""
-    return fourier_coefficients(resample_equidistant(c, n), k)
+    congruent contours with different vertex lists embed identically.  This
+    is _embed_many with a batch of one."""
+    coeffs, errors = _embed_many([c.vertices], k, n)
+    if errors[0]:
+        raise errors[0]
+    return FourierSignature(coeffs[0])
+
+
+def _embed_many(verts, k: int, n: int) -> tuple[np.ndarray, list]:
+    """embed of each (m_i, 2) vertex array, as (coeffs, errors): coeffs
+    (N, 2k + 1), and errors[i] the GeometryError polygon i raises, or None,
+    where its coefficients are zeros.  One _resample_many and one
+    _coefficient_rows call."""
+    points, errors = _resample_many(verts, n)
+    good = np.array([err is None for err in errors], dtype=bool)
+    coeffs = np.zeros((len(verts), 2 * max(k, 0) + 1), dtype=np.complex128)
+    if good.any():
+        coeffs[good] = _coefficient_rows(points[good], k)
+    return coeffs, errors
 
 
 def evaluate_series(coeffs, n_points: int) -> np.ndarray:

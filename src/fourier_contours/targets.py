@@ -6,7 +6,9 @@ rule, which decode reads too.  An instance is assigned to every level whose
 scale range contains its relative size (longest bounding-box side divided by
 the longest image side; range ends are inclusive, so ranges overlap).
 
-Each instance is prepared once.  Each level is rasterized in one pass per
+The cared-for instances of an image are prepared together: one batched
+resample and Fourier transform gives their signatures, and one batched
+shrink their center regions.  Each level is rasterized in one pass per
 polygon list (do-not-care, cared-for, shrunk) into an owner map, the index
 of the instance that owns a cell or -1; every map is built from it.  Per
 assigned level an instance paints:
@@ -31,9 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotations import AnnotatedImage, TextInstance
-from .errors import GeometryError
-from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, embed
-from .geometry import Contour, _grid_cells, shrink_polygon, signed_area
+from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, _embed_many, coeffs_to_flat
+from .geometry import Contour, _grid_cells, _shrink_many, signed_area
 
 __all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_count", "cell_centers",
            "generate_targets", "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
@@ -127,23 +128,30 @@ def generate_targets(
     shrink_factor: float = DEFAULT_SHRINK,
 ) -> TargetMaps:
     out = TargetMaps(img.image_id, img.width, img.height, k, {})
-    ignored, cared, bases = [], [], []  # (polygon, levels), (polygon, levels, shrunk), signatures
+    ignored, wanted = [], []  # (polygon, levels), (instance, levels)
     # big instances first, so smaller ones overwrite shared cells and win
     for inst in sorted(img.instances, key=lambda inst: -abs(signed_area(inst.polygon))):
         levels = assign_levels(instance_scale(inst.polygon, img.width, img.height), specs)
         if inst.ignore:
             ignored.append((inst.polygon, levels))
-            continue
-        try:
-            base = embed(inst.polygon, k=k, n=n).flat
-            shrunk = shrink_polygon(inst.polygon, shrink_factor)
-        except GeometryError as exc:
-            out.skipped.append((inst.id, str(exc)))
-            continue
-        bases.append(base)
-        cared.append((inst.polygon, levels, shrunk))
+        else:
+            wanted.append((inst, levels))
+    verts = [inst.polygon.vertices for inst, _ in wanted]
+    coeffs, errors = _embed_many(verts, k, n)
+    # an instance whose signature fails is not shrunk
+    embedded = [i for i, err in enumerate(errors) if err is None]
+    shrunk = [None] * len(wanted)
+    for i, contour, err in zip(embedded, *_shrink_many([verts[i] for i in embedded], shrink_factor)):
+        shrunk[i], errors[i] = contour, err
+    cared, rows = [], []  # (polygon, levels, shrunk), signature row
+    for i, (inst, levels) in enumerate(wanted):
+        if errors[i] is not None:
+            out.skipped.append((inst.id, str(errors[i])))
+        else:
+            cared.append((inst.polygon, levels, shrunk[i]))
+            rows.append(i)
     channels = 2 * (2 * k + 1)
-    bases = np.array(bases, dtype=np.float64).reshape(-1, channels)
+    bases = coeffs_to_flat(coeffs[rows])
 
     for spec in specs:
         xs, ys = _grid(spec, img.width, img.height)

@@ -633,6 +633,54 @@ class TestGlobalBehavior:
         code, _, _ = run(["--jobs", "0", "embed", str(corpus)], capsys)
         assert code == 3
 
+    def test_jobs_above_the_cap_is_exit_3_before_any_pool(self, corpus, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        code, out, err = run(["--jobs", str(cli.MAX_JOBS + 1), "embed", str(corpus)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("config error: --jobs must lie in [1, 64]")
+
+    def test_pmap_starts_no_more_threads_than_items(self, monkeypatch):
+        workers = []
+        pool = cli.ThreadPoolExecutor
+
+        def spy(max_workers):
+            workers.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
+        assert cli._pmap(abs, [-1, -2, -3], cli.MAX_JOBS) == [1, 2, 3]
+        assert cli._pmap(abs, [-4], cli.MAX_JOBS) == [4]
+        assert workers == [3]
+
+    def test_degenerate_instances_are_skipped_and_their_images_go_on(self, tmp_path, capsys):
+        """A zero-area and an all-repeated instance are skipped with their
+        reasons, in the same order at --jobs 1 and 2; a chevron whose offset
+        rebuild self-intersects is kept.  embed has no skip list, so the
+        instance without a signature is exit 2."""
+        chevron = [[64, 40], [76.5, 65], [89, 40], [89, 55], [76.75, 80], [76.25, 80], [64, 55]]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            _rect_record("mixed", [_inst(RECT_A, "good"), _inst([[10, 50], [30, 60], [50, 70]], "flat"),
+                                   _inst(chevron, "chevron")]) + "\n"
+            + _rect_record("repeat", [_inst([[30, 30]] * 4, "dot"), _inst(RECT_B, "box")]) + "\n",
+            encoding="utf-8",
+        )
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"gt{jobs}"
+            code, _, err = run(["--jobs", jobs, "targets", str(path), "--out-dir", str(out_dir)], capsys)
+            assert code == 0 and "skipped 2 degenerate instances" in err
+            skipped = {d: json.loads((out_dir / d / "meta.json").read_text())["skipped"] for d in ("mixed", "repeat")}
+            assert skipped == {
+                "mixed": [["flat", "zero-area contour cannot be shrunk"]],
+                "repeat": [["dot", "contour has zero perimeter"]],
+            }
+            assert read_tensor(out_dir / "repeat" / "P3_tr.fct").any()
+            code, out, err = run(["--jobs", jobs, "embed", str(path)], capsys)
+            assert (code, out, err) == (2, "", "error: contour has zero perimeter\n")
+
     def test_config_file_plus_override(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("k = 3\n")
