@@ -19,12 +19,12 @@ many points it had to clamp.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateContour, InvalidPolygon, ParseError
-from .geometry import Contour, _removal_deltas
+from .geometry import Contour, _Frozen, _removal_deltas
 
 __all__ = [
     "TextInstance",
@@ -48,27 +48,23 @@ MAX_IMAGE_SIDE = 16384
 MAX_VERTICES = 1024
 
 
-@dataclass(frozen=True)
-class TextInstance:
+class TextInstance(NamedTuple):
     polygon: Contour
     ignore: bool = False
     id: str = ""
 
 
-@dataclass(frozen=True)
-class AnnotatedImage:
-    image_id: str
-    width: int
-    height: int
-    instances: tuple[TextInstance, ...] = field(default_factory=tuple)
+class AnnotatedImage(_Frozen):
+    __slots__ = ("image_id", "width", "height", "instances")
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+    def __init__(self, image_id: str, width: int, height: int,
+                 instances: tuple[TextInstance, ...] = ()) -> None:
+        if width <= 0 or height <= 0:
             raise InvalidPolygon(
-                f"image {self.image_id!r} needs positive dimensions, "
-                f"got {self.width} x {self.height}"
+                f"image {image_id!r} needs positive dimensions, "
+                f"got {width} x {height}"
             )
-        object.__setattr__(self, "instances", tuple(self.instances))
+        super().__init__(image_id, width, height, tuple(instances))
 
 
 def _point_array(values: list, lineno: int) -> np.ndarray:

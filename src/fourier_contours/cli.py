@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -56,6 +55,9 @@ def _pmap(fn, items, jobs: int) -> list:
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here, so a run that starts no pool never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -4,14 +4,15 @@ One flat key = value file plus command-line overrides; no environment
 variables.  Unknown keys are rejected.  The defaults, the reference operating
 point, are the DEFAULT_* constants of the modules that use them; README.md
 tables them.  Values that size allocations are capped by the MAX_* constants
-beside them.
+beside them.  Every number must be finite.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, fields, replace
-from typing import get_type_hints
+from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 from .annotations import DEFAULT_SUBSET_THRESHOLD
 from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH
@@ -21,17 +22,19 @@ from .fourier import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, MAX_
 from .geometry import DEFAULT_SUPERSAMPLE, MAX_SUPERSAMPLE
 from .targets import DEFAULT_LEVELS, DEFAULT_SHRINK, LevelSpec
 
-__all__ = ["Config", "load_config", "apply_overrides", "parse_levels"]
+__all__ = ["Config", "load_config", "apply_overrides", "parse_levels", "MAX_LAMBDA"]
+
+# Largest regression weight accepted; the paper's is 1.
+MAX_LAMBDA = 1000.0
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     k: int = DEFAULT_DEGREE
     n: int = DEFAULT_SAMPLES
     n_prime: int = DEFAULT_RECON_POINTS
     lam: float = 1.0
     shrink_factor: float = DEFAULT_SHRINK
-    levels: tuple[LevelSpec, ...] = field(default_factory=lambda: DEFAULT_LEVELS)
+    levels: tuple[LevelSpec, ...] = DEFAULT_LEVELS
     score_thresh: float = DEFAULT_SCORE_THRESH
     nms_iou: float = DEFAULT_NMS_IOU
     eval_iou: float = DEFAULT_EVAL_IOU
@@ -39,6 +42,9 @@ class Config:
     iou_supersample: int = DEFAULT_SUPERSAMPLE
 
     def validate(self) -> "Config":
+        for key, attr in _KEYS.items():
+            if _TYPES[attr] is float and not math.isfinite(getattr(self, attr)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, attr)}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if 2 * self.k + 1 > self.n:
@@ -57,8 +63,8 @@ class Config:
             raise ConfigError(f"eval_iou must lie in (0, 1], got {self.eval_iou}")
         if self.subset_threshold < 0.0:
             raise ConfigError(f"subset_threshold must be >= 0, got {self.subset_threshold}")
-        if self.lam < 0.0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam <= MAX_LAMBDA:
+            raise ConfigError(f"lambda must lie in [0, {MAX_LAMBDA:g}], got {self.lam}")
         if not 1 <= self.iou_supersample <= MAX_SUPERSAMPLE:
             raise ConfigError(f"iou_supersample must lie in [1, {MAX_SUPERSAMPLE}], got {self.iou_supersample}")
         if not self.levels:
@@ -86,7 +92,7 @@ class Config:
 
 
 # configuration key -> Config field: lambda is a Python keyword, so its field is lam
-_KEYS = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(Config)}
+_KEYS = {("lambda" if name == "lam" else name): name for name in Config._fields}
 _TYPES = get_type_hints(Config)
 
 
@@ -111,10 +117,10 @@ def _apply(cfg: Config, key: str, raw: str) -> Config:
     if key not in _KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
     if key == "levels":
-        return replace(cfg, levels=parse_levels(raw))
+        return cfg._replace(levels=parse_levels(raw))
     kind = _TYPES[_KEYS[key]]  # int or float
     try:
-        return replace(cfg, **{_KEYS[key]: kind(raw)})
+        return cfg._replace(**{_KEYS[key]: kind(raw)})
     except ValueError:
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
 
@@ -122,8 +128,8 @@ def _apply(cfg: Config, key: str, raw: str) -> Config:
 def load_config(path, base: Config | None = None) -> Config:
     cfg = base or Config()
     try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -16,13 +16,13 @@ become Detection objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, _greedy_nms
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, _Frozen, _Record, _greedy_nms
 from .targets import cell_centers
 
 __all__ = [
@@ -47,20 +47,17 @@ DEFAULT_NMS_IOU = 0.1
 _CANDIDATE_MARGIN = 1.0
 
 
-@dataclass(frozen=True)
-class LevelPrediction:
-    """Predicted maps of one pyramid level."""
+class LevelPrediction(_Frozen):
+    """Predicted maps of one pyramid level: tr_prob and tcr_prob (H, W) in
+    [0, 1], regression (2 * (2K + 1), H, W)."""
 
-    name: str
-    stride: int
-    tr_prob: np.ndarray     # (H, W) in [0, 1]
-    tcr_prob: np.ndarray    # (H, W) in [0, 1]
-    regression: np.ndarray  # (2 * (2K + 1), H, W)
+    __slots__ = ("name", "stride", "tr_prob", "tcr_prob", "regression")
 
-    def __post_init__(self) -> None:
-        tr = np.asarray(self.tr_prob, dtype=np.float64)
-        tcr = np.asarray(self.tcr_prob, dtype=np.float64)
-        reg = np.asarray(self.regression, dtype=np.float64)
+    def __init__(self, name: str, stride: int, tr_prob: np.ndarray, tcr_prob: np.ndarray,
+                 regression: np.ndarray) -> None:
+        tr = np.asarray(tr_prob, dtype=np.float64)
+        tcr = np.asarray(tcr_prob, dtype=np.float64)
+        reg = np.asarray(regression, dtype=np.float64)
         if tr.ndim != 2 or tr.shape != tcr.shape:
             raise ShapeMismatch(
                 f"tr {tr.shape} and tcr {tcr.shape} must be equal 2-d shapes"
@@ -79,25 +76,22 @@ class LevelPrediction:
                 raise ValueError(f"{label} probabilities must lie in [0, 1]")
         if not np.isfinite(reg).all():
             raise ValueError("regression channels must be finite")
-        object.__setattr__(self, "tr_prob", tr)
-        object.__setattr__(self, "tcr_prob", tcr)
-        object.__setattr__(self, "regression", reg)
+        super().__init__(name, stride, tr, tcr, reg)
 
     @property
     def degree(self) -> int:
         return (self.regression.shape[0] // 2 - 1) // 2
 
 
-@dataclass
-class PredictionMaps:
-    image_id: str
-    width: int
-    height: int
-    levels: dict[str, LevelPrediction] = field(default_factory=dict)
+class PredictionMaps(_Record):
+    __slots__ = ("image_id", "width", "height", "levels")
+
+    def __init__(self, image_id: str, width: int, height: int,
+                 levels: dict[str, LevelPrediction] | None = None) -> None:
+        super().__init__(image_id, width, height, {} if levels is None else levels)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     contour: Contour
     score: float
     level: str = ""

@@ -10,7 +10,7 @@ a second detection on an already matched ground truth is a false positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import DEFAULT_SUPERSAMPLE, contour_spans_many, spans_iou
 
@@ -19,15 +19,13 @@ __all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure", "DEFAULT_EVAL_IO
 DEFAULT_EVAL_IOU = 0.5
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     det_index: int
     gt_id: str
     iou: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     precision: float
     recall: float
     hmean: float

@@ -18,13 +18,12 @@ real and imaginary parts from k = -K upward:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ChannelCountMismatch, DegreeTooLarge, NonFinite
-from .geometry import Contour, ResampledContour, _cuts, _resample_many
+from .geometry import Contour, ResampledContour, _Frozen, _cuts, _resample_many
 
 __all__ = [
     "FourierSignature",
@@ -58,15 +57,14 @@ MAX_RECON_POINTS = 1024
 _BASIS_CACHE_SIZE = 16
 
 
-@dataclass(frozen=True)
-class FourierSignature:
+class FourierSignature(_Frozen):
     """Complex coefficients c_-K .. c_K of one contour.  coeffs[j] holds the
     harmonic k = j - K; the center sits at coeffs[K]."""
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=np.complex128, copy=True)
+    def __init__(self, coeffs: np.ndarray) -> None:
+        arr = np.array(coeffs, dtype=np.complex128, copy=True)
         if arr.ndim != 1 or arr.size % 2 == 0:
             raise ChannelCountMismatch(
                 f"signature needs an odd number of coefficients, got shape {arr.shape}"
@@ -74,7 +72,7 @@ class FourierSignature:
         if not np.isfinite(arr).all():
             raise NonFinite("signature coefficients must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        super().__init__(arr)
 
     @property
     def degree(self) -> int:

@@ -12,7 +12,6 @@ vertex list of a contour cannot move any downstream decision by even one ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -51,6 +50,45 @@ class Point2(NamedTuple):
     y: float
 
 
+class _Record:
+    """A record whose fields are its __slots__, set in that order by __init__,
+    with a dataclass's repr and equality.  A plain class, so defining a
+    record runs no generated code at import time."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """A read-only, hashable _Record."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _vertex_array(vertices, minimum: int = 3) -> np.ndarray:
     arr = np.array(vertices, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -63,8 +101,7 @@ def _vertex_array(vertices, minimum: int = 3) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(_Frozen):
     """Closed polygon; the edge from the last vertex back to the first is implicit.
 
     Vertex count (>= 3) and finiteness are checked at construction.
@@ -73,10 +110,10 @@ class Contour:
     that need arc length raise ZeroPerimeter instead of forbidding them here.
     """
 
-    vertices: np.ndarray
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", _vertex_array(self.vertices))
+    def __init__(self, vertices: np.ndarray) -> None:
+        super().__init__(_vertex_array(vertices))
 
     @classmethod
     def from_flat(cls, coords: Iterable[float]) -> "Contour":
@@ -102,15 +139,14 @@ class Contour:
         return int(self.vertices.shape[0])
 
 
-@dataclass(frozen=True)
-class ResampledContour:
+class ResampledContour(_Frozen):
     """Equidistant samples of a contour, visually clockwise, starting at the
     canonical start point.  points[j] is the sample at parameter t = j / n."""
 
-    points: np.ndarray
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _vertex_array(self.points))
+    def __init__(self, points: np.ndarray) -> None:
+        super().__init__(_vertex_array(points))
 
     @property
     def n(self) -> int:
@@ -711,8 +747,7 @@ def _grid_cells(contours, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, n
     return which, cells
 
 
-@dataclass(frozen=True)
-class ContourSpans:
+class ContourSpans(NamedTuple):
     """Inside samples of one contour on the global supersample lattice.
 
     Lattice sample (gx, gy) sits at ((gx + 0.5) / s, (gy + 0.5) / s) whatever

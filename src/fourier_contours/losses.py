@@ -19,7 +19,6 @@ values from differently sized regions are comparable only per pixel count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -49,8 +48,7 @@ OHEM_RATIO = 3
 OHEM_ZERO_POS_FLOOR = 100
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     l_tr: float
     l_tcr: float
     l_reg: float

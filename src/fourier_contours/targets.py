@@ -28,13 +28,11 @@ is never aborted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .annotations import AnnotatedImage, TextInstance
 from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, _embed_many, coeffs_to_flat
-from .geometry import Contour, _grid_cells, _shrink_many, signed_area
+from .geometry import Contour, _Frozen, _Record, _grid_cells, _shrink_many, signed_area
 
 __all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_count", "cell_centers",
            "generate_targets", "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
@@ -42,22 +40,19 @@ __all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_cou
 DEFAULT_SHRINK = 0.3
 
 
-@dataclass(frozen=True)
-class LevelSpec:
+class LevelSpec(_Frozen):
     """One pyramid level: name, stride in pixels, inclusive scale range."""
 
-    name: str
-    stride: int
-    low: float
-    high: float
+    __slots__ = ("name", "stride", "low", "high")
 
-    def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not 0.0 <= self.low < self.high <= 1.0:
+    def __init__(self, name: str, stride: int, low: float, high: float) -> None:
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        if not 0.0 <= low < high <= 1.0:
             raise ValueError(
-                f"scale range must satisfy 0 <= low < high <= 1, got [{self.low}, {self.high}]"
+                f"scale range must satisfy 0 <= low < high <= 1, got [{low}, {high}]"
             )
+        super().__init__(name, stride, low, high)
 
 
 DEFAULT_LEVELS = (
@@ -67,28 +62,28 @@ DEFAULT_LEVELS = (
 )
 
 
-@dataclass
-class LevelTargets:
-    spec: LevelSpec
-    tr: np.ndarray          # (H, W) uint8
-    tcr: np.ndarray         # (H, W) uint8
-    regression: np.ndarray  # (2 * (2K + 1), H, W) float64
-    weight: np.ndarray      # (H, W) float64, values in {0.0, 0.5, 1.0}
-    care: np.ndarray        # (H, W) uint8, 0 = excluded from classification
+class LevelTargets(_Record):
+    """Target maps of one level: tr and tcr (H, W) uint8, regression
+    (2 * (2K + 1), H, W) float64, weight (H, W) float64 in {0.0, 0.5, 1.0},
+    care (H, W) uint8 with 0 excluded from classification."""
+
+    __slots__ = ("spec", "tr", "tcr", "regression", "weight", "care")
+
+    def __init__(self, spec: LevelSpec, tr: np.ndarray, tcr: np.ndarray, regression: np.ndarray,
+                 weight: np.ndarray, care: np.ndarray) -> None:
+        super().__init__(spec, tr, tcr, regression, weight, care)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.tr.shape
 
 
-@dataclass
-class TargetMaps:
-    image_id: str
-    width: int
-    height: int
-    k: int
-    levels: dict[str, LevelTargets]
-    skipped: list[tuple[str, str]] = field(default_factory=list)
+class TargetMaps(_Record):
+    __slots__ = ("image_id", "width", "height", "k", "levels", "skipped")
+
+    def __init__(self, image_id: str, width: int, height: int, k: int, levels: dict[str, LevelTargets],
+                 skipped: list[tuple[str, str]] | None = None) -> None:
+        super().__init__(image_id, width, height, k, levels, [] if skipped is None else skipped)
 
 
 def instance_scale(polygon: Contour, width: int, height: int) -> float:
