@@ -33,10 +33,11 @@ from .fourier import (
     _coefficient_rows,
     _embed_many,
     coeffs_to_flat,
+    evaluate_series,
     reconstruct,
     truncation_l2_errors,
 )
-from .geometry import Contour, _resample_many, contour_spans_many, spans_iou
+from .geometry import Contour, _cuts, _resample_many, contour_spans_many, spans_iou
 from .losses import LossSums, image_loss, total_loss
 from .serialize import fmt9, json_line, read_tensor, round9, write_tensor
 from .svg import render_svg
@@ -200,6 +201,10 @@ def _degree(token: str) -> int:
 
 
 def cmd_fidelity(args, cfg: Config) -> int:
+    """Mean and median IoU and mean squared truncation error of each degree's
+    reconstruction over the cared-for instances.  Per image: one resample and
+    transform of the instances, series evaluations per degree in blocks, and one
+    contour_spans_many call for the instances and all their reconstructions."""
     images = _parse_annotations(args.annotations)
     degrees = sorted({_degree(tok) for tok in args.degrees.split(",")}) if args.degrees else [cfg.k]
     if any(deg < 1 for deg in degrees):
@@ -212,20 +217,28 @@ def cmd_fidelity(args, cfg: Config) -> int:
         insts = [inst for inst in img.instances if not inst.ignore]
         points, errors = _resample_many([inst.polygon.vertices for inst in insts], cfg.n)
         _first_error(errors)
-        results = []
-        for inst, samples, full in zip(insts, points, _coefficient_rows(points, kmax)):
+        full = _coefficient_rows(points, kmax)
+        # every instance's reconstruction at each degree, (degrees, N, n')
+        z = np.empty((len(degrees), len(insts), cfg.n_prime), dtype=np.complex128)
+        for d, deg in enumerate(degrees):
+            for i, j in _cuts(np.full(len(insts), cfg.n_prime * (2 * deg + 1))):
+                z[d, i:j] = evaluate_series(full[i:j, kmax - deg : kmax + deg + 1], cfg.n_prime)
+        rows, recons = [], []
+        for samples, coeffs, zs in zip(points, full, z.transpose(1, 0, 2)):
             errs = truncation_l2_errors(samples, degrees)
-            recons = [
-                reconstruct(FourierSignature(full[kmax - deg : kmax + deg + 1]), cfg.n_prime)
-                for deg in degrees
-            ]
-            inst_spans, *recon_spans = contour_spans_many([inst.polygon] + recons, cfg.iou_supersample)
-            rows = [
-                (deg, spans_iou(inst_spans, spans), err, recon)
-                for deg, err, recon, spans in zip(degrees, errs, recons, recon_spans)
-            ]
-            results.append((img, inst, rows))
-        return results
+            recon = []
+            for deg, zd in zip(degrees, zs):  # the checks reconstruct makes, in its order
+                FourierSignature(coeffs[kmax - deg : kmax + deg + 1])
+                recon.append(Contour(np.stack([zd.real, zd.imag], axis=1)))
+            rows.append(list(zip(degrees, errs, recon)))
+            recons += recon
+        # one record batch: the instances, then their reconstructions in order
+        spans = contour_spans_many([inst.polygon for inst in insts] + recons, cfg.iou_supersample)
+        recon_spans = iter(spans[len(insts):])
+        return [
+            (img, inst, [(deg, spans_iou(own, next(recon_spans)), err, recon) for deg, err, recon in inst_rows])
+            for inst, own, inst_rows in zip(insts, spans, rows)
+        ]
 
     results = [result for block in _pmap(one, images, args.jobs) for result in block]
 

@@ -162,9 +162,14 @@ def poly_nms(
     is strictly below the threshold.  Pairs with disjoint bounding boxes
     have IoU 0 and are skipped.  geometry._greedy_nms decides which are
     kept, proving most suppressions from the candidates' matching vertices.
+    A kept candidate is rasterized only once a later live candidate's box
+    meets its own, together with every other kept one then waiting; the
+    others' spans are found one candidate at a time, for the exact test.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
+    if int(supersample) < 1:
+        raise ValueError(f"supersample must be >= 1, got {supersample}")
     points = np.asarray(points, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:

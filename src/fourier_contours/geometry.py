@@ -221,7 +221,10 @@ def _cuts(sizes, budget: int | None = None) -> list[tuple[int, int]]:
     sizes = np.asarray(sizes, dtype=np.int64)
     if not sizes.size:
         return []
-    block = (np.cumsum(sizes) - sizes) // (_BATCH_ELEMENTS if budget is None else budget)
+    budget = _BATCH_ELEMENTS if budget is None else budget
+    if sizes.sum() - sizes[-1] < budget:  # one block, found without the running sums
+        return [(0, sizes.size)]
+    block = (np.cumsum(sizes) - sizes) // budget
     cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [sizes.size])).tolist()
     return list(zip(cuts[:-1], cuts[1:]))
 
@@ -791,6 +794,13 @@ def _lattice(g0: np.ndarray, size: np.ndarray, s: int) -> tuple[np.ndarray, np.n
     return (g + 0.5) / s, np.searchsorted(g, g0)
 
 
+def _check_extent(low: np.ndarray, high: np.ndarray, s: int) -> None:
+    """Raise ValueError unless the lattice indices of coordinates from low to
+    high fit int64."""
+    if max(-low.min(), high.max()) * s >= 2.0**62:
+        raise ValueError("contour coordinates too large for the sample lattice")
+
+
 def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list[ContourSpans]:
     """contour_spans of every contour, in order, from one vectorized pass per
     block of about _SPANS_BLOCK_ROWS record rows.
@@ -815,8 +825,7 @@ def contour_spans_many(contours, supersample: int = DEFAULT_SUPERSAMPLE) -> list
     a = np.concatenate(verts)
     low = np.minimum.reduceat(a, vstart, axis=0)
     high = np.maximum.reduceat(a, vstart, axis=0)
-    if max(-low.min(), high.max()) * s >= 2.0**62:  # lattice indices are int64
-        raise ValueError("contour coordinates too large for the sample lattice")
+    _check_extent(low, high, s)
     bboxes = np.concatenate([low, high], axis=1).tolist()
     # each integer-aligned box on the lattice: (x, y) first sample g0, extent n
     g0 = np.floor(low).astype(np.int64)
@@ -887,7 +896,9 @@ def spans_iou(a: ContourSpans, b: ContourSpans) -> float:
 
 def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
     """D[i] >= the lattice-s samples inside exactly one of the vertex arrays
-    k (n, 2) and c[i] (c is (M, n, 2)), as contour_spans records count them.
+    k and c[i] (c is (P, n, 2)), as contour_spans records count them.  k is
+    one (n, 2) array bounded against every c[i], or (P, n, 2) pairs k[i] with
+    c[i]; the float operations of a pair are the same either way.
 
     (1 - u) k + u c[i], u in [0, 1], moves each k_j straight to c_j, so edge
     j sweeps P_j = hull(k_j, k_j+1, c_j, c_j+1).  The even-odd membership of
@@ -908,15 +919,16 @@ def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
     w_y).  The factor 1 + 2^-20 covers the rounding of the sum and of a
     caller's (1 - iou) * count, a relative (n + 4) eps.
     """
-    r = 2.0**-40 * (np.maximum(np.abs(k).max(), np.abs(c).max(axis=(1, 2))) + 1.0)[:, None]
-    kn, cn = np.concatenate((k[1:], k[:1])), np.concatenate((c[:, 1:], c[:, :1]), axis=1)
+    r = 2.0**-40 * (np.maximum(np.abs(k).max(axis=(-2, -1)), np.abs(c).max(axis=(1, 2))) + 1.0)[:, None]
+    kn, cn = (np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2) for a in (k, c))
     u, v, w = kn - k, c - k, cn - k  # corners k_j+1, c_j, c_j+1 less k_j
-    uv = u[:, 0] * v[..., 1] - u[:, 1] * v[..., 0]
-    uw = u[:, 0] * w[..., 1] - u[:, 1] * w[..., 0]
+    uv = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    uw = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
     vw = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
     area = (np.abs(uv) + np.abs(uw) + np.abs(vw) + np.abs(vw + uv - uw)) / 4
     hi = np.maximum(np.maximum(k, kn), np.maximum(c, cn))
-    width = (hi - np.minimum(np.minimum(k, kn), np.minimum(c, cn))).sum(axis=2) + 4 * r
+    d = hi - np.minimum(np.minimum(k, kn), np.minimum(c, cn))
+    width = d[..., 0] + d[..., 1] + 4 * r  # not .sum(axis=2): a reduction over 2 is slow
     return (s * s * (area + 2 * r * width) + s * width + 1).sum(axis=1) * (1 + 2.0**-20)
 
 
@@ -925,34 +937,68 @@ def _greedy_nms(points: np.ndarray, iou_thresh: float, supersample: int) -> list
     their vertex arrays points (M, n, 2): each is kept iff its spans_iou with
     every kept one is below iou_thresh.
 
-    A newly kept k bounds, in one _sym_diff_bound call, every later live
-    candidate c whose box meets its own, and suppresses c unrasterized where
-    D <= (1 - iou_thresh) |k|: with d1 samples of k outside c and d2 of c
-    outside k, d1 + d2 <= D, the IoU (|k| - d1) / (|k| + d2) is at least
-    1 - D / |k|.  A candidate still live at its turn gets its contour_spans
-    record and the exact test against the kept contours whose boxes meet its
-    own.
-    """
-    boxes = np.concatenate([points.min(axis=1), points.max(axis=1)], axis=1)
+    A live candidate whose box meets no kept box is kept unrasterized, and
+    its record waits.  When a live candidate's box meets a waiting box, every
+    waiting contour gets its record from one contour_spans_many call.  A kept
+    k with a record bounds every later live candidate c whose box meets its
+    own, a batch's pairs in blocks of _sym_diff_bound calls, and suppresses c
+    unrasterized where D <= (1 - iou_thresh) |k|: with d1 samples of k
+    outside c and d2 of c outside k, d1 + d2 <= D, the IoU (|k| - d1) / (|k|
+    + d2) is at least 1 - D / |k|.  A candidate still live after that gets
+    its contour_spans record and the exact test against the kept contours
+    whose boxes meet its own.
 
-    def meets(idx, i):
-        b, (x0, y0, x1, y1) = boxes[idx], boxes[i]
-        return (b[:, 2] > x0) & (x1 > b[:, 0]) & (b[:, 3] > y0) & (y1 > b[:, 1])
+    Deferring a waiting contour's bound changes no decision: the bound
+    suppresses the same candidates whenever it is applied, and every live
+    candidate between a waiting contour and the one that builds its record
+    has a box that misses its box.  A waiting contour whose box no later
+    live candidate's box meets is never rasterized.
+    """
+    s = int(supersample)
+    xy = points.transpose(0, 2, 1).copy()  # (M, 2, n): each reduction runs along a contiguous row
+    boxes = np.concatenate([xy.min(axis=2), xy.max(axis=2)], axis=1)
+    if len(points):  # checked here, as a candidate may be kept unrasterized
+        _check_extent(boxes[:, :2], boxes[:, 2:], s)
+
+    def meets(a, b):
+        return (a[..., 2] > b[..., 0]) & (b[..., 2] > a[..., 0]) & (a[..., 3] > b[..., 1]) & (b[..., 3] > a[..., 1])
 
     live = np.ones(len(points), dtype=bool)
-    kept: dict[int, ContourSpans] = {}  # kept index -> its record
+
+    def suppress(ks, counts, t):
+        """Bound each kept ks[j], of counts[j] inside samples, against the
+        live candidates from t on whose boxes meet its own."""
+        ks, limit = np.array(ks), (1 - iou_thresh) * np.array(counts)
+        later = t + np.flatnonzero(live[t:])
+        for a, b in _cuts(np.full(ks.size, later.size)):
+            pk, pc = np.nonzero(meets(boxes[ks[a:b], None], boxes[later]))
+            for i, j in _cuts(np.full(pk.size, points[0].size)):
+                k, c = a + pk[i:j], later[pc[i:j]]
+                live[c[_sym_diff_bound(points[ks[k]], points[c], s) <= limit[k]]] = False
+
+    kept: dict[int, ContourSpans | None] = {}  # kept index -> its record, None while it waits
+    waiting: dict[int, Contour] = {}
     for i in range(len(points)):
         if not live[i]:
             continue
+        contour = Contour(points[i])
         idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
-        rec = contour_spans(Contour(points[i]), supersample)
-        if any(spans_iou(rec, kept[j]) >= iou_thresh for j in idx[meets(idx, i)].tolist()):
+        near = idx[meets(boxes[idx], boxes[i])].tolist()
+        if not near:
+            kept[i], waiting[i] = None, contour
+            continue
+        if any(j in waiting for j in near):
+            recs = contour_spans_many(list(waiting.values()), s)
+            kept.update(zip(waiting, recs))
+            suppress(list(waiting), [rec.count for rec in recs], i)
+            waiting = {}
+            if not live[i]:
+                continue
+        rec = contour_spans(contour, s)
+        if any(spans_iou(rec, kept[j]) >= iou_thresh for j in near):
             continue
         kept[i] = rec
-        later = slice(i + 1, None)
-        pos = i + 1 + np.flatnonzero(live[later] & meets(later, i))
-        bound = _sym_diff_bound(points[i], points[pos], rec.supersample)
-        live[pos[bound <= (1 - iou_thresh) * rec.count]] = False
+        suppress([i], [rec.count], i + 1)
     return list(kept)
 
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import shutil
+import statistics
 import struct
 import subprocess
 import sys
@@ -16,15 +17,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fourier_contours import cli, polygon_iou
-from fourier_contours.annotations import MAX_IMAGE_SIDE, MAX_VERTICES
+from fourier_contours import (
+    FourierSignature,
+    cli,
+    fourier_coefficients,
+    geometry,
+    polygon_iou,
+    reconstruct,
+    resample_equidistant,
+    truncation_l2_errors,
+)
+from fourier_contours.annotations import MAX_IMAGE_SIDE, MAX_VERTICES, parse_jsonl
 from fourier_contours.cli import main
-from fourier_contours.config import load_config
-from fourier_contours.geometry import Contour
-from fourier_contours.serialize import read_tensor, write_tensor
+from fourier_contours.config import Config, load_config
+from fourier_contours.geometry import Contour, contour_spans_many
+from fourier_contours.serialize import fmt9, read_tensor, write_tensor
 from fourier_contours.synth import ellipse_polygon, rect14, regular_polygon, ribbon
 
 
@@ -74,6 +84,25 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_instance_fidelity(images, degrees, cfg):
+    """The lines of fidelity's CSV after its config header, computed one
+    instance and one degree at a time through the public one-contour calls."""
+    kmax = max(degrees)
+    rows = []
+    for inst in (inst for img in images for inst in img.instances if not inst.ignore):
+        samples = resample_equidistant(inst.polygon, cfg.n)
+        full = fourier_coefficients(samples, kmax).coeffs
+        for deg, err in zip(degrees, truncation_l2_errors(samples, degrees)):
+            recon = reconstruct(FourierSignature(full[kmax - deg : kmax + deg + 1]), cfg.n_prime)
+            rows.append((deg, polygon_iou(inst.polygon, recon, cfg.iou_supersample), err))
+    lines = ["k,mean_iou,median_iou,mean_l2"]
+    for deg in degrees:
+        ious = [iou for d, iou, _ in rows if d == deg]
+        errs = [err for d, _, err in rows if d == deg]
+        lines.append(f"{deg},{fmt9(float(np.mean(ious)))},{fmt9(statistics.median(ious))},{fmt9(float(np.mean(errs)))}")
+    return lines
 
 
 class TestEmbedReconstruct:
@@ -183,6 +212,30 @@ class TestFidelity:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+    def test_one_record_batch_per_image_gives_the_per_instance_csv(self, tmp_path, capsys, monkeypatch):
+        ribbon_a = ribbon(80.0, 60.0, 90.0, 20.0, 8.0, points_per_edge=12).vertices.tolist()
+        ellipse = ellipse_polygon(50.0, 40.0, 30.0, 12.0, n=40, rot=0.4).vertices.tolist()
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            _rect_record("a", [_inst(RECT_A, "r"), _inst(ribbon_a, "w"), _inst(RECT_IGN, "dc", True)]) + "\n"
+            + _rect_record("b", [_inst(ellipse, "e"), _inst(RECT_B, "r"), _inst(RECT_A, "r2")]) + "\n"
+            + _rect_record("c", [_inst(RECT_IGN, "dc", True)]) + "\n",
+            encoding="utf-8",
+        )
+        calls = []
+        monkeypatch.setattr(cli, "contour_spans_many", lambda cs, s: calls.append(len(cs)) or contour_spans_many(cs, s))
+        argv = ["--set", "n_prime=37", "fidelity", str(path), "--degrees", "1,4,2"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        # image c has no cared-for instance and no contour to rasterize
+        assert calls == [2 + 2 * 3, 3 + 3 * 3, 0]
+        cfg = Config()._replace(n_prime=37)
+        images = parse_jsonl(path.read_text(encoding="utf-8").splitlines())[0]
+        assert out.splitlines()[1:] == per_instance_fidelity(images, [1, 2, 4], cfg)
+        # a budget below one instance's series evaluation: one block each
+        monkeypatch.setattr(geometry, "_BATCH_ELEMENTS", 10)
+        assert run(argv, capsys)[:2] == (0, out)
 
     def test_degree_errors(self, corpus, capsys):
         code, _, _ = run(["fidelity", str(corpus), "--degrees", "0"], capsys)
@@ -1117,3 +1170,93 @@ class TestMalformedMaps:
                 assert code == 0 or "error:" in err.getvalue(), (argv[0], mutation, err.getvalue())
                 assert "Traceback" not in err.getvalue()
                 assert peak < 16 * 2**20, (argv[0], mutation, peak)
+
+
+# strategies for what can be wrong with a configuration: a --config file's
+# bytes or lines, and --set pairs, with numbers that are nan, infinite, huge
+# or negative, boolean words, and level specs
+NUMBER_TEXT = st.one_of(
+    st.integers(-8, 64).map(str),  # small enough that a valid value sizes nothing large
+    st.integers(min_value=10**5).map(str),
+    st.integers(max_value=-(10**5)).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "1e999", "-1e308", "5e-324", "1_0", "0x10", ""]),
+)
+BOOL_WORD = st.sampled_from(["true", "false", "True", "False", "yes", "no", "on", "off", "null", "None"])
+LEVEL_SPEC = st.lists(
+    st.tuples(st.one_of(st.sampled_from(["P3", "P4", "P5"]), st.text(max_size=3)),
+              st.one_of(NUMBER_TEXT, BOOL_WORD), NUMBER_TEXT, NUMBER_TEXT).map(":".join),
+    max_size=4,
+).map(",".join)
+CONFIG_KEY = st.sampled_from(sorted(Config().to_dict()))
+CONFIG_PAIR = st.one_of(
+    st.tuples(CONFIG_KEY, st.one_of(NUMBER_TEXT, BOOL_WORD)).map("=".join),
+    LEVEL_SPEC.map("levels={}".format),
+    st.tuples(st.one_of(CONFIG_KEY, st.text(max_size=6)), st.text(max_size=6)).map("=".join),
+    st.text(max_size=8),
+)
+CONFIG_FILE = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.one_of(CONFIG_PAIR, CONFIG_PAIR.map(lambda pair: f" {pair.replace('=', ' = ', 1)}  # note")),
+             max_size=4).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+
+
+@pytest.fixture(scope="module")
+def config_inputs(tmp_path_factory):
+    """Inputs for every command, written at the default configuration; the
+    predictions are the targets of instances moved by a few pixels, so the
+    loss is not zero."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    for name, dx in (("ann", 0), ("moved", 3)):
+        (root / f"{name}.jsonl").write_text(
+            _rect_record("a", [_inst(np.add(RECT_A, dx).tolist(), "t0"), _inst(RECT_IGN, "dc", True)]) + "\n"
+            + _rect_record("b", [_inst(np.add(RECT_B, dx).tolist(), "t0")]) + "\n",
+            encoding="utf-8",
+        )
+    for argv in (
+        ["embed", str(root / "ann.jsonl"), "-o", str(root / "sigs.jsonl")],
+        ["targets", str(root / "ann.jsonl"), "--out-dir", str(root / "gt")],
+        ["targets", str(root / "moved.jsonl"), "--out-dir", str(root / "pred")],
+        ["decode", "--maps-dir", str(root / "gt"), "-o", str(root / "dets.jsonl")],
+    ):
+        assert main(argv) == 0
+    return root
+
+
+def _config_commands(root: Path, out: Path) -> list:
+    ann = str(root / "ann.jsonl")
+    return [
+        ["embed", ann, "-o", str(out / "sigs.jsonl")],
+        ["reconstruct", str(root / "sigs.jsonl"), "-o", str(out / "recon.jsonl")],
+        ["fidelity", ann, "-o", str(out / "fidelity.csv")],
+        ["subset", ann, "-o", str(out / "subset.jsonl")],
+        ["targets", ann, "--out-dir", str(out / "gt")],
+        ["decode", "--maps-dir", str(root / "gt"), "-o", str(out / "dets.jsonl")],
+        ["loss", "--gt-dir", str(root / "gt"), "--pred-dir", str(root / "pred"), "-o", str(out / "loss.json")],
+        ["eval", "--detections", str(root / "dets.jsonl"), "--annotations", ann, "-o", str(out / "report.json")],
+        ["plot", ann, "--out-dir", str(out / "plots")],
+    ]
+
+
+class TestMalformedConfig:
+    @settings(max_examples=80, deadline=None)
+    @given(config=st.one_of(st.none(), CONFIG_FILE), pairs=st.lists(CONFIG_PAIR, max_size=3))
+    @example(config=b"\xff\xfe n=3\n", pairs=[])
+    @example(config=b"lambda = 1e308\n", pairs=[])
+    @example(config=None, pairs=["lambda=nan"])
+    @example(config=None, pairs=["subset_threshold=inf", "levels=P3:8:0:1"])
+    def test_any_config_is_exit_0_or_3(self, config, pairs, config_inputs):
+        with tempfile.TemporaryDirectory() as name:
+            out = Path(name)
+            options = [f"--set={pair}" for pair in pairs]
+            if config is not None:
+                (out / "fuzz.cfg").write_bytes(config)
+                options += ["--config", str(out / "fuzz.cfg")]
+            for argv in _config_commands(config_inputs, out):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(options + argv)
+                assert code in (0, 3), (argv[0], config, pairs, err.getvalue())
+                assert code == 0 or err.getvalue().startswith("config error: "), (argv[0], err.getvalue())
+                assert "Traceback" not in err.getvalue()

@@ -269,35 +269,92 @@ class TestFilterAndRefine:
             base = square(*center, 20.0).vertices
             points += [base + rng.normal(0.0, 0.3, base.shape) for _ in range(20)]
             scores += [0.9 - 0.01 * c for c in range(20)]
-        with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full:
-            kept = poly_nms(np.array(points), np.array(scores), 0.1)
+        kept, rasterized = rasterizing(poly_nms, np.array(points), np.array(scores), 0.1)
         assert kept == [0, 20, 40]
-        assert full.call_count == 3
+        assert [rasterized_index(points, v) for v in rasterized] == [0, 20, 40]
 
     @pytest.mark.parametrize("thresh", [0.1, 0.5, 0.7])
     def test_rasterizes_the_candidates_the_bound_leaves(self, thresh):
-        """contour_spans runs once for each candidate that no earlier kept
-        contour's vertex bound suppresses, in visit order, and for no other."""
+        """A candidate is rasterized at most once, and only where no earlier
+        kept contour's vertex bound suppresses it, also where a small budget
+        cuts the bound's pairs into many blocks."""
         points, scores = jittered_candidates(np.random.default_rng(11), 4, 10, 0.05)
-        with mock.patch.object(geometry, "contour_spans", wraps=geometry.contour_spans) as full:
-            kept = poly_nms(points, scores, thresh)
-        assert kept == brute_nms(points, scores, thresh, 4)
         order = np.argsort(-scores, kind="stable").tolist()
         rank = {i: r for r, i in enumerate(order)}
-        left = [
-            i
-            for i in order
-            if not any(
-                rank[k] < rank[i]
-                and geometry._sym_diff_bound(points[k], points[i][None], 4)[0]
-                <= (1 - thresh) * geometry.contour_spans(Contour(points[k]), 4).count
-                for k in kept
-            )
-        ]
-        rasterized = [call.args[0].vertices for call in full.call_args_list]
-        assert len(rasterized) == len(left)
-        assert all(np.array_equal(v, points[i]) for v, i in zip(rasterized, left))
-        assert 0 < len(left) < len(scores)
+        for budget in (geometry._BATCH_ELEMENTS, 40):
+            with mock.patch.object(geometry, "_BATCH_ELEMENTS", budget):
+                kept, rasterized = rasterizing(poly_nms, points, scores, thresh)
+            assert kept == brute_nms(points, scores, thresh, 4)
+            index = [rasterized_index(points, v) for v in rasterized]
+            assert len(set(index)) == len(index)
+            for i in index:
+                assert not any(
+                    rank[k] < rank[i]
+                    and geometry._sym_diff_bound(points[k], points[i][None], 4)[0]
+                    <= (1 - thresh) * geometry.contour_spans(Contour(points[k]), 4).count
+                    for k in kept
+                ), (budget, i)
+            assert 0 < len(index) < len(scores)
+
+    def test_waiting_records_are_built_in_one_batch(self):
+        """Kept contours whose boxes meet no kept box wait for their records;
+        the first candidate whose box meets one of theirs has them built in
+        one contour_spans_many call.  A row of disjoint squares waits whole,
+        and a duplicate of the last one builds all their records."""
+        squares = [square(20.0 + 30.0 * i, 20.0, 10.0).vertices for i in range(5)]
+        points = np.array(squares + [squares[-1] + 0.5])
+        with mock.patch.object(geometry, "contour_spans_many", wraps=geometry.contour_spans_many) as spans:
+            assert poly_nms(points, np.linspace(0.9, 0.4, 6), 0.5) == [0, 1, 2, 3, 4]
+        assert [len(call.args[0]) for call in spans.call_args_list] == [5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clusters=st.integers(2, 5),
+        copies=st.integers(1, 5),
+        spacing=st.sampled_from([0.4, 0.7, 1.0]),
+        jitter=st.sampled_from([0.0, 0.1, 0.5]),
+        supersample=st.sampled_from([3, 4]),
+        thresh=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        budget=st.sampled_from([geometry._BATCH_ELEMENTS, 40]),
+    )
+    def test_chained_boxes_match_brute_force(
+        self, seed, clusters, copies, spacing, jitter, supersample, thresh, budget
+    ):
+        """Thin slanted bars in a row, each box reaching into its neighbours'
+        boxes while the bars stay apart, so waiting records are built in
+        batches again and again.  A small budget cuts a batch's pairs into
+        many blocks."""
+        rng = np.random.default_rng(seed)
+        points, scores = [], []
+        for i in range(clusters):
+            x0 = 10.0 + 20.0 * spacing * i
+            slant = 20.0 if i % 2 else -20.0  # "/" and "\" bars
+            corners = np.array([[x0, 40.0], [x0 + 4.0, 40.0], [x0 + 4.0 + slant, 20.0], [x0 + slant, 20.0]])
+            base = np.concatenate([a + np.linspace(0.0, 1.0, 4, endpoint=False)[:, None] * (b - a)
+                                   for a, b in zip(corners, np.roll(corners, -1, axis=0))])
+            for _ in range(copies):
+                points.append(base + rng.normal(0.0, jitter, base.shape))
+                scores.append(float(rng.choice([0.5, 0.7, 0.7, 0.9])))
+        points, scores = np.array(points), np.array(scores)
+        with mock.patch.object(geometry, "_BATCH_ELEMENTS", budget):
+            got = poly_nms(points, scores, thresh, supersample)
+        assert got == brute_nms(points, scores, thresh, supersample)
+
+
+def rasterizing(call, *args):
+    """call(*args), and the vertex arrays of every contour it rasterized, in
+    order.  contour_spans is contour_spans_many with a batch of one, so the
+    spy on contour_spans_many sees both entry points."""
+    with mock.patch.object(geometry, "contour_spans_many", wraps=geometry.contour_spans_many) as spans:
+        result = call(*args)
+    return result, [c.vertices for call in spans.call_args_list for c in call.args[0]]
+
+
+def rasterized_index(points, vertices) -> int:
+    """The index of the candidate whose vertex array vertices is."""
+    (index,) = [i for i, p in enumerate(points) if np.array_equal(p, vertices)]
+    return index
 
 
 class TestDecodeAll:

@@ -868,6 +868,22 @@ class TestVertexBound:
         assert got.shape == (5,)
         assert got.tolist() == [_sym_diff_bound(k, c[None], 3)[0] for c in cands]
 
+    @pytest.mark.parametrize("s", [1, 3, 4])
+    def test_pairs_equal_one_call_per_kept_contour(self, rng, s):
+        # kept contours of very different sizes and places, so the margin r
+        # differs from pair to pair; each pair's bound must be bit for bit
+        # the bound of its kept contour's own call
+        kept = np.array([
+            star_shaped(rng, m=18, center=rng.uniform(-1e3, 1e4, 2), rmin=size / 3, rmax=size).vertices
+            for size in (0.5, 4.0, 30.0, 700.0)
+        ])
+        which = rng.integers(0, len(kept), 40)
+        cands = kept[which] + rng.normal(0.0, 0.2, (40, 18, 2)) * rng.choice([0.1, 1.0, 10.0], (40, 1, 1))
+        got = _sym_diff_bound(kept[which], cands, s)
+        for j, k in enumerate(kept):
+            mine = which == j
+            assert got[mine].view(np.uint64).tolist() == _sym_diff_bound(k, cands[mine], s).view(np.uint64).tolist()
+
 
 class TestVertexRemovalDelta:
     def test_collinear_vertex_is_free(self):
