@@ -7,14 +7,17 @@ and every command maps a pure per-image or per-record function through
 _pmap, whose threads collect results in order, so --jobs never changes a
 single output byte.
 
-Exit codes: 0 success, 2 malformed input, 3 bad configuration.
+Exit codes: 0 success, 1 the reader of standard output closed it, 2 malformed
+input, 3 bad configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -718,6 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one fctool command; returns the exit code.  argv None means the
+    program entry (the console script, `python -m`): the objects the imports
+    made then live until exit, so gc.freeze() keeps them out of every later
+    collection, the full ones at interpreter exit included.  A caller that
+    passes argv keeps its collector as it was."""
+    if argv is None:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else Config()
@@ -728,7 +738,18 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     try:
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        # flushed here, so a reader that is gone fails inside this block
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of the output closed it (`fctool ... | head`), which is
+        # not bad input; as Python's signal docs advise, stdout goes to
+        # devnull so the flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -169,7 +169,11 @@ def embed(c: Contour, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> Four
     """Resample the contour to n equidistant points and take its degree-k
     signature.  The resampling fixes start point, direction, and speed, so
     congruent contours with different vertex lists embed identically.  This
-    is _embed_many with a batch of one."""
+    is _embed_many with a batch of one, and pays the batch's fixed costs: a
+    72-vertex ellipse at the default n takes about 495 µs on two shared
+    cores, some 35% more than the one-contour code the batch replaced
+    (370 µs).  Many contours cost less per contour in one _embed_many call,
+    as the commands make per image."""
     coeffs, errors = _embed_many([c.vertices], k, n)
     if errors[0]:
         raise errors[0]

@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import os
 import shutil
 import statistics
 import struct
@@ -1004,6 +1005,96 @@ class TestGlobalBehavior:
         )
         assert proc.returncode == 0
         assert "embed" in proc.stdout and "decode" in proc.stdout
+
+
+def module_entry(argv, **kwargs):
+    """fctool as the program, through `python -m fourier_contours.cli`."""
+    return subprocess.run([sys.executable, "-m", "fourier_contours.cli", *argv], capture_output=True, **kwargs)
+
+
+class TestProgramEntry:
+    """main() with no argv is the program and freezes the collector's heap;
+    main(argv) is a library call and leaves it alone.  The checks run in
+    subprocesses, so this process's heap is never frozen."""
+
+    def test_only_the_program_entry_freezes(self, corpus, tmp_path):
+        script = (
+            "import gc, json, sys\n"
+            "from fourier_contours.cli import main\n"
+            "code = main(['subset', %r, '-o', %r])\n"
+            "library = [code, gc.get_freeze_count(), gc.isenabled()]\n"
+            "sys.argv = ['fctool', 'subset', %r, '-o', %r]\n"
+            "code = main()\n"
+            "print(json.dumps({'library': library, 'program': [code, gc.get_freeze_count() > 0]}))\n"
+        ) % (str(corpus), str(tmp_path / "a.jsonl"), str(corpus), str(tmp_path / "b.jsonl"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"library": [0, 0, True], "program": [0, True]}
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_every_command_gives_the_library_call_bytes(self, corpus, tmp_path, capsys):
+        """The eight benchmarked commands and plot, each on the library
+        call's inputs; file outputs and standard output compared byte for byte."""
+        lib, prog = tmp_path / "lib", tmp_path / "prog"
+        ann = str(corpus)
+
+        def commands(out: Path) -> list:
+            return [
+                ["embed", ann, "-o", str(out / "sigs.jsonl")],
+                ["reconstruct", str(lib / "sigs.jsonl")],
+                ["fidelity", ann, "--degrees", "1,5"],
+                ["subset", ann],
+                ["targets", ann, "--out-dir", str(out / "gt")],
+                ["--jobs", "2", "decode", "--maps-dir", str(lib / "gt"), "-o", str(out / "dets.jsonl")],
+                ["loss", "--gt-dir", str(lib / "gt"), "--pred-dir", str(lib / "gt")],
+                ["eval", "--detections", str(lib / "dets.jsonl"), "--annotations", ann],
+                ["plot", ann, "--detections", str(lib / "dets.jsonl"), "--degree", "5", "--out-dir", str(out / "plot")],
+            ]
+
+        def files(root: Path) -> dict:
+            return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        lib.mkdir()
+        prog.mkdir()
+        for lib_argv, prog_argv in zip(commands(lib), commands(prog)):
+            code, out, err = run(lib_argv, capsys)
+            proc = module_entry(prog_argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode()) and code == 0
+        assert files(prog) == files(lib) and len(files(lib)) > 10
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["embed", "{missing}"], 2, "error: "),
+            (["--set", "k=zero", "embed", "{ann}"], 3, "config error: "),
+        ],
+    )
+    def test_error_exits_keep_their_line(self, argv, code, prefix, corpus, tmp_path):
+        argv = [a.format(missing=tmp_path / "missing.jsonl", ann=corpus) for a in argv]
+        proc = module_entry(argv, text=True)
+        assert proc.returncode == code and proc.stdout == ""
+        assert proc.stderr.startswith(prefix) and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_reader_is_exit_1_without_an_error_line(self, unbuffered, corpus, tmp_path, capsys):
+        """A reader that closed the pipe before the first byte: buffered, the
+        small output first meets it in main's flush; unbuffered, in the write."""
+        _, out, _ = run(["embed", str(corpus)], capsys)
+        sigs = tmp_path / "sigs.jsonl"
+        sigs.write_text(out, encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fourier_contours.cli", "reconstruct", str(sigs)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # one valid annotation line, and strategies for what can be wrong with it
