@@ -5,7 +5,8 @@ JSON-lines, CSV, SVG, or tensor directories.  All outputs are deterministic:
 floats are formatted with 9 significant digits, iteration orders are fixed,
 and every command maps a pure per-image or per-record function through
 _pmap, whose threads collect results in order, so --jobs never changes a
-single output byte.
+single output byte.  _pmap's pool is plain threading.Thread workers, which
+numpy has already imported; no run loads concurrent.futures.
 
 Exit codes: 0 success, 1 the reader of standard output closed it, 2 malformed
 input, 3 bad configuration.
@@ -20,6 +21,7 @@ import math
 import os
 import re
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,16 +56,40 @@ MAX_JOBS = 64
 
 
 def _pmap(fn, items, jobs: int) -> list:
-    """fn of each item, in order, on at most min(jobs, len(items)) threads."""
+    """fn of each item, in order, on min(jobs, len(items)) threads.  The
+    threads take item indices in order from one shared iterator, run every
+    index they take, and stop taking them once an item has failed.  So every
+    item before the first failing one has run, and that item's own exception
+    is raised."""
     items = list(items)
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    # imported here, so a run that starts no pool never loads it
-    from concurrent.futures import ThreadPoolExecutor
+    results = [None] * len(items)
+    errors = [None] * len(items)
+    indices = iter(range(len(items)))  # next() on it is atomic under the GIL
+    stop = False
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    def work() -> None:
+        nonlocal stop
+        # stop is read before an index is taken: a taken index always runs
+        while not stop and (i := next(indices, None)) is not None:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # kept for the caller, as a pool's future keeps it
+                errors[i] = exc
+                stop = True
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    finally:
+        stop = True  # an interrupted join leaves the rest of the items unstarted
+    _first_error(errors)
+    return results
 
 
 def _first_error(errors) -> None:
@@ -203,6 +229,15 @@ def _degree(token: str) -> int:
         raise ConfigError(f"--degrees takes a comma list of integers; {token!r} is not one") from None
 
 
+def _median(values: list) -> float:
+    """statistics.median's value: the middle one of the sorted values, or the
+    mean of the two middle ones.  statistics imports fractions and decimal,
+    about 5 ms a process; np.median imports numpy.ma, about 14 ms."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def cmd_fidelity(args, cfg: Config) -> int:
     """Mean and median IoU and mean squared truncation error of each degree's
     reconstruction over the cared-for instances.  Per image: one resample and
@@ -261,10 +296,6 @@ def cmd_fidelity(args, cfg: Config) -> int:
                     ),
                 )
 
-    # imported here: statistics imports fractions and decimal, about 5 ms that
-    # no other command needs; np.median would import numpy.ma, about 14 ms
-    import statistics
-
     lines = [_config_header(cfg), "k,mean_iou,median_iou,mean_l2"]
     for deg in degrees:
         ious = [row[1] for _, _, rows in results for row in rows if row[0] == deg]
@@ -276,7 +307,7 @@ def cmd_fidelity(args, cfg: Config) -> int:
                 [
                     str(deg),
                     fmt9(float(np.mean(ious))),
-                    fmt9(statistics.median(ious)),
+                    fmt9(_median(ious)),
                     fmt9(float(np.mean(errs))),
                 ]
             )

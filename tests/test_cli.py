@@ -1,6 +1,5 @@
 """End-to-end drives of every subcommand through main(), on a tiny corpus."""
 
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -11,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -34,6 +34,7 @@ from fourier_contours import (
 from fourier_contours.annotations import MAX_IMAGE_SIDE, MAX_VERTICES, parse_jsonl
 from fourier_contours.cli import main
 from fourier_contours.config import Config, load_config
+from fourier_contours.errors import ParseError
 from fourier_contours.geometry import Contour, contour_spans_many
 from fourier_contours.serialize import fmt9, read_tensor, write_tensor
 from fourier_contours.synth import ellipse_polygon, rect14, regular_polygon, ribbon
@@ -85,6 +86,19 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def thread_spy(monkeypatch) -> list:
+    """The threads threading.Thread makes from here on, in the order it makes them."""
+    made = []
+    real = threading.Thread
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    return made
 
 
 def per_instance_fidelity(images, degrees, cfg):
@@ -173,6 +187,20 @@ class TestEmbedReconstruct:
 
 
 class TestFidelity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+        )
+    )
+    @example(values=[0.5, 0.5, 0.5])
+    @example(values=[1.0, 0.5])
+    def test_median_is_statistics_median(self, values):
+        # values and one element more: an odd and an even length, with a duplicate
+        for sample in (values, values + values[:1]):
+            assert cli._median(sample) == statistics.median(sample)
+
     def test_csv_shape(self, corpus, capsys):
         code, out, _ = run(["fidelity", str(corpus), "--degrees", "5,3,3"], capsys)
         assert code == 0
@@ -703,30 +731,29 @@ class TestGlobalBehavior:
         assert code == 3
 
     def test_jobs_above_the_cap_is_exit_3_before_any_pool(self, corpus, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         code, out, err = run(["--jobs", str(cli.MAX_JOBS + 1), "embed", str(corpus)], capsys)
         assert code == 3 and out == ""
         assert err.startswith("config error: --jobs must lie in [1, 64]")
 
     def test_pmap_starts_no_more_threads_than_items(self, monkeypatch):
-        workers = []
-        pool = concurrent.futures.ThreadPoolExecutor
+        threads = thread_spy(monkeypatch)
 
-        def spy(max_workers):
-            workers.append(max_workers)
-            return pool(max_workers=max_workers)
+        def fn(item):
+            time.sleep(0.002 * (5 - item))  # later items finish first
+            return item * item
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
-        assert cli._pmap(abs, [-1, -2, -3], cli.MAX_JOBS) == [1, 2, 3]
-        assert cli._pmap(abs, [-4], cli.MAX_JOBS) == [4]
-        assert workers == [3]
+        assert cli._pmap(fn, range(5), cli.MAX_JOBS) == [0, 1, 4, 9, 16]
+        assert cli._pmap(fn, [4], cli.MAX_JOBS) == [16]
+        assert cli._pmap(fn, [], cli.MAX_JOBS) == []
+        assert len(threads) == 5
 
     def test_import_budget(self, corpus, tmp_path, capsys):
-        """A process pays for no generated record code and, unless a pool
-        starts, no pool machinery; every module the tracer patches is loaded."""
+        """A process pays for no generated record code and no pool machinery;
+        every module the tracer patches is loaded."""
         code, out, _ = run(["embed", str(corpus)], capsys)
         sigs = tmp_path / "sigs.jsonl"
         sigs.write_text("".join(line + "\n" for line in out.splitlines()[:2]), encoding="utf-8")
@@ -747,6 +774,26 @@ class TestGlobalBehavior:
         assert code == 0 and proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"import": [], "traced": traced, "code": 0, "run": []}
         assert len((tmp_path / "recon.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_pool_and_fidelity_import_budget(self, corpus, tmp_path):
+        """A --jobs 2 run loads no pool machinery beyond threading, which numpy
+        has loaded, and fidelity's median loads no statistics."""
+        script = (
+            "import json, sys\n"
+            "from fourier_contours.cli import main\n"
+            "def loaded(names):\n"
+            "    return [m for m in names if m in sys.modules]\n"
+            "codes = [main(['--jobs', '2', 'embed', %r, '-o', %r])]\n"
+            "seen = {'pool': loaded(('concurrent.futures', 'logging', 'queue'))}\n"
+            "codes.append(main(['fidelity', %r, '-o', %r]))\n"
+            "seen['fidelity'] = loaded(('statistics', 'decimal', 'fractions'))\n"
+            "print(json.dumps({**seen, 'codes': codes}))\n"
+        ) % (str(corpus), str(tmp_path / "sigs.jsonl"), str(corpus), str(tmp_path / "fidelity.csv"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"pool": [], "fidelity": [], "codes": [0, 0]}
+        # the signatures of both images' three instances
+        assert len((tmp_path / "sigs.jsonl").read_text(encoding="utf-8").splitlines()) == 3
 
     def test_config_file_that_is_not_utf8_is_exit_3(self, corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -924,6 +971,61 @@ class TestGlobalBehavior:
         code, out, _ = run(["--jobs", "2", command, str(source)], capsys)
         assert code == 0 and out != ""
         assert seen == [2]
+
+    def test_pmap_hands_out_no_item_after_a_failure(self):
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            if item == 0:
+                raise ValueError("item 0")
+            time.sleep(0.05)  # item 0 has failed before this one returns
+            return item
+
+        with pytest.raises(ValueError, match="item 0"):
+            cli._pmap(fn, range(10), 2)
+        # item 0 went to one thread and at most item 1 to the other
+        assert sorted(calls) in ([0], [0, 1])
+
+    def test_pmap_runs_every_item_before_the_first_failure_under_contention(self):
+        """Eight threads switched every microsecond: no item runs twice, every
+        item before the first failing one runs, and that item's error is the
+        one raised; with no failure every result lands at its own index."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for first in range(1, 40):
+                failing = {first, first + 1, first + 7}
+                calls = []
+
+                def fn(item):
+                    calls.append(item)
+                    sum(range(200))  # long enough to be switched out
+                    if item in failing:
+                        raise ValueError(item)
+                    return item
+
+                with pytest.raises(ValueError) as caught:
+                    cli._pmap(fn, range(60), 8)
+                assert caught.value.args == (first,)
+                assert len(calls) == len(set(calls))
+                assert set(range(first + 1)) <= set(calls)
+            assert cli._pmap(lambda item: sum(range(200)) + item, range(60), 8) == [19900 + i for i in range(60)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pmap_raises_the_workers_own_exception(self):
+        err = ParseError("bad record", line=3)
+
+        def fn(item):
+            if item == 1:
+                raise err
+            return item
+
+        for jobs in (1, 2):
+            with pytest.raises(ParseError) as caught:
+                cli._pmap(fn, range(4), jobs)
+            assert caught.value is err
 
     def test_pmap_raises_the_first_failing_items_error(self):
         def fn(item):
