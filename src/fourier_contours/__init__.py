@@ -5,178 +5,34 @@ start point and direction, and compressed into a short vector of complex
 Fourier coefficients.  The package covers the full round trip: annotation
 parsing, embedding, reconstruction, multi-scale ground-truth map generation,
 map decoding with polygon NMS, training losses, and IoU-based evaluation.
+
+Each module's __all__ is the one declaration of its public names; the
+package re-exports them all.  svg and synth are imported by module path.
 """
 
-from .annotations import (
-    AnnotatedImage,
-    TextInstance,
-    curved_subset_select,
-    parse_delimited,
-    parse_jsonl,
-    write_jsonl,
-)
-from .config import Config, apply_overrides, load_config
-from .decode import (
-    Detection,
-    LevelPrediction,
-    PredictionMaps,
-    decode_all,
-    decode_level,
-    poly_nms,
-    score_map,
-)
-from .errors import (
-    AlignmentMismatch,
-    ChannelCountMismatch,
-    ConfigError,
-    DegenerateContour,
-    DegreeTooLarge,
-    GeometryError,
-    InvalidPolygon,
-    NonFinite,
-    ParseError,
-    ShapeMismatch,
-    ZeroPerimeter,
-)
-from .evaluation import EvalReport, MatchRecord, evaluate, fmeasure
-from .fourier import (
-    DEFAULT_DEGREE,
-    DEFAULT_RECON_POINTS,
-    DEFAULT_SAMPLES,
-    FourierSignature,
-    coeffs_to_flat,
-    embed,
-    evaluate_series,
-    flat_to_coeffs,
-    fourier_coefficients,
-    recenter,
-    reconstruct,
-    truncation_l2_error,
-    truncation_l2_errors,
-)
-from .geometry import (
-    Contour,
-    ContourSpans,
-    Point2,
-    ResampledContour,
-    canonical_start,
-    contour_center,
-    contour_spans,
-    contour_spans_many,
-    perimeter,
-    point_in_polygon,
-    polygon_iou,
-    rasterize_grid,
-    resample_equidistant,
-    shrink_polygon,
-    signed_area,
-    spans_iou,
-    vertex_removal_delta,
-)
-from .losses import (
-    LossBreakdown,
-    LossSums,
-    cross_entropy,
-    image_loss,
-    ohem_select,
-    regression_loss,
-    regression_loss_grad,
-    smooth_l1,
-    total_loss,
-)
-from .serialize import read_tensor, write_tensor
-from .targets import (
-    DEFAULT_LEVELS,
-    DEFAULT_SHRINK,
-    LevelSpec,
-    LevelTargets,
-    TargetMaps,
-    assign_levels,
-    generate_targets,
-    instance_scale,
-)
+from .annotations import *
+from .config import *
+from .decode import *
+from .errors import *
+from .evaluation import *
+from .fourier import *
+from .geometry import *
+from .losses import *
+from .serialize import *
+from .targets import *
 
 __version__ = "0.1.0"
 
+# each star import above also binds its submodule in this package
 __all__ = [
-    "AlignmentMismatch",
-    "AnnotatedImage",
-    "ChannelCountMismatch",
-    "Config",
-    "ConfigError",
-    "Contour",
-    "ContourSpans",
-    "DEFAULT_DEGREE",
-    "DEFAULT_LEVELS",
-    "DEFAULT_RECON_POINTS",
-    "DEFAULT_SAMPLES",
-    "DEFAULT_SHRINK",
-    "DegenerateContour",
-    "DegreeTooLarge",
-    "Detection",
-    "EvalReport",
-    "FourierSignature",
-    "GeometryError",
-    "InvalidPolygon",
-    "LevelPrediction",
-    "LevelSpec",
-    "LevelTargets",
-    "LossBreakdown",
-    "LossSums",
-    "MatchRecord",
-    "NonFinite",
-    "ParseError",
-    "Point2",
-    "PredictionMaps",
-    "ResampledContour",
-    "ShapeMismatch",
-    "TargetMaps",
-    "TextInstance",
-    "ZeroPerimeter",
-    "apply_overrides",
-    "assign_levels",
-    "canonical_start",
-    "coeffs_to_flat",
-    "contour_center",
-    "contour_spans",
-    "contour_spans_many",
-    "cross_entropy",
-    "curved_subset_select",
-    "decode_all",
-    "decode_level",
-    "embed",
-    "evaluate",
-    "evaluate_series",
-    "flat_to_coeffs",
-    "fmeasure",
-    "fourier_coefficients",
-    "generate_targets",
-    "image_loss",
-    "instance_scale",
-    "load_config",
-    "ohem_select",
-    "parse_delimited",
-    "parse_jsonl",
-    "perimeter",
-    "point_in_polygon",
-    "poly_nms",
-    "polygon_iou",
-    "rasterize_grid",
-    "read_tensor",
-    "recenter",
-    "reconstruct",
-    "regression_loss",
-    "regression_loss_grad",
-    "resample_equidistant",
-    "score_map",
-    "shrink_polygon",
-    "signed_area",
-    "smooth_l1",
-    "spans_iou",
-    "total_loss",
-    "truncation_l2_error",
-    "truncation_l2_errors",
-    "vertex_removal_delta",
-    "write_jsonl",
-    "write_tensor",
+    *annotations.__all__,
+    *config.__all__,
+    *decode.__all__,
+    *errors.__all__,
+    *evaluation.__all__,
+    *fourier.__all__,
+    *geometry.__all__,
+    *losses.__all__,
+    *serialize.__all__,
+    *targets.__all__,
 ]

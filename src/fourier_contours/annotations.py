@@ -33,9 +33,6 @@ __all__ = [
     "parse_delimited",
     "write_jsonl",
     "curved_subset_select",
-    "DEFAULT_SUBSET_THRESHOLD",
-    "MAX_IMAGE_SIDE",
-    "MAX_VERTICES",
 ]
 
 DEFAULT_SUBSET_THRESHOLD = 0.07

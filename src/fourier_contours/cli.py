@@ -137,16 +137,17 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
+def _claim(used: dict, name: str, owner: str) -> str:
+    """name, once no other owner has claimed it in `used`: two ids that
+    sanitize to one file name are an input error, not an overwrite."""
+    if used.setdefault(name, owner) != owner:
+        raise ParseError(f"{used[name]} and {owner} collide after sanitizing: both give {name!r}")
+    return name
+
+
 def _safe_dir_names(images) -> dict[str, str]:
-    mapping = {}
-    used = set()
-    for img in images:
-        safe = _safe_name(img.image_id)
-        if safe in used:
-            raise ParseError(f"image ids collide after sanitizing: {img.image_id!r}")
-        used.add(safe)
-        mapping[img.image_id] = safe
-    return mapping
+    used: dict[str, str] = {}
+    return {img.image_id: _claim(used, _safe_name(img.image_id), f"image id {img.image_id!r}") for img in images}
 
 
 def _config_header(cfg: Config) -> str:
@@ -250,6 +251,19 @@ def cmd_fidelity(args, cfg: Config) -> int:
     if 2 * max(degrees) + 1 > cfg.n:
         raise ConfigError(f"degree {max(degrees)} too large for n = {cfg.n}")
     kmax = max(degrees)
+    # every overlay's file name, checked before any work is done
+    used: dict[str, str] = {}
+    svg_names = {
+        (img.image_id, inst.id, deg): _claim(
+            used,
+            f"{_safe_name(img.image_id)}_{_safe_name(inst.id)}_k{deg}.svg",
+            f"image {img.image_id!r} instance {inst.id!r}",
+        )
+        for img in images
+        for inst in img.instances
+        if not inst.ignore
+        for deg in degrees
+    } if args.svg_dir else {}
 
     def one(img):
         insts = [inst for inst in img.instances if not inst.ignore]
@@ -262,12 +276,9 @@ def cmd_fidelity(args, cfg: Config) -> int:
             for i, j in _cuts(np.full(len(insts), cfg.n_prime * (2 * deg + 1))):
                 z[d, i:j] = evaluate_series(full[i:j, kmax - deg : kmax + deg + 1], cfg.n_prime)
         rows, recons = [], []
-        for samples, coeffs, zs in zip(points, full, z.transpose(1, 0, 2)):
+        for samples, zs in zip(points, z.transpose(1, 0, 2)):
             errs = truncation_l2_errors(samples, degrees)
-            recon = []
-            for deg, zd in zip(degrees, zs):  # the checks reconstruct makes, in its order
-                FourierSignature(coeffs[kmax - deg : kmax + deg + 1])
-                recon.append(Contour(np.stack([zd.real, zd.imag], axis=1)))
+            recon = [Contour(np.stack([zd.real, zd.imag], axis=1)) for zd in zs]
             rows.append(list(zip(degrees, errs, recon)))
             recons += recon
         # one record batch: the instances, then their reconstructions in order
@@ -285,9 +296,8 @@ def cmd_fidelity(args, cfg: Config) -> int:
         svg_dir.mkdir(parents=True, exist_ok=True)
         for img, inst, rows in results:
             for deg, _iou, _err, recon in rows:
-                name = f"{_safe_name(img.image_id)}_{_safe_name(inst.id)}_k{deg}.svg"
                 _write_text(
-                    str(svg_dir / name),
+                    str(svg_dir / svg_names[img.image_id, inst.id, deg]),
                     render_svg(
                         img.width,
                         img.height,
@@ -642,26 +652,23 @@ def cmd_subset(args, cfg: Config) -> int:
 
 
 def cmd_plot(args, cfg: Config) -> int:
-    images = _parse_annotations(args.annotations)
-    dirnames = _safe_dir_names(images)
-    grouped = _load_detections(args.detections) if args.detections else None
-    out_root = Path(args.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
     if args.degree < 0:
         raise ConfigError(f"degree must be >= 0 (0 means k), got {args.degree}")
     degree = args.degree if args.degree else cfg.k
     if 2 * degree + 1 > cfg.n:
         raise ConfigError(f"degree {degree} too large for n = {cfg.n}")
+    images = _parse_annotations(args.annotations)
+    dirnames = _safe_dir_names(images)
+    grouped = _load_detections(args.detections) if args.detections else None
+    out_root = Path(args.out_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
 
     def one(img):
-        green = [
-            inst.polygon.vertices for inst in img.instances if not inst.ignore
-        ]
+        green = [inst.polygon.vertices for inst in img.instances if not inst.ignore]
         if grouped is not None:
             red = [det.contour.vertices for det in grouped.get(img.image_id, [])]
         else:
-            polygons = [inst.polygon.vertices for inst in img.instances if not inst.ignore]
-            coeffs, errors = _embed_many(polygons, degree, cfg.n)
+            coeffs, errors = _embed_many(green, degree, cfg.n)
             _first_error(errors)
             red = [reconstruct(FourierSignature(row), cfg.n_prime).vertices for row in coeffs]
         _write_text(

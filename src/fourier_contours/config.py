@@ -22,7 +22,7 @@ from .fourier import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, MAX_
 from .geometry import DEFAULT_SUPERSAMPLE, MAX_SUPERSAMPLE
 from .targets import DEFAULT_LEVELS, DEFAULT_SHRINK, LevelSpec
 
-__all__ = ["Config", "load_config", "apply_overrides", "parse_levels", "MAX_LAMBDA"]
+__all__ = ["Config", "load_config", "apply_overrides"]
 
 # Largest regression weight accepted; the paper's is 1.
 MAX_LAMBDA = 1000.0

@@ -33,8 +33,6 @@ __all__ = [
     "decode_level",
     "poly_nms",
     "decode_all",
-    "DEFAULT_SCORE_THRESH",
-    "DEFAULT_NMS_IOU",
 ]
 
 DEFAULT_SCORE_THRESH = 0.3

@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "GeometryError",
+    "DegenerateContour",
+    "ZeroPerimeter",
+    "DegreeTooLarge",
+    "ShapeMismatch",
+    "ChannelCountMismatch",
+    "AlignmentMismatch",
+    "NonFinite",
+    "ParseError",
+    "InvalidPolygon",
+    "ConfigError",
+]
+
 
 class GeometryError(Exception):
     """Base class for geometric failures on otherwise well-formed input."""

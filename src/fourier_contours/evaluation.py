@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .geometry import DEFAULT_SUPERSAMPLE, contour_spans_many, spans_iou
 
-__all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure", "DEFAULT_EVAL_IOU"]
+__all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure"]
 
 DEFAULT_EVAL_IOU = 0.5
 

@@ -39,8 +39,6 @@ __all__ = [
     "DEFAULT_DEGREE",
     "DEFAULT_SAMPLES",
     "DEFAULT_RECON_POINTS",
-    "MAX_SAMPLES",
-    "MAX_RECON_POINTS",
 ]
 
 DEFAULT_DEGREE = 5

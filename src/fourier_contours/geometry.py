@@ -28,16 +28,12 @@ __all__ = [
     "canonical_start",
     "resample_equidistant",
     "shrink_polygon",
-    "point_in_polygon",
     "rasterize_grid",
     "polygon_iou",
     "ContourSpans",
     "contour_spans",
     "contour_spans_many",
     "spans_iou",
-    "vertex_removal_delta",
-    "DEFAULT_SUPERSAMPLE",
-    "MAX_SUPERSAMPLE",
 ]
 
 DEFAULT_SUPERSAMPLE = 4
@@ -422,19 +418,8 @@ def _distinct(v: np.ndarray, sizes: np.ndarray, start: np.ndarray, prv: np.ndarr
     return keep
 
 
-def _dedupe(v: np.ndarray) -> np.ndarray:
-    _, sizes, start, nxt = _ragged([v])
-    return v[_distinct(v, sizes, start, _previous(nxt))]
-
-
 # edge pairs tested per block by _simple_many; bounds its working memory
 _SIMPLE_BLOCK_PAIRS = 1 << 14
-
-
-def _is_simple(v: np.ndarray) -> bool:
-    """True when no two non-adjacent edges of the closed polygon v meet:
-    _simple_many with a batch of one."""
-    return bool(_simple_many(*_ragged([v]))[0])
 
 
 def _simple_many(a, sizes, start, nxt) -> np.ndarray:
@@ -509,8 +494,8 @@ def _simple_many(a, sizes, start, nxt) -> np.ndarray:
 
 def _inside_own(a, b, edge_poly, q, q_poly) -> np.ndarray:
     """Whether each point q[i] lies inside polygon q_poly[i], whose edges are
-    the a[j] -> b[j] with edge_poly[j] == q_poly[i]: point_in_polygon's
-    even-odd rule, from one _crossings pass over the rows through the points
+    the a[j] -> b[j] with edge_poly[j] == q_poly[i]: the even-odd rule of
+    _row_intervals, from one _crossings pass over the rows through the points
     (a crossing strictly right of a point toggles it)."""
     order = np.lexsort((q[:, 1], q_poly))
     q = q[order]
@@ -620,31 +605,12 @@ def _shrink_block(verts, factor: float) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# point membership and rasterization
-
-
-def _point_in(v: np.ndarray, px: float, py: float) -> bool:
-    inside = False
-    m = v.shape[0]
-    for i in range(m):
-        ax, ay = v[i]
-        bx, by = v[(i + 1) % m]
-        if (ay <= py) != (by <= py):
-            t = (py - ay) / (by - ay)
-            if ax + t * (bx - ax) > px:
-                inside = not inside
-    return inside
-
-
-def point_in_polygon(p, c: Contour) -> bool:
-    """Even-odd membership; boundary points resolve by the half-open edge rule
-    (a crossing counts only when it lies strictly to the right of the point)."""
-    return _point_in(c.vertices, float(p[0]), float(p[1]))
+# rasterization
 
 
 def rasterize_grid(c: Contour, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Boolean even-odd membership mask of shape (len(ys), len(xs)) for the
-    cartesian grid of sample points xs x ys.  Matches point_in_polygon.
+    cartesian grid of sample points xs x ys.
     xs must be strictly ascending; ys may come in any order and repeat.  The
     rows are _grid_cells of one contour on the distinct ys: the row spans of
     _row_intervals are the one even-odd rule behind every sample grid."""
@@ -703,7 +669,7 @@ def _row_intervals(
     right is odd, which is equivalent to landing in such a span.  Rows always
     carry an even crossing count because the polygons are closed.
     xs and ys must be ascending.  This is the library's one even-odd rule
-    for sample grids; it matches _point_in point for point.
+    for sample grids.
 
     The rows of many polygons share one table: edge i's crossing with row r
     goes to output row r + shift[i].  Every output row is given as many spans
@@ -738,7 +704,7 @@ def _polygon_spans(verts, xs, ys, row0, rows, pad) -> tuple[np.ndarray, np.ndarr
 def _grid_cells(contours, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(contour index, flat cell index row * len(xs) + column) of every point
     of the ascending grid xs x ys inside each contour, contour by contour,
-    cells ascending: one _polygon_spans pass.  Matches point_in_polygon."""
+    cells ascending: one _polygon_spans pass."""
     verts = [np.asarray(c.vertices) for c in contours]
     if not verts:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -1028,21 +994,11 @@ def polygon_iou(a: Contour, b: Contour, supersample: int = DEFAULT_SUPERSAMPLE) 
 # curvature proxy
 
 
-def vertex_removal_delta(c: Contour, i: int) -> float:
-    """Relative area change |A_before - A_after| / A_before from deleting
-    vertex i.  Collinear vertices give exactly 0; sharp bends give large values."""
-    v = c.vertices
-    m = v.shape[0]
-    if m < 4:
-        raise ValueError(f"need at least 4 vertices to remove one, got {m}")
-    if not 0 <= i < m:
-        raise ValueError(f"vertex index {i} out of range for {m} vertices")
-    return _removal_deltas(v, [i])[0]
-
-
 def _removal_deltas(v: np.ndarray, indices) -> list[float]:
-    """vertex_removal_delta for each vertex index in `indices` (each in
-    0 .. m - 1, m >= 4), from one set of shoelace terms.
+    """The relative area change |A_before - A_after| / A_before from deleting
+    vertex i, for each vertex index i in `indices` (each in 0 .. m - 1,
+    m >= 4), from one set of shoelace terms.  Collinear vertices give
+    exactly 0; sharp bends give large values.
 
     Deleting vertex i replaces the terms of edges i - 1 and i by one bridge
     term v[i - 1] x v[i + 1], computed as _signed_area computes its terms.

@@ -38,9 +38,6 @@ __all__ = [
     "ohem_select",
     "image_loss",
     "total_loss",
-    "CLAMP_EPS",
-    "OHEM_RATIO",
-    "OHEM_ZERO_POS_FLOOR",
 ]
 
 CLAMP_EPS = 1e-7

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["write_tensor", "read_tensor", "fmt9", "round9", "json_line"]
+__all__ = ["write_tensor", "read_tensor"]
 
 MAGIC = b"FCT1"
 MAX_RANK = 4

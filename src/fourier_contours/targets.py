@@ -34,8 +34,8 @@ from .annotations import AnnotatedImage, TextInstance
 from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, _embed_many, coeffs_to_flat
 from .geometry import Contour, _Frozen, _Record, _grid_cells, _shrink_many, signed_area
 
-__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "assign_levels", "cell_count", "cell_centers",
-           "generate_targets", "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
+__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "instance_scale", "assign_levels", "generate_targets",
+           "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
 
 DEFAULT_SHRINK = 0.3
 

@@ -1,7 +1,12 @@
+"""Shared fixtures and test helpers.
+
+The scalar references here are oracles that only tests call: the library
+answers the same questions for whole batches of polygons at once."""
+
 import numpy as np
 import pytest
 
-from fourier_contours import Contour
+from fourier_contours import Contour, DegenerateContour, geometry
 from fourier_contours.synth import (
     compactness_corpus,
     ellipse_polygon,
@@ -30,6 +35,49 @@ def star_shaped(rng, m=None, center=(200.0, 200.0), rmin=20.0, rmax=120.0):
     )
 
 
+def point_in_polygon(p, c) -> bool:
+    """Even-odd membership of point p in contour c, one edge at a time;
+    boundary points resolve by the half-open edge rule (a crossing counts
+    only when it lies strictly to the right of the point)."""
+    px, py = float(p[0]), float(p[1])
+    v = c.vertices
+    inside = False
+    for (ax, ay), (bx, by) in zip(v, np.roll(v, -1, axis=0)):
+        if (ay <= py) != (by <= py):
+            t = (py - ay) / (by - ay)
+            if ax + t * (bx - ax) > px:
+                inside = not inside
+    return inside
+
+
+def vertex_removal_delta(c, i: int) -> float:
+    """Relative area change |A_before - A_after| / A_before from deleting
+    vertex i of contour c, by its definition: the polygon without vertex i."""
+    v = c.vertices
+    m = v.shape[0]
+    if m < 4:
+        raise ValueError(f"need at least 4 vertices to remove one, got {m}")
+    if not 0 <= i < m:
+        raise ValueError(f"vertex index {i} out of range for {m} vertices")
+    before = abs(geometry._signed_area(v))
+    if before == 0.0:
+        raise DegenerateContour("zero-area contour has no usable removal delta")
+    return abs(before - abs(geometry._signed_area(np.delete(v, i, axis=0)))) / before
+
+
+def is_simple(v) -> bool:
+    """True when no two non-adjacent edges of the closed polygon v meet:
+    geometry._simple_many with a batch of one."""
+    return bool(geometry._simple_many(*geometry._ragged([v]))[0])
+
+
+def dedupe(v):
+    """The vertices of v that differ from the one before them, as the batch
+    kernels drop repeated vertices."""
+    _, sizes, start, nxt = geometry._ragged([v])
+    return v[geometry._distinct(v, sizes, start, geometry._previous(nxt))]
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(987654)
@@ -51,9 +99,13 @@ def subset_parts():
 
 
 __all__ = [
+    "dedupe",
     "ellipse_polygon",
+    "is_simple",
+    "point_in_polygon",
     "rect14",
     "regular_polygon",
     "ribbon",
     "star_shaped",
+    "vertex_removal_delta",
 ]

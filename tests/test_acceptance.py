@@ -30,7 +30,6 @@ from fourier_contours import (
     regression_loss_grad,
     resample_equidistant,
     truncation_l2_error,
-    vertex_removal_delta,
     write_jsonl,
 )
 from fourier_contours.cli import main as cli_main
@@ -38,7 +37,7 @@ from fourier_contours.fourier import FourierSignature
 from fourier_contours.serialize import round9
 from fourier_contours.synth import regular_polygon
 
-from conftest import star_shaped
+from conftest import star_shaped, vertex_removal_delta
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:

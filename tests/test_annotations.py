@@ -253,7 +253,7 @@ class TestCurvedSubset:
         # selection flips around the threshold
         poly = Contour([(0, 0), (30, 0), (30, 10), (15, 35), (0, 10)])
         inst = TextInstance(polygon=poly, id="s")
-        from fourier_contours import vertex_removal_delta
+        from conftest import vertex_removal_delta
 
         best = max(vertex_removal_delta(poly, i) for i in range(1, 4))
         assert curved_subset_select([inst], best) == [inst]

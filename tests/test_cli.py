@@ -232,6 +232,21 @@ class TestFidelity:
         body = (svg_dir / names[0]).read_text(encoding="utf-8")
         assert "#00a000" in body and "#d00000" in body
 
+    def test_svg_names_that_collide_are_exit_2(self, tmp_path, capsys):
+        # three overlays whose ids sanitize to one file name: nothing is written
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            _rect_record("x_y", [_inst(RECT_A, "z")])
+            + "\n"
+            + _rect_record("x", [_inst(RECT_A, "y_z"), _inst(RECT_B, "y/z")])
+            + "\n",
+            encoding="utf-8",
+        )
+        svg_dir = tmp_path / "overlays"
+        code, out, err = run(["fidelity", str(path), "--degrees", "3", "--svg-dir", str(svg_dir)], capsys)
+        assert code == 2 and out == "" and not svg_dir.exists()
+        assert "image 'x_y' instance 'z' and image 'x' instance 'y_z' collide" in err
+
     def test_median_does_not_import_numpy_ma(self, corpus, tmp_path):
         # np.median's first call imports numpy.ma, some 14 ms a process
         script = (
@@ -678,6 +693,18 @@ class TestSubsetPlot:
             capsys,
         )
         assert code == 3 and err.startswith("config error: ")
+
+    @pytest.mark.parametrize("degree", ["-1", "300"])
+    def test_plot_checks_its_degree_before_any_work(self, tmp_path, capsys, degree):
+        # unreadable annotations and detections, and still a config error
+        out_dir = tmp_path / "plots"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        code, _, err = run(
+            ["plot", str(bad), "--detections", str(bad), "--degree", degree, "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 3 and err.startswith("config error: degree")
+        assert not out_dir.exists()
 
     def test_plot_with_detections(self, corpus, tmp_path, capsys):
         gt = tmp_path / "gt"

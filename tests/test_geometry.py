@@ -15,27 +15,24 @@ from fourier_contours import (
     contour_spans,
     contour_spans_many,
     perimeter,
-    point_in_polygon,
     polygon_iou,
     rasterize_grid,
     resample_equidistant,
     shrink_polygon,
     signed_area,
     spans_iou,
-    vertex_removal_delta,
 )
 from fourier_contours import geometry
 from fourier_contours.geometry import (
     ContourSpans,
     _edges,
-    _is_simple,
     _removal_deltas,
     _row_intervals,
     _signed_area,
     _sym_diff_bound,
 )
 from fourier_contours.synth import ribbon
-from conftest import star_shaped
+from conftest import dedupe, is_simple, point_in_polygon, star_shaped, vertex_removal_delta
 
 
 def shoelace(pts):
@@ -381,7 +378,7 @@ def scalar_shrink(c, factor):
     if area == 0.0:
         raise DegenerateContour("zero-area contour cannot be shrunk")
     flip = area < 0.0
-    v = geometry._dedupe(c.vertices[::-1] if flip else np.asarray(c.vertices))
+    v = dedupe(c.vertices[::-1] if flip else np.asarray(c.vertices))
     if v.shape[0] < 3:
         raise DegenerateContour("fewer than 3 distinct vertices")
     d = factor * abs(area) / math.fsum(geometry._edge_lengths(v))
@@ -404,7 +401,7 @@ def scalar_shrink(c, factor):
             s = (w[0] * dc[1] - w[1] * dc[0]) / cross
             out[i] = anchors[j] + s * dp
     new_area = _signed_area(out)
-    if not (0.0 < new_area < abs(area) and _is_simple(out)
+    if not (0.0 < new_area < abs(area) and is_simple(out)
             and all(point_in_polygon(p, Contour(v)) for p in out)):
         ctr = geometry._center(v)
         out = np.array([ctr.x, ctr.y]) + (1.0 - factor) * (v - np.array([ctr.x, ctr.y]))
@@ -412,7 +409,7 @@ def scalar_shrink(c, factor):
 
 
 def scalar_crossings(v):
-    """Scalar reference for _is_simple: every pair i < j of non-adjacent
+    """Scalar reference for _simple_many: every pair i < j of non-adjacent
     edges that cross or touch, in row-major order.  A proper crossing also
     needs meeting closed boxes, as an exact one always has: rounded
     orientations of nearly collinear edges take either sign however far
@@ -471,7 +468,7 @@ class TestIsSimple:
         # into many blocks
         v = {"free": units, "grid": np.round(units / 4), "coarse": np.round(units / 8)}[snap]
         with mock.patch.object(geometry, "_SIMPLE_BLOCK_PAIRS", block):
-            assert _is_simple(v) == scalar_is_simple(v)
+            assert is_simple(v) == scalar_is_simple(v)
 
     @pytest.mark.parametrize("block", [7, 900, geometry._SIMPLE_BLOCK_PAIRS])
     def test_only_crossing_in_last_block(self, block):
@@ -480,14 +477,14 @@ class TestIsSimple:
         m = 300
         ang = 2 * np.pi * np.arange(m) / m
         v = np.stack([100 * np.cos(ang), 100 * np.sin(ang)], axis=1)
-        assert _is_simple(v) and scalar_is_simple(v)
+        assert is_simple(v) and scalar_is_simple(v)
         v[[298, 299]] = v[[299, 298]]
         assert list(scalar_crossings(v)) == [(297, 299)]
         # edges 297-299 reach furthest right, so sorting by left end puts
         # edge 297 at position 295 of 300: the pair comes in one of the last
         # blocks at 7 pairs (an edge or two per block), at 900 and at the default
         with mock.patch.object(geometry, "_SIMPLE_BLOCK_PAIRS", block):
-            assert not _is_simple(v)
+            assert not is_simple(v)
 
     @pytest.mark.parametrize(
         "v, simple",
@@ -503,7 +500,7 @@ class TestIsSimple:
     def test_touching_cases(self, v, simple):
         v = np.array(v, dtype=np.float64)
         assert scalar_is_simple(v) == simple
-        assert _is_simple(v) == simple
+        assert is_simple(v) == simple
 
 
 class TestMembershipAndRaster:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import star_shaped
+from conftest import point_in_polygon, star_shaped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from fourier_contours import (
     flat_to_coeffs,
     generate_targets,
     instance_scale,
-    point_in_polygon,
     rasterize_grid,
     shrink_polygon,
     signed_area,
