@@ -18,6 +18,7 @@ from .evaluation import *
 from .fourier import *
 from .geometry import *
 from .losses import *
+from .mapdir import *
 from .serialize import *
 from .targets import *
 
@@ -33,6 +34,7 @@ __all__ = [
     *fourier.__all__,
     *geometry.__all__,
     *losses.__all__,
+    *mapdir.__all__,
     *serialize.__all__,
     *targets.__all__,
 ]

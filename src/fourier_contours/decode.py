@@ -16,19 +16,23 @@ become Detection objects.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
+from .annotations import _number_list
 from .errors import ChannelCountMismatch, ShapeMismatch
 from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
 from .geometry import DEFAULT_SUPERSAMPLE, Contour, _Frozen, _Record, _greedy_nms
-from .targets import cell_centers
+from .serialize import _json_records
+from .targets import cell_centers, cell_count
 
 __all__ = [
     "LevelPrediction",
     "PredictionMaps",
     "Detection",
+    "parse_detections",
     "score_map",
     "decode_level",
     "poly_nms",
@@ -41,7 +45,7 @@ DEFAULT_NMS_IOU = 0.1
 # How far, in image sides, a candidate's bounding box may reach past the
 # image before decode_level rejects it.  Rasterizing a contour costs memory
 # linear in its box, so a regression map with huge finite values must fail
-# here rather than in NMS.  `fctool eval` bounds detections by the same rule.
+# here rather than in NMS.  parse_detections bounds detections by the same rule.
 _CANDIDATE_MARGIN = 1.0
 
 
@@ -93,6 +97,45 @@ class Detection(NamedTuple):
     contour: Contour
     score: float
     level: str = ""
+
+
+def parse_detections(lines, images=(), strides=()) -> dict[str, list[Detection]]:
+    """Detections by image id, from the JSON lines `fctool decode` writes; a
+    bad line raises ParseError naming it.  A detection of one of `images`
+    that reaches more than _CANDIDATE_MARGIN image sides past the largest
+    area a map at one of `strides` covers (each side rounded up to the
+    stride) is a bad record: evaluation rasterizes it on a lattice linear in
+    its box."""
+
+    def covered(side: int) -> int:
+        return max(cell_count(side, stride) * stride for stride in strides)
+
+    sizes = {img.image_id: (covered(img.width), covered(img.height)) for img in images}
+
+    def parse(obj) -> tuple[str, Detection]:
+        image_id, score, level = obj["image_id"], obj["score"], obj.get("level", "")
+        if not isinstance(image_id, str):
+            raise TypeError("image_id must be a string")
+        # bool is an int subclass, and json reads NaN and Infinity as floats
+        if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+            raise TypeError("score must be a finite number")
+        if not isinstance(level, str):
+            raise TypeError("level must be a string")
+        contour = Contour.from_flat(_number_list(obj["points"], "points"))
+        if image_id in sizes:
+            width, height = sizes[image_id]
+            v = contour.vertices.T
+            if (_beyond_margin(v[0], width) | _beyond_margin(v[1], height)).any():
+                raise ValueError(
+                    f"image {image_id!r}: the detection reaches more than "
+                    f"{_CANDIDATE_MARGIN:g} image side past the {width} x {height} px image"
+                )
+        return image_id, Detection(contour, float(score), level)
+
+    grouped: dict[str, list[Detection]] = {}
+    for image_id, det in _json_records(lines, "detection", parse):
+        grouped.setdefault(image_id, []).append(det)
+    return grouped
 
 
 def score_map(tr_prob: np.ndarray, tcr_prob: np.ndarray) -> np.ndarray:

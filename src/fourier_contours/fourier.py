@@ -19,20 +19,28 @@ real and imaginary parts from k = -K upward:
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .annotations import _number_list
 from .errors import ChannelCountMismatch, DegreeTooLarge, NonFinite
-from .geometry import Contour, ResampledContour, _Frozen, _cuts, _resample_many
+from .geometry import DEFAULT_SUPERSAMPLE, Contour, ResampledContour, _Frozen, _cuts, _resample_many
+from .geometry import contour_spans_many, spans_iou
+from .serialize import _json_records
 
 __all__ = [
     "FourierSignature",
     "fourier_coefficients",
     "embed",
+    "embed_many",
+    "parse_signatures",
     "reconstruct",
     "recenter",
     "truncation_l2_error",
     "truncation_l2_errors",
+    "DegreeFit",
+    "fit_by_degree",
     "flat_to_coeffs",
     "coeffs_to_flat",
     "evaluate_series",
@@ -49,6 +57,11 @@ DEFAULT_RECON_POINTS = 50
 MAX_SAMPLES = 4096
 # Largest n' accepted: decode holds all candidates' n' points, 16 KiB each at 1024.
 MAX_RECON_POINTS = 1024
+
+# A signature's |u_k| and |v_k| stay within this over 2K + 1: each of the
+# 2K + 1 terms evaluate_series sums is then at most 2 max(|u_k|, |v_k|), and
+# no sum comes near the largest float.
+_SERIES_LIMIT = float(np.finfo(np.float64).max) / 4
 
 # distinct bases kept; one run uses a few shapes, and an n x n basis is
 # n * n * 16 bytes (2.5 MB at n = 400)
@@ -69,6 +82,8 @@ class FourierSignature(_Frozen):
             )
         if not np.isfinite(arr).all():
             raise NonFinite("signature coefficients must be finite")
+        if np.abs(arr.view(np.float64)).max() > _SERIES_LIMIT / arr.size:
+            raise NonFinite("signature coefficients too large: the series would overflow")
         arr.setflags(write=False)
         super().__init__(arr)
 
@@ -167,15 +182,26 @@ def embed(c: Contour, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> Four
     """Resample the contour to n equidistant points and take its degree-k
     signature.  The resampling fixes start point, direction, and speed, so
     congruent contours with different vertex lists embed identically.  This
-    is _embed_many with a batch of one, and pays the batch's fixed costs: a
+    is embed_many with a batch of one, and pays the batch's fixed costs: a
     72-vertex ellipse at the default n takes about 495 µs on two shared
     cores, some 35% more than the one-contour code the batch replaced
-    (370 µs).  Many contours cost less per contour in one _embed_many call,
+    (370 µs).  Many contours cost less per contour in one embed_many call,
     as the commands make per image."""
-    coeffs, errors = _embed_many([c.vertices], k, n)
-    if errors[0]:
-        raise errors[0]
-    return FourierSignature(coeffs[0])
+    return FourierSignature(embed_many([c], k, n)[0])
+
+
+def _raise_first(errors) -> None:
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def embed_many(contours, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """The degree-k coefficients (N, 2k + 1) of each contour, as embed takes
+    them, from one _embed_many call; raises the first contour's error."""
+    coeffs, errors = _embed_many([c.vertices for c in contours], k, n)
+    _raise_first(errors)
+    return coeffs
 
 
 def _embed_many(verts, k: int, n: int) -> tuple[np.ndarray, list]:
@@ -189,6 +215,16 @@ def _embed_many(verts, k: int, n: int) -> tuple[np.ndarray, list]:
     if good.any():
         coeffs[good] = _coefficient_rows(points[good], k)
     return coeffs, errors
+
+
+def parse_signatures(lines) -> list[tuple]:
+    """(image_id, instance_id, FourierSignature) of each signature record, the
+    JSON lines `fctool embed` writes; a bad line raises ParseError naming it."""
+
+    def parse(obj) -> tuple:
+        return obj["image_id"], obj["instance_id"], FourierSignature.from_flat(_number_list(obj["coeffs"], "coeffs"))
+
+    return _json_records(lines, "signature", parse)
 
 
 def evaluate_series(coeffs, n_points: int) -> np.ndarray:
@@ -272,3 +308,46 @@ def truncation_l2_errors(points, degrees) -> list[float]:
             )
         out.append(tail)
     return out
+
+
+class DegreeFit(NamedTuple):
+    """How well one contour's degree-k reconstruction fits it."""
+
+    degree: int
+    iou: float  # spans_iou of the contour and the reconstruction
+    l2_error: float  # truncation_l2_errors' mean squared point error
+    contour: Contour  # the reconstruction, at n_points parameters
+
+
+def fit_by_degree(
+    contours,
+    degrees,
+    n: int = DEFAULT_SAMPLES,
+    n_points: int = DEFAULT_RECON_POINTS,
+    supersample: int = DEFAULT_SUPERSAMPLE,
+) -> list[list[DegreeFit]]:
+    """The paper's fitting figures: per contour, one DegreeFit for each entry
+    of `degrees`, in order.  One resample and transform of all contours at
+    the largest degree, series evaluations per degree in blocks, and one
+    contour_spans_many call for the contours and all their reconstructions;
+    raises the first contour's error."""
+    degrees = list(degrees)
+    kmax = max(degrees)
+    points, errors = _resample_many([c.vertices for c in contours], n)
+    _raise_first(errors)
+    full = _coefficient_rows(points, kmax)
+    z = np.empty((len(degrees), len(points), n_points), dtype=np.complex128)
+    for d, deg in enumerate(degrees):
+        for i, j in _cuts(np.full(len(points), n_points * (2 * deg + 1))):
+            z[d, i:j] = evaluate_series(full[i:j, kmax - deg : kmax + deg + 1], n_points)
+    recons = [[Contour(np.stack([zd.real, zd.imag], axis=1)) for zd in zs] for zs in z.transpose(1, 0, 2)]
+    # one record batch: the contours, then their reconstructions in order
+    spans = contour_spans_many(list(contours) + [r for rs in recons for r in rs], supersample)
+    recon_spans = iter(spans[len(points):])
+    return [
+        [
+            DegreeFit(deg, spans_iou(own, next(recon_spans)), err, recon)
+            for deg, err, recon in zip(degrees, truncation_l2_errors(samples, degrees), rs)
+        ]
+        for own, samples, rs in zip(spans, points, recons)
+    ]

@@ -160,14 +160,20 @@ def ohem_select(losses, positive, ratio: int = OHEM_RATIO) -> np.ndarray:
 
 class LossSums(NamedTuple):
     """Unnormalized loss sums of one image and the cells they cover.  Sums of
-    several images add field by field; L_tr = tr / tr_pixels and
-    L_tcr = tcr / domain_pixels, while reg enters the total as it is."""
+    several images add field by field."""
 
     tr: float
     tr_pixels: int
     tcr: float
     reg: float
     domain_pixels: int  # cared text-region cells: the tcr and reg domain
+
+    def breakdown(self, lam: float = 1.0) -> LossBreakdown:
+        """total_loss of the sums: L_tr = tr / tr_pixels and L_tcr = tcr /
+        domain_pixels, each 0 over no cells, while reg enters as it is."""
+        l_tr = self.tr / self.tr_pixels if self.tr_pixels else 0.0
+        l_tcr = self.tcr / self.domain_pixels if self.domain_pixels else 0.0
+        return total_loss(l_tr, l_tcr, self.reg, lam)
 
 
 def image_loss(
@@ -176,9 +182,9 @@ def image_loss(
 ) -> LossSums:
     """Loss sums of one image over its (targets, prediction) level pairs.
 
-    A target is a LevelTargets, or anything with its tr, tcr, regression and
-    care arrays, of one (H, W); a prediction is a LevelPrediction of the same
-    shape.  Levels are scored one at a time, in the order given.
+    A target is a LevelTargets, of which the tr, tcr, regression and care
+    arrays of one (H, W) are read; a prediction is a LevelPrediction of the
+    same shape.  Levels are scored one at a time, in the order given.
     """
     tr_sum = tcr_sum = reg_sum = 0.0
     tr_px = domain_px = 0

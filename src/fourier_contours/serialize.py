@@ -40,7 +40,10 @@ def write_tensor(path, array) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def read_tensor(path) -> np.ndarray:
+def read_tensor(path, what: str = "values") -> np.ndarray:
+    """The tensor of a .fct file.  Its float32 payload must be finite, checked
+    before any cast, so no NaN bit pattern reaches numpy's casts; `what` names
+    the values in that error."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -61,6 +64,8 @@ def read_tensor(path) -> np.ndarray:
             f"dims {dims} require {count}"
         )
     arr = np.frombuffer(payload, dtype="<f4", count=count).reshape(dims)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{path}: {what} must be finite")
     return arr.astype(np.float32)
 
 
@@ -88,3 +93,17 @@ def _rounded(obj):
 def json_line(obj) -> str:
     """Deterministic single-line JSON with 9-significant-digit floats."""
     return json.dumps(_rounded(obj), separators=(",", ":"), allow_nan=False)
+
+
+def _json_records(lines, what: str, parse) -> list:
+    """parse(obj) of each non-blank JSON line, in order.  A line that is not
+    JSON or that parse rejects raises ParseError naming the line."""
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(parse(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad {what} record: {exc}", line=lineno) from None
+    return records

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from fourier_contours import (
     FourierSignature,
     cli,
+    fourier,
     fourier_coefficients,
     geometry,
     polygon_iou,
@@ -168,6 +169,17 @@ class TestEmbedReconstruct:
         assert code == 2 and out == ""
         assert "line 1: bad signature record: coeffs must be a flat list of numbers" in err
 
+    def test_reconstruct_rejects_a_series_that_overflows(self, tmp_path, capsys):
+        # finite coefficients whose series sums past the largest float
+        path = tmp_path / "sigs.jsonl"
+        record = {"image_id": "a", "instance_id": "i", "k": 1, "ignore": False, "coeffs": [1e308] * 6}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["reconstruct", str(path)], capsys)
+        assert code == 2 and out == "" and caught == []
+        assert err.startswith("error: line 1: bad signature record: signature coefficients too large")
+
     def test_bad_record_is_reported_before_any_reconstruction(
         self, corpus, tmp_path, capsys, monkeypatch
     ):
@@ -268,7 +280,7 @@ class TestFidelity:
             encoding="utf-8",
         )
         calls = []
-        monkeypatch.setattr(cli, "contour_spans_many", lambda cs, s: calls.append(len(cs)) or contour_spans_many(cs, s))
+        monkeypatch.setattr(fourier, "contour_spans_many", lambda cs, s: calls.append(len(cs)) or contour_spans_many(cs, s))
         argv = ["--set", "n_prime=37", "fidelity", str(path), "--degrees", "1,4,2"]
         code, out, _ = run(argv, capsys)
         assert code == 0
@@ -1365,9 +1377,25 @@ def valid_maps(tmp_path_factory):
     return root / "gt"
 
 
+# float32 bit patterns no .fct payload may hold: a signaling NaN, whose cast
+# to float64 numpy reports as an invalid value, a quiet NaN with a payload,
+# and both infinities
+NON_FINITE_BITS = {"signaling-nan": 0x7F800001, "quiet-nan-payload": 0x7FC01234, "inf": 0x7F800000,
+                   "-inf": 0xFF800000}
+
+
+def _non_finite_examples(test):
+    """An @example for each non-finite pattern as the first value of each tensor of P3."""
+    for key in ("tr", "tcr", "reg", "care"):
+        for bits in NON_FINITE_BITS.values():
+            test = example(mutation=("payload", f"P3_{key}.fct", 0.0, struct.pack("<I", bits)))(test)
+    return test
+
+
 class TestMalformedMaps:
     @settings(max_examples=120, deadline=None)
     @given(mutation=MAP_MUTATION)
+    @_non_finite_examples
     def test_any_bad_map_is_exit_0_2_or_3(self, mutation, valid_maps):
         with tempfile.TemporaryDirectory() as name:
             bad = Path(name) / "bad"
@@ -1390,6 +1418,23 @@ class TestMalformedMaps:
                 assert code == 0 or "error:" in err.getvalue(), (argv[0], mutation, err.getvalue())
                 assert "Traceback" not in err.getvalue()
                 assert peak < 16 * 2**20, (argv[0], mutation, peak)
+
+    @pytest.mark.parametrize("bits", NON_FINITE_BITS.values(), ids=NON_FINITE_BITS.keys())
+    @pytest.mark.parametrize("key", ["tr", "tcr", "reg", "care"])
+    def test_non_finite_payload_is_exit_2_without_a_warning(self, key, bits, valid_maps, tmp_path):
+        bad = tmp_path / "bad"
+        shutil.copytree(valid_maps, bad)
+        _mutate_maps(bad / "img-a", ("payload", f"P3_{key}.fct", 0.0, struct.pack("<I", bits)))
+        argvs = [["loss", "--gt-dir", str(bad), "--pred-dir", str(valid_maps)]]
+        if key != "care":  # a prediction has no care tensor
+            argvs += [["decode", "--maps-dir", str(bad)], ["loss", "--gt-dir", str(valid_maps), "--pred-dir", str(bad)]]
+        for argv in argvs:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv + ["-o", str(tmp_path / "out")])
+            assert (code, caught) == (2, []), (argv[0], err.getvalue(), [str(w.message) for w in caught])
+            assert err.getvalue().startswith("error: ") and f"img-a/P3_{key}.fct: " in err.getvalue()
 
 
 # strategies for what can be wrong with a configuration: a --config file's

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_contours import (
+    AnnotatedImage,
     ChannelCountMismatch,
     Contour,
+    Detection,
     LevelPrediction,
+    ParseError,
     PredictionMaps,
     ShapeMismatch,
     decode_all,
     decode_level,
     embed,
+    parse_detections,
     poly_nms,
     polygon_iou,
     recenter,
@@ -410,3 +414,49 @@ def decode_all_single(lp):
     dets = decode_all(maps)
     assert len(dets) == 1
     return dets[0]
+
+
+class TestParseDetections:
+    LINES = [
+        '{"image_id": "a", "level": "P3", "score": 0.9, "points": [10, 10, 70, 10, 70, 40]}',
+        "",
+        '{"image_id": "b", "score": 1, "points": [8, 8, 56, 8, 56, 32, 8, 32]}',
+        '{"image_id": "a", "level": "P4", "score": 0.5, "points": [0, 0, 4, 0, 4, 4]}',
+    ]
+
+    def test_groups_by_image_in_line_order(self):
+        grouped = parse_detections(self.LINES)
+        assert list(grouped) == ["a", "b"]
+        assert [(d.level, d.score) for d in grouped["a"]] == [("P3", 0.9), ("P4", 0.5)]
+        det = grouped["b"][0]
+        assert isinstance(det, Detection) and det.level == "" and det.score == 1.0
+        assert np.array_equal(det.contour.vertices, [[8, 8], [56, 8], [56, 32], [8, 32]])
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"image_id": 3, "score": 0.5, "points": [0, 0, 4, 0, 4, 4]}', "image_id must be a string"),
+            ('{"image_id": "a", "score": true, "points": [0, 0, 4, 0, 4, 4]}', "score must be a finite number"),
+            ('{"image_id": "a", "score": NaN, "points": [0, 0, 4, 0, 4, 4]}', "score must be a finite number"),
+            ('{"image_id": "a", "score": 0.5, "level": 3, "points": [0, 0, 4, 0, 4, 4]}', "level must be a string"),
+            ('{"image_id": "a", "score": 0.5, "points": [0, 0, 4, 0, 4]}', "bad detection record"),
+            ('{"image_id": "a", "score": 0.5}', "'points'"),
+        ],
+    )
+    def test_a_bad_record_names_its_line(self, record, message):
+        with pytest.raises(ParseError) as info:
+            parse_detections(self.LINES[:1] + [record])
+        assert str(info.value).startswith("line 2: bad detection record: ") and message in str(info.value)
+
+    def test_margin_is_one_side_past_what_the_maps_cover(self):
+        # 100 x 60 px: stride 16 covers 112 x 64, stride 12 covers 108 x 60
+        images = [AnnotatedImage("a", 100, 60)]
+        inside = '{"image_id": "a", "score": 0.5, "points": [-112, -64, 224, -64, 224, 128]}'
+        assert len(parse_detections([inside], images, [12, 16])["a"]) == 1
+        for far in ('{"image_id": "a", "score": 0.5, "points": [-113, 0, 4, 0, 4, 4]}',
+                    '{"image_id": "a", "score": 0.5, "points": [0, 0, 4, 0, 4, 129]}'):
+            with pytest.raises(ParseError, match="past the 112 x 64 px image"):
+                parse_detections([far], images, [12, 16])
+            assert len(parse_detections([far])["a"]) == 1  # no images: no bound
+        far_other = '{"image_id": "b", "score": 0.5, "points": [0, 0, 1e9, 0, 4, 4]}'
+        assert list(parse_detections([far_other], images, [12, 16])) == ["b"]

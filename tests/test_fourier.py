@@ -10,18 +10,26 @@ from hypothesis import strategies as st
 from fourier_contours import (
     ChannelCountMismatch,
     Contour,
+    DegreeFit,
     DegreeTooLarge,
     FourierSignature,
+    NonFinite,
+    ParseError,
     coeffs_to_flat,
     embed,
+    embed_many,
     evaluate_series,
+    fit_by_degree,
     flat_to_coeffs,
     fourier_coefficients,
+    parse_signatures,
+    polygon_iou,
     recenter,
     reconstruct,
     resample_equidistant,
     truncation_l2_error,
     truncation_l2_errors,
+    ZeroPerimeter,
 )
 from fourier_contours.fourier import _dft_basis
 from conftest import star_shaped
@@ -363,3 +371,76 @@ class TestBasisCache:
         assert not any(th.is_alive() for th in threads)
         for (c, s, e), (wc, ws, we) in zip(got, want):
             assert same_bits(c, wc) and same_bits(s, ws) and e == we
+
+
+class TestSignatureBounds:
+    def test_largest_accepted_coefficients_evaluate_without_overflow(self):
+        limit = np.finfo(np.float64).max / 4 / 3
+        coeffs = np.full(3, limit * (1 + 1j))
+        with np.errstate(all="raise"):
+            z = reconstruct(FourierSignature(coeffs), 64).vertices
+        assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize("flat", [[1e308] * 6, [0.0, 0.0, 2e307, 0.0, 0.0, 0.0], [0.0] * 9 + [-1e307]])
+    def test_coefficients_whose_series_could_overflow_are_rejected(self, flat):
+        with pytest.raises(NonFinite, match="the series would overflow"):
+            FourierSignature.from_flat(flat)
+
+
+class TestBatchEntryPoints:
+    def test_embed_many_is_embed_per_contour(self, rng):
+        contours = [star_shaped(rng) for _ in range(5)]
+        coeffs = embed_many(contours, 4, 120)
+        assert coeffs.shape == (5, 9)
+        for contour, row in zip(contours, coeffs):
+            assert np.array_equal(embed(contour, 4, 120).coeffs, row)
+        assert embed_many([], 3, 64).shape == (0, 7)
+
+    def test_embed_many_raises_the_first_contours_error(self, rng):
+        dot = Contour(np.full((4, 2), 30.0))
+        with pytest.raises(ZeroPerimeter):
+            embed_many([star_shaped(rng), dot, star_shaped(rng)], 3, 64)
+
+    def test_parse_signatures_reads_what_embed_writes(self, rng):
+        sig = embed(star_shaped(rng), 3, 64)
+        lines = ['{"image_id": "a", "instance_id": "t0", "k": 3, "coeffs": %s}' % coeffs_to_flat(sig.coeffs).tolist(),
+                 "", '{"image_id": "b", "instance_id": 7, "coeffs": [0, 0, 1, 2, 0, 0]}']
+        (a, ia, sa), (b, ib, sb) = parse_signatures(lines)
+        assert (a, ia, b, ib) == ("a", "t0", "b", 7)
+        assert np.array_equal(sa.coeffs, sig.coeffs) and sb.c0 == 1 + 2j
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{", "line 2: bad signature record: "),
+            ('{"image_id": "a", "coeffs": [0, 0, 1, 0, 0, 0]}', "line 2: bad signature record: 'instance_id'"),
+            ('{"image_id": "a", "instance_id": "i", "coeffs": ["0", 0, 1, 0, 0, 0]}',
+             "coeffs must be a flat list of numbers"),
+            ('{"image_id": "a", "instance_id": "i", "coeffs": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}',
+             "line 2: bad signature record: signature coefficients too large"),
+        ],
+    )
+    def test_parse_signatures_names_a_bad_line(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_signatures(['{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 0]}', line])
+        assert str(info.value).startswith("line 2: ") and message in str(info.value)
+
+    def test_fit_by_degree_is_the_one_contour_figures(self, rng):
+        contours = [star_shaped(rng) for _ in range(3)]
+        degrees = [1, 3, 6]
+        fits = fit_by_degree(contours, degrees, n=200, n_points=40, supersample=3)
+        assert len(fits) == 3
+        for contour, contour_fits in zip(contours, fits):
+            samples = resample_equidistant(contour, 200)
+            full = fourier_coefficients(samples, 6).coeffs
+            errors = truncation_l2_errors(samples, degrees)
+            for fit, deg, err in zip(contour_fits, degrees, errors):
+                assert isinstance(fit, DegreeFit) and fit.degree == deg and fit.l2_error == err
+                recon = reconstruct(FourierSignature(full[6 - deg : 6 + deg + 1]), 40)
+                assert np.array_equal(fit.contour.vertices, recon.vertices)
+                assert fit.iou == polygon_iou(contour, recon, 3)
+        assert fit_by_degree([], degrees) == []
+
+    def test_fit_by_degree_checks_the_degree_against_n(self, rng):
+        with pytest.raises(DegreeTooLarge):
+            fit_by_degree([star_shaped(rng)], [3, 40], n=64)

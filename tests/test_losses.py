@@ -10,6 +10,7 @@ from fourier_contours import (
     AlignmentMismatch,
     LevelPrediction,
     LossBreakdown,
+    LossSums,
     NonFinite,
     ShapeMismatch,
     cross_entropy,
@@ -317,3 +318,28 @@ class TestTotalLoss:
     def test_negative_terms_rejected(self):
         with pytest.raises(ValueError):
             total_loss(-0.1, 0.0, 0.0)
+
+
+class TestLossSumsBreakdown:
+    def test_normalizes_by_the_cells(self):
+        sums = LossSums(tr=6.0, tr_pixels=4, tcr=3.0, reg=2.5, domain_pixels=2)
+        assert sums.breakdown(0.5) == total_loss(1.5, 1.5, 2.5, lam=0.5)
+        assert sums.breakdown() == total_loss(1.5, 1.5, 2.5)
+
+    def test_no_cells_is_zero(self):
+        assert LossSums(0.0, 0, 0.0, 0.0, 0).breakdown(2.0) == LossBreakdown(0.0, 0.0, 0.0, 2.0, 0.0)
+
+    def test_sums_of_images_add_field_by_field(self):
+        rng = np.random.default_rng(3)
+        images = roundtrip_corpus(seed=2, count=2)
+        sums = []
+        for img in images:
+            targets = generate_targets(img, k=3, n=64).levels.values()
+            sums.append(image_loss(
+                (lt, LevelPrediction(lt.spec.name, lt.spec.stride, 0.8 * lt.tr + 0.1, 0.8 * lt.tcr + 0.1,
+                                     lt.regression + rng.normal(0.0, 0.5, lt.regression.shape)))
+                for lt in targets
+            ))
+        total = LossSums(*map(sum, zip(*sums)))
+        assert total.tr_pixels == sums[0].tr_pixels + sums[1].tr_pixels
+        assert total.breakdown().l_tr == pytest.approx((sums[0].tr + sums[1].tr) / total.tr_pixels)

@@ -7,23 +7,24 @@ from pathlib import Path
 
 import fourier_contours
 
-MODULES = ["annotations", "config", "decode", "errors", "evaluation", "fourier", "geometry", "losses", "serialize",
-           "targets"]
+MODULES = ["annotations", "config", "decode", "errors", "evaluation", "fourier", "geometry", "losses", "mapdir",
+           "serialize", "targets"]
 
 PUBLIC = [
     "AlignmentMismatch", "AnnotatedImage", "ChannelCountMismatch", "Config", "ConfigError", "Contour", "ContourSpans",
     "DEFAULT_DEGREE", "DEFAULT_LEVELS", "DEFAULT_RECON_POINTS", "DEFAULT_SAMPLES", "DEFAULT_SHRINK",
-    "DegenerateContour", "DegreeTooLarge", "Detection", "EvalReport", "FourierSignature", "GeometryError",
-    "InvalidPolygon", "LevelPrediction", "LevelSpec", "LevelTargets", "LossBreakdown", "LossSums", "MatchRecord",
-    "NonFinite", "ParseError", "Point2", "PredictionMaps", "ResampledContour", "ShapeMismatch", "TargetMaps",
-    "TextInstance", "ZeroPerimeter", "apply_overrides", "assign_levels", "canonical_start", "coeffs_to_flat",
-    "contour_center", "contour_spans", "contour_spans_many", "cross_entropy", "curved_subset_select", "decode_all",
-    "decode_level", "embed", "evaluate", "evaluate_series", "flat_to_coeffs", "fmeasure", "fourier_coefficients",
-    "generate_targets", "image_loss", "instance_scale", "load_config", "ohem_select", "parse_delimited",
-    "parse_jsonl", "perimeter", "poly_nms", "polygon_iou", "rasterize_grid", "read_tensor", "recenter",
-    "reconstruct", "regression_loss", "regression_loss_grad", "resample_equidistant", "score_map", "shrink_polygon",
-    "signed_area", "smooth_l1", "spans_iou", "total_loss", "truncation_l2_error", "truncation_l2_errors",
-    "write_jsonl", "write_tensor",
+    "DegenerateContour", "DegreeFit", "DegreeTooLarge", "Detection", "EvalReport", "FourierSignature",
+    "GeometryError", "InvalidPolygon", "LevelPrediction", "LevelSpec", "LevelTargets", "LossBreakdown", "LossSums",
+    "MatchRecord", "NonFinite", "ParseError", "Point2", "PredictionMaps", "ResampledContour", "ShapeMismatch",
+    "TargetMaps", "TextInstance", "ZeroPerimeter", "apply_overrides", "assign_levels", "canonical_start",
+    "coeffs_to_flat", "contour_center", "contour_spans", "contour_spans_many", "cross_entropy",
+    "curved_subset_select", "decode_all", "decode_level", "embed", "embed_many", "evaluate", "evaluate_series",
+    "fit_by_degree", "flat_to_coeffs", "fmeasure", "fourier_coefficients", "generate_targets", "image_loss",
+    "instance_scale", "load_config", "map_dirs", "ohem_select", "parse_delimited", "parse_detections", "parse_jsonl",
+    "parse_signatures", "perimeter", "poly_nms", "polygon_iou", "rasterize_grid", "read_loss_levels", "read_map_meta",
+    "read_prediction_maps", "read_tensor", "recenter", "reconstruct", "regression_loss", "regression_loss_grad",
+    "resample_equidistant", "score_map", "shrink_polygon", "signed_area", "smooth_l1", "spans_iou", "total_loss",
+    "truncation_l2_error", "truncation_l2_errors", "write_jsonl", "write_target_maps", "write_tensor",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -68,6 +68,20 @@ class TestTensorFile:
         with pytest.raises(ValueError):
             write_tensor(tmp_path / "t.fct", np.array([1.0, np.nan], dtype=np.float32))
 
+    @pytest.mark.parametrize("bits", [0x7F800001, 0xFFBFFFFF, 0x7FC01234, 0x7F800000, 0xFF800000],
+                             ids=["signaling-nan", "negative-signaling-nan", "quiet-nan-payload", "inf", "-inf"])
+    def test_nonfinite_payload_is_a_parse_error_before_any_cast(self, bits, tmp_path):
+        path = tmp_path / "t.fct"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(blob) - 4, bits)
+        path.write_bytes(bytes(blob))
+        # numpy's casts warn on a signaling NaN; pytest makes a warning an error
+        with np.errstate(all="raise"), pytest.raises(ParseError, match=f"{path}: values must be finite"):
+            read_tensor(path)
+        with pytest.raises(ParseError, match="regression channels must be finite"):
+            read_tensor(path, "regression channels")
+
 
 class TestNumberFormatting:
     def test_nine_significant_digits(self):
