@@ -23,8 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_SUBSET_THRESHOLD
 from .errors import DegenerateContour, InvalidPolygon, ParseError
-from .geometry import Contour, _Frozen, _removal_deltas
+from .geometry import Contour, _removal_deltas
+from .records import _Frozen
+from .serialize import _number_list
 
 __all__ = [
     "TextInstance",
@@ -34,8 +37,6 @@ __all__ = [
     "write_jsonl",
     "curved_subset_select",
 ]
-
-DEFAULT_SUBSET_THRESHOLD = 0.07
 
 # Largest image width or height parse_jsonl accepts: the default levels'
 # target maps of one image this size take about 1 GB.
@@ -74,14 +75,6 @@ def _point_array(values: list, lineno: int) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InvalidPolygon("coordinates must be finite", line=lineno)
     return pts
-
-
-def _number_list(raw, what: str, lineno: int | None = None) -> list:
-    """raw, when it is a flat JSON list of numbers; InvalidPolygon otherwise."""
-    # type(): JSON true and false are bools, which isinstance counts as ints
-    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
-        raise InvalidPolygon(f"{what} must be a flat list of numbers", line=lineno)
-    return raw
 
 
 def _instance_points(raw, lineno: int, width: int, height: int) -> tuple[Contour, int]:

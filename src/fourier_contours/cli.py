@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import curved_subset_select, parse_jsonl, write_jsonl
-from .config import Config, apply_overrides, load_config
+from .config import NAME_CHARS, Config, apply_overrides, load_config
 from .decode import decode_all, parse_detections
 from .errors import ConfigError, GeometryError, ParseError
 from .evaluation import evaluate, fmeasure
@@ -103,7 +103,7 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
+    return re.sub(f"[^{NAME_CHARS}]", "_", name)
 
 
 def _claim(used: dict, name: str, owner: str) -> str:
@@ -191,8 +191,7 @@ def cmd_fidelity(args, cfg: Config) -> int:
     degrees = sorted({_degree(tok) for tok in args.degrees.split(",")}) if args.degrees else [cfg.k]
     if any(deg < 1 for deg in degrees):
         raise ConfigError(f"degrees must be >= 1, got {degrees}")
-    if 2 * max(degrees) + 1 > cfg.n:
-        raise ConfigError(f"degree {max(degrees)} too large for n = {cfg.n}")
+    cfg.check_degree(max(degrees))
     # every overlay's file name, checked before any work is done
     used: dict[str, str] = {}
     svg_names = {
@@ -366,9 +365,7 @@ def cmd_subset(args, cfg: Config) -> int:
 def cmd_plot(args, cfg: Config) -> int:
     if args.degree < 0:
         raise ConfigError(f"degree must be >= 0 (0 means k), got {args.degree}")
-    degree = args.degree if args.degree else cfg.k
-    if 2 * degree + 1 > cfg.n:
-        raise ConfigError(f"degree {degree} too large for n = {cfg.n}")
+    degree = cfg.check_degree(args.degree if args.degree else cfg.k)
     images = _parse_annotations(args.annotations)
     dirnames = _safe_dir_names(images)
     grouped = parse_detections(_read_lines(args.detections)) if args.detections else None
@@ -481,10 +478,6 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, args.overrides)
         if not 1 <= args.jobs <= MAX_JOBS:
             raise ConfigError(f"--jobs must lie in [1, {MAX_JOBS}], got {args.jobs}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
         code = args.func(args, cfg)
         # flushed here, so a reader that is gone fails inside this block
         sys.stdout.flush()

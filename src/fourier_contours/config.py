@@ -1,10 +1,11 @@
-"""Runtime configuration.
+"""The operating point and the runtime configuration.
 
-One flat key = value file plus command-line overrides; no environment
-variables.  Unknown keys are rejected.  The defaults, the reference operating
-point, are the DEFAULT_* constants of the modules that use them; README.md
-tables them.  Values that size allocations are capped by the MAX_* constants
-beside them.  Every number must be finite.
+The one home of every stage's DEFAULT_* value (README.md tables them), the
+MAX_* caps on values that size allocations, LevelSpec and its cell grid, and
+the file-name-token rule; the modules that use one import it from here, and
+this leaf imports only errors and records.  The configuration is one flat
+key = value file plus command-line overrides, no environment variables;
+unknown keys are rejected and every number must be finite.
 """
 
 from __future__ import annotations
@@ -14,18 +15,69 @@ import re
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
-from .annotations import DEFAULT_SUBSET_THRESHOLD
-from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH
+import numpy as np
+
 from .errors import ConfigError
-from .evaluation import DEFAULT_EVAL_IOU
-from .fourier import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, MAX_RECON_POINTS, MAX_SAMPLES
-from .geometry import DEFAULT_SUPERSAMPLE, MAX_SUPERSAMPLE
-from .targets import DEFAULT_LEVELS, DEFAULT_SHRINK, LevelSpec
+from .records import _Frozen
 
-__all__ = ["Config", "load_config", "apply_overrides"]
+__all__ = ["Config", "load_config", "apply_overrides", "LevelSpec", "DEFAULT_DEGREE", "DEFAULT_SAMPLES",
+           "DEFAULT_RECON_POINTS", "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
 
+DEFAULT_DEGREE = 5
+DEFAULT_SAMPLES = 400
+DEFAULT_RECON_POINTS = 50
+DEFAULT_SHRINK = 0.3
+DEFAULT_SCORE_THRESH = 0.3
+DEFAULT_NMS_IOU = 0.1
+DEFAULT_EVAL_IOU = 0.5
+DEFAULT_SUBSET_THRESHOLD = 0.07
+DEFAULT_SUPERSAMPLE = 4
+
+# Largest n accepted: fidelity's n x n DFT basis takes 256 MiB at 4096.
+MAX_SAMPLES = 4096
+# Largest n' accepted: decode holds all candidates' n' points, 16 KiB each at 1024.
+MAX_RECON_POINTS = 1024
+# Largest supersample accepted: a span record holds s rows per pixel of height.
+MAX_SUPERSAMPLE = 16
 # Largest regression weight accepted; the paper's is 1.
 MAX_LAMBDA = 1000.0
+
+# The characters of a file-name token; cli replaces any other in an id.
+NAME_CHARS = "A-Za-z0-9._-"
+
+
+def distinct_tokens(names) -> bool:
+    """Whether the names are distinct nonempty runs of NAME_CHARS."""
+    return len(set(names)) == len(names) and all(re.fullmatch(f"[{NAME_CHARS}]+", n) for n in names)
+
+
+class LevelSpec(_Frozen):
+    """One pyramid level: name, stride in pixels, inclusive scale range."""
+
+    __slots__ = ("name", "stride", "low", "high")
+
+    def __init__(self, name: str, stride: int, low: float, high: float) -> None:
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        if not 0.0 <= low < high <= 1.0:
+            raise ValueError(
+                f"scale range must satisfy 0 <= low < high <= 1, got [{low}, {high}]"
+            )
+        super().__init__(name, stride, low, high)
+
+
+DEFAULT_LEVELS = (LevelSpec("P3", 8, 0.0, 0.4), LevelSpec("P4", 16, 0.3, 0.7), LevelSpec("P5", 32, 0.6, 1.0))
+
+
+def cell_count(side: int, stride: int) -> int:
+    """Cells of a level's grid along an image side: the side in whole strides,
+    rounded up.  Decode's maps and eval's bound on detections cover that many."""
+    return -(-side // stride)
+
+
+def cell_centers(cells: int, stride: int) -> np.ndarray:
+    """Image coordinates (g + 0.5) * stride of the cells g < `cells` of a side."""
+    return (np.arange(cells) + 0.5) * stride
 
 
 class Config(NamedTuple):
@@ -72,9 +124,8 @@ class Config(NamedTuple):
         strides = [spec.stride for spec in self.levels]
         if sorted(strides) != strides or len(set(strides)) != len(strides):
             raise ConfigError(f"level strides must be strictly ascending, got {strides}")
-        names = [spec.name for spec in self.levels]
-        if len(set(names)) < len(names) or not all(re.fullmatch(r"[\w.-]+", n, re.ASCII) for n in names):
-            raise ConfigError(f"level names must be distinct file-name tokens ([A-Za-z0-9._-]+), got {names}")
+        if not distinct_tokens(names := [spec.name for spec in self.levels]):
+            raise ConfigError(f"level names must be distinct file-name tokens ([{NAME_CHARS}]+), got {names}")
         # instance scales lie in [0, 1]; sorted by low, closed ranges chain until a gap
         reach = 0.0
         for spec in sorted(self.levels, key=lambda spec: spec.low):
@@ -83,6 +134,12 @@ class Config(NamedTuple):
             end = min((spec.low for spec in self.levels if spec.low > reach), default=1.0)
             raise ConfigError(f"level scale ranges must cover [0, 1]; no level covers {reach:g} to {end:g}")
         return self
+
+    def check_degree(self, degree: int) -> int:
+        """degree, when n samples give its 2K + 1 coefficients; a ConfigError otherwise."""
+        if 2 * degree + 1 > self.n:
+            raise ConfigError(f"degree {degree} too large for n = {self.n}")
+        return degree
 
     def to_dict(self) -> dict:
         """Every key, in field order, under its configuration-file name."""

@@ -3,7 +3,7 @@
 Per level: the detection score of a cell is the product of its text-region
 and text-center-region probabilities.  Cells at or above the score threshold
 contribute a candidate contour, reconstructed from the cell's regression
-vector after adding the cell center (targets.cell_centers, where the targets
+vector after adding the cell center (config.cell_centers, where the targets
 were painted) back onto c_0.  Candidates from all levels are pooled and
 reduced by greedy polygon non-maximum suppression.
 
@@ -21,12 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .annotations import _number_list
+from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE
+from .config import cell_centers, cell_count
 from .errors import ChannelCountMismatch, ShapeMismatch
-from .fourier import DEFAULT_RECON_POINTS, evaluate_series, flat_to_coeffs
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, _Frozen, _Record, _greedy_nms
-from .serialize import _json_records
-from .targets import cell_centers, cell_count
+from .fourier import evaluate_series, flat_to_coeffs
+from .geometry import Contour, _greedy_nms
+from .records import _Frozen, _Record
+from .serialize import _json_records, _number_list
 
 __all__ = [
     "LevelPrediction",
@@ -38,9 +39,6 @@ __all__ = [
     "poly_nms",
     "decode_all",
 ]
-
-DEFAULT_SCORE_THRESH = 0.3
-DEFAULT_NMS_IOU = 0.1
 
 # How far, in image sides, a candidate's bounding box may reach past the
 # image before decode_level rejects it.  Rasterizing a contour costs memory

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .geometry import DEFAULT_SUPERSAMPLE, contour_spans_many, spans_iou
+from .config import DEFAULT_EVAL_IOU, DEFAULT_SUPERSAMPLE
+from .geometry import contour_spans_many, spans_iou
 
 __all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure"]
-
-DEFAULT_EVAL_IOU = 0.5
 
 
 class MatchRecord(NamedTuple):

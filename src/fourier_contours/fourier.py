@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .annotations import _number_list
+from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAULT_SUPERSAMPLE
 from .errors import ChannelCountMismatch, DegreeTooLarge, NonFinite
-from .geometry import DEFAULT_SUPERSAMPLE, Contour, ResampledContour, _Frozen, _cuts, _resample_many
-from .geometry import contour_spans_many, spans_iou
-from .serialize import _json_records
+from .geometry import Contour, ResampledContour, _cuts, _resample_many, contour_spans_many, spans_iou
+from .records import _Frozen
+from .serialize import _json_records, _number_list
 
 __all__ = [
     "FourierSignature",
@@ -44,19 +44,7 @@ __all__ = [
     "flat_to_coeffs",
     "coeffs_to_flat",
     "evaluate_series",
-    "DEFAULT_DEGREE",
-    "DEFAULT_SAMPLES",
-    "DEFAULT_RECON_POINTS",
 ]
-
-DEFAULT_DEGREE = 5
-DEFAULT_SAMPLES = 400
-DEFAULT_RECON_POINTS = 50
-
-# Largest n accepted: fidelity's n x n DFT basis takes 256 MiB at 4096.
-MAX_SAMPLES = 4096
-# Largest n' accepted: decode holds all candidates' n' points, 16 KiB each at 1024.
-MAX_RECON_POINTS = 1024
 
 # A signature's |u_k| and |v_k| stay within this over 2K + 1: each of the
 # 2K + 1 terms evaluate_series sums is then at most 2 max(|u_k|, |v_k|), and
@@ -182,11 +170,8 @@ def embed(c: Contour, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> Four
     """Resample the contour to n equidistant points and take its degree-k
     signature.  The resampling fixes start point, direction, and speed, so
     congruent contours with different vertex lists embed identically.  This
-    is embed_many with a batch of one, and pays the batch's fixed costs: a
-    72-vertex ellipse at the default n takes about 495 µs on two shared
-    cores, some 35% more than the one-contour code the batch replaced
-    (370 µs).  Many contours cost less per contour in one embed_many call,
-    as the commands make per image."""
+    is embed_many with a batch of one, which pays the batch's fixed costs;
+    pass many contours to one embed_many call, as the commands do per image."""
     return FourierSignature(embed_many([c], k, n)[0])
 
 

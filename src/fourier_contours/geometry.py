@@ -16,7 +16,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_SUPERSAMPLE
 from .errors import DegenerateContour, InvalidPolygon, ZeroPerimeter
+from .records import _Frozen
 
 __all__ = [
     "Point2",
@@ -36,53 +38,10 @@ __all__ = [
     "spans_iou",
 ]
 
-DEFAULT_SUPERSAMPLE = 4
-# Largest supersample accepted: a span record holds s rows per pixel of height.
-MAX_SUPERSAMPLE = 16
-
 
 class Point2(NamedTuple):
     x: float
     y: float
-
-
-class _Record:
-    """A record whose fields are its __slots__, set in that order by __init__,
-    with a dataclass's repr and equality.  A plain class, so defining a
-    record runs no generated code at import time."""
-
-    __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class _Frozen(_Record):
-    """A read-only, hashable _Record."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _vertex_array(vertices, minimum: int = 3) -> np.ndarray:
@@ -332,12 +291,9 @@ def resample_equidistant(c: Contour, n: int) -> ResampledContour:
     The traversal is forced visually clockwise (vertex order reversed when the
     shoelace sum is negative) and starts at the canonical start point, which
     is emitted as points[0].  Sample j sits at arc position j * perimeter / n.
-    This is _resample_many with a batch of one, so one call pays the batch's
-    fixed costs (padded cycle rows, grouped search keys): a 72-vertex ellipse
-    at n = 400 takes about 325 µs on two shared cores, some 40% more than
-    the one-contour code the batch replaced (230 µs).  Many contours cost
-    less per contour in one _resample_many call, as the commands make per
-    image.
+    This is _resample_many with a batch of one, which pays the batch's fixed
+    costs (padded cycle rows, grouped search keys); pass many contours to
+    one _resample_many call, as the commands do per image.
     """
     points, errors = _resample_many([c.vertices], n)
     if errors[0]:

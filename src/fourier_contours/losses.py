@@ -23,9 +23,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_RECON_POINTS
 from .decode import LevelPrediction
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
-from .fourier import DEFAULT_RECON_POINTS, _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
+from .fourier import _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
 from .targets import LevelTargets
 
 __all__ = [

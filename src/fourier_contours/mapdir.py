@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .config import NAME_CHARS, cell_count, distinct_tokens
 from .decode import LevelPrediction, PredictionMaps
 from .errors import ParseError
 from .serialize import json_line, read_tensor, write_tensor
-from .targets import LevelTargets, TargetMaps, cell_count
+from .targets import LevelTargets, TargetMaps
 
 __all__ = ["write_target_maps", "map_dirs", "read_map_meta", "read_prediction_maps", "read_loss_levels"]
 
@@ -76,6 +77,8 @@ def read_map_meta(map_dir) -> dict:
         for e in levels
     ):
         raise ParseError(f"{path}: levels must be objects with a string name and a positive integer stride")
+    if not distinct_tokens(names := [e["name"] for e in levels]):
+        raise ParseError(f"{path}: level names must be distinct file-name tokens ([{NAME_CHARS}]+), got {names}")
     return meta
 
 

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidPolygon, ParseError
 
 __all__ = ["write_tensor", "read_tensor"]
 
@@ -107,3 +107,11 @@ def _json_records(lines, what: str, parse) -> list:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad {what} record: {exc}", line=lineno) from None
     return records
+
+
+def _number_list(raw, what: str, lineno: int | None = None) -> list:
+    """raw, when it is a flat JSON list of numbers; InvalidPolygon otherwise."""
+    # type(): JSON true and false are bools, which isinstance counts as ints
+    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+        raise InvalidPolygon(f"{what} must be a flat list of numbers", line=lineno)
+    return raw

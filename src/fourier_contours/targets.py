@@ -1,10 +1,11 @@
 """Ground-truth map generation for multi-scale dense prediction.
 
 Each pyramid level owns a cell grid at its stride; cell (row i, col j) looks
-at the image point ((j + 0.5) * stride, (i + 0.5) * stride), cell_centers'
-rule, which decode reads too.  An instance is assigned to every level whose
-scale range contains its relative size (longest bounding-box side divided by
-the longest image side; range ends are inclusive, so ranges overlap).
+at the image point ((j + 0.5) * stride, (i + 0.5) * stride), the rule of
+config.cell_centers, which decode reads too.  An instance is assigned to
+every level whose scale range contains its relative size (longest
+bounding-box side divided by the longest image side; range ends are
+inclusive, so ranges overlap).
 
 The cared-for instances of an image are prepared together: one batched
 resample and Fourier transform gives their signatures, and one batched
@@ -30,36 +31,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .annotations import AnnotatedImage, TextInstance
-from .fourier import DEFAULT_DEGREE, DEFAULT_SAMPLES, _embed_many, coeffs_to_flat
-from .geometry import Contour, _Frozen, _Record, _grid_cells, _shrink_many, signed_area
+from .annotations import AnnotatedImage
+from .config import DEFAULT_DEGREE, DEFAULT_LEVELS, DEFAULT_SAMPLES, DEFAULT_SHRINK, LevelSpec, cell_centers, cell_count
+from .fourier import _embed_many, coeffs_to_flat
+from .geometry import Contour, _grid_cells, _shrink_many, signed_area
+from .records import _Record
 
-__all__ = ["LevelSpec", "LevelTargets", "TargetMaps", "instance_scale", "assign_levels", "generate_targets",
-           "DEFAULT_LEVELS", "DEFAULT_SHRINK"]
-
-DEFAULT_SHRINK = 0.3
-
-
-class LevelSpec(_Frozen):
-    """One pyramid level: name, stride in pixels, inclusive scale range."""
-
-    __slots__ = ("name", "stride", "low", "high")
-
-    def __init__(self, name: str, stride: int, low: float, high: float) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        if not 0.0 <= low < high <= 1.0:
-            raise ValueError(
-                f"scale range must satisfy 0 <= low < high <= 1, got [{low}, {high}]"
-            )
-        super().__init__(name, stride, low, high)
-
-
-DEFAULT_LEVELS = (
-    LevelSpec("P3", 8, 0.0, 0.4),
-    LevelSpec("P4", 16, 0.3, 0.7),
-    LevelSpec("P5", 32, 0.6, 1.0),
-)
+__all__ = ["LevelTargets", "TargetMaps", "instance_scale", "assign_levels", "generate_targets"]
 
 
 class LevelTargets(_Record):
@@ -96,17 +74,6 @@ def assign_levels(scale: float, specs=DEFAULT_LEVELS) -> list[LevelSpec]:
     """Levels whose inclusive scale range contains the value.  Overlapping
     ranges deliberately assign border scales to both neighbours."""
     return [spec for spec in specs if spec.low <= scale <= spec.high]
-
-
-def cell_count(side: int, stride: int) -> int:
-    """Cells of a level's grid along an image side: the side in whole strides,
-    rounded up.  Decode's maps and eval's bound on detections cover that many."""
-    return -(-side // stride)
-
-
-def cell_centers(cells: int, stride: int) -> np.ndarray:
-    """Image coordinates (g + 0.5) * stride of the cells g < `cells` of a side."""
-    return (np.arange(cells) + 0.5) * stride
 
 
 def _grid(spec: LevelSpec, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:

@@ -706,6 +706,12 @@ class TestSubsetPlot:
         )
         assert code == 3 and err.startswith("config error: ")
 
+    @pytest.mark.parametrize("command, option", [("fidelity", ["--degrees", "3,300"]), ("plot", ["--degree", "300"])])
+    def test_fidelity_and_plot_give_one_degree_message(self, command, option, corpus, tmp_path, capsys):
+        code, out, err = run([command, str(corpus), *option, "--svg-dir" if command == "fidelity" else "--out-dir",
+                              str(tmp_path / "out")], capsys)
+        assert (code, out, err) == (3, "", "config error: degree 300 too large for n = 400\n")
+
     @pytest.mark.parametrize("degree", ["-1", "300"])
     def test_plot_checks_its_degree_before_any_work(self, tmp_path, capsys, degree):
         # unreadable annotations and detections, and still a config error

@@ -1,0 +1,39 @@
+"""The package's modules form layers: each imports only modules below it, and
+config, which holds the operating point, is a leaf above errors and records."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fourier_contours"
+
+# lowest first; a module may import only the modules before it
+LAYERS = ["errors", "records", "config", "serialize", "svg", "geometry", "annotations", "fourier", "evaluation",
+          "targets", "decode", "losses", "mapdir", "synth", "cli"]
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules that `module` names in its `from .x import` lines,
+    at any depth of its source."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_point_to_lower_layers(module):
+    below = set(LAYERS[: LAYERS.index(module)])
+    assert package_imports(module) <= below
+
+
+def test_config_is_a_leaf():
+    assert package_imports("config") == {"errors", "records"}
+
+
+def test_decode_and_fourier_skip_the_annotation_and_target_layers():
+    assert not package_imports("decode") & {"targets", "annotations"}
+    assert "annotations" not in package_imports("fourier")

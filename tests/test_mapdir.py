@@ -117,6 +117,10 @@ class TestReaderErrors:
             ('{"image_id": "a", "width": true, "height": 1, "levels": []}', "width and height must be integers"),
             ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 0}]}',
              "levels must be objects with a string name and a positive integer stride"),
+            ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "../b/P3", "stride": 8}]}',
+             r"level names must be distinct file-name tokens \(\[A-Za-z0-9._-\]\+\), got \['../b/P3'\]"),
+            ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 8}, '
+             '{"name": "P3", "stride": 16}]}', "level names must be distinct file-name tokens"),
         ],
     )
     def test_meta_fields(self, text, message, tmp_path):

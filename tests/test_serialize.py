@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from fourier_contours import ParseError, read_tensor, write_tensor
-from fourier_contours.config import Config, apply_overrides, load_config, parse_levels
+from fourier_contours.config import MAX_RECON_POINTS, MAX_SAMPLES, MAX_SUPERSAMPLE, Config, apply_overrides, load_config
+from fourier_contours.config import parse_levels
 from fourier_contours.errors import ConfigError
-from fourier_contours.fourier import MAX_RECON_POINTS, MAX_SAMPLES
-from fourier_contours.geometry import MAX_SUPERSAMPLE
 from fourier_contours.serialize import fmt9, json_line, round9
 from fourier_contours.svg import render_svg
 
@@ -183,6 +182,11 @@ class TestConfig:
     def test_degree_capacity_cross_check(self):
         with pytest.raises(ConfigError):
             apply_overrides(Config(), ["n=9", "k=5"])
+
+    def test_check_degree_needs_2k_plus_1_samples(self):
+        assert Config().check_degree(199) == 199
+        with pytest.raises(ConfigError, match=r"^degree 200 too large for n = 400$"):
+            Config().check_degree(200)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
