@@ -127,13 +127,15 @@ def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     None.  sign -1 gives the forward (len(k), n) array, sign +1 the inverse
     (n, len(k)) array, both C-contiguous: evaluate_series' rounding depends on
     that layout, so the inverse is stored as built, not as a transposed view.
-    Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries."""
+    Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries.  Built in
+    row blocks of about geometry._BATCH_ELEMENTS, so the build holds little
+    beyond the basis itself."""
     t = np.arange(n) / n
     ks = np.arange(n) if degree is None else np.arange(-degree, degree + 1)
-    if sign < 0:
-        basis = np.exp(-2j * np.pi * np.outer(ks, t))
-    else:
-        basis = np.exp(2j * np.pi * np.outer(t, ks))
+    rows, cols, w = (ks, t, -2j * np.pi) if sign < 0 else (t, ks, 2j * np.pi)
+    basis = np.empty((len(rows), len(cols)), dtype=np.complex128)
+    for i, j in _cuts(np.full(len(rows), len(cols))):
+        basis[i:j] = np.exp(w * np.outer(rows[i:j], cols))
     basis.setflags(write=False)
     return basis
 
@@ -216,6 +218,10 @@ def evaluate_series(coeffs, n_points: int) -> np.ndarray:
     """Evaluate sum_k c_k exp(2 pi i k t) at t = j / n_points, j = 0 .. n_points - 1.
 
     coeffs may be batched: shape (..., 2K + 1) gives output (..., n_points).
+    The rows are taken in blocks whose (rows, n_points, 2K + 1) products hold
+    about geometry._BATCH_ELEMENTS elements, each row summed on its own, so
+    no value depends on where the blocks fall and the working memory beyond
+    the output does not grow with the number of rows.
     """
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.shape[-1] % 2 == 0:
@@ -224,7 +230,11 @@ def evaluate_series(coeffs, n_points: int) -> np.ndarray:
         )
     deg = (arr.shape[-1] - 1) // 2
     basis = _dft_basis(n_points, deg, 1)  # (n_points, 2K + 1)
-    return (arr[..., None, :] * basis).sum(axis=-1)
+    rows = arr.reshape(-1, arr.shape[-1])
+    out = np.empty((len(rows), n_points), dtype=np.complex128)
+    for i, j in _cuts(np.full(len(rows), basis.size)):
+        out[i:j] = (rows[i:j, None, :] * basis).sum(axis=-1)
+    return out.reshape(arr.shape[:-1] + (n_points,))
 
 
 def reconstruct(s: FourierSignature, n_points: int = DEFAULT_RECON_POINTS) -> Contour:
@@ -252,7 +262,8 @@ def truncation_l2_error(points, k: int) -> float:
 
 def truncation_l2_errors(points, degrees) -> list[float]:
     """Mean squared point error of the degree-k reconstruction at the sample
-    parameters, for every k in `degrees`, from one n x n DFT.
+    parameters, for every k in `degrees`, from one n x n DFT, its products
+    taken in row blocks of the basis of about geometry._BATCH_ELEMENTS.
 
     Each value is computed two ways that must agree to 1e-9 relative:
     directly, and as the Parseval tail sum of |c_j|^2 over the discarded DFT
@@ -269,7 +280,9 @@ def truncation_l2_errors(points, degrees) -> list[float]:
     z = pts[:, 0] + 1j * pts[:, 1]
     residues = np.arange(n)
     basis = _dft_basis(n, None, -1)
-    coeffs = (basis * z).sum(axis=1) / n
+    coeffs = np.empty(n, dtype=np.complex128)
+    for i, j in _cuts(np.full(n, n)):
+        coeffs[i:j] = (basis[i:j] * z).sum(axis=1) / n
     signed = np.where(residues <= n // 2, residues, residues - n)
 
     # tail over |frequency| > k, accumulated from the highest frequency down;
@@ -313,7 +326,7 @@ def fit_by_degree(
 ) -> list[list[DegreeFit]]:
     """The paper's fitting figures: per contour, one DegreeFit for each entry
     of `degrees`, in order.  One resample and transform of all contours at
-    the largest degree, series evaluations per degree in blocks, and one
+    the largest degree, one series evaluation per degree, and one
     contour_spans_many call for the contours and all their reconstructions;
     raises the first contour's error."""
     degrees = list(degrees)
@@ -321,11 +334,8 @@ def fit_by_degree(
     points, errors = _resample_many([c.vertices for c in contours], n)
     _raise_first(errors)
     full = _coefficient_rows(points, kmax)
-    z = np.empty((len(degrees), len(points), n_points), dtype=np.complex128)
-    for d, deg in enumerate(degrees):
-        for i, j in _cuts(np.full(len(points), n_points * (2 * deg + 1))):
-            z[d, i:j] = evaluate_series(full[i:j, kmax - deg : kmax + deg + 1], n_points)
-    recons = [[Contour(np.stack([zd.real, zd.imag], axis=1)) for zd in zs] for zs in z.transpose(1, 0, 2)]
+    series = [evaluate_series(full[:, kmax - deg : kmax + deg + 1], n_points) for deg in degrees]
+    recons = [[Contour(np.stack([zd.real, zd.imag], axis=1)) for zd in zs] for zs in zip(*series)]
     # one record batch: the contours, then their reconstructions in order
     spans = contour_spans_many(list(contours) + [r for rs in recons for r in rs], supersample)
     recon_spans = iter(spans[len(points):])

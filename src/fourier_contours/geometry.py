@@ -164,7 +164,9 @@ def contour_center(c: Contour) -> Point2:
 # Elements the temporaries of one block of a batch routine hold.
 # _resample_many, _shrink_many and fourier._coefficient_rows take whole
 # polygons in blocks, a block ending where the running size crosses a multiple
-# of this, so their working memory does not grow with the number of polygons.
+# of this, so their working memory does not grow with the number of polygons;
+# fourier.evaluate_series, fourier.truncation_l2_errors, fourier._dft_basis
+# and losses.regression_loss take rows of their series or DFT the same way.
 _BATCH_ELEMENTS = 1 << 16
 
 

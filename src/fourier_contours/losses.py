@@ -27,6 +27,7 @@ from .config import DEFAULT_RECON_POINTS
 from .decode import LevelPrediction
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
 from .fourier import _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
+from .geometry import _cuts
 from .targets import LevelTargets
 
 __all__ = [
@@ -92,6 +93,16 @@ def _check_pairs(gt_flat, pred_flat, in_tcr):
     return gt, pr, member
 
 
+def _series_blocks(gt: np.ndarray, pr: np.ndarray, n_points: int):
+    """(first, stop, zg, zp) of consecutive row blocks: the ground-truth and
+    predicted series of rows first .. stop - 1 at n_points parameters, a
+    block's (rows, n_points, 2K + 1) products holding about
+    geometry._BATCH_ELEMENTS elements, as in evaluate_series."""
+    for i, j in _cuts(np.full(len(gt), n_points * (gt.shape[1] // 2))):
+        zg = evaluate_series(flat_to_coeffs(gt[i:j]), n_points)
+        yield i, j, zg, evaluate_series(flat_to_coeffs(pr[i:j]), n_points)
+
+
 def regression_loss(
     gt_flat, pred_flat, in_tcr, n_points: int = DEFAULT_RECON_POINTS, beta: float = 1.0
 ) -> float:
@@ -99,16 +110,18 @@ def regression_loss(
 
     Each row of gt_flat / pred_flat is one pixel's flat recentered signature.
     Returns the w-weighted smooth-L1 sum over reconstructed point differences
-    on both axes, divided by n_points.
+    on both axes, divided by n_points.  The rows are scored in blocks of
+    _series_blocks, so the working memory does not grow with their number.
     """
     gt, pr, member = _check_pairs(gt_flat, pred_flat, in_tcr)
     if gt.shape[0] == 0:
         return 0.0
-    zg = evaluate_series(flat_to_coeffs(gt), n_points)
-    zp = evaluate_series(flat_to_coeffs(pr), n_points)
-    per_point = smooth_l1(zp.real - zg.real, beta) + smooth_l1(zp.imag - zg.imag, beta)
+    per_cell = np.empty(gt.shape[0])
+    for i, j, zg, zp in _series_blocks(gt, pr, n_points):
+        per_point = smooth_l1(zp.real - zg.real, beta) + smooth_l1(zp.imag - zg.imag, beta)
+        per_cell[i:j] = per_point.sum(axis=1)
     weights = np.where(member, 1.0, 0.5)
-    return float(np.sum(weights * per_point.sum(axis=1)) / n_points)
+    return float(np.sum(weights * per_cell) / n_points)
 
 
 def regression_loss_grad(
@@ -118,16 +131,16 @@ def regression_loss_grad(
     gt, pr, member = _check_pairs(gt_flat, pred_flat, in_tcr)
     if gt.shape[0] == 0:
         return np.zeros_like(pr)
-    deg = (gt.shape[1] // 2 - 1) // 2
-    zg = evaluate_series(flat_to_coeffs(gt), n_points)
-    zp = evaluate_series(flat_to_coeffs(pr), n_points)
-    gx = _smooth_l1_grad(zp.real - zg.real, beta)  # (M, n)
-    gy = _smooth_l1_grad(zp.imag - zg.imag, beta)
-    g = gx + 1j * gy
-    # the IFT is linear in c_k = u_k + i v_k with d(x + iy)/du_k = e^{i theta}
-    # and d(x + iy)/dv_k = i e^{i theta}, so (dL/du_k, dL/dv_k) is the real and
-    # imaginary part of sum_n g_n e^{-i theta}: the forward transform of g
-    coeff_grad = (g[:, None, :] * _dft_basis(n_points, deg, -1)).sum(axis=-1)  # (M, 2K + 1)
+    basis = _dft_basis(n_points, (gt.shape[1] // 2 - 1) // 2, -1)
+    coeff_grad = np.empty((gt.shape[0], gt.shape[1] // 2), dtype=np.complex128)  # (M, 2K + 1)
+    for i, j, zg, zp in _series_blocks(gt, pr, n_points):
+        gx = _smooth_l1_grad(zp.real - zg.real, beta)  # (rows, n)
+        gy = _smooth_l1_grad(zp.imag - zg.imag, beta)
+        g = gx + 1j * gy
+        # the IFT is linear in c_k = u_k + i v_k with d(x + iy)/du_k = e^{i theta}
+        # and d(x + iy)/dv_k = i e^{i theta}, so (dL/du_k, dL/dv_k) is the real and
+        # imaginary part of sum_n g_n e^{-i theta}: the forward transform of g
+        coeff_grad[i:j] = (g[:, None, :] * basis).sum(axis=-1)
     weights = np.where(member, 1.0, 0.5)[:, None] / n_points
     return coeffs_to_flat(coeff_grad * weights)
 

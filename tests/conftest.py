@@ -1,7 +1,8 @@
 """Shared fixtures and test helpers.
 
-The scalar references here are oracles that only tests call: the library
-answers the same questions for whole batches of polygons at once."""
+The scalar and one-shot references here are oracles that only tests call:
+the library answers the same questions for whole batches at once, in
+blocks."""
 
 import numpy as np
 import pytest
@@ -78,6 +79,35 @@ def dedupe(v):
     return v[geometry._distinct(v, sizes, start, geometry._previous(nxt))]
 
 
+def inline_basis(n, degree, sign):
+    """Each caller's basis as it was built on every call before the cache:
+    one array expression, no row blocks."""
+    t = np.arange(n) / n
+    if degree is None:
+        return np.exp(-2j * np.pi * np.outer(np.arange(n), t))
+    ks = np.arange(-degree, degree + 1)
+    if sign < 0:
+        return np.exp(-2j * np.pi * np.outer(ks, t))
+    return np.exp(2j * np.pi * np.outer(t, ks))
+
+
+def uncached_series(coeffs, n_points):
+    """evaluate_series as one (..., n_points, 2K + 1) product, no row blocks."""
+    arr = np.asarray(coeffs, dtype=np.complex128)
+    return (arr[..., None, :] * inline_basis(n_points, (arr.shape[-1] - 1) // 2, 1)).sum(axis=-1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def rows_to_block_end(row_size, blocks=3):
+    """The row count that exactly fills the first `blocks` blocks geometry._cuts
+    makes of equal rows of row_size elements: one row more starts a new block."""
+    return -(-blocks * geometry._BATCH_ELEMENTS // row_size)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(987654)
@@ -101,11 +131,15 @@ def subset_parts():
 __all__ = [
     "dedupe",
     "ellipse_polygon",
+    "inline_basis",
     "is_simple",
     "point_in_polygon",
     "rect14",
     "regular_polygon",
     "ribbon",
+    "rows_to_block_end",
+    "same_bits",
     "star_shaped",
+    "uncached_series",
     "vertex_removal_delta",
 ]

@@ -581,6 +581,19 @@ class TestTargetsDecodeLossEval:
         assert "Traceback" not in err
         assert peak < 16 * 2**20
 
+    def test_loss_at_the_largest_n_prime_holds_a_few_mib(self, target_dir, tmp_path, capsys):
+        # at n' = 1024 one (cells, n', 2K + 1) series product of a level
+        # takes several MiB here, and grows with the cells
+        argv = ["--set", "n_prime=1024", "loss", "--gt-dir", str(target_dir), "--pred-dir", str(target_dir)]
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv + ["-o", str(tmp_path / "loss.json")], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "", "")
+        assert peak < 4 * 2**20
+
     def test_eval_rejects_detections_far_outside_the_image(self, corpus, tmp_path, capsys):
         # one vertex at x = 1e15: its span record would take petabytes
         dets = tmp_path / "dets.jsonl"

@@ -1,6 +1,8 @@
 import cmath
+import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from fourier_contours import (
     truncation_l2_errors,
     ZeroPerimeter,
 )
+from fourier_contours import geometry
 from fourier_contours.fourier import _dft_basis
-from conftest import star_shaped
+from conftest import inline_basis, rows_to_block_end, same_bits, star_shaped, uncached_series
 
 
 def dft_oracle(points, k):
@@ -143,6 +146,18 @@ class TestReconstruct:
     def test_default_fifty_points(self):
         sig = embed(Contour([(0, 0), (8, 0), (8, 8), (0, 8)]))
         assert len(reconstruct(sig)) == 50
+
+    def test_series_working_memory_does_not_grow_with_rows(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=(20_000, 11)) + 1j * rng.normal(size=(20_000, 11))
+        tracemalloc.start()
+        try:
+            out = evaluate_series(coeffs, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 15 MiB of output; one (20000, 50, 11) product would be 168 MiB
+        assert peak < out.nbytes + 4 * 2**20
 
     def test_batched_series(self, rng):
         batch = rng.normal(size=(4, 5, 7)) + 1j * rng.normal(size=(4, 5, 7))
@@ -268,27 +283,6 @@ class TestTruncationError:
             assert coeff_power == pytest.approx(power, rel=1e-9)
 
 
-def inline_basis(n, degree, sign):
-    """Each caller's basis as it was built on every call before the cache."""
-    t = np.arange(n) / n
-    if degree is None:
-        return np.exp(-2j * np.pi * np.outer(np.arange(n), t))
-    ks = np.arange(-degree, degree + 1)
-    if sign < 0:
-        return np.exp(-2j * np.pi * np.outer(ks, t))
-    return np.exp(2j * np.pi * np.outer(t, ks))
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
-
-
-def uncached_series(coeffs, n_points):
-    arr = np.asarray(coeffs, dtype=np.complex128)
-    return (arr[..., None, :] * inline_basis(n_points, (arr.shape[-1] - 1) // 2, 1)).sum(axis=-1)
-
-
 class TestBasisCache:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -328,17 +322,36 @@ class TestBasisCache:
         coeffs = rng.normal(size=batch + (2 * k + 1,)) + 1j * rng.normal(size=batch + (2 * k + 1,))
         assert same_bits(evaluate_series(coeffs, n_points), uncached_series(coeffs, n_points))
 
+    @pytest.mark.parametrize("past", [0, 1], ids=["block-end", "one-row-past"])
+    @pytest.mark.parametrize("k, n_points", [(0, 3), (5, 50), (12, 80)])
+    def test_series_row_blocks_match_uncached_reference(self, k, n_points, past):
+        # rows that fill three of evaluate_series' row blocks, then one more
+        rows = rows_to_block_end(n_points * (2 * k + 1)) + past
+        rng = np.random.default_rng(rows)
+        wide = rng.normal(size=(rows, 2 * k + 3)) + 1j * rng.normal(size=(rows, 2 * k + 3))
+        # a column slice, as fit_by_degree passes, and a nested batch
+        for coeffs in (wide[:, 1:-1], np.stack([wide[:, 2:], wide[::-1, :-2]])):
+            assert same_bits(evaluate_series(coeffs, n_points), uncached_series(coeffs, n_points))
+
+    @pytest.mark.parametrize(
+        "n, degree, sign", [(400, None, -1), (1024, None, -1), (50, 5, 1), (1024, 300, 1), (3000, 12, -1)]
+    )
+    def test_basis_built_in_row_blocks_is_the_one_shot_expression(self, n, degree, sign):
+        assert same_bits(_dft_basis.__wrapped__(n, degree, sign), inline_basis(n, degree, sign))
+
     def test_truncation_errors_unchanged(self):
-        rng = np.random.default_rng(5)
-        rs = resample_equidistant(star_shaped(rng), 64)
-        z = rs.points[:, 0] + 1j * rs.points[:, 1]
-        coeffs = (inline_basis(64, None, -1) * z).sum(axis=1) / 64
-        signed = np.where(np.arange(64) <= 32, np.arange(64), np.arange(64) - 64)
-        order = np.lexsort((-signed, -np.abs(signed)))
-        running = np.cumsum(np.abs(coeffs[order]) ** 2)
-        degrees = [1, 5, 31]
-        want = [float(running[np.count_nonzero(np.abs(signed) > k) - 1]) for k in degrees]
-        assert truncation_l2_errors(rs, degrees) == want
+        # at the second n, the n x n DFT product spans three row blocks
+        for n in (64, math.isqrt(3 * geometry._BATCH_ELEMENTS) + 1):
+            rng = np.random.default_rng(5)
+            rs = resample_equidistant(star_shaped(rng), n)
+            z = rs.points[:, 0] + 1j * rs.points[:, 1]
+            coeffs = (inline_basis(n, None, -1) * z).sum(axis=1) / n
+            signed = np.where(np.arange(n) <= n // 2, np.arange(n), np.arange(n) - n)
+            order = np.lexsort((-signed, -np.abs(signed)))
+            running = np.cumsum(np.abs(coeffs[order]) ** 2)
+            degrees = [1, 5, 31]
+            want = [float(running[np.count_nonzero(np.abs(signed) > k) - 1]) for k in degrees]
+            assert truncation_l2_errors(rs, degrees) == want
 
     def test_threads_share_the_cache(self):
         """Eight threads on two cores, switching every microsecond, fill and

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from fourier_contours import (
     smooth_l1,
     total_loss,
 )
-from fourier_contours.fourier import evaluate_series, flat_to_coeffs
+from fourier_contours.fourier import coeffs_to_flat, evaluate_series, flat_to_coeffs
 from fourier_contours.synth import roundtrip_corpus
+from conftest import inline_basis, rows_to_block_end, same_bits, uncached_series
 
 
 class TestSmoothL1:
@@ -194,6 +196,61 @@ class TestRegressionGrad:
                 ) / (2 * h)
                 scale = max(abs(fd), abs(grad[r, c]), 1e-8)
                 assert abs(fd - grad[r, c]) / scale < 1e-4
+
+
+def unblocked_loss(gt, pred, member, n_points, beta=1.0):
+    """regression_loss's body with each series one product over all rows."""
+    zg = uncached_series(flat_to_coeffs(gt), n_points)
+    zp = uncached_series(flat_to_coeffs(pred), n_points)
+    per_point = smooth_l1(zp.real - zg.real, beta) + smooth_l1(zp.imag - zg.imag, beta)
+    weights = np.where(member, 1.0, 0.5)
+    return float(np.sum(weights * per_point.sum(axis=1)) / n_points)
+
+
+def unblocked_grad(gt, pred, member, n_points, beta=1.0):
+    """regression_loss_grad's body with each product over all rows."""
+    zg = uncached_series(flat_to_coeffs(gt), n_points)
+    zp = uncached_series(flat_to_coeffs(pred), n_points)
+    dx, dy = zp.real - zg.real, zp.imag - zg.imag
+    gx = np.where(np.abs(dx) < beta, dx / beta, np.sign(dx))
+    gy = np.where(np.abs(dy) < beta, dy / beta, np.sign(dy))
+    g = gx + 1j * gy
+    coeff_grad = (g[:, None, :] * inline_basis(n_points, (gt.shape[1] // 2 - 1) // 2, -1)).sum(axis=-1)
+    weights = np.where(member, 1.0, 0.5)[:, None] / n_points
+    return coeffs_to_flat(coeff_grad * weights)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("past", [0, 1], ids=["block-end", "one-row-past"])
+    @pytest.mark.parametrize("k, n_points", [(5, 50), (2, 16)])
+    def test_blocks_match_the_unblocked_bodies(self, k, n_points, past):
+        # rows that fill three of the series' row blocks, then one more
+        rows = rows_to_block_end(n_points * (2 * k + 1)) + past
+        rng = np.random.default_rng(rows)
+        gt = rng.normal(scale=20.0, size=(rows, 2 * (2 * k + 1)))
+        pred = gt + rng.normal(scale=1.0, size=gt.shape)
+        member = rng.integers(0, 2, size=rows).astype(bool)
+        assert regression_loss(gt, pred, member, n_points) == unblocked_loss(gt, pred, member, n_points)
+        assert same_bits(regression_loss_grad(gt, pred, member, n_points), unblocked_grad(gt, pred, member, n_points))
+        # one differing row: the loss is that row's sum, every bit of it kept
+        for row in (0, rows // 2, rows - 1):
+            one = gt.copy()
+            one[row] = pred[row]
+            assert regression_loss(gt, one, member, n_points) == unblocked_loss(gt, one, member, n_points)
+
+    def test_loss_working_memory_does_not_grow_with_rows(self):
+        rng = np.random.default_rng(8)
+        gt = rng.normal(scale=20.0, size=(20_000, 22))
+        pred = gt + rng.normal(scale=1.0, size=gt.shape)
+        member = rng.integers(0, 2, size=len(gt)).astype(bool)
+        tracemalloc.start()
+        try:
+            regression_loss(gt, pred, member)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each of the two (20000, 50, 11) series products would be 168 MiB
+        assert peak < 4 * 2**20
 
 
 def brute_ohem(losses, positive, ratio):
