@@ -10,13 +10,14 @@ reduced by greedy polygon non-maximum suppression.
 Everything is ordered: cells are visited row-major, levels in their declared
 order, and all score ties break toward the earlier level, then the earlier
 cell, so output is the same byte-for-byte on every run.  Candidates stay one
-(M, n, 2) array from the series evaluation through NMS; only the kept ones
-become Detection objects.
+(M, n, 2) array from the series evaluation through NMS, which reads it in
+score order in place; only the kept ones become Detection objects.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +88,7 @@ class PredictionMaps(_Record):
     __slots__ = ("image_id", "width", "height", "levels")
 
     def __init__(self, image_id: str, width: int, height: int,
-                 levels: dict[str, LevelPrediction] | None = None) -> None:
+                 levels: Mapping[str, LevelPrediction] | None = None) -> None:
         super().__init__(image_id, width, height, {} if levels is None else levels)
 
 
@@ -156,9 +157,12 @@ def decode_level(
     pred: LevelPrediction,
     score_thresh: float = DEFAULT_SCORE_THRESH,
     n_points: int = DEFAULT_RECON_POINTS,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate contours of one level as (points, scores): points is
-    (M, n_points, 2) and scores (M,), both in row-major cell order.
+    (M, n_points, 2) and scores (M,), both in row-major cell order.  points
+    is a float64 view of the complex series, or `out` when given: a
+    C-contiguous float64 (M, n_points, 2) array the series is written into.
 
     The level's map covers an image of (W * stride) x (H * stride) px.  A
     candidate whose bounding box reaches past it by more than _CANDIDATE_MARGIN
@@ -173,7 +177,8 @@ def decode_level(
     height, width = pred.tr_prob.shape
     xs, ys = cell_centers(width, pred.stride), cell_centers(height, pred.stride)
     coeffs[:, pred.degree] += xs[ix] + 1j * ys[iy]
-    pts = evaluate_series(coeffs, n_points)  # (M, n_points) complex
+    # the points' (x, y) pairs are the series' (real, imag) pairs in memory
+    pts = evaluate_series(coeffs, n_points, None if out is None else out.view(np.complex128)[..., 0])
     out_of_bounds = _beyond_margin(pts.real, width * pred.stride) | _beyond_margin(
         pts.imag, height * pred.stride
     )
@@ -184,7 +189,9 @@ def decode_level(
             f"more than {_CANDIDATE_MARGIN:g} image side past the "
             f"{width * pred.stride} x {height * pred.stride} px image"
         )
-    return np.stack([pts.real, pts.imag], axis=-1), scores[iy, ix]
+    if out is None:
+        out = pts.view(np.float64).reshape(pts.shape + (2,))
+    return out, scores[iy, ix]
 
 
 def poly_nms(
@@ -200,10 +207,11 @@ def poly_nms(
     index; one is kept iff its polygon_iou with every already-kept contour
     is strictly below the threshold.  Pairs with disjoint bounding boxes
     have IoU 0 and are skipped.  geometry._greedy_nms decides which are
-    kept, proving most suppressions from the candidates' matching vertices.
-    A kept candidate is rasterized only once a later live candidate's box
-    meets its own, together with every other kept one then waiting; the
-    others' spans are found one candidate at a time, for the exact test.
+    kept, reading points in visit order in place, and proves most
+    suppressions from the candidates' matching vertices.  A kept candidate
+    is rasterized only once a later live candidate's box meets its own,
+    together with every other kept one then waiting; the others' spans are
+    found one candidate at a time, for the exact test.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
@@ -215,8 +223,7 @@ def poly_nms(
         raise ValueError(f"candidate points must be an (M, n >= 3, 2) array, got shape {points.shape}")
     if scores.shape != points.shape[:1]:
         raise ValueError(f"scores must be an ({points.shape[0]},) array, got shape {scores.shape}")
-    order = np.argsort(-scores, kind="stable")
-    return order[_greedy_nms(points[order], iou_thresh, supersample)].tolist()
+    return _greedy_nms(points, np.argsort(-scores, kind="stable"), iou_thresh, supersample)
 
 
 def decode_all(
@@ -229,13 +236,26 @@ def decode_all(
     """Decode every level, then suppress across the pooled candidates, so the
     same instance seen at two strides yields a single detection.  The pool
     runs level by level in declared order, each level row-major, so equal
-    scores go to the earlier level, then the earlier cell."""
-    found = [decode_level(pred, score_thresh, n_points) for pred in maps.levels.values()]
-    if not found:
-        return []
-    points, scores = (np.concatenate(arrays) for arrays in zip(*found))
+    scores go to the earlier level, then the earlier cell.
+
+    The pool is one (M, n_points, 2) array, sized from the levels' score maps
+    and filled by decode_level level by level.  Each level is looked up in
+    maps.levels once, and dropped once its candidates are in the pool: maps
+    that mapdir.read_prediction_maps reads lazily are then freed before NMS.
+    """
     names = list(maps.levels)
-    rank = np.repeat(np.arange(len(names)), [len(sc) for _, sc in found])
+    if not names:
+        return []
+    levels = [maps.levels[name] for name in names]
+    counts = [int(np.count_nonzero(score_map(lp.tr_prob, lp.tcr_prob) >= score_thresh)) for lp in levels]
+    stops = np.cumsum(counts).tolist()
+    points = np.empty((stops[-1], n_points, 2))
+    scores = np.empty(stops[-1])
+    for i, (count, stop) in enumerate(zip(counts, stops)):
+        rows = slice(stop - count, stop)
+        _, scores[rows] = decode_level(levels[i], score_thresh, n_points, out=points[rows])
+        levels[i] = None
+    rank = np.repeat(np.arange(len(names)), counts)
     return [
         Detection(Contour(points[i]), float(scores[i]), names[rank[i]])
         for i in poly_nms(points, scores, nms_iou, supersample)

@@ -18,6 +18,8 @@ real and imaginary parts from k = -K upward:
 
 from __future__ import annotations
 
+import threading
+import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -120,6 +122,12 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
+# held while a basis is built; bases built and still referenced, so a thread
+# that misses the cache while another builds the same basis takes that one
+_BASIS_LOCK = threading.Lock()
+_BUILT_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     """The read-only basis exp(sign * 2 pi i k j / n) for j = 0 .. n - 1 and k
@@ -127,9 +135,21 @@ def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     None.  sign -1 gives the forward (len(k), n) array, sign +1 the inverse
     (n, len(k)) array, both C-contiguous: evaluate_series' rounding depends on
     that layout, so the inverse is stored as built, not as a transposed view.
-    Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries.  Built in
-    row blocks of about geometry._BATCH_ELEMENTS, so the build holds little
-    beyond the basis itself."""
+    Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries.  A miss
+    builds under _BASIS_LOCK, so threads that miss the same basis at once
+    build it once: the later ones wait and take the first one's array."""
+    key = (n, degree, sign)
+    with _BASIS_LOCK:
+        basis = _BUILT_BASES.get(key)
+        if basis is None:
+            basis = _BUILT_BASES[key] = _build_basis(n, degree, sign)
+    return basis
+
+
+def _build_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
+    """_dft_basis' array, built in row blocks of about
+    geometry._BATCH_ELEMENTS, so the build holds little beyond the basis
+    itself."""
     t = np.arange(n) / n
     ks = np.arange(n) if degree is None else np.arange(-degree, degree + 1)
     rows, cols, w = (ks, t, -2j * np.pi) if sign < 0 else (t, ks, 2j * np.pi)
@@ -214,27 +234,34 @@ def parse_signatures(lines) -> list[tuple]:
     return _json_records(lines, "signature", parse)
 
 
-def evaluate_series(coeffs, n_points: int) -> np.ndarray:
+def evaluate_series(coeffs, n_points: int, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate sum_k c_k exp(2 pi i k t) at t = j / n_points, j = 0 .. n_points - 1.
 
-    coeffs may be batched: shape (..., 2K + 1) gives output (..., n_points).
-    The rows are taken in blocks whose (rows, n_points, 2K + 1) products hold
-    about geometry._BATCH_ELEMENTS elements, each row summed on its own, so
-    no value depends on where the blocks fall and the working memory beyond
-    the output does not grow with the number of rows.
+    coeffs may be batched: shape (..., 2K + 1) gives output (..., n_points),
+    written into `out` when given: a C-contiguous complex128 array of that
+    shape.  The rows are taken in blocks whose (rows, n_points, 2K + 1)
+    products hold about geometry._BATCH_ELEMENTS elements, each block copied
+    to C order first and each row summed on its own, so no value depends on
+    where the blocks fall or on the memory layout of coeffs, and the working
+    memory beyond the output does not grow with the number of rows.
     """
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.shape[-1] % 2 == 0:
         raise ChannelCountMismatch(
             f"coefficient axis must have odd length, got {arr.shape[-1]}"
         )
+    shape = arr.shape[:-1] + (n_points,)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
     deg = (arr.shape[-1] - 1) // 2
     basis = _dft_basis(n_points, deg, 1)  # (n_points, 2K + 1)
     rows = arr.reshape(-1, arr.shape[-1])
-    out = np.empty((len(rows), n_points), dtype=np.complex128)
+    flat = out.reshape(len(rows), n_points)  # a view: out is C-contiguous
     for i, j in _cuts(np.full(len(rows), basis.size)):
-        out[i:j] = (rows[i:j, None, :] * basis).sum(axis=-1)
-    return out.reshape(arr.shape[:-1] + (n_points,))
+        flat[i:j] = (np.ascontiguousarray(rows[i:j])[:, None, :] * basis).sum(axis=-1)
+    return out
 
 
 def reconstruct(s: FourierSignature, n_points: int = DEFAULT_RECON_POINTS) -> Contour:

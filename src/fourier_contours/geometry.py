@@ -850,21 +850,47 @@ def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
     """
     r = 2.0**-40 * (np.maximum(np.abs(k).max(axis=(-2, -1)), np.abs(c).max(axis=(1, 2))) + 1.0)[:, None]
     kn, cn = (np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2) for a in (k, c))
-    u, v, w = kn - k, c - k, cn - k  # corners k_j+1, c_j, c_j+1 less k_j
-    uv = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    uw = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
-    vw = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-    area = (np.abs(uv) + np.abs(uw) + np.abs(vw) + np.abs(vw + uv - uw)) / 4
-    hi = np.maximum(np.maximum(k, kn), np.maximum(c, cn))
-    d = hi - np.minimum(np.minimum(k, kn), np.minimum(c, cn))
-    width = d[..., 0] + d[..., 1] + 4 * r  # not .sum(axis=2): a reduction over 2 is slow
-    return (s * s * (area + 2 * r * width) + s * width + 1).sum(axis=1) * (1 + 2.0**-20)
+    # the corners' box: d = max - min over k_j, k_j+1, c_j, c_j+1; c's shape
+    # first, as k may be one (n, 2) array
+    d, lo = np.maximum(c, cn), np.minimum(c, cn)
+    for a in (k, kn):
+        np.maximum(d, a, out=d)
+        np.minimum(lo, a, out=lo)
+    d -= lo
+    width = d[..., 0] + d[..., 1]  # not .sum(axis=2): a reduction over 2 is slow
+    width += 4 * r
+    # corners k_j+1, c_j, c_j+1 less k_j, in the buffers of kn, lo and cn
+    u, v, w = np.subtract(kn, k, out=kn), np.subtract(c, k, out=lo), np.subtract(cn, k, out=cn)
+    t = d[..., 0]  # scratch for the second product of each cross term
+
+    def cross(a, b):
+        out = a[..., 0] * b[..., 1]
+        out -= np.multiply(a[..., 1], b[..., 0], out=t)
+        return out
+
+    # the operations and operand orders of (|uv| + |uw| + |vw| + |vw + uv -
+    # uw|) / 4 and s^2 (area + 2 r width) + s width + 1, so no bit changes
+    uv, uw, vw = cross(u, v), cross(u, w), cross(v, w)
+    e = vw + uv
+    e -= uw
+    area = np.abs(uv, out=uv)
+    area += np.abs(uw, out=uw)
+    area += np.abs(vw, out=vw)
+    area += np.abs(e, out=e)
+    area /= 4
+    area += np.multiply(2 * r, width, out=e)
+    area *= s * s
+    area += np.multiply(width, s, out=width)
+    area += 1
+    return area.sum(axis=1) * (1 + 2.0**-20)
 
 
-def _greedy_nms(points: np.ndarray, iou_thresh: float, supersample: int) -> list[int]:
-    """Indices, in the given order, of the candidates greedy NMS keeps, from
-    their vertex arrays points (M, n, 2): each is kept iff its spans_iou with
-    every kept one is below iou_thresh.
+def _greedy_nms(points: np.ndarray, order: np.ndarray, iou_thresh: float, supersample: int) -> list[int]:
+    """Indices into points, in visit order, of the candidates greedy NMS
+    keeps, from their vertex arrays points (M, n, 2) visited in the order
+    `order` (a permutation of range(M)): each is kept iff its spans_iou with
+    every kept one is below iou_thresh.  points is read in place, a few rows
+    at a time; only the boxes are kept in visit order.
 
     A live candidate whose box meets no kept box is kept unrasterized, and
     its record waits.  When a live candidate's box meets a waiting box, every
@@ -884,8 +910,9 @@ def _greedy_nms(points: np.ndarray, iou_thresh: float, supersample: int) -> list
     live candidate's box meets is never rasterized.
     """
     s = int(supersample)
-    xy = points.transpose(0, 2, 1).copy()  # (M, 2, n): each reduction runs along a contiguous row
-    boxes = np.concatenate([xy.min(axis=2), xy.max(axis=2)], axis=1)
+    # per coordinate: a reduction over axis 1 of the (M, n, 2) pool is slow
+    x, y = points[..., 0], points[..., 1]
+    boxes = np.stack([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)], axis=1)[order]
     if len(points):  # checked here, as a candidate may be kept unrasterized
         _check_extent(boxes[:, :2], boxes[:, 2:], s)
 
@@ -903,14 +930,14 @@ def _greedy_nms(points: np.ndarray, iou_thresh: float, supersample: int) -> list
             pk, pc = np.nonzero(meets(boxes[ks[a:b], None], boxes[later]))
             for i, j in _cuts(np.full(pk.size, points[0].size)):
                 k, c = a + pk[i:j], later[pc[i:j]]
-                live[c[_sym_diff_bound(points[ks[k]], points[c], s) <= limit[k]]] = False
+                live[c[_sym_diff_bound(points[order[ks[k]]], points[order[c]], s) <= limit[k]]] = False
 
-    kept: dict[int, ContourSpans | None] = {}  # kept index -> its record, None while it waits
+    kept: dict[int, ContourSpans | None] = {}  # kept visit position -> its record, None while it waits
     waiting: dict[int, Contour] = {}
     for i in range(len(points)):
         if not live[i]:
             continue
-        contour = Contour(points[i])
+        contour = Contour(points[order[i]])
         idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
         near = idx[meets(boxes[idx], boxes[i])].tolist()
         if not near:
@@ -928,7 +955,7 @@ def _greedy_nms(points: np.ndarray, iou_thresh: float, supersample: int) -> list
             continue
         kept[i] = rec
         suppress([i], [rec.count], i + 1)
-    return list(kept)
+    return order[np.fromiter(kept, dtype=np.intp, count=len(kept))].tolist()
 
 
 def polygon_iou(a: Contour, b: Contour, supersample: int = DEFAULT_SUPERSAMPLE) -> float:

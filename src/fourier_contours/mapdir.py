@@ -12,6 +12,7 @@ their errors.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
 
 from .config import NAME_CHARS, cell_count, distinct_tokens
@@ -114,12 +115,34 @@ def _read_prediction(map_dir: Path, meta: dict, entry: dict, like: dict | None =
         raise ParseError(f"{map_dir.name}/{name}: {exc}") from None
 
 
-def read_prediction_maps(map_dir) -> PredictionMaps:
-    """The predictions of one map directory, every level in meta.json's order."""
+class _LazyLevels(Mapping):
+    """The prediction levels of one map directory by name, in meta.json's
+    order.  Each lookup reads and checks the level's tensors anew, so only
+    the caller holds a level's arrays, for as long as it keeps them."""
+
+    def __init__(self, map_dir: Path, meta: dict) -> None:
+        self._dir, self._meta = map_dir, meta
+        self._entries = {entry["name"]: entry for entry in meta["levels"]}
+
+    def __getitem__(self, name: str) -> LevelPrediction:
+        return _read_prediction(self._dir, self._meta, self._entries[name])
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def read_prediction_maps(map_dir, lazy: bool = False) -> PredictionMaps:
+    """The predictions of one map directory, every level in meta.json's order.
+    With lazy, the levels' tensors are read when a level is looked up, anew
+    on each lookup, and a bad tensor raises there; decode.decode_all looks
+    each level up once and drops it once its candidates are pooled."""
     map_dir = Path(map_dir)
     meta = read_map_meta(map_dir)
-    levels = {entry["name"]: _read_prediction(map_dir, meta, entry) for entry in meta["levels"]}
-    return PredictionMaps(meta["image_id"], meta["width"], meta["height"], levels)
+    levels = _LazyLevels(map_dir, meta)
+    return PredictionMaps(meta["image_id"], meta["width"], meta["height"], levels if lazy else dict(levels))
 
 
 def read_loss_levels(gt_dir, pred_dir):

@@ -15,6 +15,7 @@ round-trip form, which is stable across platforms.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -43,30 +44,34 @@ def write_tensor(path, array) -> None:
 def read_tensor(path, what: str = "values") -> np.ndarray:
     """The tensor of a .fct file.  Its float32 payload must be finite, checked
     before any cast, so no NaN bit pattern reaches numpy's casts; `what` names
-    the values in that error."""
+    the values in that error.  The payload is read straight into the
+    returned array, once its size matches the header's dimensions."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ParseError(f"{path}: bad magic {blob[:4]!r}, want {MAGIC!r}")
-    if len(blob) < 8:
-        raise ParseError(f"{path}: truncated header")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    if not 1 <= rank <= MAX_RANK:
-        raise ParseError(f"{path}: rank {rank} outside 1..{MAX_RANK}")
-    if len(blob) < 8 + 4 * rank:
-        raise ParseError(f"{path}: truncated dimension list")
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
-    count = int(np.prod(dims, dtype=np.int64))
-    payload = blob[8 + 4 * rank :]
-    if len(payload) != 4 * count:
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise ParseError(f"{path}: bad magic {head[:4]!r}, want {MAGIC!r}")
+        if len(head) < 8:
+            raise ParseError(f"{path}: truncated header")
+        (rank,) = struct.unpack_from("<I", head, 4)
+        if not 1 <= rank <= MAX_RANK:
+            raise ParseError(f"{path}: rank {rank} outside 1..{MAX_RANK}")
+        packed = fh.read(4 * rank)
+        if len(packed) < 4 * rank:
+            raise ParseError(f"{path}: truncated dimension list")
+        dims = struct.unpack(f"<{rank}I", packed)
+        count = int(np.prod(dims, dtype=np.int64))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == 4 * count:
+            arr = np.empty(count, dtype="<f4")
+            size = fh.readinto(memoryview(arr).cast("B"))
+    if size != 4 * count:
         raise ParseError(
-            f"{path}: payload holds {len(payload) // 4} float32 values, "
+            f"{path}: payload holds {size // 4} float32 values, "
             f"dims {dims} require {count}"
         )
-    arr = np.frombuffer(payload, dtype="<f4", count=count).reshape(dims)
     if not np.isfinite(arr).all():
         raise ParseError(f"{path}: {what} must be finite")
-    return arr.astype(np.float32)
+    return arr.reshape(dims).astype(np.float32, copy=False)
 
 
 def fmt9(x: float) -> str:

@@ -594,6 +594,20 @@ class TestTargetsDecodeLossEval:
         assert (code, out, err) == (0, "", "")
         assert peak < 4 * 2**20
 
+    def test_decode_at_the_largest_n_prime_holds_one_pool(self, target_dir, tmp_path, capsys):
+        # at n' = 1024 each candidate's contour takes 16 KiB; the pool of an
+        # image is held once and its maps are freed before NMS, so what
+        # remains is mostly a block of NMS vertex bounds (8.1 MiB before)
+        argv = ["--set", "n_prime=1024", "decode", "--maps-dir", str(target_dir)]
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv + ["-o", str(tmp_path / "dets.jsonl")], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "", "")
+        assert peak < 6 * 2**20
+
     def test_eval_rejects_detections_far_outside_the_image(self, corpus, tmp_path, capsys):
         # one vertex at x = 1e15: its span record would take petabytes
         dets = tmp_path / "dets.jsonl"

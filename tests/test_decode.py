@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -406,6 +407,55 @@ class TestDecodeAll:
 
     def test_no_levels(self):
         assert decode_all(PredictionMaps("img", 128, 128)) == []
+
+    def test_decode_level_writes_into_out(self):
+        lp = level_for(square(64, 72, 30), hot=(9, 8))
+        want, scores = decode_level(lp)
+        out = np.empty((1, 50, 2))
+        got, got_scores = decode_level(lp, out=out)
+        assert got is out and np.array_equal(out, want) and np.array_equal(got_scores, scores)
+        for bad in (np.empty((2, 50, 2)), np.empty((1, 50, 2), dtype=np.float32),
+                    np.empty((1, 2, 50)).transpose(0, 2, 1)):
+            with pytest.raises(ValueError):
+                decode_level(lp, out=bad)
+
+    def test_pool_is_held_once(self):
+        # nine instances, each the candidate of a block of cells on two levels
+        n_points = 1024
+        shapes = [square(40 + 88 * (j % 3), 40 + 88 * (j // 3), 24) for j in range(9)]
+        maps = PredictionMaps("img", 256, 256, {
+            "P3": crowded_level(shapes, "P3", 8, 3),
+            "P4": crowded_level(shapes, "P4", 16, 1),
+        })
+        count = sum(len(decode_level(lp, n_points=3)[1]) for lp in maps.levels.values())
+        pool = count * n_points * 2 * 8
+        tracemalloc.start()
+        try:
+            dets = decode_all(maps, n_points=n_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, len(dets)) == (9 * 49 + 9 * 9, 9)
+        # the pool, the Detection copies of its kept rows and the working
+        # memory of a block of vertex bounds, which does not grow with the
+        # pool (about 1.6 pools here); four copies of the pool were held before
+        assert pool > 8 * 2**20 and peak < 2 * pool
+
+
+def crowded_level(shapes, name, stride, reach, side=256):
+    """A level on which the (2 reach + 1)^2 cells around each shape's centre
+    regress that shape, scoring lower away from the centre."""
+    cells = side // stride
+    tr, tcr = np.zeros((cells, cells)), np.ones((cells, cells))
+    reg = np.zeros((22, cells, cells))
+    for poly in shapes:
+        sig = embed(poly, 5)
+        cx, cy = (int(v) // stride for v in poly.vertices.mean(axis=0))
+        for iy in range(cy - reach, cy + reach + 1):
+            for ix in range(cx - reach, cx + reach + 1):
+                tr[iy, ix] = 0.9 - 0.05 * (abs(iy - cy) + abs(ix - cx))
+                reg[:, iy, ix] = recenter(sig, ((ix + 0.5) * stride, (iy + 0.5) * stride)).flat
+    return LevelPrediction(name, stride, tr, tcr, reg)
 
 
 def decode_all_single(lp):

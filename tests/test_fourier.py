@@ -2,7 +2,9 @@ import cmath
 import math
 import sys
 import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from fourier_contours import (
     truncation_l2_errors,
     ZeroPerimeter,
 )
-from fourier_contours import geometry
+from fourier_contours import fourier, geometry
 from fourier_contours.fourier import _dft_basis
 from conftest import inline_basis, rows_to_block_end, same_bits, star_shaped, uncached_series
 
@@ -165,6 +167,26 @@ class TestReconstruct:
         assert vals.shape == (4, 5, 13)
         one = evaluate_series(batch[2, 3], 13)
         assert np.array_equal(vals[2, 3], one)
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["block-end", "one-row-past"])
+    def test_series_bits_do_not_depend_on_memory_layout(self, past):
+        # rows that fill three of evaluate_series' row blocks, then one more
+        rows = rows_to_block_end(50 * 11) + past
+        rng = np.random.default_rng(rows)
+        coeffs = rng.normal(size=(rows, 11)) * 40 + 1j * rng.normal(size=(rows, 11)) * 40
+        want = evaluate_series(coeffs, 50)
+        assert same_bits(evaluate_series(np.asfortranarray(coeffs), 50), want)
+        assert same_bits(evaluate_series(np.asfortranarray(coeffs)[::2], 50), want[::2])
+
+    def test_series_written_into_out(self, rng):
+        coeffs = rng.normal(size=(2, 3, 7)) + 1j * rng.normal(size=(2, 3, 7))
+        out = np.empty((2, 3, 13), dtype=np.complex128)
+        assert evaluate_series(coeffs, 13, out=out) is out
+        assert same_bits(out, evaluate_series(coeffs, 13))
+        for bad in (np.empty((2, 3, 12), dtype=np.complex128), np.empty((2, 3, 13)),
+                    np.empty((2, 13, 3), dtype=np.complex128).transpose(0, 2, 1)):
+            with pytest.raises(ValueError, match="C-contiguous complex128"):
+                evaluate_series(coeffs, 13, out=bad)
 
 
 class TestUniqueness:
@@ -352,6 +374,38 @@ class TestBasisCache:
             degrees = [1, 5, 31]
             want = [float(running[np.count_nonzero(np.abs(signed) > k) - 1]) for k in degrees]
             assert truncation_l2_errors(rs, degrees) == want
+
+    def test_concurrent_misses_build_once(self):
+        """A thread that misses the cache while another builds the same
+        basis waits for that build and takes its array."""
+        key = (331, 7, 1)
+        builds, started = [], threading.Event()
+        cuts = fourier._cuts
+
+        def slow_cuts(sizes, budget=None):
+            # _build_basis cuts its rows once per build
+            builds.append(threading.get_ident())
+            started.set()
+            time.sleep(0.3)
+            return cuts(sizes, budget)
+
+        got = [None, None]
+
+        def run(i):
+            got[i] = _dft_basis(*key)
+
+        _dft_basis.cache_clear()
+        with mock.patch.object(fourier, "_cuts", slow_cuts):
+            first = threading.Thread(target=run, args=(0,))
+            first.start()
+            assert started.wait(timeout=30)
+            second = threading.Thread(target=run, args=(1,))
+            second.start()
+            first.join(timeout=60)
+            second.join(timeout=60)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(builds) == 1
+        assert got[0] is got[1] and same_bits(got[0], inline_basis(*key))
 
     def test_threads_share_the_cache(self):
         """Eight threads on two cores, switching every microsecond, fill and

@@ -73,6 +73,27 @@ class TestRoundTrip:
             for got, want in ((level.tr_prob, lt.tr), (level.tcr_prob, lt.tcr), (level.regression, lt.regression)):
                 assert np.array_equal(got, as_stored(want))
 
+    def test_lazy_predictions_read_each_level_when_looked_up(self, written):
+        maps, root = written
+        eager = read_prediction_maps(root / "img-a")
+        lazy = read_prediction_maps(root / "img-a", lazy=True)
+        assert (lazy.image_id, lazy.width, lazy.height, list(lazy.levels), len(lazy.levels)) == (
+            eager.image_id, eager.width, eager.height, list(eager.levels), 3)
+
+        def same_level(a, b):
+            return (a.name, a.stride) == (b.name, b.stride) and all(
+                np.array_equal(x, y) for x, y in ((a.tr_prob, b.tr_prob), (a.tcr_prob, b.tcr_prob),
+                                                  (a.regression, b.regression)))
+
+        assert all(same_level(lazy.levels[name], eager.levels[name]) for name in eager.levels)
+        assert lazy.levels["P4"] is not lazy.levels["P4"]  # read anew, held by no one else
+        path = root / "img-a" / "P5_tr.fct"
+        write_tensor(path, np.full(read_tensor(path).shape, 2.0))
+        lazy = read_prediction_maps(root / "img-a", lazy=True)
+        assert same_level(lazy.levels["P3"], eager.levels["P3"])
+        with pytest.raises(ParseError, match="img-a/P5: tr probabilities must lie in"):
+            lazy.levels["P5"]
+
     def test_loss_levels_pair_targets_with_predictions(self, written):
         maps, root = written
         pairs = list(read_loss_levels(root / "img-a", root / "img-a"))

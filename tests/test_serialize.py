@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from itertools import takewhile
 from pathlib import Path
 
@@ -55,6 +56,38 @@ class TestTensorFile:
         path.write_bytes(blob[:-4])
         with pytest.raises(ParseError):
             read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda b: b[:3], r"bad magic b'FCT', want b'FCT1'"),
+            (lambda b: b[:6], "truncated header"),
+            (lambda b: b[:4] + struct.pack("<I", 5) + b[8:], "rank 5 outside 1..4"),
+            (lambda b: b[:12], "truncated dimension list"),
+            (lambda b: b[:-4], r"payload holds 5 float32 values, dims \(2, 3\) require 6"),
+            (lambda b: b + b"\x00" * 8, r"payload holds 8 float32 values, dims \(2, 3\) require 6"),
+        ],
+        ids=["short-magic", "header", "rank", "dims", "short-payload", "long-payload"],
+    )
+    def test_malformed_file_errors_name_the_file(self, cut, message, tmp_path):
+        path = tmp_path / "t.fct"
+        write_tensor(path, np.zeros((2, 3)))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(ParseError, match=f"{path}: {message}"):
+            read_tensor(path)
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        path = tmp_path / "t.fct"
+        write_tensor(path, np.ones((22, 240, 320)))  # a 6.4 MiB payload
+        tracemalloc.start()
+        try:
+            arr = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.shape == (22, 240, 320) and arr.dtype == np.float32 and arr.flags.writeable
+        # the array and the finiteness check's bool array
+        assert peak < 1.5 * arr.nbytes
 
     def test_rank_limits(self, tmp_path):
         with pytest.raises(ValueError):
