@@ -257,8 +257,7 @@ def cmd_targets(args, cfg: Config) -> int:
 
 def cmd_decode(args, cfg: Config) -> int:
     def one(img_dir: Path) -> list[str]:
-        # read lazily, so decode_all frees each level's maps once it is pooled
-        maps = read_prediction_maps(img_dir, lazy=True)
+        maps = read_prediction_maps(img_dir)
         try:
             detections = decode_all(maps, cfg.score_thresh, cfg.nms_iou, cfg.n_prime, cfg.iou_supersample)
         except ValueError as exc:  # decode_level's candidate bound names the level

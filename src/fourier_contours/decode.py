@@ -153,25 +153,36 @@ def _beyond_margin(coords: np.ndarray, side: float) -> np.ndarray:
     return (coords.min(axis=-1) < -margin) | (coords.max(axis=-1) > side + margin)
 
 
+def _candidates(pred: LevelPrediction, score_thresh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (iy, ix) cells of one level whose score reaches score_thresh, in
+    row-major order, and their scores."""
+    if not 0.0 < score_thresh < 1.0:
+        raise ValueError(f"score threshold must lie in (0, 1), got {score_thresh}")
+    scores = score_map(pred.tr_prob, pred.tcr_prob)
+    iy, ix = np.nonzero(scores >= score_thresh)  # np.nonzero is row-major
+    return iy, ix, scores[iy, ix]
+
+
 def decode_level(
     pred: LevelPrediction,
     score_thresh: float = DEFAULT_SCORE_THRESH,
     n_points: int = DEFAULT_RECON_POINTS,
     out: np.ndarray | None = None,
+    *,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate contours of one level as (points, scores): points is
     (M, n_points, 2) and scores (M,), both in row-major cell order.  points
     is a float64 view of the complex series, or `out` when given: a
     C-contiguous float64 (M, n_points, 2) array the series is written into.
+    `cells` is the level's candidate cells and scores, as _candidates(pred,
+    score_thresh) gives them, when the caller has them already.
 
     The level's map covers an image of (W * stride) x (H * stride) px.  A
     candidate whose bounding box reaches past it by more than _CANDIDATE_MARGIN
     image sides on either axis raises ValueError naming the level and cell.
     """
-    if not 0.0 < score_thresh < 1.0:
-        raise ValueError(f"score threshold must lie in (0, 1), got {score_thresh}")
-    scores = score_map(pred.tr_prob, pred.tcr_prob)
-    iy, ix = np.nonzero(scores >= score_thresh)  # np.nonzero is row-major
+    iy, ix, scores = _candidates(pred, score_thresh) if cells is None else cells
     flat = pred.regression[:, iy, ix].T  # (M, C)
     coeffs = flat_to_coeffs(flat)
     height, width = pred.tr_prob.shape
@@ -191,7 +202,7 @@ def decode_level(
         )
     if out is None:
         out = pts.view(np.float64).reshape(pts.shape + (2,))
-    return out, scores[iy, ix]
+    return out, scores
 
 
 def poly_nms(
@@ -238,23 +249,25 @@ def decode_all(
     runs level by level in declared order, each level row-major, so equal
     scores go to the earlier level, then the earlier cell.
 
-    The pool is one (M, n_points, 2) array, sized from the levels' score maps
-    and filled by decode_level level by level.  Each level is looked up in
-    maps.levels once, and dropped once its candidates are in the pool: maps
-    that mapdir.read_prediction_maps reads lazily are then freed before NMS.
+    The pool is one (M, n_points, 2) array, sized from the levels' candidate
+    cells and filled by decode_level level by level.  Each level is looked up
+    in maps.levels once, and dropped once its candidates are in the pool:
+    the maps of mapdir.read_prediction_maps, read at lookup, are then freed
+    before NMS.
     """
     names = list(maps.levels)
     if not names:
         return []
     levels = [maps.levels[name] for name in names]
-    counts = [int(np.count_nonzero(score_map(lp.tr_prob, lp.tcr_prob) >= score_thresh)) for lp in levels]
+    cells = [_candidates(lp, score_thresh) for lp in levels]
+    counts = [len(sc) for _, _, sc in cells]
     stops = np.cumsum(counts).tolist()
     points = np.empty((stops[-1], n_points, 2))
     scores = np.empty(stops[-1])
     for i, (count, stop) in enumerate(zip(counts, stops)):
         rows = slice(stop - count, stop)
-        _, scores[rows] = decode_level(levels[i], score_thresh, n_points, out=points[rows])
-        levels[i] = None
+        _, scores[rows] = decode_level(levels[i], score_thresh, n_points, out=points[rows], cells=cells[i])
+        levels[i] = cells[i] = None
     rank = np.repeat(np.arange(len(names)), counts)
     return [
         Detection(Contour(points[i]), float(scores[i]), names[rank[i]])

@@ -122,9 +122,12 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
-# held while a basis is built; bases built and still referenced, so a thread
-# that misses the cache while another builds the same basis takes that one
+# one lock per basis being built, looked up under _BASIS_LOCK, and the bases
+# built and still referenced: a thread that misses the cache while another
+# builds the same basis waits for that one and takes it, while builds of
+# other bases go on
 _BASIS_LOCK = threading.Lock()
+_BUILD_LOCKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _BUILT_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -136,10 +139,15 @@ def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     (n, len(k)) array, both C-contiguous: evaluate_series' rounding depends on
     that layout, so the inverse is stored as built, not as a transposed view.
     Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries.  A miss
-    builds under _BASIS_LOCK, so threads that miss the same basis at once
-    build it once: the later ones wait and take the first one's array."""
+    builds under a lock of its own key, so threads that miss the same basis
+    at once build it once: the later ones wait and take the first one's
+    array.  Misses of different bases build at the same time."""
     key = (n, degree, sign)
     with _BASIS_LOCK:
+        lock = _BUILD_LOCKS.get(key)
+        if lock is None:
+            lock = _BUILD_LOCKS[key] = threading.Lock()
+    with lock:
         basis = _BUILT_BASES.get(key)
         if basis is None:
             basis = _BUILT_BASES[key] = _build_basis(n, degree, sign)

@@ -850,39 +850,18 @@ def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
     """
     r = 2.0**-40 * (np.maximum(np.abs(k).max(axis=(-2, -1)), np.abs(c).max(axis=(1, 2))) + 1.0)[:, None]
     kn, cn = (np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2) for a in (k, c))
-    # the corners' box: d = max - min over k_j, k_j+1, c_j, c_j+1; c's shape
-    # first, as k may be one (n, 2) array
-    d, lo = np.maximum(c, cn), np.minimum(c, cn)
-    for a in (k, kn):
-        np.maximum(d, a, out=d)
-        np.minimum(lo, a, out=lo)
-    d -= lo
-    width = d[..., 0] + d[..., 1]  # not .sum(axis=2): a reduction over 2 is slow
-    width += 4 * r
-    # corners k_j+1, c_j, c_j+1 less k_j, in the buffers of kn, lo and cn
-    u, v, w = np.subtract(kn, k, out=kn), np.subtract(c, k, out=lo), np.subtract(cn, k, out=cn)
-    t = d[..., 0]  # scratch for the second product of each cross term
-
-    def cross(a, b):
-        out = a[..., 0] * b[..., 1]
-        out -= np.multiply(a[..., 1], b[..., 0], out=t)
-        return out
-
-    # the operations and operand orders of (|uv| + |uw| + |vw| + |vw + uv -
-    # uw|) / 4 and s^2 (area + 2 r width) + s width + 1, so no bit changes
-    uv, uw, vw = cross(u, v), cross(u, w), cross(v, w)
-    e = vw + uv
-    e -= uw
-    area = np.abs(uv, out=uv)
-    area += np.abs(uw, out=uw)
-    area += np.abs(vw, out=vw)
-    area += np.abs(e, out=e)
-    area /= 4
-    area += np.multiply(2 * r, width, out=e)
-    area *= s * s
-    area += np.multiply(width, s, out=width)
-    area += 1
-    return area.sum(axis=1) * (1 + 2.0**-20)
+    d = np.maximum(np.maximum(k, kn), np.maximum(c, cn))
+    d -= np.minimum(np.minimum(k, kn), np.minimum(c, cn))
+    width = d[..., 0] + d[..., 1] + 4 * r  # not .sum(axis=2): a reduction over 2 is slow
+    del d  # each (pairs, n, 2) buffer is freed once used, as blocks are large
+    u, v, w = kn - k, c - k, cn - k  # corners k_j+1, c_j, c_j+1 less k_j
+    del kn, cn
+    uv = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    uw = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    vw = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+    del u, v, w
+    area = (np.abs(uv) + np.abs(uw) + np.abs(vw) + np.abs(vw + uv - uw)) / 4
+    return (s * s * (area + 2 * r * width) + s * width + 1).sum(axis=1) * (1 + 2.0**-20)
 
 
 def _greedy_nms(points: np.ndarray, order: np.ndarray, iou_thresh: float, supersample: int) -> list[int]:

@@ -134,15 +134,16 @@ class _LazyLevels(Mapping):
         return len(self._entries)
 
 
-def read_prediction_maps(map_dir, lazy: bool = False) -> PredictionMaps:
+def read_prediction_maps(map_dir) -> PredictionMaps:
     """The predictions of one map directory, every level in meta.json's order.
-    With lazy, the levels' tensors are read when a level is looked up, anew
-    on each lookup, and a bad tensor raises there; decode.decode_all looks
-    each level up once and drops it once its candidates are pooled."""
+    meta.json is read and checked here; a level's tensors are read and
+    checked when the level is looked up in `levels`, anew on each lookup, and
+    a bad tensor raises there.  So decode.decode_all, which looks each level
+    up once and drops it once its candidates are pooled, frees the maps
+    before NMS."""
     map_dir = Path(map_dir)
     meta = read_map_meta(map_dir)
-    levels = _LazyLevels(map_dir, meta)
-    return PredictionMaps(meta["image_id"], meta["width"], meta["height"], levels if lazy else dict(levels))
+    return PredictionMaps(meta["image_id"], meta["width"], meta["height"], _LazyLevels(map_dir, meta))
 
 
 def read_loss_levels(gt_dir, pred_dir):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -45,7 +46,9 @@ def read_tensor(path, what: str = "values") -> np.ndarray:
     """The tensor of a .fct file.  Its float32 payload must be finite, checked
     before any cast, so no NaN bit pattern reaches numpy's casts; `what` names
     the values in that error.  The payload is read straight into the
-    returned array, once its size matches the header's dimensions."""
+    returned array; a regular file's size is checked against the header's
+    dimensions first, so a wrong header allocates nothing.  Other files, a
+    pipe say, are read to their end."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head[:4] != MAGIC:
@@ -60,10 +63,13 @@ def read_tensor(path, what: str = "values") -> np.ndarray:
             raise ParseError(f"{path}: truncated dimension list")
         dims = struct.unpack(f"<{rank}I", packed)
         count = int(np.prod(dims, dtype=np.int64))
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        st = os.fstat(fh.fileno())
+        size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else 4 * count
         if size == 4 * count:
             arr = np.empty(count, dtype="<f4")
             size = fh.readinto(memoryview(arr).cast("B"))
+            if size == 4 * count:  # the payload must end the file
+                size += len(fh.read())
     if size != 4 * count:
         raise ParseError(
             f"{path}: payload holds {size // 4} float32 values, "

@@ -407,6 +407,41 @@ class TestBasisCache:
         assert len(builds) == 1
         assert got[0] is got[1] and same_bits(got[0], inline_basis(*key))
 
+    def test_a_build_does_not_hold_up_other_bases(self):
+        """While one thread builds a basis, another thread's miss of a
+        different basis builds and returns."""
+        slow_key, other_key = (64, None, -1), (257, 5, 1)
+        started, release = threading.Event(), threading.Event()
+        cuts = fourier._cuts
+        got = {}
+
+        def held_cuts(sizes, budget=None):
+            if threading.current_thread() is first:
+                started.set()
+                assert release.wait(timeout=60)
+            return cuts(sizes, budget)
+
+        def run(key):
+            got[key] = _dft_basis(*key)
+
+        _dft_basis.cache_clear()
+        first = threading.Thread(target=run, args=(slow_key,))
+        second = threading.Thread(target=run, args=(other_key,))
+        with mock.patch.object(fourier, "_cuts", held_cuts):
+            try:
+                first.start()
+                assert started.wait(timeout=30)
+                second.start()
+                second.join(timeout=10)
+                assert not second.is_alive() and first.is_alive()
+            finally:
+                release.set()
+                first.join(timeout=60)
+                second.join(timeout=60)
+        assert not first.is_alive() and not second.is_alive()
+        assert same_bits(got[other_key], inline_basis(*other_key))
+        assert same_bits(got[slow_key], inline_basis(*slow_key))
+
     def test_threads_share_the_cache(self):
         """Eight threads on two cores, switching every microsecond, fill and
         read one cleared cache; every result equals the single-thread one."""

@@ -73,26 +73,18 @@ class TestRoundTrip:
             for got, want in ((level.tr_prob, lt.tr), (level.tcr_prob, lt.tcr), (level.regression, lt.regression)):
                 assert np.array_equal(got, as_stored(want))
 
-    def test_lazy_predictions_read_each_level_when_looked_up(self, written):
-        maps, root = written
-        eager = read_prediction_maps(root / "img-a")
-        lazy = read_prediction_maps(root / "img-a", lazy=True)
-        assert (lazy.image_id, lazy.width, lazy.height, list(lazy.levels), len(lazy.levels)) == (
-            eager.image_id, eager.width, eager.height, list(eager.levels), 3)
-
-        def same_level(a, b):
-            return (a.name, a.stride) == (b.name, b.stride) and all(
-                np.array_equal(x, y) for x, y in ((a.tr_prob, b.tr_prob), (a.tcr_prob, b.tcr_prob),
-                                                  (a.regression, b.regression)))
-
-        assert all(same_level(lazy.levels[name], eager.levels[name]) for name in eager.levels)
-        assert lazy.levels["P4"] is not lazy.levels["P4"]  # read anew, held by no one else
+    def test_predictions_read_each_level_when_looked_up(self, written):
+        _, root = written
+        pred = read_prediction_maps(root / "img-a")
+        assert len(pred.levels) == 3
+        assert pred.levels["P4"] is not pred.levels["P4"]  # read anew, held by no one else
+        p3 = pred.levels["P3"]
         path = root / "img-a" / "P5_tr.fct"
         write_tensor(path, np.full(read_tensor(path).shape, 2.0))
-        lazy = read_prediction_maps(root / "img-a", lazy=True)
-        assert same_level(lazy.levels["P3"], eager.levels["P3"])
+        pred = read_prediction_maps(root / "img-a")  # meta.json alone: P5 is not read yet
+        assert np.array_equal(pred.levels["P3"].regression, p3.regression)
         with pytest.raises(ParseError, match="img-a/P5: tr probabilities must lie in"):
-            lazy.levels["P5"]
+            pred.levels["P5"]
 
     def test_loss_levels_pair_targets_with_predictions(self, written):
         maps, root = written
@@ -156,7 +148,7 @@ class TestReaderErrors:
         shutil.copytree(root / "img-a", bad)
         write_tensor(bad / "P3_tcr.fct", np.zeros((15, 21)))
         with pytest.raises(ParseError, match=r"img-a/P3_tcr: shape \(15, 21\) does not match \(15, 20\), which"):
-            read_prediction_maps(bad)
+            read_prediction_maps(bad).levels["P3"]
         meta = json.loads((bad / "meta.json").read_text(encoding="utf-8"))
         (bad / "meta.json").write_text(json.dumps({**meta, "width": 168}), encoding="utf-8")
         write_tensor(bad / "P3_tr.fct", np.zeros((15, 21)))
@@ -169,7 +161,7 @@ class TestReaderErrors:
         shutil.copytree(root / "img-a", bad)
         write_tensor(bad / "P5_tr.fct", np.full(read_tensor(bad / "P5_tr.fct").shape, 2.0))
         with pytest.raises(ParseError, match="img-a/P5: tr probabilities must lie in"):
-            read_prediction_maps(bad)
+            read_prediction_maps(bad).levels["P5"]
 
     @pytest.mark.parametrize("key, values", [("tr", "tr probabilities"), ("reg", "regression channels"),
                                              ("care", "care flags")])

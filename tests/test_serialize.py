@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import threading
 import tracemalloc
 from itertools import takewhile
 from pathlib import Path
@@ -88,6 +90,45 @@ class TestTensorFile:
         assert arr.shape == (22, 240, 320) and arr.dtype == np.float32 and arr.flags.writeable
         # the array and the finiteness check's bool array
         assert peak < 1.5 * arr.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (lambda b: b, None),
+            (lambda b: b[:-8], r"payload holds 2998 float32 values, dims \(3, 1000\) require 3000"),
+            (lambda b: b + b"\x00" * 4, r"payload holds 3001 float32 values, dims \(3, 1000\) require 3000"),
+        ],
+        ids=["whole", "short-payload", "long-payload"],
+    )
+    def test_a_pipe_is_read_to_its_end(self, cut, message, tmp_path):
+        """A named pipe reports no size: its payload is checked by what it
+        holds, written in chunks."""
+        want = np.arange(3000.0).reshape(3, 1000)
+        write_tensor(tmp_path / "t.fct", want)
+        blob = cut((tmp_path / "t.fct").read_bytes())
+        path = tmp_path / "pipe.fct"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb", buffering=0) as fh:
+                try:
+                    for i in range(0, len(blob), 1000):
+                        fh.write(blob[i:i + 1000])
+                except BrokenPipeError:  # the reader stopped early, which the assertions show
+                    pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if message is None:
+                assert np.array_equal(read_tensor(path), want)
+            else:
+                with pytest.raises(ParseError, match=f"{path}: {message}"):
+                    read_tensor(path)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
 
     def test_rank_limits(self, tmp_path):
         with pytest.raises(ValueError):
