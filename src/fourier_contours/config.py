@@ -39,7 +39,8 @@ MAX_SAMPLES = 4096
 MAX_RECON_POINTS = 1024
 # Largest supersample accepted: a span record holds s rows per pixel of height.
 MAX_SUPERSAMPLE = 16
-# Largest regression weight accepted; the paper's is 1.
+# The regression weight lambda: the paper's, and the largest accepted.
+DEFAULT_LAMBDA = 1.0
 MAX_LAMBDA = 1000.0
 
 # The characters of a file-name token; cli replaces any other in an id.
@@ -84,7 +85,7 @@ class Config(NamedTuple):
     k: int = DEFAULT_DEGREE
     n: int = DEFAULT_SAMPLES
     n_prime: int = DEFAULT_RECON_POINTS
-    lam: float = 1.0
+    lam: float = DEFAULT_LAMBDA
     shrink_factor: float = DEFAULT_SHRINK
     levels: tuple[LevelSpec, ...] = DEFAULT_LEVELS
     score_thresh: float = DEFAULT_SCORE_THRESH
@@ -182,8 +183,8 @@ def _apply(cfg: Config, key: str, raw: str) -> Config:
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
 
 
-def load_config(path, base: Config | None = None) -> Config:
-    cfg = base or Config()
+def load_config(path) -> Config:
+    cfg = Config()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -8,10 +8,11 @@ coefficient of harmonic k is
 
 computed by direct summation in a fixed order, never via an FFT, so results
 are bit-identical across runs and thread counts.  Each exp(-+2 pi i k j / n)
-basis depends only on its shape, so it is built once and kept, read-only, in a
-bounded cache shared by every call and thread.  The degree-K signature keeps
-k in [-K, K]; c_0 is the contour center, and the flat real layout interleaves
-real and imaginary parts from k = -K upward:
+basis depends only on its shape, so it is kept, read-only, in a cache shared
+by every call and thread: a hit takes no lock, a miss builds under one lock,
+and the oldest of 16 bases is dropped to make room.  The degree-K signature
+keeps k in [-K, K]; c_0 is the contour center, and the flat real layout
+interleaves real and imaginary parts from k = -K upward:
 
     [u_-K, v_-K, ..., u_0, v_0, ..., u_K, v_K]      length 2 * (2K + 1)
 """
@@ -19,8 +20,6 @@ real and imaginary parts from k = -K upward:
 from __future__ import annotations
 
 import threading
-import weakref
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -122,35 +121,32 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
-# one lock per basis being built, looked up under _BASIS_LOCK, and the bases
-# built and still referenced: a thread that misses the cache while another
-# builds the same basis waits for that one and takes it, while builds of
-# other bases go on
+# (n, degree, sign) -> basis, oldest first; written only under _BASIS_LOCK
+_BASES: dict[tuple, np.ndarray] = {}
 _BASIS_LOCK = threading.Lock()
-_BUILD_LOCKS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_BUILT_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     """The read-only basis exp(sign * 2 pi i k j / n) for j = 0 .. n - 1 and k
     in -degree .. degree, or in 0 .. n - 1 (every DFT residue) when degree is
     None.  sign -1 gives the forward (len(k), n) array, sign +1 the inverse
     (n, len(k)) array, both C-contiguous: evaluate_series' rounding depends on
     that layout, so the inverse is stored as built, not as a transposed view.
-    Cached by lru_cache, at most _BASIS_CACHE_SIZE = 16 entries.  A miss
-    builds under a lock of its own key, so threads that miss the same basis
-    at once build it once: the later ones wait and take the first one's
-    array.  Misses of different bases build at the same time."""
+    Kept in _BASES, at most _BASIS_CACHE_SIZE = 16 entries, the oldest
+    dropped first.  A hit takes no lock.  A miss builds under one lock, so
+    threads that miss the same basis at once build it once: the later ones
+    wait and take the first one's array.  Misses of different bases build
+    one after the other."""
     key = (n, degree, sign)
-    with _BASIS_LOCK:
-        lock = _BUILD_LOCKS.get(key)
-        if lock is None:
-            lock = _BUILD_LOCKS[key] = threading.Lock()
-    with lock:
-        basis = _BUILT_BASES.get(key)
-        if basis is None:
-            basis = _BUILT_BASES[key] = _build_basis(n, degree, sign)
+    basis = _BASES.get(key)
+    if basis is None:
+        with _BASIS_LOCK:
+            basis = _BASES.get(key)
+            if basis is None:
+                basis = _build_basis(n, degree, sign)
+                if len(_BASES) >= _BASIS_CACHE_SIZE:
+                    del _BASES[next(iter(_BASES))]
+                _BASES[key] = basis
     return basis
 
 

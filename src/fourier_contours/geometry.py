@@ -44,12 +44,12 @@ class Point2(NamedTuple):
     y: float
 
 
-def _vertex_array(vertices, minimum: int = 3) -> np.ndarray:
+def _vertex_array(vertices) -> np.ndarray:
     arr = np.array(vertices, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidPolygon(f"expected an (n, 2) vertex array, got shape {arr.shape}")
-    if arr.shape[0] < minimum:
-        raise InvalidPolygon(f"need at least {minimum} vertices, got {arr.shape[0]}")
+    if arr.shape[0] < 3:
+        raise InvalidPolygon(f"need at least 3 vertices, got {arr.shape[0]}")
     if not np.isfinite(arr).all():
         raise InvalidPolygon("coordinates must be finite")
     arr.setflags(write=False)
@@ -894,6 +894,8 @@ def _greedy_nms(points: np.ndarray, order: np.ndarray, iou_thresh: float, supers
     boxes = np.stack([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)], axis=1)[order]
     if len(points):  # checked here, as a candidate may be kept unrasterized
         _check_extent(boxes[:, :2], boxes[:, 2:], s)
+        if not np.isfinite(boxes).all():  # a row's min or max is nan or inf iff one of its points is
+            raise InvalidPolygon("coordinates must be finite")
 
     def meets(a, b):
         return (a[..., 2] > b[..., 0]) & (b[..., 2] > a[..., 0]) & (a[..., 3] > b[..., 1]) & (b[..., 3] > a[..., 1])
@@ -912,24 +914,24 @@ def _greedy_nms(points: np.ndarray, order: np.ndarray, iou_thresh: float, supers
                 live[c[_sym_diff_bound(points[order[ks[k]]], points[order[c]], s) <= limit[k]]] = False
 
     kept: dict[int, ContourSpans | None] = {}  # kept visit position -> its record, None while it waits
-    waiting: dict[int, Contour] = {}
+    waiting: list[int] = []
     for i in range(len(points)):
         if not live[i]:
             continue
-        contour = Contour(points[order[i]])
         idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
         near = idx[meets(boxes[idx], boxes[i])].tolist()
         if not near:
-            kept[i], waiting[i] = None, contour
+            kept[i] = None
+            waiting.append(i)
             continue
-        if any(j in waiting for j in near):
-            recs = contour_spans_many(list(waiting.values()), s)
+        if any(kept[j] is None for j in near):
+            recs = contour_spans_many([Contour(points[order[j]]) for j in waiting], s)
             kept.update(zip(waiting, recs))
-            suppress(list(waiting), [rec.count for rec in recs], i)
-            waiting = {}
+            suppress(waiting, [rec.count for rec in recs], i)
+            waiting = []
             if not live[i]:
                 continue
-        rec = contour_spans(contour, s)
+        rec = contour_spans(Contour(points[order[i]]), s)
         if any(spans_iou(rec, kept[j]) >= iou_thresh for j in near):
             continue
         kept[i] = rec

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_RECON_POINTS
+from .config import DEFAULT_LAMBDA, DEFAULT_RECON_POINTS
 from .decode import LevelPrediction
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
 from .fourier import _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
@@ -182,7 +182,7 @@ class LossSums(NamedTuple):
     reg: float
     domain_pixels: int  # cared text-region cells: the tcr and reg domain
 
-    def breakdown(self, lam: float = 1.0) -> LossBreakdown:
+    def breakdown(self, lam: float = DEFAULT_LAMBDA) -> LossBreakdown:
         """total_loss of the sums: L_tr = tr / tr_pixels and L_tcr = tcr /
         domain_pixels, each 0 over no cells, while reg enters as it is."""
         l_tr = self.tr / self.tr_pixels if self.tr_pixels else 0.0
@@ -220,7 +220,7 @@ def image_loss(
     return LossSums(tr_sum, tr_px, tcr_sum, reg_sum, domain_px)
 
 
-def total_loss(l_tr: float, l_tcr: float, l_reg: float, lam: float = 1.0) -> LossBreakdown:
+def total_loss(l_tr: float, l_tcr: float, l_reg: float, lam: float = DEFAULT_LAMBDA) -> LossBreakdown:
     parts = {"l_tr": l_tr, "l_tcr": l_tcr, "l_reg": l_reg, "lambda": lam}
     for name, value in parts.items():
         if not np.isfinite(value):

@@ -100,11 +100,8 @@ def generate_targets(
             wanted.append((inst, levels))
     verts = [inst.polygon.vertices for inst, _ in wanted]
     coeffs, errors = _embed_many(verts, k, n)
-    # an instance whose signature fails is not shrunk
-    embedded = [i for i, err in enumerate(errors) if err is None]
-    shrunk = [None] * len(wanted)
-    for i, contour, err in zip(embedded, *_shrink_many([verts[i] for i in embedded], shrink_factor)):
-        shrunk[i], errors[i] = contour, err
+    shrunk, shrink_errors = _shrink_many(verts, shrink_factor)
+    errors = [err or shrink_err for err, shrink_err in zip(errors, shrink_errors)]
     cared, rows = [], []  # (polygon, levels, shrunk), signature row
     for i, (inst, levels) in enumerate(wanted):
         if errors[i] is not None:

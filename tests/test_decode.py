@@ -11,6 +11,7 @@ from fourier_contours import (
     ChannelCountMismatch,
     Contour,
     Detection,
+    InvalidPolygon,
     LevelPrediction,
     ParseError,
     PredictionMaps,
@@ -190,6 +191,31 @@ class TestPolyNms:
     def test_rejects_malformed_arrays(self, points_shape, scores_shape):
         with pytest.raises(ValueError):
             poly_nms(np.zeros(points_shape), np.full(scores_shape, 0.5), 0.1)
+
+    def test_rejects_points_that_are_not_finite(self):
+        # a box with a nan meets no other box, so that candidate is kept and
+        # never rasterized
+        points, scores = candidates([square(20 + 40 * i, 20, 10) for i in range(3)], [0.9, 0.8, 0.7])
+        points[1, 1, 0] = np.nan
+        with pytest.raises(InvalidPolygon, match="coordinates must be finite"):
+            poly_nms(points, scores, 0.1)
+
+    def test_waiting_contours_are_not_copied(self):
+        # 1000 disjoint circles at n' = 1024 are all kept and never
+        # rasterized: NMS holds their visit positions, not their rows
+        t = np.arange(1024) * (2 * np.pi / 1024)
+        circle = 4.0 * np.stack([np.cos(t), np.sin(t)], axis=1)
+        grid = np.stack(np.meshgrid(np.arange(40), np.arange(25)), axis=-1).reshape(-1, 1, 2)
+        points = circle + 10.0 * grid + 5.0
+        scores = np.linspace(0.9, 0.1, len(points))
+        tracemalloc.start()
+        try:
+            kept = poly_nms(points, scores, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == list(range(1000))
+        assert points.nbytes > 15 * 2**20 and peak < 4 * 2**20
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -322,9 +322,17 @@ class TestBasisCache:
             basis[0, 0] = 0.0
         assert _dft_basis(n, degree, sign) is basis
 
-    def test_cache_is_bounded(self):
+    def test_cache_drops_its_oldest_basis(self):
         # the bound the README and the _dft_basis docstring state
-        assert _dft_basis.cache_info().maxsize == 16
+        keys = [(n, 2, -1) for n in range(20, 37)]
+        fourier._BASES.clear()
+        first = _dft_basis(*keys[0])
+        for key in keys[1:]:
+            _dft_basis(*key)
+        assert list(fourier._BASES) == keys[1:]
+        again = _dft_basis(*keys[0])
+        assert again is not first and same_bits(again, first)
+        assert list(fourier._BASES) == keys[2:] + keys[:1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -359,7 +367,7 @@ class TestBasisCache:
         "n, degree, sign", [(400, None, -1), (1024, None, -1), (50, 5, 1), (1024, 300, 1), (3000, 12, -1)]
     )
     def test_basis_built_in_row_blocks_is_the_one_shot_expression(self, n, degree, sign):
-        assert same_bits(_dft_basis.__wrapped__(n, degree, sign), inline_basis(n, degree, sign))
+        assert same_bits(fourier._build_basis(n, degree, sign), inline_basis(n, degree, sign))
 
     def test_truncation_errors_unchanged(self):
         # at the second n, the n x n DFT product spans three row blocks
@@ -394,7 +402,7 @@ class TestBasisCache:
         def run(i):
             got[i] = _dft_basis(*key)
 
-        _dft_basis.cache_clear()
+        fourier._BASES.clear()
         with mock.patch.object(fourier, "_cuts", slow_cuts):
             first = threading.Thread(target=run, args=(0,))
             first.start()
@@ -407,10 +415,10 @@ class TestBasisCache:
         assert len(builds) == 1
         assert got[0] is got[1] and same_bits(got[0], inline_basis(*key))
 
-    def test_a_build_does_not_hold_up_other_bases(self):
-        """While one thread builds a basis, another thread's miss of a
-        different basis builds and returns."""
-        slow_key, other_key = (64, None, -1), (257, 5, 1)
+    def test_a_hit_does_not_wait_for_a_build(self):
+        """While one thread builds a basis, another thread's hit of a cached
+        basis returns."""
+        slow_key, cached_key = (64, None, -1), (257, 5, 1)
         started, release = threading.Event(), threading.Event()
         cuts = fourier._cuts
         got = {}
@@ -424,9 +432,10 @@ class TestBasisCache:
         def run(key):
             got[key] = _dft_basis(*key)
 
-        _dft_basis.cache_clear()
+        fourier._BASES.clear()
+        cached = _dft_basis(*cached_key)
         first = threading.Thread(target=run, args=(slow_key,))
-        second = threading.Thread(target=run, args=(other_key,))
+        second = threading.Thread(target=run, args=(cached_key,))
         with mock.patch.object(fourier, "_cuts", held_cuts):
             try:
                 first.start()
@@ -439,8 +448,36 @@ class TestBasisCache:
                 first.join(timeout=60)
                 second.join(timeout=60)
         assert not first.is_alive() and not second.is_alive()
-        assert same_bits(got[other_key], inline_basis(*other_key))
+        assert got[cached_key] is cached
         assert same_bits(got[slow_key], inline_basis(*slow_key))
+
+    def test_threads_read_while_the_oldest_is_dropped(self):
+        """Eight threads on two cores, switching every microsecond, each ask
+        for 24 bases, more than the cache holds, from their own start: every
+        basis they get is the fresh build, and the cache ends at 16."""
+        keys = [(n, 3, 1) for n in range(40, 64)]
+        want = {key: inline_basis(*key) for key in keys}
+        fourier._BASES.clear()
+        bad = []
+
+        def run(i):
+            for _ in range(3):
+                for key in keys[3 * i:] + keys[:3 * i]:
+                    if not same_bits(_dft_basis(*key), want[key]):
+                        bad.append(key)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == [] and len(fourier._BASES) == 16
 
     def test_threads_share_the_cache(self):
         """Eight threads on two cores, switching every microsecond, fill and
@@ -453,7 +490,7 @@ class TestBasisCache:
             return sig.coeffs, evaluate_series(sig.coeffs, 40), truncation_l2_errors(rs, [2, 6])
 
         want = [work(rs) for rs in shapes]
-        _dft_basis.cache_clear()
+        fourier._BASES.clear()
         got = [None] * len(shapes)
 
         def run(i):
