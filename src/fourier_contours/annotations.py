@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_SUBSET_THRESHOLD
+from .config import DEFAULT_SUBSET_THRESHOLD, MAX_IMAGE_SIDE, MAX_VERTICES
 from .errors import DegenerateContour, InvalidPolygon, ParseError
 from .geometry import Contour, _removal_deltas
 from .records import _Frozen
@@ -37,13 +37,6 @@ __all__ = [
     "write_jsonl",
     "curved_subset_select",
 ]
-
-# Largest image width or height parse_jsonl accepts: the default levels'
-# target maps of one image this size take about 1 GB.
-MAX_IMAGE_SIDE = 16384
-
-# Most points one instance may have; shrink_polygon's simplicity test is quadratic.
-MAX_VERTICES = 1024
 
 
 class TextInstance(NamedTuple):

@@ -39,6 +39,11 @@ MAX_SAMPLES = 4096
 MAX_RECON_POINTS = 1024
 # Largest supersample accepted: a span record holds s rows per pixel of height.
 MAX_SUPERSAMPLE = 16
+# Largest image width or height accepted: the default levels' target maps of
+# one image this size take about 1 GB.
+MAX_IMAGE_SIDE = 16384
+# Most points one instance may have; shrink_polygon's simplicity test is quadratic.
+MAX_VERTICES = 1024
 # The regression weight lambda: the paper's, and the largest accepted.
 DEFAULT_LAMBDA = 1.0
 MAX_LAMBDA = 1000.0

@@ -11,85 +11,32 @@ Everything is ordered: cells are visited row-major, levels in their declared
 order, and all score ties break toward the earlier level, then the earlier
 cell, so output is the same byte-for-byte on every run.  Candidates stay one
 (M, n, 2) array from the series evaluation through NMS, which reads it in
-score order in place; only the kept ones become Detection objects.
+score order in place; only the kept ones become Detection objects.  The
+maps arrive as mapdir's records, PredictionMaps of LevelPredictions.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE
 from .config import cell_centers, cell_count
-from .errors import ChannelCountMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .fourier import evaluate_series, flat_to_coeffs
 from .geometry import Contour, _greedy_nms
-from .records import _Frozen, _Record
+from .mapdir import LevelPrediction, PredictionMaps
 from .serialize import _json_records, _number_list
 
-__all__ = [
-    "LevelPrediction",
-    "PredictionMaps",
-    "Detection",
-    "parse_detections",
-    "score_map",
-    "decode_level",
-    "poly_nms",
-    "decode_all",
-]
+__all__ = ["Detection", "parse_detections", "score_map", "decode_level", "poly_nms", "decode_all"]
 
 # How far, in image sides, a candidate's bounding box may reach past the
 # image before decode_level rejects it.  Rasterizing a contour costs memory
 # linear in its box, so a regression map with huge finite values must fail
 # here rather than in NMS.  parse_detections bounds detections by the same rule.
 _CANDIDATE_MARGIN = 1.0
-
-
-class LevelPrediction(_Frozen):
-    """Predicted maps of one pyramid level: tr_prob and tcr_prob (H, W) in
-    [0, 1], regression (2 * (2K + 1), H, W)."""
-
-    __slots__ = ("name", "stride", "tr_prob", "tcr_prob", "regression")
-
-    def __init__(self, name: str, stride: int, tr_prob: np.ndarray, tcr_prob: np.ndarray,
-                 regression: np.ndarray) -> None:
-        tr = np.asarray(tr_prob, dtype=np.float64)
-        tcr = np.asarray(tcr_prob, dtype=np.float64)
-        reg = np.asarray(regression, dtype=np.float64)
-        if tr.ndim != 2 or tr.shape != tcr.shape:
-            raise ShapeMismatch(
-                f"tr {tr.shape} and tcr {tcr.shape} must be equal 2-d shapes"
-            )
-        if reg.ndim != 3 or reg.shape[1:] != tr.shape:
-            raise ShapeMismatch(
-                f"regression {reg.shape} must be (C, {tr.shape[0]}, {tr.shape[1]})"
-            )
-        c = reg.shape[0]
-        if c % 2 or (c // 2) % 2 == 0:
-            raise ChannelCountMismatch(
-                f"regression needs 2 * (2K + 1) channels, got {c}"
-            )
-        for label, arr in (("tr", tr), ("tcr", tcr)):
-            if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValueError(f"{label} probabilities must lie in [0, 1]")
-        if not np.isfinite(reg).all():
-            raise ValueError("regression channels must be finite")
-        super().__init__(name, stride, tr, tcr, reg)
-
-    @property
-    def degree(self) -> int:
-        return (self.regression.shape[0] // 2 - 1) // 2
-
-
-class PredictionMaps(_Record):
-    __slots__ = ("image_id", "width", "height", "levels")
-
-    def __init__(self, image_id: str, width: int, height: int,
-                 levels: Mapping[str, LevelPrediction] | None = None) -> None:
-        super().__init__(image_id, width, height, {} if levels is None else levels)
 
 
 class Detection(NamedTuple):

@@ -24,11 +24,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_LAMBDA, DEFAULT_RECON_POINTS
-from .decode import LevelPrediction
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
 from .fourier import _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
 from .geometry import _cuts
-from .targets import LevelTargets
+from .mapdir import LevelPrediction, LevelTargets
 
 __all__ = [
     "LossBreakdown",
@@ -196,9 +195,10 @@ def image_loss(
 ) -> LossSums:
     """Loss sums of one image over its (targets, prediction) level pairs.
 
-    A target is a LevelTargets, of which the tr, tcr, regression and care
-    arrays of one (H, W) are read; a prediction is a LevelPrediction of the
-    same shape.  Levels are scored one at a time, in the order given.
+    A target is a mapdir.LevelTargets, of which the tr, tcr, regression and
+    care arrays of one (H, W) are read; a prediction is a
+    mapdir.LevelPrediction of the same shape.  Levels are scored one at a
+    time, in the order given.
     """
     tr_sum = tcr_sum = reg_sum = 0.0
     tr_px = domain_px = 0

@@ -1,5 +1,7 @@
-"""Map directories: one image's tensor maps on disk, as `fctool targets`
-writes them and `decode` and `loss` read them.
+"""Map directories: one image's tensor maps, as `fctool targets` writes them
+and `decode` and `loss` read them, and the four records that hold them in
+memory: LevelTargets and TargetMaps, which targets.generate_targets paints,
+and LevelPrediction and PredictionMaps, which decode.decode_all reads.
 
 A map directory holds meta.json, one JSON line, and per level the tensors
 <name>_<key>.fct: tr, tcr, reg, weight and care for targets, tr, tcr and reg
@@ -15,18 +17,88 @@ import json
 from collections.abc import Mapping
 from pathlib import Path
 
-from .config import NAME_CHARS, cell_count, distinct_tokens
-from .decode import LevelPrediction, PredictionMaps
-from .errors import ParseError
-from .serialize import json_line, read_tensor, write_tensor
-from .targets import LevelTargets, TargetMaps
+import numpy as np
 
-__all__ = ["write_target_maps", "map_dirs", "read_map_meta", "read_prediction_maps", "read_loss_levels"]
+from .config import MAX_IMAGE_SIDE, NAME_CHARS, LevelSpec, cell_count, distinct_tokens
+from .errors import ChannelCountMismatch, ParseError, ShapeMismatch
+from .records import _Frozen, _Record
+from .serialize import json_line, read_tensor, write_tensor
+
+__all__ = ["LevelPrediction", "PredictionMaps", "LevelTargets", "TargetMaps", "write_target_maps", "map_dirs",
+           "read_map_meta", "read_prediction_maps", "read_loss_levels"]
 
 # a target level's tensors, by key; a prediction level has the first three
 KEYS = ("tr", "tcr", "reg", "weight", "care")
 # what each tensor's values are, for read_tensor's finiteness error
 _VALUES = {"tr": "tr probabilities", "tcr": "tcr probabilities", "reg": "regression channels", "care": "care flags"}
+
+
+class LevelPrediction(_Frozen):
+    """Predicted maps of one pyramid level: tr_prob and tcr_prob (H, W) in
+    [0, 1], regression (2 * (2K + 1), H, W)."""
+
+    __slots__ = ("name", "stride", "tr_prob", "tcr_prob", "regression")
+
+    def __init__(self, name: str, stride: int, tr_prob: np.ndarray, tcr_prob: np.ndarray,
+                 regression: np.ndarray) -> None:
+        tr = np.asarray(tr_prob, dtype=np.float64)
+        tcr = np.asarray(tcr_prob, dtype=np.float64)
+        reg = np.asarray(regression, dtype=np.float64)
+        if tr.ndim != 2 or tr.shape != tcr.shape:
+            raise ShapeMismatch(
+                f"tr {tr.shape} and tcr {tcr.shape} must be equal 2-d shapes"
+            )
+        if reg.ndim != 3 or reg.shape[1:] != tr.shape:
+            raise ShapeMismatch(
+                f"regression {reg.shape} must be (C, {tr.shape[0]}, {tr.shape[1]})"
+            )
+        c = reg.shape[0]
+        if c % 2 or (c // 2) % 2 == 0:
+            raise ChannelCountMismatch(
+                f"regression needs 2 * (2K + 1) channels, got {c}"
+            )
+        for label, arr in (("tr", tr), ("tcr", tcr)):
+            if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
+                raise ValueError(f"{label} probabilities must lie in [0, 1]")
+        if not np.isfinite(reg).all():
+            raise ValueError("regression channels must be finite")
+        super().__init__(name, stride, tr, tcr, reg)
+
+    @property
+    def degree(self) -> int:
+        return (self.regression.shape[0] // 2 - 1) // 2
+
+
+class PredictionMaps(_Record):
+    __slots__ = ("image_id", "width", "height", "levels")
+
+    def __init__(self, image_id: str, width: int, height: int,
+                 levels: Mapping[str, LevelPrediction] | None = None) -> None:
+        super().__init__(image_id, width, height, {} if levels is None else levels)
+
+
+class LevelTargets(_Record):
+    """Target maps of one level: tr and tcr (H, W) uint8, regression
+    (2 * (2K + 1), H, W) float64, weight (H, W) float64 in {0.0, 0.5, 1.0},
+    care (H, W) uint8 with 0 excluded from classification."""
+
+    __slots__ = ("spec", "tr", "tcr", "regression", "weight", "care")
+
+    def __init__(self, spec: LevelSpec, tr: np.ndarray, tcr: np.ndarray, regression: np.ndarray,
+                 weight: np.ndarray, care: np.ndarray) -> None:
+        super().__init__(spec, tr, tcr, regression, weight, care)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.tr.shape
+
+
+class TargetMaps(_Record):
+    __slots__ = ("image_id", "width", "height", "k", "levels", "skipped")
+
+    def __init__(self, image_id: str, width: int, height: int, k: int, levels: dict[str, LevelTargets],
+                 skipped: list[tuple[str, str]] | None = None) -> None:
+        super().__init__(image_id, width, height, k, levels, [] if skipped is None else skipped)
 
 
 def write_target_maps(map_dir, maps: TargetMaps, n: int, shrink_factor: float) -> None:
@@ -71,6 +143,9 @@ def read_map_meta(map_dir) -> dict:
         raise ParseError(f"{path}: image_id must be a string")
     if type(meta.get("width")) is not int or type(meta.get("height")) is not int:
         raise ParseError(f"{path}: width and height must be integers")
+    if not (0 < meta["width"] <= MAX_IMAGE_SIDE and 0 < meta["height"] <= MAX_IMAGE_SIDE):
+        raise ParseError(f"{path}: width and height must lie in 1..{MAX_IMAGE_SIDE}, "
+                         f"got {meta['width']} x {meta['height']}")
     levels = meta.get("levels")
     if not isinstance(levels, list) or not all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -147,9 +222,9 @@ def read_prediction_maps(map_dir) -> PredictionMaps:
 
 
 def read_loss_levels(gt_dir, pred_dir):
-    """(LevelTargets, LevelPrediction) of each level of a target directory and
-    its prediction directory, read lazily, one level at a time, as
-    losses.image_loss scores them.  The prediction's meta.json must give the
+    """(LevelTargets, LevelPrediction), this module's records, of each level
+    of a target directory and its prediction directory, read lazily, one
+    level at a time, as losses.image_loss scores them.  The prediction's meta.json must give the
     target's image_id and level names and strides, in order, and each of its
     tensors the target's shape.  The targets carry neither spec nor weight
     (None), which no loss reads."""

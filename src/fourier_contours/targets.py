@@ -24,7 +24,8 @@ assigned level an instance paints:
 
 When instances overlap on a cell the smaller-area instance wins.  Geometry
 failures (degenerate polygons) skip that instance and are recorded; an image
-is never aborted.
+is never aborted.  The maps go into mapdir's records, a TargetMaps of
+LevelTargets.
 """
 
 from __future__ import annotations
@@ -35,33 +36,9 @@ from .annotations import AnnotatedImage
 from .config import DEFAULT_DEGREE, DEFAULT_LEVELS, DEFAULT_SAMPLES, DEFAULT_SHRINK, LevelSpec, cell_centers, cell_count
 from .fourier import _embed_many, coeffs_to_flat
 from .geometry import Contour, _grid_cells, _shrink_many, signed_area
-from .records import _Record
+from .mapdir import LevelTargets, TargetMaps
 
-__all__ = ["LevelTargets", "TargetMaps", "instance_scale", "assign_levels", "generate_targets"]
-
-
-class LevelTargets(_Record):
-    """Target maps of one level: tr and tcr (H, W) uint8, regression
-    (2 * (2K + 1), H, W) float64, weight (H, W) float64 in {0.0, 0.5, 1.0},
-    care (H, W) uint8 with 0 excluded from classification."""
-
-    __slots__ = ("spec", "tr", "tcr", "regression", "weight", "care")
-
-    def __init__(self, spec: LevelSpec, tr: np.ndarray, tcr: np.ndarray, regression: np.ndarray,
-                 weight: np.ndarray, care: np.ndarray) -> None:
-        super().__init__(spec, tr, tcr, regression, weight, care)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.tr.shape
-
-
-class TargetMaps(_Record):
-    __slots__ = ("image_id", "width", "height", "k", "levels", "skipped")
-
-    def __init__(self, image_id: str, width: int, height: int, k: int, levels: dict[str, LevelTargets],
-                 skipped: list[tuple[str, str]] | None = None) -> None:
-        super().__init__(image_id, width, height, k, levels, [] if skipped is None else skipped)
+__all__ = ["instance_scale", "assign_levels", "generate_targets"]
 
 
 def instance_scale(polygon: Contour, width: int, height: int) -> float:

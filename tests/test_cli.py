@@ -1469,6 +1469,22 @@ class TestMalformedMaps:
             assert (code, caught) == (2, []), (argv[0], err.getvalue(), [str(w.message) for w in caught])
             assert err.getvalue().startswith("error: ") and f"img-a/P3_{key}.fct: " in err.getvalue()
 
+    def test_zero_width_meta_is_exit_2_naming_meta_json(self, valid_maps, tmp_path):
+        # every tensor at 0 columns, as the width says: the shape checks pass
+        bad = tmp_path / "bad"
+        shutil.copytree(valid_maps, bad)
+        _mutate_maps(bad / "img-a", ("meta", "width", 0))
+        for path in (bad / "img-a").glob("*.fct"):
+            arr = read_tensor(path)
+            write_tensor(path, arr[..., :0])
+        for argv in (["decode", "--maps-dir", str(bad)], ["loss", "--gt-dir", str(valid_maps), "--pred-dir", str(bad)],
+                     ["loss", "--gt-dir", str(bad), "--pred-dir", str(valid_maps)]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["-o", str(tmp_path / "out")])
+            assert code == 2, (argv[0], err.getvalue())
+            assert err.getvalue().startswith(f"error: {bad / 'img-a' / 'meta.json'}: width and height must lie in 1..")
+
 
 # strategies for what can be wrong with a configuration: a --config file's
 # bytes or lines, and --set pairs, with numbers that are nan, infinite, huge

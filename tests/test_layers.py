@@ -1,5 +1,7 @@
 """The package's modules form layers: each imports only modules below it, and
-config, which holds the operating point, is a leaf above errors and records."""
+config, which holds the operating point, is a leaf above errors and records.
+mapdir, the map format and its records, sits right above serialize, so the
+map readers load neither the annotation parser nor the target painter."""
 
 import ast
 from pathlib import Path
@@ -9,8 +11,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fourier_contours"
 
 # lowest first; a module may import only the modules before it
-LAYERS = ["errors", "records", "config", "serialize", "svg", "geometry", "annotations", "fourier", "evaluation",
-          "targets", "decode", "losses", "mapdir", "synth", "cli"]
+LAYERS = ["errors", "records", "config", "serialize", "mapdir", "svg", "geometry", "annotations", "fourier",
+          "evaluation", "targets", "decode", "losses", "synth", "cli"]
 
 
 def package_imports(module: str) -> set[str]:
@@ -34,6 +36,21 @@ def test_config_is_a_leaf():
     assert package_imports("config") == {"errors", "records"}
 
 
-def test_decode_and_fourier_skip_the_annotation_and_target_layers():
-    assert not package_imports("decode") & {"targets", "annotations"}
-    assert "annotations" not in package_imports("fourier")
+def reachable(module: str) -> set[str]:
+    """The package modules that importing `module` loads, itself excepted:
+    the transitive closure of package_imports."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in package_imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+@pytest.mark.parametrize("module", ["mapdir", "fourier", "decode", "losses"])
+def test_loads_no_annotation_or_target_layer(module):
+    assert not reachable(module) & {"targets", "annotations"}
+
+
+def test_mapdir_loads_no_geometry_or_fourier():
+    assert reachable("mapdir") == {"config", "errors", "records", "serialize"}

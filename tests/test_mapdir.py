@@ -128,6 +128,12 @@ class TestReaderErrors:
             ("[]", "expected a JSON object"),
             ('{"image_id": 7, "width": 1, "height": 1, "levels": []}', "image_id must be a string"),
             ('{"image_id": "a", "width": true, "height": 1, "levels": []}', "width and height must be integers"),
+            ('{"image_id": "a", "width": 0, "height": 1, "levels": []}',
+             r"width and height must lie in 1\.\.16384, got 0 x 1"),
+            ('{"image_id": "a", "width": 1, "height": -8, "levels": []}',
+             r"width and height must lie in 1\.\.16384, got 1 x -8"),
+            ('{"image_id": "a", "width": 16385, "height": 1, "levels": []}',
+             r"width and height must lie in 1\.\.16384, got 16385 x 1"),
             ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 0}]}',
              "levels must be objects with a string name and a positive integer stride"),
             ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "../b/P3", "stride": 8}]}',

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 from conftest import point_in_polygon, star_shaped
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourier_contours import (
     AnnotatedImage,
     Contour,
     GeometryError,
+    LevelPrediction,
     LevelSpec,
+    PredictionMaps,
     TextInstance,
     assign_levels,
+    decode_all,
     embed,
+    evaluate,
     evaluate_series,
     flat_to_coeffs,
     generate_targets,
@@ -20,6 +24,7 @@ from fourier_contours import (
     shrink_polygon,
     signed_area,
 )
+from fourier_contours.synth import ellipse_polygon
 from fourier_contours.targets import DEFAULT_LEVELS, LevelTargets, TargetMaps, _grid
 
 
@@ -354,3 +359,60 @@ class TestReferencePainter:
             for key in ("tr", "tcr", "regression", "weight", "care"):
                 a, b = getattr(got.levels[name], key), getattr(lt, key)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (name, key)
+
+
+WIDTH, HEIGHT = 400, 300
+
+
+@st.composite
+def lone_shapes(draw):
+    """A rectangle, lying or standing, or a turned ellipse, of aspect up to 12,
+    anywhere inside a WIDTH x HEIGHT image."""
+    long = draw(st.floats(16.0, 380.0))
+    short = min(long / draw(st.floats(1.0, 12.0)), HEIGHT - 16.0)
+    if draw(st.booleans()):
+        w, h = (short, long) if long < HEIGHT and draw(st.booleans()) else (long, short)
+        x0, y0 = draw(st.floats(0.0, WIDTH - w)), draw(st.floats(0.0, HEIGHT - h))
+        return rect(x0, y0, x0 + w, y0 + h)
+    rot = draw(st.floats(0.0, np.pi))
+    cos, sin = np.cos(rot), np.sin(rot)
+    half = np.hypot([long * cos, long * sin], [short * sin, short * cos]) / 2  # of its bounding box
+    fit = min(1.0, (WIDTH / 2 - 1) / half[0], (HEIGHT / 2 - 1) / half[1])
+    cx, cy = (draw(st.floats(fit * r, side - fit * r)) for r, side in zip(half, (WIDTH, HEIGHT)))
+    return ellipse_polygon(cx, cy, fit * long / 2, fit * short / 2, n=64, rot=rot)
+
+
+def ideal_round_trip(polygon):
+    """(report, tcr cells) of one instance's targets decoded as perfect
+    predictions and scored against the instance, at the defaults."""
+    img = image_with([TextInstance(polygon=polygon, id="t")], width=WIDTH, height=HEIGHT)
+    targets = generate_targets(img)
+    levels = {name: LevelPrediction(name, lt.spec.stride, lt.tr, lt.tcr, lt.regression)
+              for name, lt in targets.levels.items()}
+    detections = decode_all(PredictionMaps(img.image_id, WIDTH, HEIGHT, levels))
+    return evaluate(detections, img.instances), sum(int(lt.tcr.sum()) for lt in targets.levels.values())
+
+
+# a 300 x 40 bar goes to P5 only, whose cell-centre rows lie at 176 and 208:
+# at y 172..212 its shrunk region, y 177.3..206.7, holds none of them
+LOST_BAR, FOUND_BAR = rect(50, 172, 350, 212), rect(50, 100, 350, 140)
+
+
+class TestLoneInstanceRoundTrip:
+    """With perfect predictions a lone instance is detected exactly when its
+    targets paint at least one tcr cell; one without is lost, unlisted."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lone_shapes())
+    @example(LOST_BAR)
+    @example(FOUND_BAR)
+    def test_detected_iff_a_tcr_cell_is_painted(self, polygon):
+        report, tcr_cells = ideal_round_trip(polygon)
+        assert report.fp == 0
+        assert report.tp == (tcr_cells > 0)
+
+    def test_a_bar_between_cell_rows_is_lost(self):
+        lost, tcr_cells = ideal_round_trip(LOST_BAR)
+        assert (lost.tp, lost.fn, tcr_cells) == (0, 1, 0)
+        found, tcr_cells = ideal_round_trip(FOUND_BAR)
+        assert (found.tp, found.fn) == (1, 0) and tcr_cells > 0
