@@ -27,7 +27,7 @@ from .config import DEFAULT_SUBSET_THRESHOLD, MAX_IMAGE_SIDE, MAX_VERTICES
 from .errors import DegenerateContour, InvalidPolygon, ParseError
 from .geometry import Contour, _removal_deltas
 from .records import _Frozen
-from .serialize import _number_list
+from .serialize import _json_records, _number_list
 
 __all__ = [
     "TextInstance",
@@ -84,18 +84,11 @@ def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
     also for a width or height above MAX_IMAGE_SIDE and for an instance of
     more than MAX_VERTICES points.
     """
-    images: list[AnnotatedImage] = []
     seen_images: set[str] = set()
     clamped_total = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("expected a JSON object", line=lineno)
+
+    def parse(obj: dict, lineno: int) -> AnnotatedImage:
+        nonlocal clamped_total
         try:
             image_id = obj["image_id"]
             width = obj["width"]
@@ -133,7 +126,9 @@ def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
                 raise ParseError(f"duplicate instance id {inst_id!r}", line=lineno)
             seen_ids.add(inst_id)
             instances.append(TextInstance(polygon=contour, ignore=ignore, id=inst_id))
-        images.append(AnnotatedImage(image_id, width, height, tuple(instances)))
+        return AnnotatedImage(image_id, width, height, tuple(instances))
+
+    images = _json_records(lines, "annotation", parse)
     return images, clamped_total
 
 

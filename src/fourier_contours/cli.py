@@ -26,10 +26,11 @@ import numpy as np
 
 from .annotations import curved_subset_select, parse_jsonl, write_jsonl
 from .config import NAME_CHARS, Config, apply_overrides, load_config
-from .decode import decode_all, parse_detections
+from .decode import decode_all
 from .errors import ConfigError, GeometryError, ParseError
-from .evaluation import evaluate, fmeasure
+from .evaluation import detection_line, evaluate, fmeasure, parse_detections
 from .fourier import FourierSignature, coeffs_to_flat, embed_many, fit_by_degree, parse_signatures, reconstruct
+from .fourier import signature_line
 from .losses import LossSums, image_loss
 from .mapdir import map_dirs, read_loss_levels, read_prediction_maps, write_target_maps
 from .serialize import fmt9, json_line, round9
@@ -141,8 +142,7 @@ def cmd_embed(args, cfg: Config) -> int:
     def one(img) -> list[str]:
         coeffs = embed_many([inst.polygon for inst in img.instances], cfg.k, cfg.n)
         return [
-            json_line({"image_id": img.image_id, "instance_id": inst.id, "k": cfg.k, "ignore": inst.ignore,
-                       "coeffs": flat})
+            signature_line(img.image_id, inst.id, cfg.k, inst.ignore, flat)
             for inst, flat in zip(img.instances, coeffs_to_flat(coeffs).tolist())
         ]
 
@@ -262,11 +262,7 @@ def cmd_decode(args, cfg: Config) -> int:
             detections = decode_all(maps, cfg.score_thresh, cfg.nms_iou, cfg.n_prime, cfg.iou_supersample)
         except ValueError as exc:  # decode_level's candidate bound names the level
             raise ParseError(f"{img_dir.name}/{exc}") from None
-        return [
-            json_line({"image_id": maps.image_id, "level": det.level, "score": det.score,
-                       "points": det.contour.flat()})
-            for det in detections
-        ]
+        return [detection_line(maps.image_id, det) for det in detections]
 
     blocks = _pmap(one, map_dirs(args.maps_dir), args.jobs)
     _write_lines(args.out, (line for block in blocks for line in block))

@@ -39,8 +39,8 @@ MAX_SAMPLES = 4096
 MAX_RECON_POINTS = 1024
 # Largest supersample accepted: a span record holds s rows per pixel of height.
 MAX_SUPERSAMPLE = 16
-# Largest image width or height accepted: the default levels' target maps of
-# one image this size take about 1 GB.
+# Largest image width or height accepted, and largest level stride: the
+# default levels' target maps of one image this size take about 1 GB.
 MAX_IMAGE_SIDE = 16384
 # Most points one instance may have; shrink_polygon's simplicity test is quadratic.
 MAX_VERTICES = 1024
@@ -63,8 +63,8 @@ class LevelSpec(_Frozen):
     __slots__ = ("name", "stride", "low", "high")
 
     def __init__(self, name: str, stride: int, low: float, high: float) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+        if not 1 <= stride <= MAX_IMAGE_SIDE:
+            raise ValueError(f"stride must lie in 1..{MAX_IMAGE_SIDE}, got {stride}")
         if not 0.0 <= low < high <= 1.0:
             raise ValueError(
                 f"scale range must satisfy 0 <= low < high <= 1, got [{low}, {high}]"

@@ -11,77 +11,24 @@ Everything is ordered: cells are visited row-major, levels in their declared
 order, and all score ties break toward the earlier level, then the earlier
 cell, so output is the same byte-for-byte on every run.  Candidates stay one
 (M, n, 2) array from the series evaluation through NMS, which reads it in
-score order in place; only the kept ones become Detection objects.  The
-maps arrive as mapdir's records, PredictionMaps of LevelPredictions.
+score order in place; only the kept ones become Detection objects, which
+evaluation defines and reads back, with the candidate margin.  The maps
+arrive as mapdir's records, PredictionMaps of LevelPredictions.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
 
-from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE
-from .config import cell_centers, cell_count
+from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE, cell_centers
 from .errors import ShapeMismatch
+# parse_detections is not used here; it stays importable from decode as well
+from .evaluation import _CANDIDATE_MARGIN, Detection, _beyond_margin, parse_detections
 from .fourier import evaluate_series, flat_to_coeffs
 from .geometry import Contour, _greedy_nms
 from .mapdir import LevelPrediction, PredictionMaps
-from .serialize import _json_records, _number_list
 
-__all__ = ["Detection", "parse_detections", "score_map", "decode_level", "poly_nms", "decode_all"]
-
-# How far, in image sides, a candidate's bounding box may reach past the
-# image before decode_level rejects it.  Rasterizing a contour costs memory
-# linear in its box, so a regression map with huge finite values must fail
-# here rather than in NMS.  parse_detections bounds detections by the same rule.
-_CANDIDATE_MARGIN = 1.0
-
-
-class Detection(NamedTuple):
-    contour: Contour
-    score: float
-    level: str = ""
-
-
-def parse_detections(lines, images=(), strides=()) -> dict[str, list[Detection]]:
-    """Detections by image id, from the JSON lines `fctool decode` writes; a
-    bad line raises ParseError naming it.  A detection of one of `images`
-    that reaches more than _CANDIDATE_MARGIN image sides past the largest
-    area a map at one of `strides` covers (each side rounded up to the
-    stride) is a bad record: evaluation rasterizes it on a lattice linear in
-    its box."""
-
-    def covered(side: int) -> int:
-        return max(cell_count(side, stride) * stride for stride in strides)
-
-    sizes = {img.image_id: (covered(img.width), covered(img.height)) for img in images}
-
-    def parse(obj) -> tuple[str, Detection]:
-        image_id, score, level = obj["image_id"], obj["score"], obj.get("level", "")
-        if not isinstance(image_id, str):
-            raise TypeError("image_id must be a string")
-        # bool is an int subclass, and json reads NaN and Infinity as floats
-        if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
-            raise TypeError("score must be a finite number")
-        if not isinstance(level, str):
-            raise TypeError("level must be a string")
-        contour = Contour.from_flat(_number_list(obj["points"], "points"))
-        if image_id in sizes:
-            width, height = sizes[image_id]
-            v = contour.vertices.T
-            if (_beyond_margin(v[0], width) | _beyond_margin(v[1], height)).any():
-                raise ValueError(
-                    f"image {image_id!r}: the detection reaches more than "
-                    f"{_CANDIDATE_MARGIN:g} image side past the {width} x {height} px image"
-                )
-        return image_id, Detection(contour, float(score), level)
-
-    grouped: dict[str, list[Detection]] = {}
-    for image_id, det in _json_records(lines, "detection", parse):
-        grouped.setdefault(image_id, []).append(det)
-    return grouped
+__all__ = ["score_map", "decode_level", "poly_nms", "decode_all"]
 
 
 def score_map(tr_prob: np.ndarray, tcr_prob: np.ndarray) -> np.ndarray:
@@ -91,13 +38,6 @@ def score_map(tr_prob: np.ndarray, tcr_prob: np.ndarray) -> np.ndarray:
     if tr.shape != tcr.shape:
         raise ShapeMismatch(f"shape mismatch: {tr.shape} vs {tcr.shape}")
     return tr * tcr
-
-
-def _beyond_margin(coords: np.ndarray, side: float) -> np.ndarray:
-    """Per row of coords, whether it reaches more than _CANDIDATE_MARGIN
-    image sides past [0, side]."""
-    margin = _CANDIDATE_MARGIN * side
-    return (coords.min(axis=-1) < -margin) | (coords.max(axis=-1) > side + margin)
 
 
 def _candidates(pred: LevelPrediction, score_thresh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

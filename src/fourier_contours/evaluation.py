@@ -6,16 +6,85 @@ IoU at or above the threshold.  A detection that fails to match but overlaps
 an ignored ground truth best is discarded entirely (neither tp nor fp); this
 is how do-not-care regions stay out of the score.  Matching is one-to-one:
 a second detection on an already matched ground truth is a false positive.
+
+The detection line that `fctool decode` writes and `fctool eval` reads is
+this module's: detection_line writes it, parse_detections reads it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .config import DEFAULT_EVAL_IOU, DEFAULT_SUPERSAMPLE
-from .geometry import contour_spans_many, spans_iou
+import numpy as np
 
-__all__ = ["MatchRecord", "EvalReport", "evaluate", "fmeasure"]
+from .config import DEFAULT_EVAL_IOU, DEFAULT_SUPERSAMPLE, cell_count
+from .geometry import Contour, contour_spans_many, spans_iou
+from .serialize import _json_records, _number_list, json_line
+
+__all__ = ["Detection", "parse_detections", "MatchRecord", "EvalReport", "evaluate", "fmeasure"]
+
+# How far, in image sides, a candidate's bounding box may reach past the
+# image before decode.decode_level rejects it.  Rasterizing a contour costs
+# memory linear in its box, so a regression map with huge finite values must
+# fail in decode, not in NMS; parse_detections bounds detections the same way.
+_CANDIDATE_MARGIN = 1.0
+
+
+class Detection(NamedTuple):
+    contour: Contour
+    score: float
+    level: str = ""
+
+
+def _beyond_margin(coords: np.ndarray, side: float) -> np.ndarray:
+    """Per row of coords, whether it reaches more than _CANDIDATE_MARGIN
+    image sides past [0, side]."""
+    margin = _CANDIDATE_MARGIN * side
+    return (coords.min(axis=-1) < -margin) | (coords.max(axis=-1) > side + margin)
+
+
+def detection_line(image_id: str, det: Detection) -> str:
+    """The JSON line, as parse_detections reads it, of a detection of image_id."""
+    return json_line({"image_id": image_id, "level": det.level, "score": det.score, "points": det.contour.flat()})
+
+
+def parse_detections(lines, images=(), strides=()) -> dict[str, list[Detection]]:
+    """Detections by image id, from detection_line's JSON lines; a bad line
+    raises ParseError naming it.  A detection of one of `images` that reaches
+    more than _CANDIDATE_MARGIN image sides past the largest area a map at
+    one of `strides` covers (each side rounded up to the stride) is a bad
+    record: evaluate rasterizes it on a lattice linear in its box."""
+
+    def covered(side: int) -> int:
+        return max(cell_count(side, stride) * stride for stride in strides)
+
+    sizes = {img.image_id: (covered(img.width), covered(img.height)) for img in images}
+
+    def parse(obj: dict, lineno: int) -> tuple[str, Detection]:
+        image_id, score, level = obj["image_id"], obj["score"], obj.get("level", "")
+        if not isinstance(image_id, str):
+            raise TypeError("image_id must be a string")
+        # bool is an int subclass, and json reads NaN and Infinity as floats
+        if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+            raise TypeError("score must be a finite number")
+        if not isinstance(level, str):
+            raise TypeError("level must be a string")
+        contour = Contour.from_flat(_number_list(obj["points"], "points"))
+        if image_id in sizes:
+            width, height = sizes[image_id]
+            v = contour.vertices.T
+            if (_beyond_margin(v[0], width) | _beyond_margin(v[1], height)).any():
+                raise ValueError(
+                    f"image {image_id!r}: the detection reaches more than "
+                    f"{_CANDIDATE_MARGIN:g} image side past the {width} x {height} px image"
+                )
+        return image_id, Detection(contour, float(score), level)
+
+    grouped: dict[str, list[Detection]] = {}
+    for image_id, det in _json_records(lines, "detection", parse):
+        grouped.setdefault(image_id, []).append(det)
+    return grouped
 
 
 class MatchRecord(NamedTuple):

@@ -28,7 +28,7 @@ from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAU
 from .errors import ChannelCountMismatch, DegreeTooLarge, NonFinite
 from .geometry import Contour, ResampledContour, _cuts, _resample_many, contour_spans_many, spans_iou
 from .records import _Frozen
-from .serialize import _json_records, _number_list
+from .serialize import _json_records, _number_list, json_line
 
 __all__ = [
     "FourierSignature",
@@ -228,12 +228,20 @@ def _embed_many(verts, k: int, n: int) -> tuple[np.ndarray, list]:
     return coeffs, errors
 
 
+def signature_line(image_id: str, instance_id: str, k: int, ignore: bool, flat: list) -> str:
+    """The JSON line, as parse_signatures reads it, of a degree-k signature in its flat layout."""
+    return json_line({"image_id": image_id, "instance_id": instance_id, "k": k, "ignore": ignore, "coeffs": flat})
+
+
 def parse_signatures(lines) -> list[tuple]:
     """(image_id, instance_id, FourierSignature) of each signature record, the
-    JSON lines `fctool embed` writes; a bad line raises ParseError naming it."""
+    JSON lines signature_line writes; a bad line raises ParseError naming it."""
 
-    def parse(obj) -> tuple:
-        return obj["image_id"], obj["instance_id"], FourierSignature.from_flat(_number_list(obj["coeffs"], "coeffs"))
+    def parse(obj: dict, lineno: int) -> tuple:
+        image_id, instance_id = obj["image_id"], obj["instance_id"]
+        if not isinstance(image_id, str) or not isinstance(instance_id, str):
+            raise TypeError("image_id and instance_id must be strings")
+        return image_id, instance_id, FourierSignature.from_flat(_number_list(obj["coeffs"], "coeffs"))
 
     return _json_records(lines, "signature", parse)
 

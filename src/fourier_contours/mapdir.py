@@ -149,10 +149,11 @@ def read_map_meta(map_dir) -> dict:
     levels = meta.get("levels")
     if not isinstance(levels, list) or not all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
-        and type(e.get("stride")) is int and e["stride"] >= 1
+        and type(e.get("stride")) is int and 1 <= e["stride"] <= MAX_IMAGE_SIDE
         for e in levels
     ):
-        raise ParseError(f"{path}: levels must be objects with a string name and a positive integer stride")
+        raise ParseError(f"{path}: levels must be objects with a string name and a positive integer stride "
+                         f"of at most {MAX_IMAGE_SIDE}")
     if not distinct_tokens(names := [e["name"] for e in levels]):
         raise ParseError(f"{path}: level names must be distinct file-name tokens ([{NAME_CHARS}]+), got {names}")
     return meta

@@ -107,15 +107,24 @@ def json_line(obj) -> str:
 
 
 def _json_records(lines, what: str, parse) -> list:
-    """parse(obj) of each non-blank JSON line, in order.  A line that is not
-    JSON or that parse rejects raises ParseError naming the line."""
+    """parse(obj, lineno) of each non-blank line's JSON object, in order.  A
+    line that is no JSON object, or that parse rejects, raises ParseError
+    naming the line: a bad `what` record, or parse's ParseError that names it."""
     records = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            records.append(parse(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ParseError("expected a JSON object", line=lineno)
+            records.append(parse(obj, lineno))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad {what} record: invalid JSON: {exc.msg}", line=lineno) from None
+        # OverflowError: an integer beyond the float range, where a float is wanted
+        except (KeyError, TypeError, ValueError, OverflowError, ParseError) as exc:
+            if getattr(exc, "line", None) is not None:
+                raise
             raise ParseError(f"bad {what} record: {exc}", line=lineno) from None
     return records
 

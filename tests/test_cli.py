@@ -798,6 +798,11 @@ class TestGlobalBehavior:
         err = self.targets_config_error(corpus, tmp_path, capsys, "P3:8:0:0.1,P5:32:0.9:1")
         assert "no level covers 0.1 to 0.9" in err
 
+    def test_level_stride_above_the_side_cap_is_exit_3(self, corpus, tmp_path, capsys):
+        # a 401-digit stride used to overflow in cell_centers
+        err = self.targets_config_error(corpus, tmp_path, capsys, f"P3:8:0:0.4,P4:16:0.3:0.7,P5:{10**400}:0.6:1")
+        assert f"stride must lie in 1..{MAX_IMAGE_SIDE}, got 1000" in err
+
     def test_bad_jobs_is_exit_3(self, corpus, capsys):
         code, _, _ = run(["--jobs", "0", "embed", str(corpus)], capsys)
         assert code == 3
@@ -1011,6 +1016,26 @@ class TestGlobalBehavior:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert "line 2: " in err and "must be a flat list of numbers" in err
+
+    @pytest.mark.parametrize("command", ["embed", "reconstruct", "eval"])
+    def test_an_integer_beyond_the_float_range_is_exit_2(self, command, corpus, tmp_path, capsys):
+        # json reads 10^400 as an int, which used to overflow in numpy
+        huge = 10**400
+        records = {
+            "embed": _rect_record("x", [{"points": [8, 8, 56, 8, 56, huge, 8, 32]}]),
+            "reconstruct": json.dumps({"image_id": "x", "instance_id": "t0", "coeffs": [0, 0, huge, 0, 0, 0]}),
+            "eval": json.dumps({"image_id": "img-a", "score": 0.9, "points": [10, 10, 70, 10, 70, huge]}),
+        }
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n" + records[command] + "\n", encoding="utf-8")
+        argv = {
+            "embed": ["embed", str(path)],
+            "reconstruct": ["reconstruct", str(path)],
+            "eval": ["eval", "--detections", str(path), "--annotations", str(corpus)],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: bad ") and err.endswith(" record: int too large to convert to float\n")
 
     def test_instance_vertex_cap(self, tmp_path, capsys):
         ang = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
@@ -1486,6 +1511,25 @@ class TestMalformedMaps:
             assert err.getvalue().startswith(f"error: {bad / 'img-a' / 'meta.json'}: width and height must lie in 1..")
 
 
+    def test_huge_stride_meta_is_exit_2_naming_meta_json(self, valid_maps, tmp_path):
+        # a 401-digit stride, its tensors at the 1 x 1 cells it gives: cell_centers used to overflow
+        bad = tmp_path / "bad"
+        shutil.copytree(valid_maps, bad)
+        _mutate_maps(bad / "img-a", ("level", 0, "stride", 10**400))
+        for path in (bad / "img-a").glob("P3_*.fct"):
+            write_tensor(path, read_tensor(path)[..., :1, :1])
+        for argv in (["decode", "--maps-dir", str(bad)], ["loss", "--gt-dir", str(valid_maps), "--pred-dir", str(bad)],
+                     ["loss", "--gt-dir", str(bad), "--pred-dir", str(valid_maps)]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["-o", str(tmp_path / "out")])
+            assert code == 2, (argv[0], err.getvalue())
+            assert err.getvalue().startswith(
+                f"error: {bad / 'img-a' / 'meta.json'}: levels must be objects with a string name and a positive "
+                "integer stride of at most 16384"
+            )
+
+
 # strategies for what can be wrong with a configuration: a --config file's
 # bytes or lines, and --set pairs, with numbers that are nan, infinite, huge
 # or negative, boolean words, and level specs
@@ -1560,6 +1604,7 @@ class TestMalformedConfig:
     @example(config=b"lambda = 1e308\n", pairs=[])
     @example(config=None, pairs=["lambda=nan"])
     @example(config=None, pairs=["subset_threshold=inf", "levels=P3:8:0:1"])
+    @example(config=None, pairs=[f"levels=P3:8:0:0.4,P4:16:0.3:0.7,P5:{10**400}:0.6:1"])
     def test_any_config_is_exit_0_or_3(self, config, pairs, config_inputs):
         with tempfile.TemporaryDirectory() as name:
             out = Path(name)

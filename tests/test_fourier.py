@@ -543,9 +543,9 @@ class TestBatchEntryPoints:
     def test_parse_signatures_reads_what_embed_writes(self, rng):
         sig = embed(star_shaped(rng), 3, 64)
         lines = ['{"image_id": "a", "instance_id": "t0", "k": 3, "coeffs": %s}' % coeffs_to_flat(sig.coeffs).tolist(),
-                 "", '{"image_id": "b", "instance_id": 7, "coeffs": [0, 0, 1, 2, 0, 0]}']
+                 "", '{"image_id": "b", "instance_id": "7", "coeffs": [0, 0, 1, 2, 0, 0]}']
         (a, ia, sa), (b, ib, sb) = parse_signatures(lines)
-        assert (a, ia, b, ib) == ("a", "t0", "b", 7)
+        assert (a, ia, b, ib) == ("a", "t0", "b", "7")
         assert np.array_equal(sa.coeffs, sig.coeffs) and sb.c0 == 1 + 2j
 
     @pytest.mark.parametrize(
@@ -557,6 +557,12 @@ class TestBatchEntryPoints:
              "coeffs must be a flat list of numbers"),
             ('{"image_id": "a", "instance_id": "i", "coeffs": [1e308, 1e308, 1e308, 1e308, 1e308, 1e308]}',
              "line 2: bad signature record: signature coefficients too large"),
+            ('{"image_id": [1, 2], "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 0]}',
+             "line 2: bad signature record: image_id and instance_id must be strings"),
+            ('{"image_id": "a", "instance_id": {"x": 1}, "coeffs": [0, 0, 1, 0, 0, 0]}',
+             "line 2: bad signature record: image_id and instance_id must be strings"),
+            pytest.param('{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 1%s]}' % ("0" * 400),
+                         "line 2: bad signature record: int too large to convert to float", id="coeff-1e400"),
         ],
     )
     def test_parse_signatures_names_a_bad_line(self, line, message):

@@ -1,7 +1,8 @@
 """The package's modules form layers: each imports only modules below it, and
 config, which holds the operating point, is a leaf above errors and records.
 mapdir, the map format and its records, sits right above serialize, so the
-map readers load neither the annotation parser nor the target painter."""
+map readers load neither the annotation parser nor the target painter; and
+evaluation, which reads the detection lines, loads no stage above geometry."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,10 @@ def test_loads_no_annotation_or_target_layer(module):
 
 def test_mapdir_loads_no_geometry_or_fourier():
     assert reachable("mapdir") == {"config", "errors", "records", "serialize"}
+
+
+def test_eval_reads_detections_without_decode_fourier_or_map_layers():
+    # evaluation holds the detection record and its reader, so `fctool eval` needs no decode
+    tree = ast.parse((PACKAGE / "evaluation.py").read_text(encoding="utf-8"))
+    assert {"Detection", "parse_detections"} <= {node.name for node in tree.body if hasattr(node, "name")}
+    assert not reachable("evaluation") & {"decode", "fourier", "mapdir", "targets", "annotations"}

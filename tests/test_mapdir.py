@@ -136,6 +136,12 @@ class TestReaderErrors:
              r"width and height must lie in 1\.\.16384, got 16385 x 1"),
             ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 0}]}',
              "levels must be objects with a string name and a positive integer stride"),
+            ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 16385}]}',
+             "levels must be objects with a string name and a positive integer stride of at most 16384"),
+            pytest.param('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 1%s}]}'
+                         % ("0" * 400),
+                         "levels must be objects with a string name and a positive integer stride of at most 16384",
+                         id="stride-1e400"),
             ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "../b/P3", "stride": 8}]}',
              r"level names must be distinct file-name tokens \(\[A-Za-z0-9._-\]\+\), got \['../b/P3'\]"),
             ('{"image_id": "a", "width": 1, "height": 1, "levels": [{"name": "P3", "stride": 8}, '

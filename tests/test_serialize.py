@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fourier_contours import ParseError, read_tensor, write_tensor
-from fourier_contours.config import MAX_RECON_POINTS, MAX_SAMPLES, MAX_SUPERSAMPLE, Config, apply_overrides, load_config
+from fourier_contours import InvalidPolygon, ParseError, parse_detections, parse_jsonl, parse_signatures, read_tensor
+from fourier_contours import write_tensor
+from fourier_contours.config import MAX_IMAGE_SIDE, MAX_RECON_POINTS, MAX_SAMPLES, MAX_SUPERSAMPLE, Config
+from fourier_contours.config import apply_overrides, load_config
 from fourier_contours.config import parse_levels
 from fourier_contours.errors import ConfigError
 from fourier_contours.serialize import fmt9, json_line, round9
@@ -178,6 +180,48 @@ class TestNumberFormatting:
             json_line({"x": float("nan")})
 
 
+# the three JSON-lines readers, each with one good line of its kind
+READERS = {
+    "annotation": (parse_jsonl, '{"image_id": "a", "width": 64, "height": 48, "instances": []}'),
+    "signature": (parse_signatures, '{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 0]}'),
+    "detection": (parse_detections, '{"image_id": "a", "score": 0.5, "points": [0, 0, 4, 0, 4, 4]}'),
+}
+
+
+class TestJsonRecords:
+    @pytest.mark.parametrize("line", ["[]", "[1, 2]", "3", '"text"', "null", "true"])
+    @pytest.mark.parametrize("kind", READERS)
+    def test_a_line_that_is_no_object_has_one_message(self, kind, line):
+        reader, good = READERS[kind]
+        with pytest.raises(ParseError) as info:
+            reader(["", good, line])
+        assert (type(info.value), str(info.value), info.value.line) == (ParseError, "line 3: expected a JSON object", 3)
+
+    @pytest.mark.parametrize("kind", READERS)
+    def test_a_line_that_is_not_json_is_a_bad_record(self, kind):
+        reader, good = READERS[kind]
+        with pytest.raises(ParseError) as info:
+            reader([good, "{"])
+        assert str(info.value).startswith(f"line 2: bad {kind} record: invalid JSON: Expecting property name")
+
+    @pytest.mark.parametrize("kind", READERS)
+    def test_an_integer_beyond_the_float_range_is_a_bad_record(self, kind):
+        reader, good = READERS[kind]
+        huge = "1" + "0" * 400  # json reads it as an int, which no float holds
+        line = {
+            "annotation": '{"image_id": "b", "width": 64, "height": 48, "instances": [{"points": [0, 0, 4, 0, 4, %s]}]}',
+            "signature": '{"image_id": "a", "instance_id": "j", "coeffs": [0, 0, 1, 0, 0, %s]}',
+            "detection": '{"image_id": "a", "score": 0.5, "points": [0, 0, 4, 0, 4, %s]}',
+        }[kind] % huge
+        with pytest.raises(ParseError, match=f"^line 2: bad {kind} record: int too large to convert to float$"):
+            reader([good, line])
+
+    def test_an_annotation_error_keeps_its_one_line_prefix(self):
+        reader, good = READERS["annotation"]
+        with pytest.raises(InvalidPolygon, match="^line 2: odd coordinate count 5$"):
+            reader([good, good.replace('"a"', '"b"').replace("[]", '[{"points": [0, 0, 4, 0, 4]}]')])
+
+
 class TestConfig:
     def test_defaults_validate(self):
         Config().validate()
@@ -252,6 +296,14 @@ class TestConfig:
                 apply_overrides(Config(), [f"{key}={cap + 1}"])
         with pytest.raises(ConfigError, match="n must be <= "):
             apply_overrides(Config(), ["n=1000000000"])
+
+    def test_level_stride_is_capped(self):
+        # a 401-digit stride used to overflow in cell_centers
+        cfg = apply_overrides(Config(), [f"levels=P3:8:0:0.4,P4:{MAX_IMAGE_SIDE}:0.3:1"])
+        assert cfg.levels[1].stride == MAX_IMAGE_SIDE
+        for stride in (MAX_IMAGE_SIDE + 1, 10**400):
+            with pytest.raises(ConfigError, match=f"stride must lie in 1..{MAX_IMAGE_SIDE}, got {stride}"):
+                apply_overrides(Config(), [f"levels=P3:8:0:0.4,P4:16:0.3:0.7,P5:{stride}:0.6:1"])
 
     def test_degree_capacity_cross_check(self):
         with pytest.raises(ConfigError):
