@@ -246,12 +246,12 @@ def cmd_targets(args, cfg: Config) -> int:
 
     def one(img) -> int:
         maps = generate_targets(img, cfg.levels, k=cfg.k, n=cfg.n, shrink_factor=cfg.shrink_factor)
-        write_target_maps(out_root / dirnames[img.image_id], maps, cfg.n, cfg.shrink_factor)
+        write_target_maps(out_root / dirnames[img.image_id], maps)
         return len(maps.skipped)
 
     total_skipped = sum(_pmap(one, images, args.jobs))
     if total_skipped:
-        print(f"warning: skipped {total_skipped} degenerate instances", file=sys.stderr)
+        print(f"warning: skipped {total_skipped} degenerate instances or ones that own no cell", file=sys.stderr)
     return 0
 
 

@@ -13,7 +13,8 @@ cell, so output is the same byte-for-byte on every run.  Candidates stay one
 (M, n, 2) array from the series evaluation through NMS, which reads it in
 score order in place; only the kept ones become Detection objects, which
 evaluation defines and reads back, with the candidate margin.  The maps
-arrive as mapdir's records, PredictionMaps of LevelPredictions.
+arrive as mapdir's records, PredictionMaps of LevelPredictions, which
+mapdir.read_prediction_maps reads level by level as decode_all reaches them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE, cell_centers
-from .errors import ShapeMismatch
+from .errors import InvalidPolygon, ShapeMismatch
 # parse_detections is not used here; it stays importable from decode as well
 from .evaluation import _CANDIDATE_MARGIN, Detection, _beyond_margin, parse_detections
 from .fourier import evaluate_series, flat_to_coeffs
-from .geometry import Contour, _greedy_nms
+from .geometry import Contour, ContourSpans, _check_extent, _cuts, contour_spans, contour_spans_many, spans_iou
 from .mapdir import LevelPrediction, PredictionMaps
 
 __all__ = ["score_map", "decode_level", "poly_nms", "decode_all"]
@@ -55,21 +56,17 @@ def decode_level(
     score_thresh: float = DEFAULT_SCORE_THRESH,
     n_points: int = DEFAULT_RECON_POINTS,
     out: np.ndarray | None = None,
-    *,
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate contours of one level as (points, scores): points is
     (M, n_points, 2) and scores (M,), both in row-major cell order.  points
     is a float64 view of the complex series, or `out` when given: a
     C-contiguous float64 (M, n_points, 2) array the series is written into.
-    `cells` is the level's candidate cells and scores, as _candidates(pred,
-    score_thresh) gives them, when the caller has them already.
 
     The level's map covers an image of (W * stride) x (H * stride) px.  A
     candidate whose bounding box reaches past it by more than _CANDIDATE_MARGIN
     image sides on either axis raises ValueError naming the level and cell.
     """
-    iy, ix, scores = _candidates(pred, score_thresh) if cells is None else cells
+    iy, ix, scores = _candidates(pred, score_thresh)
     flat = pred.regression[:, iy, ix].T  # (M, C)
     coeffs = flat_to_coeffs(flat)
     height, width = pred.tr_prob.shape
@@ -92,6 +89,121 @@ def decode_level(
     return out, scores
 
 
+def _sym_diff_bound(k: np.ndarray, c: np.ndarray, s: int) -> np.ndarray:
+    """D[i] >= the lattice-s samples inside exactly one of the vertex arrays
+    k and c[i] (c is (P, n, 2)), as contour_spans records count them.  k is
+    one (n, 2) array bounded against every c[i], or (P, n, 2) pairs k[i] with
+    c[i]; the float operations of a pair are the same either way.
+
+    (1 - u) k + u c[i], u in [0, 1], moves each k_j straight to c_j, so edge
+    j sweeps P_j = hull(k_j, k_j+1, c_j, c_j+1).  The even-odd membership of
+    a point off the polygon is its winding number mod 2, which changes only
+    when an edge passes over the point, so the samples inside exactly one
+    polygon lie in the P_j.  A convex P holds at most s^2 area(P) + s (w_x +
+    w_y) + 1 samples, as their disjoint 1/s cells lie in P plus a cell.  The
+    four triangles on P_j's corners cover it twice, so their summed |cross|
+    is 4 area(P_j).
+
+    Margin, with eps = 2^-53 and M the largest coordinate magnitude plus 1:
+    a lattice coordinate (s not a power of two) is rounded by at most eps M,
+    for both records alike, and a crossing ax + t (bx - ax) is computed
+    within 11 eps M, so a sample whose computed side differs from its exact
+    side lies that close to an edge of k or c[i].  Widening P_j by r = 2^-40
+    M covers both, adding 4 r to w_x + w_y and 2 r (w_x + w_y + 4 r) to the
+    area; that term also covers the area's rounding, within 40 eps M (w_x +
+    w_y).  The factor 1 + 2^-20 covers the rounding of the sum and of a
+    caller's (1 - iou) * count, a relative (n + 4) eps.
+    """
+    r = 2.0**-40 * (np.maximum(np.abs(k).max(axis=(-2, -1)), np.abs(c).max(axis=(1, 2))) + 1.0)[:, None]
+    kn, cn = (np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2) for a in (k, c))
+    d = np.maximum(np.maximum(k, kn), np.maximum(c, cn))
+    d -= np.minimum(np.minimum(k, kn), np.minimum(c, cn))
+    width = d[..., 0] + d[..., 1] + 4 * r  # not .sum(axis=2): a reduction over 2 is slow
+    del d  # each (pairs, n, 2) buffer is freed once used, as blocks are large
+    u, v, w = kn - k, c - k, cn - k  # corners k_j+1, c_j, c_j+1 less k_j
+    del kn, cn
+    uv = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    uw = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    vw = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+    del u, v, w
+    area = (np.abs(uv) + np.abs(uw) + np.abs(vw) + np.abs(vw + uv - uw)) / 4
+    return (s * s * (area + 2 * r * width) + s * width + 1).sum(axis=1) * (1 + 2.0**-20)
+
+
+def _greedy_nms(points: np.ndarray, order: np.ndarray, iou_thresh: float, supersample: int) -> list[int]:
+    """poly_nms's kept indices into points (M, n, 2), visiting the
+    candidates in the order `order`, a permutation of range(M), and testing
+    IoU by spans_iou.  points is read in place, a few rows at a time; only
+    the boxes are kept in visit order.
+
+    A live candidate whose box meets no kept box is kept unrasterized, and
+    its record waits.  When a live candidate's box meets a waiting box, every
+    waiting contour gets its record from one contour_spans_many call.  A kept
+    k with a record bounds every later live candidate c whose box meets its
+    own, a batch's pairs in blocks of _sym_diff_bound calls, and suppresses c
+    unrasterized where D <= (1 - iou_thresh) |k|: with d1 samples of k
+    outside c and d2 of c outside k, d1 + d2 <= D, the IoU (|k| - d1) / (|k|
+    + d2) is at least 1 - D / |k|.  A candidate still live after that gets
+    its contour_spans record and the exact test against the kept contours
+    whose boxes meet its own.
+
+    Deferring a waiting contour's bound changes no decision: the bound
+    suppresses the same candidates whenever it is applied, and every live
+    candidate between a waiting contour and the one that builds its record
+    has a box that misses its box.  A waiting contour whose box no later
+    live candidate's box meets is never rasterized.
+    """
+    s = int(supersample)
+    # per coordinate: a reduction over axis 1 of the (M, n, 2) pool is slow
+    x, y = points[..., 0], points[..., 1]
+    boxes = np.stack([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)], axis=1)[order]
+    if len(points):  # checked here, as a candidate may be kept unrasterized
+        _check_extent(boxes[:, :2], boxes[:, 2:], s)
+        if not np.isfinite(boxes).all():  # a row's min or max is nan or inf iff one of its points is
+            raise InvalidPolygon("coordinates must be finite")
+
+    def meets(a, b):
+        return (a[..., 2] > b[..., 0]) & (b[..., 2] > a[..., 0]) & (a[..., 3] > b[..., 1]) & (b[..., 3] > a[..., 1])
+
+    live = np.ones(len(points), dtype=bool)
+
+    def suppress(ks, counts, t):
+        """Bound each kept ks[j], of counts[j] inside samples, against the
+        live candidates from t on whose boxes meet its own."""
+        ks, limit = np.array(ks), (1 - iou_thresh) * np.array(counts)
+        later = t + np.flatnonzero(live[t:])
+        for a, b in _cuts(np.full(ks.size, later.size)):
+            pk, pc = np.nonzero(meets(boxes[ks[a:b], None], boxes[later]))
+            for i, j in _cuts(np.full(pk.size, points[0].size)):
+                k, c = a + pk[i:j], later[pc[i:j]]
+                live[c[_sym_diff_bound(points[order[ks[k]]], points[order[c]], s) <= limit[k]]] = False
+
+    kept: dict[int, ContourSpans | None] = {}  # kept visit position -> its record, None while it waits
+    waiting: list[int] = []
+    for i in range(len(points)):
+        if not live[i]:
+            continue
+        idx = np.fromiter(kept, dtype=np.intp, count=len(kept))
+        near = idx[meets(boxes[idx], boxes[i])].tolist()
+        if not near:
+            kept[i] = None
+            waiting.append(i)
+            continue
+        if any(kept[j] is None for j in near):
+            recs = contour_spans_many([Contour(points[order[j]]) for j in waiting], s)
+            kept.update(zip(waiting, recs))
+            suppress(waiting, [rec.count for rec in recs], i)
+            waiting = []
+            if not live[i]:
+                continue
+        rec = contour_spans(Contour(points[order[i]]), s)
+        if any(spans_iou(rec, kept[j]) >= iou_thresh for j in near):
+            continue
+        kept[i] = rec
+        suppress([i], [rec.count], i + 1)
+    return order[np.fromiter(kept, dtype=np.intp, count=len(kept))].tolist()
+
+
 def poly_nms(
     points,
     scores,
@@ -103,13 +215,9 @@ def poly_nms(
 
     Candidates are visited by descending score, ties broken by the earlier
     index; one is kept iff its polygon_iou with every already-kept contour
-    is strictly below the threshold.  Pairs with disjoint bounding boxes
-    have IoU 0 and are skipped.  geometry._greedy_nms decides which are
-    kept, reading points in visit order in place, and proves most
-    suppressions from the candidates' matching vertices.  A kept candidate
-    is rasterized only once a later live candidate's box meets its own,
-    together with every other kept one then waiting; the others' spans are
-    found one candidate at a time, for the exact test.
+    is strictly below the threshold, so a pair whose bounding boxes are
+    disjoint, of IoU 0, never suppresses.  _greedy_nms decides, without
+    rasterizing most candidates.
     """
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_thresh}")
@@ -137,24 +245,23 @@ def decode_all(
     scores go to the earlier level, then the earlier cell.
 
     The pool is one (M, n_points, 2) array, sized from the levels' candidate
-    cells and filled by decode_level level by level.  Each level is looked up
-    in maps.levels once, and dropped once its candidates are in the pool:
-    the maps of mapdir.read_prediction_maps, read at lookup, are then freed
-    before NMS.
+    cells and filled by decode_level level by level.  maps.levels is
+    iterated once, and each level dropped once its candidates are in the
+    pool: the maps of mapdir.read_prediction_maps, read as iteration reaches
+    them, are then freed before NMS.
     """
-    names = list(maps.levels)
-    if not names:
+    levels = list(maps.levels)
+    if not levels:
         return []
-    levels = [maps.levels[name] for name in names]
-    cells = [_candidates(lp, score_thresh) for lp in levels]
-    counts = [len(sc) for _, _, sc in cells]
+    names = [lp.name for lp in levels]
+    counts = [len(_candidates(lp, score_thresh)[2]) for lp in levels]
     stops = np.cumsum(counts).tolist()
     points = np.empty((stops[-1], n_points, 2))
     scores = np.empty(stops[-1])
     for i, (count, stop) in enumerate(zip(counts, stops)):
         rows = slice(stop - count, stop)
-        _, scores[rows] = decode_level(levels[i], score_thresh, n_points, out=points[rows], cells=cells[i])
-        levels[i] = cells[i] = None
+        _, scores[rows] = decode_level(levels[i], score_thresh, n_points, out=points[rows])
+        levels[i] = None
     rank = np.repeat(np.arange(len(names)), counts)
     return [
         Detection(Contour(points[i]), float(scores[i]), names[rank[i]])

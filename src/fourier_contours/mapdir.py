@@ -14,7 +14,7 @@ their errors.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +70,14 @@ class LevelPrediction(_Frozen):
 
 
 class PredictionMaps(_Record):
+    """One image's predictions: levels is its LevelPredictions in level
+    order, any iterable, which decode_all reads once."""
+
     __slots__ = ("image_id", "width", "height", "levels")
 
     def __init__(self, image_id: str, width: int, height: int,
-                 levels: Mapping[str, LevelPrediction] | None = None) -> None:
-        super().__init__(image_id, width, height, {} if levels is None else levels)
+                 levels: Iterable[LevelPrediction] = ()) -> None:
+        super().__init__(image_id, width, height, levels)
 
 
 class LevelTargets(_Record):
@@ -94,16 +97,17 @@ class LevelTargets(_Record):
 
 
 class TargetMaps(_Record):
-    __slots__ = ("image_id", "width", "height", "k", "levels", "skipped")
+    """One image's targets, generated at degree k, n samples and shrink_factor."""
 
-    def __init__(self, image_id: str, width: int, height: int, k: int, levels: dict[str, LevelTargets],
-                 skipped: list[tuple[str, str]] | None = None) -> None:
-        super().__init__(image_id, width, height, k, levels, [] if skipped is None else skipped)
+    __slots__ = ("image_id", "width", "height", "k", "n", "shrink_factor", "levels", "skipped")
+
+    def __init__(self, image_id: str, width: int, height: int, k: int, n: int, shrink_factor: float,
+                 levels: dict[str, LevelTargets], skipped: list[tuple[str, str]] | None = None) -> None:
+        super().__init__(image_id, width, height, k, n, shrink_factor, levels, [] if skipped is None else skipped)
 
 
-def write_target_maps(map_dir, maps: TargetMaps, n: int, shrink_factor: float) -> None:
-    """Write one image's target maps, generated at n samples and this shrink
-    factor, as the map directory map_dir."""
+def write_target_maps(map_dir, maps: TargetMaps) -> None:
+    """Write one image's target maps as the map directory map_dir."""
     map_dir = Path(map_dir)
     map_dir.mkdir(parents=True, exist_ok=True)
     levels = []
@@ -113,8 +117,8 @@ def write_target_maps(map_dir, maps: TargetMaps, n: int, shrink_factor: float) -
         spec = lt.spec
         levels.append({"name": name, "stride": spec.stride, "low": spec.low, "high": spec.high,
                        "height": int(lt.shape[0]), "width": int(lt.shape[1])})
-    meta = {"image_id": maps.image_id, "width": maps.width, "height": maps.height, "k": maps.k, "n": n,
-            "shrink_factor": shrink_factor, "levels": levels, "skipped": [list(s) for s in maps.skipped]}
+    meta = {"image_id": maps.image_id, "width": maps.width, "height": maps.height, "k": maps.k, "n": maps.n,
+            "shrink_factor": maps.shrink_factor, "levels": levels, "skipped": [list(s) for s in maps.skipped]}
     (map_dir / "meta.json").write_text(json_line(meta) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -191,35 +195,16 @@ def _read_prediction(map_dir: Path, meta: dict, entry: dict, like: dict | None =
         raise ParseError(f"{map_dir.name}/{name}: {exc}") from None
 
 
-class _LazyLevels(Mapping):
-    """The prediction levels of one map directory by name, in meta.json's
-    order.  Each lookup reads and checks the level's tensors anew, so only
-    the caller holds a level's arrays, for as long as it keeps them."""
-
-    def __init__(self, map_dir: Path, meta: dict) -> None:
-        self._dir, self._meta = map_dir, meta
-        self._entries = {entry["name"]: entry for entry in meta["levels"]}
-
-    def __getitem__(self, name: str) -> LevelPrediction:
-        return _read_prediction(self._dir, self._meta, self._entries[name])
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def read_prediction_maps(map_dir) -> PredictionMaps:
     """The predictions of one map directory, every level in meta.json's order.
-    meta.json is read and checked here; a level's tensors are read and
-    checked when the level is looked up in `levels`, anew on each lookup, and
-    a bad tensor raises there.  So decode.decode_all, which looks each level
-    up once and drops it once its candidates are pooled, frees the maps
-    before NMS."""
+    meta.json is read and checked here; `levels` is a generator that reads
+    and checks a level's tensors when iteration reaches it, and a bad tensor
+    raises there.  So decode.decode_all, which iterates it once and drops
+    each level once its candidates are pooled, frees the maps before NMS."""
     map_dir = Path(map_dir)
     meta = read_map_meta(map_dir)
-    return PredictionMaps(meta["image_id"], meta["width"], meta["height"], _LazyLevels(map_dir, meta))
+    levels = (_read_prediction(map_dir, meta, entry) for entry in meta["levels"])
+    return PredictionMaps(meta["image_id"], meta["width"], meta["height"], levels)
 
 
 def read_loss_levels(gt_dir, pred_dir):

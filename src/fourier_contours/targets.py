@@ -15,7 +15,10 @@ of the instance that owns a cell or -1; every map is built from it.  Per
 assigned level an instance paints:
 
 * tr:     text region, cells whose center lies inside the polygon
-* tcr:    text center region, cells inside the inward-shrunk polygon
+* tcr:    text center region, cells inside the inward-shrunk polygon; if
+          none of the instance's cells is, its cell nearest the shrunk
+          polygon's contour_center (the first in row-major order on a tie),
+          so every instance that owns a cell can be decoded
 * regression: the flat Fourier signature, recentered to each cell center
   (only the c_0 channels differ between cells of one instance)
 * weight: 1.0 on tcr, 0.5 on tr outside tcr, 0.0 elsewhere
@@ -23,8 +26,9 @@ assigned level an instance paints:
   classification losses; the four maps above cannot encode that distinction
 
 When instances overlap on a cell the smaller-area instance wins.  Geometry
-failures (degenerate polygons) skip that instance and are recorded; an image
-is never aborted.  The maps go into mapdir's records, a TargetMaps of
+failures (degenerate polygons) skip that instance and are recorded, and so
+is an instance that owns no cell on any of its levels; an image is never
+aborted.  The maps go into mapdir's records, a TargetMaps of
 LevelTargets.
 """
 
@@ -35,7 +39,7 @@ import numpy as np
 from .annotations import AnnotatedImage
 from .config import DEFAULT_DEGREE, DEFAULT_LEVELS, DEFAULT_SAMPLES, DEFAULT_SHRINK, LevelSpec, cell_centers, cell_count
 from .fourier import _embed_many, coeffs_to_flat
-from .geometry import Contour, _grid_cells, _shrink_many, signed_area
+from .geometry import Contour, _grid_cells, _shrink_many, contour_center, signed_area
 from .mapdir import LevelTargets, TargetMaps
 
 __all__ = ["instance_scale", "assign_levels", "generate_targets"]
@@ -66,7 +70,7 @@ def generate_targets(
     n: int = DEFAULT_SAMPLES,
     shrink_factor: float = DEFAULT_SHRINK,
 ) -> TargetMaps:
-    out = TargetMaps(img.image_id, img.width, img.height, k, {})
+    out = TargetMaps(img.image_id, img.width, img.height, k, n, shrink_factor, {})
     ignored, wanted = [], []  # (polygon, levels), (instance, levels)
     # big instances first, so smaller ones overwrite shared cells and win
     for inst in sorted(img.instances, key=lambda inst: -abs(signed_area(inst.polygon))):
@@ -88,6 +92,7 @@ def generate_targets(
             rows.append(i)
     channels = 2 * (2 * k + 1)
     bases = coeffs_to_flat(coeffs[rows])
+    has_cell = np.zeros(len(cared), dtype=bool)
 
     for spec in specs:
         xs, ys = _grid(spec, img.width, img.height)
@@ -102,6 +107,14 @@ def generate_targets(
         tcr = np.zeros(ignore.size, dtype=np.uint8)
         which, cells = _grid_cells([cared[i][2] for i in here], xs, ys)
         tcr[cells[owner[cells] == here[which]]] = 1
+        owns = np.bincount(owner[owner >= 0], minlength=len(cared)) > 0
+        has_cell |= owns
+        owns[owner[tcr == 1]] = False  # now: owns cells, but no tcr cell
+        for i in np.flatnonzero(owns):
+            mine = np.flatnonzero(owner == i)
+            cx, cy = contour_center(cared[i][2])
+            # argmin takes the first of equal distances, and mine is row-major
+            tcr[mine[np.argmin((xs[mine % xs.size] - cx) ** 2 + (ys[mine // xs.size] - cy) ** 2)]] = 1
         ignore, owner, tcr = (arr.reshape(shape) for arr in (ignore, owner, tcr))
         tr = (owner >= 0).astype(np.uint8)
         iy, ix = np.nonzero(tr)
@@ -117,4 +130,6 @@ def generate_targets(
             weight=np.where(tr == 1, np.where(tcr == 1, 1.0, 0.5), 0.0),
             care=(~(ignore & (tr == 0))).astype(np.uint8),
         )
+    for i in np.flatnonzero(~has_cell):
+        out.skipped.append((wanted[rows[i]][0].id, "owns no cell on any of its levels"))
     return out

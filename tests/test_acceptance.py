@@ -140,8 +140,8 @@ def test_04_low_degree_coverage(compactness_images):
 
 
 def _ideal_predictions(targets) -> PredictionMaps:
-    levels = {
-        name: LevelPrediction(
+    levels = [
+        LevelPrediction(
             name,
             lt.spec.stride,
             lt.tr.astype(np.float64),
@@ -149,7 +149,7 @@ def _ideal_predictions(targets) -> PredictionMaps:
             lt.regression,
         )
         for name, lt in targets.levels.items()
-    }
+    ]
     return PredictionMaps(targets.image_id, targets.width, targets.height, levels)
 
 

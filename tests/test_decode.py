@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from fourier_contours import (
     recenter,
     score_map,
 )
-from fourier_contours import geometry
+from fourier_contours import decode, geometry
 from fourier_contours.synth import ribbon
 from conftest import star_shaped
 
@@ -321,7 +322,7 @@ class TestFilterAndRefine:
             for i in index:
                 assert not any(
                     rank[k] < rank[i]
-                    and geometry._sym_diff_bound(points[k], points[i][None], 4)[0]
+                    and decode._sym_diff_bound(points[k], points[i][None], 4)[0]
                     <= (1 - thresh) * geometry.contour_spans(Contour(points[k]), 4).count
                     for k in kept
                 ), (budget, i)
@@ -334,7 +335,7 @@ class TestFilterAndRefine:
         and a duplicate of the last one builds all their records."""
         squares = [square(20.0 + 30.0 * i, 20.0, 10.0).vertices for i in range(5)]
         points = np.array(squares + [squares[-1] + 0.5])
-        with mock.patch.object(geometry, "contour_spans_many", wraps=geometry.contour_spans_many) as spans:
+        with spying_on_contour_spans_many() as spans:
             assert poly_nms(points, np.linspace(0.9, 0.4, 6), 0.5) == [0, 1, 2, 3, 4]
         assert [len(call.args[0]) for call in spans.call_args_list] == [5]
 
@@ -373,11 +374,20 @@ class TestFilterAndRefine:
         assert got == brute_nms(points, scores, thresh, supersample)
 
 
+@contextmanager
+def spying_on_contour_spans_many():
+    """One spy on contour_spans_many where decode calls it, for a batch, and
+    where geometry's contour_spans calls it, for one contour."""
+    spy = mock.Mock(wraps=geometry.contour_spans_many)
+    with mock.patch.object(geometry, "contour_spans_many", spy), mock.patch.object(decode, "contour_spans_many", spy):
+        yield spy
+
+
 def rasterizing(call, *args):
     """call(*args), and the vertex arrays of every contour it rasterized, in
     order.  contour_spans is contour_spans_many with a batch of one, so the
     spy on contour_spans_many sees both entry points."""
-    with mock.patch.object(geometry, "contour_spans_many", wraps=geometry.contour_spans_many) as spans:
+    with spying_on_contour_spans_many() as spans:
         result = call(*args)
     return result, [c.vertices for call in spans.call_args_list for c in call.args[0]]
 
@@ -393,9 +403,7 @@ class TestDecodeAll:
         poly = square(64, 64, 26)  # scale straddles two ranges in a 128 image
         p3 = level_for(poly, name="P3", stride=8, grid=(16, 16), hot=(8, 8))
         p4 = level_for(poly, name="P4", stride=16, grid=(8, 8), hot=(4, 4))
-        maps = PredictionMaps("img", 128, 128)
-        maps.levels["P3"] = p3
-        maps.levels["P4"] = p4
+        maps = PredictionMaps("img", 128, 128, [p3, p4])
         dets = decode_all(maps)
         assert len(dets) == 1
         # equal scores: the earlier-declared level comes first in the pool
@@ -409,8 +417,7 @@ class TestDecodeAll:
         tr = np.maximum(p3a.tr_prob, p3b.tr_prob)
         tcr = np.maximum(p3a.tcr_prob, p3b.tcr_prob)
         reg = p3a.regression + p3b.regression
-        maps = PredictionMaps("img", 128, 128)
-        maps.levels["P3"] = LevelPrediction("P3", 8, tr, tcr, reg)
+        maps = PredictionMaps("img", 128, 128, [LevelPrediction("P3", 8, tr, tcr, reg)])
         dets = decode_all(maps)
         assert len(dets) == 2
         ious = sorted(
@@ -449,11 +456,11 @@ class TestDecodeAll:
         # nine instances, each the candidate of a block of cells on two levels
         n_points = 1024
         shapes = [square(40 + 88 * (j % 3), 40 + 88 * (j // 3), 24) for j in range(9)]
-        maps = PredictionMaps("img", 256, 256, {
-            "P3": crowded_level(shapes, "P3", 8, 3),
-            "P4": crowded_level(shapes, "P4", 16, 1),
-        })
-        count = sum(len(decode_level(lp, n_points=3)[1]) for lp in maps.levels.values())
+        maps = PredictionMaps("img", 256, 256, [
+            crowded_level(shapes, "P3", 8, 3),
+            crowded_level(shapes, "P4", 16, 1),
+        ])
+        count = sum(len(decode_level(lp, n_points=3)[1]) for lp in maps.levels)
         pool = count * n_points * 2 * 8
         tracemalloc.start()
         try:
@@ -485,9 +492,7 @@ def crowded_level(shapes, name, stride, reach, side=256):
 
 
 def decode_all_single(lp):
-    maps = PredictionMaps("img", 128, 128)
-    maps.levels[lp.name] = lp
-    dets = decode_all(maps)
+    dets = decode_all(PredictionMaps("img", 128, 128, [lp]))
     assert len(dets) == 1
     return dets[0]
 

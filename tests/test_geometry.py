@@ -29,8 +29,8 @@ from fourier_contours.geometry import (
     _removal_deltas,
     _row_intervals,
     _signed_area,
-    _sym_diff_bound,
 )
+from fourier_contours.decode import _sym_diff_bound
 from fourier_contours.synth import ribbon
 from conftest import dedupe, is_simple, point_in_polygon, star_shaped, vertex_removal_delta
 

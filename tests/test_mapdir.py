@@ -38,7 +38,7 @@ def image(image_id="img-a"):
 @pytest.fixture
 def written(tmp_path):
     maps = generate_targets(image(), k=4, n=200, shrink_factor=0.3)
-    write_target_maps(tmp_path / "gt" / "img-a", maps, 200, 0.3)
+    write_target_maps(tmp_path / "gt" / "img-a", maps)
     return maps, tmp_path / "gt"
 
 
@@ -54,6 +54,7 @@ class TestRoundTrip:
         assert files == sorted(["meta.json"] + [f"{lv}_{key}.fct" for lv in ("P3", "P4", "P5")
                                                 for key in ("tr", "tcr", "reg", "weight", "care")])
         meta = read_map_meta(root / "img-a")
+        assert (maps.k, maps.n, maps.shrink_factor) == (4, 200, 0.3)
         assert (meta["image_id"], meta["width"], meta["height"], meta["k"], meta["n"]) == ("img-a", 160, 120, 4, 200)
         assert meta["shrink_factor"] == 0.3 and meta["skipped"] == []
         assert [(e["name"], e["stride"], e["height"], e["width"]) for e in meta["levels"]] == [
@@ -66,25 +67,24 @@ class TestRoundTrip:
     def test_predictions_are_the_written_maps(self, written):
         maps, root = written
         pred = read_prediction_maps(root / "img-a")
-        assert (pred.image_id, pred.width, pred.height, list(pred.levels)) == ("img-a", 160, 120, list(maps.levels))
-        for name, lt in maps.levels.items():
-            level = pred.levels[name]
+        levels = list(pred.levels)
+        assert (pred.image_id, pred.width, pred.height, len(levels)) == ("img-a", 160, 120, len(maps.levels))
+        for level, (name, lt) in zip(levels, maps.levels.items()):
             assert (level.name, level.stride) == (name, lt.spec.stride)
             for got, want in ((level.tr_prob, lt.tr), (level.tcr_prob, lt.tcr), (level.regression, lt.regression)):
                 assert np.array_equal(got, as_stored(want))
 
-    def test_predictions_read_each_level_when_looked_up(self, written):
+    def test_predictions_read_each_level_when_reached(self, written):
         _, root = written
-        pred = read_prediction_maps(root / "img-a")
-        assert len(pred.levels) == 3
-        assert pred.levels["P4"] is not pred.levels["P4"]  # read anew, held by no one else
-        p3 = pred.levels["P3"]
+        p3 = next(iter(read_prediction_maps(root / "img-a").levels))
         path = root / "img-a" / "P5_tr.fct"
         write_tensor(path, np.full(read_tensor(path).shape, 2.0))
-        pred = read_prediction_maps(root / "img-a")  # meta.json alone: P5 is not read yet
-        assert np.array_equal(pred.levels["P3"].regression, p3.regression)
+        levels = iter(read_prediction_maps(root / "img-a").levels)  # meta.json alone: P5 is not read yet
+        first, second = next(levels), next(levels)
+        assert (first.name, second.name) == ("P3", "P4")
+        assert np.array_equal(first.regression, p3.regression)
         with pytest.raises(ParseError, match="img-a/P5: tr probabilities must lie in"):
-            pred.levels["P5"]
+            next(levels)
 
     def test_loss_levels_pair_targets_with_predictions(self, written):
         maps, root = written
@@ -108,7 +108,7 @@ class TestRoundTrip:
         flat = TextInstance(rect14(10.0, 10.0, 0.0, 30.0), id="flat")
         img = AnnotatedImage("x", 64, 48, (TextInstance(rect14(8.0, 8.0, 48.0, 24.0), id="ok"), flat))
         maps = generate_targets(img)
-        write_target_maps(tmp_path / "x", maps, 400, 0.3)
+        write_target_maps(tmp_path / "x", maps)
         assert read_map_meta(tmp_path / "x")["skipped"] == [list(s) for s in maps.skipped]
         assert [s[0] for s in maps.skipped] == ["flat"]
 
@@ -160,7 +160,7 @@ class TestReaderErrors:
         shutil.copytree(root / "img-a", bad)
         write_tensor(bad / "P3_tcr.fct", np.zeros((15, 21)))
         with pytest.raises(ParseError, match=r"img-a/P3_tcr: shape \(15, 21\) does not match \(15, 20\), which"):
-            read_prediction_maps(bad).levels["P3"]
+            next(iter(read_prediction_maps(bad).levels))
         meta = json.loads((bad / "meta.json").read_text(encoding="utf-8"))
         (bad / "meta.json").write_text(json.dumps({**meta, "width": 168}), encoding="utf-8")
         write_tensor(bad / "P3_tr.fct", np.zeros((15, 21)))
@@ -173,7 +173,7 @@ class TestReaderErrors:
         shutil.copytree(root / "img-a", bad)
         write_tensor(bad / "P5_tr.fct", np.full(read_tensor(bad / "P5_tr.fct").shape, 2.0))
         with pytest.raises(ParseError, match="img-a/P5: tr probabilities must lie in"):
-            read_prediction_maps(bad).levels["P5"]
+            list(read_prediction_maps(bad).levels)
 
     @pytest.mark.parametrize("key, values", [("tr", "tr probabilities"), ("reg", "regression channels"),
                                              ("care", "care flags")])

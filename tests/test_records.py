@@ -52,13 +52,13 @@ RECORDS = {
     AnnotatedImage: (lambda: ["a", 8, 6], {"instances": ()}),
     LevelSpec: (lambda: ["P3", 8, 0.0, 0.4], {}),
     LevelPrediction: (lambda: ["P3", 8, GRID, GRID, np.zeros((6, 2, 3))], {}),
-    PredictionMaps: (lambda: ["a", 8, 6], {"levels": {}}),
+    PredictionMaps: (lambda: ["a", 8, 6], {"levels": ()}),
     Detection: (lambda: [Contour(SQUARE), 0.5], {"level": ""}),
     MatchRecord: (lambda: [0, "t0", 0.5], {}),
     EvalReport: (lambda: [1.0, 1.0, 1.0, 1, 0, 0], {"matches": ()}),
     LossBreakdown: (lambda: [0.1, 0.2, 0.3, 1.0, 0.6], {}),
     LevelTargets: (lambda: [_spec(), GRID, GRID, np.zeros((6, 2, 3)), GRID, GRID], {}),
-    TargetMaps: (lambda: ["a", 8, 6, 1, {}], {"skipped": []}),
+    TargetMaps: (lambda: ["a", 8, 6, 1, 400, 0.3, {}], {"skipped": []}),
     Config: (
         lambda: [],
         {
@@ -92,7 +92,7 @@ SIGNATURES = {
     EvalReport: ["precision", "recall", "hmean", "tp", "fp", "fn", "matches"],
     LossBreakdown: ["l_tr", "l_tcr", "l_reg", "lam", "total"],
     LevelTargets: ["spec", "tr", "tcr", "regression", "weight", "care"],
-    TargetMaps: ["image_id", "width", "height", "k", "levels", "skipped"],
+    TargetMaps: ["image_id", "width", "height", "k", "n", "shrink_factor", "levels", "skipped"],
     Config: list(RECORDS[Config][1]),
 }
 
@@ -135,6 +135,9 @@ def test_records_copy_and_pickle(cls):
     record = cls(*RECORDS[cls][0]())
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and repr(twin) == repr(record)
+        assert twin == record
+        if cls not in MUTABLE:
+            assert hash(twin) == hash(record)
 
 
 @pytest.mark.parametrize(
@@ -170,6 +173,23 @@ def test_records_compare_and_print_by_value():
     assert Config() == Config() and Config(k=3) != Config()
     assert repr(_spec()) == "LevelSpec(name='P3', stride=8, low=0.0, high=0.4)"
     assert repr(MatchRecord(0, "t0", 0.5)) == "MatchRecord(det_index=0, gt_id='t0', iou=0.5)"
+
+
+def test_records_holding_arrays_compare_and_hash_by_value():
+    vertices = np.array(SQUARE)
+    moved = vertices.copy()
+    moved[2, 0] = 5.0  # one vertex differs
+    assert Contour(vertices) == Contour(vertices.copy())
+    assert hash(Contour(vertices)) == hash(Contour(vertices.copy()))
+    assert Contour(vertices) != Contour(moved)
+    image = AnnotatedImage("a", 8, 6, [TextInstance(Contour(vertices))])
+    assert image == AnnotatedImage("a", 8, 6, [TextInstance(Contour(vertices.copy()))])
+    assert image != AnnotatedImage("a", 8, 6, [TextInstance(Contour(moved))])
+    # the same values in another dtype or shape are another record
+    targets = LevelTargets(_spec(), GRID, GRID, np.zeros((6, 2, 3)), GRID, GRID)
+    assert targets == LevelTargets(_spec(), GRID.copy(), GRID, np.zeros((6, 2, 3)), GRID, GRID)
+    assert targets != LevelTargets(_spec(), GRID.astype(np.uint8), GRID, np.zeros((6, 2, 3)), GRID, GRID)
+    assert targets != LevelTargets(_spec(), GRID.reshape(3, 2), GRID, np.zeros((6, 2, 3)), GRID, GRID)
 
 
 def test_config_to_dict_round_trips_through_overrides():
