@@ -359,9 +359,6 @@ def cmd_subset(args, cfg: Config) -> int:
 
 
 def cmd_plot(args, cfg: Config) -> int:
-    if args.degree < 0:
-        raise ConfigError(f"degree must be >= 0 (0 means k), got {args.degree}")
-    degree = cfg.check_degree(args.degree if args.degree else cfg.k)
     images = _parse_annotations(args.annotations)
     dirnames = _safe_dir_names(images)
     grouped = parse_detections(_read_lines(args.detections)) if args.detections else None
@@ -373,7 +370,7 @@ def cmd_plot(args, cfg: Config) -> int:
         if grouped is not None:
             red = [det.contour.vertices for det in grouped.get(img.image_id, [])]
         else:
-            coeffs = embed_many(cared, degree, cfg.n)
+            coeffs = embed_many(cared, cfg.k, cfg.n)
             red = [reconstruct(FourierSignature(row), cfg.n_prime).vertices for row in coeffs]
         green = [polygon.vertices for polygon in cared]
         _write_text(str(out_root / f"{dirnames[img.image_id]}.svg"), render_svg(img.width, img.height, green, red))
@@ -453,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="SVG overlays of annotations and fits")
     p.add_argument("annotations")
     p.add_argument("--detections", default="")
-    p.add_argument("--degree", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_plot)
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE, cell_centers
 from .errors import InvalidPolygon, ShapeMismatch
-# parse_detections is not used here; it stays importable from decode as well
-from .evaluation import _CANDIDATE_MARGIN, Detection, _beyond_margin, parse_detections
+from .evaluation import _CANDIDATE_MARGIN, Detection, _beyond_margin
 from .fourier import evaluate_series, flat_to_coeffs
 from .geometry import Contour, ContourSpans, _check_extent, _cuts, contour_spans, contour_spans_many, spans_iou
 from .mapdir import LevelPrediction, PredictionMaps

@@ -9,10 +9,11 @@ coefficient of harmonic k is
 computed by direct summation in a fixed order, never via an FFT, so results
 are bit-identical across runs and thread counts.  Each exp(-+2 pi i k j / n)
 basis depends only on its shape, so it is kept, read-only, in a cache shared
-by every call and thread: a hit takes no lock, a miss builds under one lock,
-and the oldest of 16 bases is dropped to make room.  The degree-K signature
-keeps k in [-K, K]; c_0 is the contour center, and the flat real layout
-interleaves real and imaginary parts from k = -K upward:
+by every call and thread, one of each kind (forward, inverse, residues): a
+hit takes no lock, and a miss builds under one lock and replaces its kind's
+basis.  The degree-K signature keeps k in [-K, K]; c_0 is the contour
+center, and the flat real layout interleaves real and imaginary parts from
+k = -K upward:
 
     [u_-K, v_-K, ..., u_0, v_0, ..., u_K, v_K]      length 2 * (2K + 1)
 """
@@ -51,10 +52,6 @@ __all__ = [
 # 2K + 1 terms evaluate_series sums is then at most 2 max(|u_k|, |v_k|), and
 # no sum comes near the largest float.
 _SERIES_LIMIT = float(np.finfo(np.float64).max) / 4
-
-# distinct bases kept; one run uses a few shapes, and an n x n basis is
-# n * n * 16 bytes (2.5 MB at n = 400)
-_BASIS_CACHE_SIZE = 16
 
 
 class FourierSignature(_Frozen):
@@ -121,8 +118,8 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
-# (n, degree, sign) -> basis, oldest first; written only under _BASIS_LOCK
-_BASES: dict[tuple, np.ndarray] = {}
+# (sign, degree is None) -> (n, degree, basis); written only under _BASIS_LOCK
+_BASES: dict[tuple, tuple] = {}
 _BASIS_LOCK = threading.Lock()
 
 
@@ -130,24 +127,21 @@ def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     """The read-only basis exp(sign * 2 pi i k j / n) for j = 0 .. n - 1 and k
     in -degree .. degree, or in 0 .. n - 1 (every DFT residue) when degree is
     None.  sign -1 gives the forward (len(k), n) array, sign +1 the inverse
-    (n, len(k)) array, both C-contiguous: evaluate_series' rounding depends on
-    that layout, so the inverse is stored as built, not as a transposed view.
-    Kept in _BASES, at most _BASIS_CACHE_SIZE = 16 entries, the oldest
-    dropped first.  A hit takes no lock.  A miss builds under one lock, so
-    threads that miss the same basis at once build it once: the later ones
-    wait and take the first one's array.  Misses of different bases build
-    one after the other."""
-    key = (n, degree, sign)
-    basis = _BASES.get(key)
-    if basis is None:
+    (n, len(k)) array, both C-contiguous.  Elements are computed one by one,
+    so the centre columns K - d .. K + d of the degree-K inverse basis hold
+    the degree-d basis' bits, and _series over that slice gives
+    evaluate_series' bits.  _BASES keeps the last basis asked for of each
+    kind (forward, inverse, residues); a hit takes no lock, and a miss builds
+    under one lock and replaces it, so threads that miss the same basis at
+    once build it once: the later ones wait and take the first one's array."""
+    kind = (sign, degree is None)
+    entry = _BASES.get(kind)
+    if entry is None or entry[0] != n or entry[1] != degree:
         with _BASIS_LOCK:
-            basis = _BASES.get(key)
-            if basis is None:
-                basis = _build_basis(n, degree, sign)
-                if len(_BASES) >= _BASIS_CACHE_SIZE:
-                    del _BASES[next(iter(_BASES))]
-                _BASES[key] = basis
-    return basis
+            entry = _BASES.get(kind)
+            if entry is None or entry[0] != n or entry[1] != degree:
+                entry = _BASES[kind] = (n, degree, _build_basis(n, degree, sign))
+    return entry[2]
 
 
 def _build_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
@@ -267,12 +261,16 @@ def evaluate_series(coeffs, n_points: int, out: np.ndarray | None = None) -> np.
         out = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
-    deg = (arr.shape[-1] - 1) // 2
-    basis = _dft_basis(n_points, deg, 1)  # (n_points, 2K + 1)
     rows = arr.reshape(-1, arr.shape[-1])
-    flat = out.reshape(len(rows), n_points)  # a view: out is C-contiguous
+    # out.reshape is a view: out is C-contiguous
+    _series(rows, _dft_basis(n_points, (arr.shape[-1] - 1) // 2, 1), out.reshape(len(rows), n_points))
+    return out
+
+
+def _series(rows: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """evaluate_series' blocked product of rows (R, 2K + 1) and basis (n', 2K + 1), into out (R, n')."""
     for i, j in _cuts(np.full(len(rows), basis.size)):
-        flat[i:j] = (np.ascontiguousarray(rows[i:j])[:, None, :] * basis).sum(axis=-1)
+        out[i:j] = (np.ascontiguousarray(rows[i:j])[:, None, :] * basis).sum(axis=-1)
     return out
 
 
@@ -302,7 +300,8 @@ def truncation_l2_error(points, k: int) -> float:
 def truncation_l2_errors(points, degrees) -> list[float]:
     """Mean squared point error of the degree-k reconstruction at the sample
     parameters, for every k in `degrees`, from one n x n DFT, its products
-    taken in row blocks of the basis of about geometry._BATCH_ELEMENTS.
+    taken in row blocks of the basis of about geometry._BATCH_ELEMENTS, and
+    the direct check's in blocks of sample columns of the same size.
 
     Each value is computed two ways that must agree to 1e-9 relative:
     directly, and as the Parseval tail sum of |c_j|^2 over the discarded DFT
@@ -336,7 +335,9 @@ def truncation_l2_errors(points, degrees) -> list[float]:
         tail = float(running[discarded - 1]) if discarded else 0.0
 
         kept = np.abs(signed) <= k
-        recon = (np.conj(basis[kept]).T * coeffs[kept]).sum(axis=1)
+        recon = np.empty(n, dtype=np.complex128)
+        for i, j in _cuts(np.full(n, 2 * k + 1)):  # blocks of sample columns
+            recon[i:j] = (np.conj(basis[kept, i:j]).T * coeffs[kept]).sum(axis=1)
         direct = float(np.mean(np.abs(z - recon) ** 2))
 
         if abs(direct - tail) > 1e-9 * max(direct, tail) + 1e-14 * max(scale, 1.0):
@@ -365,15 +366,17 @@ def fit_by_degree(
 ) -> list[list[DegreeFit]]:
     """The paper's fitting figures: per contour, one DegreeFit for each entry
     of `degrees`, in order.  One resample and transform of all contours at
-    the largest degree, one series evaluation per degree, and one
-    contour_spans_many call for the contours and all their reconstructions;
-    raises the first contour's error."""
+    the largest degree, each degree's series from the centre columns of its
+    coefficients and inverse basis, and one contour_spans_many call for the
+    contours and all their reconstructions; raises the first contour's error."""
     degrees = list(degrees)
     kmax = max(degrees)
     points, errors = _resample_many([c.vertices for c in contours], n)
     _raise_first(errors)
     full = _coefficient_rows(points, kmax)
-    series = [evaluate_series(full[:, kmax - deg : kmax + deg + 1], n_points) for deg in degrees]
+    wide = _dft_basis(n_points, kmax, 1)
+    cols = [slice(kmax - deg, kmax + deg + 1) for deg in degrees]
+    series = [_series(full[:, c], wide[:, c], np.empty((len(full), n_points), dtype=np.complex128)) for c in cols]
     recons = [[Contour(np.stack([zd.real, zd.imag], axis=1)) for zd in zs] for zs in zip(*series)]
     # one record batch: the contours, then their reconstructions in order
     spans = contour_spans_many(list(contours) + [r for rs in recons for r in rs], supersample)

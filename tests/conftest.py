@@ -108,6 +108,66 @@ def rows_to_block_end(row_size, blocks=3):
     return -(-blocks * geometry._BATCH_ELEMENTS // row_size)
 
 
+def _edge_array(c) -> np.ndarray:
+    v = np.asarray(getattr(c, "vertices", c), dtype=np.float64)
+    return np.stack([v, np.roll(v, -1, axis=0)], axis=1)  # (m, start / end, x / y)
+
+
+def _intervals(edges, ys) -> np.ndarray:
+    """(len(ys), k, 2) x intervals inside the edges' even-odd fill along each
+    height in ys, none of them a vertex height; NaN pads the shorter rows."""
+    (x0, y0), (x1, y1) = edges[:, 0].T, edges[:, 1].T
+    on = (np.minimum(y0, y1) < ys[:, None]) & (ys[:, None] < np.maximum(y0, y1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(on, x0 + (ys[:, None] - y0) * (x1 - x0) / (y1 - y0), np.nan)
+    x = np.sort(np.pad(x, ((0, 0), (0, len(edges) % 2)), constant_values=np.nan), axis=1)
+    return x.reshape(len(ys), -1, 2)
+
+
+def exact_intersection_area(a, b) -> float:
+    """Area of the even-odd intersection of two polygons, exact up to
+    rounding.  Horizontal slabs cut at every vertex y and every y where two
+    edges of either polygon cross hold no vertex and no crossing, so inside
+    one the intersection's width is linear in y: a slab's area is its height
+    times the width at mid-slab."""
+    ea, eb = _edge_array(a), _edge_array(b)
+    both = np.concatenate([ea, eb])
+    p, d = both[:, 0], both[:, 1] - both[:, 0]
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    den, w = cross(d[:, None], d[None]), p[None] - p[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, u = cross(w, d[None]) / den, cross(w, d[:, None]) / den
+        at = p[:, None, 1] + t * d[:, None, 1]
+    hit = (den != 0) & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+    ys = np.unique(np.concatenate([p[:, 1], at[hit]]))
+    mid = (ys[:-1] + ys[1:]) / 2
+    ia, ib = _intervals(ea, mid)[:, :, None], _intervals(eb, mid)[:, None]
+    width = np.fmax(np.minimum(ia[..., 1], ib[..., 1]) - np.maximum(ia[..., 0], ib[..., 0]), 0.0).sum(axis=(1, 2))
+    return float((np.diff(ys) * width).sum())
+
+
+# polygon_iou at supersample s lies within LATTICE_IOU_SLACK * (P_a + P_b) /
+# (s * |A u B|) of exact_iou, for perimeters P and the exact union area: the
+# samples that can flip lie along the two outlines
+LATTICE_IOU_SLACK = 0.5
+
+
+def lattice_iou_bound(a, b, supersample: int) -> float:
+    union = exact_intersection_area(a, a) + exact_intersection_area(b, b) - exact_intersection_area(a, b)
+    return LATTICE_IOU_SLACK * (geometry.perimeter(a) + geometry.perimeter(b)) / (supersample * union)
+
+
+def exact_iou(a, b) -> float:
+    """Exact even-odd polygon IoU, the measure MMOCR's NMS and the
+    CTW1500 / Total-Text protocols use; 0.0 for an empty union."""
+    inter = exact_intersection_area(a, b)
+    union = exact_intersection_area(a, a) + exact_intersection_area(b, b) - inter
+    return inter / union if union > 0 else 0.0
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(987654)
@@ -131,6 +191,9 @@ def subset_parts():
 __all__ = [
     "dedupe",
     "ellipse_polygon",
+    "exact_intersection_area",
+    "exact_iou",
+    "lattice_iou_bound",
     "inline_basis",
     "is_simple",
     "point_in_polygon",

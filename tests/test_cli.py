@@ -308,6 +308,73 @@ class TestFidelity:
         assert err.startswith("config error: ") and f"{token} is not one" in err
 
 
+# CI's corpus: four images, one with a small instance inside a large one
+CI_IMAGES = [
+    {"image_id": "two", "width": 128, "height": 96, "instances": [
+        {"points": [8, 8, 56, 8, 56, 32, 8, 32]}, {"points": [64, 40, 84, 60, 104, 40, 120, 40, 84, 80, 48, 40]}]},
+    {"image_id": "one", "width": 96, "height": 64, "instances": [{"points": [20, 10, 70, 14, 72, 40, 18, 36]}]},
+    {"image_id": "nest", "width": 128, "height": 96, "instances": [
+        {"points": [8, 8, 56, 8, 56, 56, 8, 56]}, {"points": [12, 12, 52, 12, 52, 20, 12, 20]},
+        {"points": [40, 40, 84, 40, 84, 72, 40, 72], "ignore": True}]},
+    {"image_id": "side", "width": 128, "height": 96, "instances": [
+        {"points": [8, 80, 28, 80, 64, 16, 44, 16]}, {"points": [40, 80, 60, 80, 96, 16, 76, 16]}]},
+]
+
+
+@pytest.fixture
+def basis_builds(monkeypatch) -> list:
+    """The (n, degree, sign) of every basis built from here on, from an empty cache."""
+    builds, build = [], fourier._build_basis
+
+    def counting(n, degree, sign):
+        builds.append((n, degree, sign))
+        return build(n, degree, sign)
+
+    monkeypatch.setattr(fourier, "_build_basis", counting)
+    fourier._BASES.clear()
+    return builds
+
+
+class TestBasisTraffic:
+    """Each command asks for one shape of each basis kind it uses, so the
+    cache, one basis per kind, builds each once."""
+
+    @pytest.fixture
+    def ci_corpus(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        path.write_text("".join(json.dumps(img) + "\n" for img in CI_IMAGES), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_twenty_degree_sweep_builds_three_bases(self, jobs, ci_corpus, basis_builds, capsys):
+        # 88 builds at --jobs 1 when the cache held 16 bases by shape
+        degrees = ",".join(str(k) for k in range(1, 21))
+        code, _, _ = run(["--jobs", jobs, "fidelity", str(ci_corpus), "--degrees", degrees], capsys)
+        assert code == 0 and len(basis_builds) == 3
+        assert set(basis_builds) == {(400, 20, -1), (50, 20, 1), (400, None, -1)}
+
+    def test_each_command_builds_each_kind_once(self, ci_corpus, basis_builds, tmp_path, capsys):
+        ann = str(ci_corpus)
+        commands = {
+            "embed": (["embed", ann, "-o", str(tmp_path / "sigs.jsonl")], [(400, 5, -1)]),
+            "reconstruct": (["reconstruct", str(tmp_path / "sigs.jsonl")], [(50, 5, 1)]),
+            "fidelity": (["fidelity", ann, "--degrees", "1,5"], [(400, 5, -1), (50, 5, 1), (400, None, -1)]),
+            "subset": (["subset", ann], []),
+            "targets": (["targets", ann, "--out-dir", str(tmp_path / "gt")], [(400, 5, -1)]),
+            "decode": (["decode", "--maps-dir", str(tmp_path / "gt"), "-o", str(tmp_path / "dets.jsonl")],
+                       [(50, 5, 1)]),
+            "loss": (["loss", "--gt-dir", str(tmp_path / "gt"), "--pred-dir", str(tmp_path / "gt")], [(50, 5, 1)]),
+            "eval": (["eval", "--detections", str(tmp_path / "dets.jsonl"), "--annotations", ann], []),
+            "plot": (["plot", ann, "--out-dir", str(tmp_path / "plot")], [(400, 5, -1), (50, 5, 1)]),
+        }
+        for name, (argv, want) in commands.items():
+            fourier._BASES.clear()
+            basis_builds.clear()
+            code, _, _ = run(["--jobs", "2", *argv], capsys)
+            assert (name, code, basis_builds) == (name, 0, want)
+            assert len(fourier._BASES) <= 3
+
+
 class TestTargetsDecodeLossEval:
     @pytest.fixture
     def target_dir(self, corpus, tmp_path, capsys):
@@ -726,29 +793,29 @@ class TestSubsetPlot:
         assert body.count("#00a000") == 1
         assert body.count("#d00000") == 1
 
-    def test_plot_negative_degree_is_exit_3(self, corpus, tmp_path, capsys):
-        code, _, err = run(
-            ["plot", str(corpus), "--degree", "-2", "--out-dir", str(tmp_path / "plots")],
-            capsys,
+    def test_fidelity_gives_the_degree_message(self, corpus, tmp_path, capsys):
+        code, out, err = run(
+            ["fidelity", str(corpus), "--degrees", "3,300", "--svg-dir", str(tmp_path / "out")], capsys
         )
-        assert code == 3 and err.startswith("config error: ")
-
-    @pytest.mark.parametrize("command, option", [("fidelity", ["--degrees", "3,300"]), ("plot", ["--degree", "300"])])
-    def test_fidelity_and_plot_give_one_degree_message(self, command, option, corpus, tmp_path, capsys):
-        code, out, err = run([command, str(corpus), *option, "--svg-dir" if command == "fidelity" else "--out-dir",
-                              str(tmp_path / "out")], capsys)
         assert (code, out, err) == (3, "", "config error: degree 300 too large for n = 400\n")
 
-    @pytest.mark.parametrize("degree", ["-1", "300"])
-    def test_plot_checks_its_degree_before_any_work(self, tmp_path, capsys, degree):
-        # unreadable annotations and detections, and still a config error
+    @pytest.mark.parametrize(
+        "degree, message",
+        [
+            pytest.param("-1", "k must be >= 1, got -1", id="-1"),
+            pytest.param("300", "n = 400 too small for k = 300 (need 2k + 1 <= n)", id="300"),
+        ],
+    )
+    def test_plot_checks_its_degree_before_any_work(self, tmp_path, capsys, degree, message):
+        # plot draws at k, which Config.validate checks before any input is
+        # read: unreadable annotations and detections, and still a config error
         out_dir = tmp_path / "plots"
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n", encoding="utf-8")
         code, _, err = run(
-            ["plot", str(bad), "--detections", str(bad), "--degree", degree, "--out-dir", str(out_dir)], capsys
+            ["--set", f"k={degree}", "plot", str(bad), "--detections", str(bad), "--out-dir", str(out_dir)], capsys
         )
-        assert code == 3 and err.startswith("config error: degree")
+        assert (code, err) == (3, f"config error: {message}\n")
         assert not out_dir.exists()
 
     def test_plot_with_detections(self, corpus, tmp_path, capsys):
@@ -1247,7 +1314,7 @@ class TestProgramEntry:
                 ["--jobs", "2", "decode", "--maps-dir", str(lib / "gt"), "-o", str(out / "dets.jsonl")],
                 ["loss", "--gt-dir", str(lib / "gt"), "--pred-dir", str(lib / "gt")],
                 ["eval", "--detections", str(lib / "dets.jsonl"), "--annotations", ann],
-                ["plot", ann, "--detections", str(lib / "dets.jsonl"), "--degree", "5", "--out-dir", str(out / "plot")],
+                ["plot", ann, "--detections", str(lib / "dets.jsonl"), "--out-dir", str(out / "plot")],
             ]
 
         def files(root: Path) -> dict:

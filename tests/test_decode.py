@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourier_contours import (
@@ -27,8 +27,9 @@ from fourier_contours import (
     score_map,
 )
 from fourier_contours import decode, geometry
+from fourier_contours.config import DEFAULT_NMS_IOU
 from fourier_contours.synth import ribbon
-from conftest import star_shaped
+from conftest import exact_iou, lattice_iou_bound, star_shaped
 
 
 def level_for(poly, name="P3", stride=8, grid=(16, 16), hot=(4, 4), k=5):
@@ -153,6 +154,17 @@ def brute_nms(points, scores, thresh, supersample):
 
 
 class TestPolyNms:
+    @pytest.mark.parametrize("width, kept", [(40, [0]), (20, [0, 1])])
+    def test_one_of_two_nested_instances_goes_at_the_default_threshold(self, width, kept):
+        # an 8 px-high bar inside a 48 x 48 square, as in CI's "nest" image:
+        # the inner one is suppressed once it covers a tenth of the outer,
+        # even with perfect predictions; integer-aligned, so both IoUs are exact
+        outer = Contour([(8, 8), (56, 8), (56, 56), (8, 56)])
+        inner = Contour([(12, 12), (12 + width, 12), (12 + width, 20), (12, 20)])
+        assert polygon_iou(outer, inner) == exact_iou(outer, inner) == width * 8 / 48**2
+        points, scores = candidates([outer, inner], [1.0, 1.0])
+        assert poly_nms(points, scores, DEFAULT_NMS_IOU) == kept
+
     def test_keeps_highest_scored_of_cluster(self):
         points, scores = candidates(
             [square(50, 50, 20), square(52, 50, 20), square(150, 150, 20)], [0.9, 0.8, 0.7]
@@ -272,6 +284,44 @@ def jittered_candidates(rng, instances, copies, jitter):
             points.append(base + rng.normal(0.0, jitter * size, base.shape))
             scores.append(float(rng.choice([0.5, 0.7, 0.7, 0.9])))
     return np.array(points), np.array(scores)
+
+
+def exact_nms(contours, scores, thresh) -> list:
+    """brute_nms on exact polygon IoU, as MMOCR's poly_nms decides."""
+    kept = []
+    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+        if all(exact_iou(contours[i], contours[j]) < thresh for j in kept):
+            kept.append(i)
+    return kept
+
+
+class TestAgainstExactIoU:
+    """poly_nms decides on the lattice IoU.  Its kept set can differ from
+    the exact-IoU one only where the two IoUs can fall on either side of the
+    threshold: for a pair whose exact IoU lies within conftest's
+    lattice_iou_bound of it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        instances=st.integers(1, 3),
+        copies=st.integers(1, 8),
+        jitter=st.sampled_from([0.01, 0.05, 0.2]),
+        supersample=st.sampled_from([1, 2, 4]),
+        thresh=st.sampled_from([0.1, 0.3, 0.5, 0.7]),
+    )
+    # two layouts where the kept sets differ
+    @example(seed=9, instances=1, copies=8, jitter=0.05, supersample=1, thresh=0.7)
+    @example(seed=0, instances=3, copies=8, jitter=0.2, supersample=2, thresh=0.5)
+    def test_kept_sets_differ_only_near_the_threshold(self, seed, instances, copies, jitter, supersample, thresh):
+        points, scores = jittered_candidates(np.random.default_rng(seed), instances, copies, jitter)
+        contours = [Contour(p) for p in points]
+        if poly_nms(points, scores, thresh, supersample) != exact_nms(contours, scores, thresh):
+            assert any(
+                abs(exact_iou(a, b) - thresh) <= lattice_iou_bound(a, b, supersample)
+                for i, a in enumerate(contours)
+                for b in contours[i + 1:]
+            )
 
 
 class TestFilterAndRefine:

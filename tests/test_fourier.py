@@ -36,7 +36,9 @@ from fourier_contours import (
     ZeroPerimeter,
 )
 from fourier_contours import fourier, geometry
+from fourier_contours.config import DEFAULT_EVAL_IOU
 from fourier_contours.fourier import _dft_basis
+from fourier_contours.synth import ribbon
 from conftest import inline_basis, rows_to_block_end, same_bits, star_shaped, uncached_series
 
 
@@ -289,6 +291,19 @@ class TestTruncationError:
         with pytest.raises(DegreeTooLarge):
             truncation_l2_errors(rs, [3, 60])
 
+    def test_the_parseval_check_holds_no_copy_of_the_basis(self, rng):
+        # the direct check runs in blocks of sample columns; it held two
+        # (2K + 1) x n copies of the residue basis and their product, 32 MiB here
+        rs = resample_equidistant(star_shaped(rng), 1024)
+        _dft_basis(1024, None, -1)
+        tracemalloc.start()
+        try:
+            truncation_l2_errors(rs, [5, 511])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_zero_when_inversion_exact(self, rng):
         c = star_shaped(rng)
         rs = resample_equidistant(c, 17)
@@ -322,17 +337,34 @@ class TestBasisCache:
             basis[0, 0] = 0.0
         assert _dft_basis(n, degree, sign) is basis
 
-    def test_cache_drops_its_oldest_basis(self):
-        # the bound the README and the _dft_basis docstring state
-        keys = [(n, 2, -1) for n in range(20, 37)]
-        fourier._BASES.clear()
-        first = _dft_basis(*keys[0])
-        for key in keys[1:]:
-            _dft_basis(*key)
-        assert list(fourier._BASES) == keys[1:]
-        again = _dft_basis(*keys[0])
-        assert again is not first and same_bits(again, first)
-        assert list(fourier._BASES) == keys[2:] + keys[:1]
+    def test_another_shape_replaces_only_its_kind(self):
+        # the rule the README and the _dft_basis docstring state: one basis
+        # of each kind, the last shape asked for
+        shapes = {"forward": [(20, 2, -1), (21, 2, -1)], "inverse": [(30, 2, 1), (30, 3, 1)],
+                  "residues": [(40, None, -1), (41, None, -1)]}
+        for kind, (old, new) in shapes.items():
+            fourier._BASES.clear()
+            held = {other: _dft_basis(*pair[0]) for other, pair in shapes.items()}
+            assert len(fourier._BASES) == 3
+            wanted = _dft_basis(*new)
+            assert same_bits(wanted, inline_basis(*new)) and len(fourier._BASES) == 3
+            for other, pair in shapes.items():
+                assert _dft_basis(*(new if other == kind else pair[0])) is (wanted if other == kind else held[other])
+            again = _dft_basis(*old)
+            assert again is not held[kind] and same_bits(again, held[kind])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 400), st.integers(0, 25), st.data())
+    def test_a_centre_slice_of_a_wider_basis_gives_the_series_bits(self, n_points, kmax, data):
+        # fit_by_degree reads every degree of a sweep from the kmax basis
+        deg = data.draw(st.integers(0, kmax))
+        rows = data.draw(st.sampled_from([1, 7, 300]))
+        rng = np.random.default_rng([n_points, kmax, deg, rows])
+        wide = rng.normal(size=(rows, 2 * kmax + 1)) + 1j * rng.normal(size=(rows, 2 * kmax + 1))
+        cols = slice(kmax - deg, kmax + deg + 1)
+        out = np.empty((rows, n_points), dtype=np.complex128)
+        got = fourier._series(wide[:, cols], _dft_basis(n_points, kmax, 1)[:, cols], out)
+        assert same_bits(got, evaluate_series(wide[:, cols], n_points))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -451,10 +483,10 @@ class TestBasisCache:
         assert got[cached_key] is cached
         assert same_bits(got[slow_key], inline_basis(*slow_key))
 
-    def test_threads_read_while_the_oldest_is_dropped(self):
+    def test_threads_read_while_their_kind_is_replaced(self):
         """Eight threads on two cores, switching every microsecond, each ask
-        for 24 bases, more than the cache holds, from their own start: every
-        basis they get is the fresh build, and the cache ends at 16."""
+        for 24 inverse bases, one kind, from their own start: every basis
+        they get is the fresh build, and the cache ends holding one."""
         keys = [(n, 3, 1) for n in range(40, 64)]
         want = {key: inline_basis(*key) for key in keys}
         fourier._BASES.clear()
@@ -477,7 +509,9 @@ class TestBasisCache:
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
-        assert bad == [] and len(fourier._BASES) == 16
+        assert bad == [] and list(fourier._BASES) == [(1, False)]
+        n, degree, basis = fourier._BASES[1, False]
+        assert same_bits(basis, want[n, degree, 1])
 
     def test_threads_share_the_cache(self):
         """Eight threads on two cores, switching every microsecond, fill and
@@ -589,3 +623,21 @@ class TestBatchEntryPoints:
     def test_fit_by_degree_checks_the_degree_against_n(self, rng):
         with pytest.raises(DegreeTooLarge):
             fit_by_degree([star_shaped(rng)], [3, 40], n=64)
+
+
+class TestWhereTheDefaultDegreeStopsFitting:
+    """A 30 px-thick, 400 px-long ribbon at 80 px amplitude: at 2.5 cycles
+    K = 5 no longer fits it, and a perfect prediction of its targets decodes
+    to a false positive and a miss."""
+
+    def test_the_fit_at_the_defaults_misses_the_eval_threshold(self):
+        # IoU 0.10 at the defaults (K = 5, n' = 50); 2 cycles of 60 px still fit
+        (fit,), = fit_by_degree([ribbon(300, 200, 400, 30, 80, cycles=2.5)], [5])
+        assert fit.iou < DEFAULT_EVAL_IOU
+        (fit,), = fit_by_degree([ribbon(300, 200, 400, 30, 60, cycles=2)], [5])
+        assert fit.iou >= DEFAULT_EVAL_IOU
+
+    def test_degree_20_and_100_points_fit_it(self):
+        # IoU 0.87; 0.80 at K = 20 with the default n' = 50
+        (fit,), = fit_by_degree([ribbon(300, 200, 400, 30, 80, cycles=2.5)], [20], n=400, n_points=100)
+        assert fit.iou >= 0.85
