@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import threading
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,11 @@ from .config import NAME_CHARS, Config, apply_overrides, load_config
 from .decode import decode_all
 from .errors import ConfigError, GeometryError, ParseError
 from .evaluation import detection_line, evaluate, fmeasure, parse_detections
-from .fourier import FourierSignature, coeffs_to_flat, embed_many, fit_by_degree, parse_signatures, reconstruct
+from .fourier import FourierSignature, coeffs_to_flat, embed_many, fit_by_degree, parse_signatures, reconstruct_many
 from .fourier import signature_line
 from .losses import LossSums, image_loss
 from .mapdir import map_dirs, read_loss_levels, read_prediction_maps, write_target_maps
-from .serialize import fmt9, json_line, round9
+from .serialize import _json_text, _round9_array, fmt9, json_line, round9
 from .svg import render_svg
 from .targets import generate_targets
 
@@ -152,14 +153,20 @@ def cmd_embed(args, cfg: Config) -> int:
 
 
 def cmd_reconstruct(args, cfg: Config) -> int:
+    """One reconstruct_many call per run of consecutive records of one image
+    and one degree, its points rounded as one block."""
     records = parse_signatures(_read_lines(args.signatures))
+    runs = [list(run) for _, run in groupby(records, key=lambda record: (record[0], record[2].degree))]
 
-    def one(record) -> str:
-        image_id, instance_id, sig = record
-        points = reconstruct(sig, cfg.n_prime).flat()
-        return json_line({"image_id": image_id, "instance_id": instance_id, "points": points})
+    def one(run) -> list[str]:
+        points = _round9_array(reconstruct_many([sig for _, _, sig in run], cfg.n_prime))
+        return [
+            _json_text({"image_id": image_id, "instance_id": instance_id, "points": flat})
+            for (image_id, instance_id, _), flat in zip(run, points.reshape(len(run), -1).tolist())
+        ]
 
-    _write_lines(args.out, _pmap(one, records, args.jobs))
+    blocks = _pmap(one, runs, args.jobs)
+    _write_lines(args.out, (line for block in blocks for line in block))
     return 0
 
 
@@ -371,7 +378,7 @@ def cmd_plot(args, cfg: Config) -> int:
             red = [det.contour.vertices for det in grouped.get(img.image_id, [])]
         else:
             coeffs = embed_many(cared, cfg.k, cfg.n)
-            red = [reconstruct(FourierSignature(row), cfg.n_prime).vertices for row in coeffs]
+            red = reconstruct_many([FourierSignature(row) for row in coeffs], cfg.n_prime)
         green = [polygon.vertices for polygon in cared]
         _write_text(str(out_root / f"{dirnames[img.image_id]}.svg"), render_svg(img.width, img.height, green, red))
 

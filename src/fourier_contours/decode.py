@@ -65,7 +65,14 @@ def decode_level(
     candidate whose bounding box reaches past it by more than _CANDIDATE_MARGIN
     image sides on either axis raises ValueError naming the level and cell.
     """
-    iy, ix, scores = _candidates(pred, score_thresh)
+    return _decode_cells(pred, *_candidates(pred, score_thresh), n_points, out)
+
+
+def _decode_cells(
+    pred: LevelPrediction, iy: np.ndarray, ix: np.ndarray, scores: np.ndarray, n_points: int, out: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """decode_level's (points, scores) of the candidate cells (iy, ix) of
+    scores `scores`, as _candidates finds them."""
     flat = pred.regression[:, iy, ix].T  # (M, C)
     coeffs = flat_to_coeffs(flat)
     height, width = pred.tr_prob.shape
@@ -253,14 +260,15 @@ def decode_all(
     if not levels:
         return []
     names = [lp.name for lp in levels]
-    counts = [len(_candidates(lp, score_thresh)[2]) for lp in levels]
+    cells = [_candidates(lp, score_thresh) for lp in levels]
+    counts = [len(level_scores) for _, _, level_scores in cells]
     stops = np.cumsum(counts).tolist()
     points = np.empty((stops[-1], n_points, 2))
     scores = np.empty(stops[-1])
     for i, (count, stop) in enumerate(zip(counts, stops)):
         rows = slice(stop - count, stop)
-        _, scores[rows] = decode_level(levels[i], score_thresh, n_points, out=points[rows])
-        levels[i] = None
+        _, scores[rows] = _decode_cells(levels[i], *cells[i], n_points, points[rows])
+        levels[i] = cells[i] = None
     rank = np.repeat(np.arange(len(names)), counts)
     return [
         Detection(Contour(points[i]), float(scores[i]), names[rank[i]])

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAULT_SUPERSAMPLE
-from .errors import ChannelCountMismatch, DegreeTooLarge, NonFinite
+from .errors import ChannelCountMismatch, DegreeTooLarge, InvalidPolygon, NonFinite
 from .geometry import Contour, ResampledContour, _cuts, _resample_many, contour_spans_many, spans_iou
 from .records import _Frozen
 from .serialize import _json_records, _number_list, json_line
@@ -38,6 +38,7 @@ __all__ = [
     "embed_many",
     "parse_signatures",
     "reconstruct",
+    "reconstruct_many",
     "recenter",
     "truncation_l2_error",
     "truncation_l2_errors",
@@ -275,11 +276,31 @@ def _series(rows: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(s: FourierSignature, n_points: int = DEFAULT_RECON_POINTS) -> Contour:
-    """Evaluate the truncated series at n_points equidistant parameters."""
+    """Evaluate the truncated series at n_points equidistant parameters.
+    This is reconstruct_many with a batch of one."""
+    return Contour(reconstruct_many([s], n_points)[0])
+
+
+def reconstruct_many(signatures, n_points: int = DEFAULT_RECON_POINTS) -> np.ndarray:
+    """The points (N, n_points, 2) of each signature's reconstruction, from
+    one evaluate_series call over their stacked coefficients, so row i holds
+    reconstruct(signatures[i])'s bits.  The signatures must share one degree
+    (ChannelCountMismatch otherwise); the whole block's finiteness is checked
+    once."""
     if n_points < 3:
         raise ValueError(f"need n_points >= 3, got {n_points}")
-    z = evaluate_series(s.coeffs, n_points)
-    return Contour(np.stack([z.real, z.imag], axis=1))
+    sigs = list(signatures)
+    if not sigs:
+        return np.empty((0, n_points, 2))
+    degrees = {s.degree for s in sigs}
+    if len(degrees) > 1:
+        raise ChannelCountMismatch(f"signatures must share one degree, got degrees {sorted(degrees)}")
+    z = evaluate_series(np.stack([s.coeffs for s in sigs]), n_points)
+    # the points' (x, y) pairs are the series' (real, imag) pairs in memory
+    points = z.view(np.float64).reshape(len(sigs), n_points, 2)
+    if not np.isfinite(points).all():
+        raise InvalidPolygon("coordinates must be finite")
+    return points
 
 
 def recenter(s: FourierSignature, origin) -> FourierSignature:

@@ -78,7 +78,7 @@ class Contour(_Frozen):
         return cls(flat.reshape(-1, 2))
 
     def flat(self) -> list[float]:
-        return [float(v) for v in self.vertices.ravel()]
+        return self.vertices.ravel().tolist()
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y)."""

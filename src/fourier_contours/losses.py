@@ -130,7 +130,8 @@ def regression_loss_grad(
     gt, pr, member = _check_pairs(gt_flat, pred_flat, in_tcr)
     if gt.shape[0] == 0:
         return np.zeros_like(pr)
-    basis = _dft_basis(n_points, (gt.shape[1] // 2 - 1) // 2, -1)
+    # the forward basis by value, from the inverse one the series reads
+    basis = np.ascontiguousarray(np.conj(_dft_basis(n_points, (gt.shape[1] // 2 - 1) // 2, 1)).T)
     coeff_grad = np.empty((gt.shape[0], gt.shape[1] // 2), dtype=np.complex128)  # (M, 2K + 1)
     for i, j, zg, zp in _series_blocks(gt, pr, n_points):
         gx = _smooth_l1_grad(zp.real - zg.real, beta)  # (rows, n)

@@ -9,7 +9,9 @@ Tensor file layout (all little-endian):
 
 Text outputs format every float with 9 significant digits.  Formatted values
 are re-parsed before JSON serialization so json.dumps prints the shortest
-round-trip form, which is stable across platforms.
+round-trip form, which is stable across platforms.  A block of floats can be
+rounded in a few array operations instead (_round9_array), to the same
+floats.
 """
 
 from __future__ import annotations
@@ -91,19 +93,58 @@ def round9(x: float) -> float:
     return float(fmt9(x))
 
 
+# 10^0 .. 10^22, every one an exact float64
+_POW10 = 10.0 ** np.arange(23)
+
+
+def _round9_array(x: np.ndarray) -> np.ndarray:
+    """round9 of each value of a float64 array, bit for bit, from a few
+    array operations.  |x| of exponent e = floor(log10 |x|) in -14 .. 30 is
+    scaled to s = |x| 10^(8 - e) by one correctly rounded product or
+    quotient with an exact power of ten.  Rounding is monotonic, and 1e8,
+    1e9 and every half-integer between are floats, so where s lies strictly
+    between 1e8 and 1e9 and on no half-integer, the exact scaled value lies
+    strictly on the same side of each: e is right, and rint(s) is the
+    9-digit mantissa m that fmt9 prints.  m and 10^|8 - e| are exact, so
+    the one correctly rounded quotient or product m 10^(e - 8) is the float
+    round9 parses.  Every other value (zero, a power of ten, an exact tie,
+    an exponent out of range, a non-finite value) takes round9."""
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # log10 of 0, inf and nan
+        k = 8 - np.floor(np.log10(a))
+        fast = np.abs(k) <= 22
+        p = _POW10[np.where(fast, np.abs(k), 0).astype(np.intp)]
+        up = k >= 0
+        s = np.where(up, a * p, a / p)
+        fast &= (s > 1e8) & (s < 1e9) & (s - np.floor(s) != 0.5)
+        m = np.rint(s)
+        out = np.copysign(np.where(up, m / p, m * p), x)
+    for i in np.flatnonzero(~fast):
+        out.flat[i] = round9(x.flat[i])
+    return out
+
+
 def _rounded(obj):
     if isinstance(obj, float):
         return round9(obj)
     if isinstance(obj, dict):
         return {key: _rounded(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_rounded(value) for value in obj]
+        # a plain float is rounded here as round9 rounds it, so a list of
+        # coordinates makes no call per value
+        return [float(f"{v:.9g}") if type(v) is float else _rounded(v) for v in obj]
     return obj
 
 
 def json_line(obj) -> str:
     """Deterministic single-line JSON with 9-significant-digit floats."""
-    return json.dumps(_rounded(obj), separators=(",", ":"), allow_nan=False)
+    return _json_text(_rounded(obj))
+
+
+def _json_text(obj) -> str:
+    """json_line's text of obj, whose floats are rounded already: by
+    round9, or a block of them by _round9_array."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
 def _json_records(lines, what: str, parse) -> list:
@@ -132,6 +173,6 @@ def _json_records(lines, what: str, parse) -> list:
 def _number_list(raw, what: str, lineno: int | None = None) -> list:
     """raw, when it is a flat JSON list of numbers; InvalidPolygon otherwise."""
     # type(): JSON true and false are bools, which isinstance counts as ints
-    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+    if not isinstance(raw, list) or not {*map(type, raw)} <= {int, float}:
         raise InvalidPolygon(f"{what} must be a flat list of numbers", line=lineno)
     return raw

@@ -37,7 +37,7 @@ from fourier_contours.cli import main
 from fourier_contours.config import Config, load_config
 from fourier_contours.errors import ParseError
 from fourier_contours.geometry import Contour, contour_spans_many
-from fourier_contours.serialize import fmt9, read_tensor, write_tensor
+from fourier_contours.serialize import fmt9, read_tensor, round9, write_tensor
 from fourier_contours.synth import ellipse_polygon, rect14, regular_polygon, ribbon
 
 
@@ -146,6 +146,27 @@ class TestEmbedReconstruct:
         iou = polygon_iou(Contour(np.array(RECT_A, float)), Contour(pts), 4)
         assert iou > 0.85
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interleaved_images_and_degrees_reconstruct_as_one_record_each(self, jobs, tmp_path, capsys):
+        # two images and two degrees, interleaved, so runs hold 1 to 3 records
+        rng = np.random.default_rng(5)
+        layout = [("a", 5), ("a", 5), ("a", 3), ("b", 3), ("b", 3), ("b", 3), ("a", 5), ("b", 5), ("a", 3)]
+        records = [
+            {"image_id": image_id, "instance_id": f"t{i}", "k": k, "ignore": False,
+             "coeffs": (rng.normal(scale=20.0, size=2 * (2 * k + 1)) + 40.0).tolist()}
+            for i, (image_id, k) in enumerate(layout)
+        ]
+        path = tmp_path / "sigs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        # the per-record path: one reconstruct, each value rounded on its own
+        want = ""
+        for r in records:
+            points = reconstruct(FourierSignature.from_flat(r["coeffs"])).vertices.ravel()
+            line = {"image_id": r["image_id"], "instance_id": r["instance_id"], "points": [round9(v) for v in points]}
+            want += json.dumps(line, separators=(",", ":")) + "\n"
+        code, out, _ = run(["--jobs", jobs, "reconstruct", str(path)], capsys)
+        assert code == 0 and out == want
+
     def test_reconstruct_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "sigs.jsonl"
         bad.write_text('{"image_id": "x"}\n', encoding="utf-8")
@@ -188,7 +209,7 @@ class TestEmbedReconstruct:
         good = sig_path.read_text(encoding="utf-8").splitlines()[0]
         sig_path.write_text(good + "\n\n" + '{"image_id": "x"}\n', encoding="utf-8")
         calls = []
-        monkeypatch.setattr(cli, "reconstruct", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "reconstruct_many", lambda *a: calls.append(a))
         code, out, err = run(["reconstruct", str(sig_path)], capsys)
         assert code == 2 and out == "" and calls == []
         assert "line 3: bad signature record" in err

@@ -502,6 +502,19 @@ class TestDecodeAll:
             with pytest.raises(ValueError):
                 decode_level(lp, out=bad)
 
+    def test_each_level_is_scored_once(self):
+        shapes = [square(40 + 88 * (j % 3), 40 + 88 * (j // 3), 24) for j in range(9)]
+        maps = PredictionMaps("img", 256, 256, [crowded_level(shapes, "P3", 8, 3), crowded_level(shapes, "P4", 16, 1)])
+        want = [decode_level(lp) for lp in maps.levels]
+        with mock.patch.object(decode, "_candidates", wraps=decode._candidates) as found:
+            dets = decode_all(maps)
+        assert [call.args[0].name for call in found.call_args_list] == ["P3", "P4"]
+        pool = np.concatenate([points for points, _ in want])
+        scores = np.concatenate([level_scores for _, level_scores in want])
+        assert [det.contour.vertices.tobytes() for det in dets] == [
+            pool[i].tobytes() for i in poly_nms(pool, scores)
+        ]
+
     def test_pool_is_held_once(self):
         # nine instances, each the candidate of a block of cells on two levels
         n_points = 1024

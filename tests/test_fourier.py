@@ -30,6 +30,7 @@ from fourier_contours import (
     polygon_iou,
     recenter,
     reconstruct,
+    reconstruct_many,
     resample_equidistant,
     truncation_l2_error,
     truncation_l2_errors,
@@ -603,6 +604,36 @@ class TestBatchEntryPoints:
         with pytest.raises(ParseError) as info:
             parse_signatures(['{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 0]}', line])
         assert str(info.value).startswith("line 2: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("n_points", [3, 50, 1024])
+    @pytest.mark.parametrize("degree", [1, 5, 20])
+    def test_reconstruct_many_is_reconstruct_per_signature(self, degree, n_points):
+        # 300 rows of n' = 50 or 1024 span several of evaluate_series' row blocks
+        rng = np.random.default_rng(degree * 10_000 + n_points)
+        for count in (1, 7, 300):
+            coeffs = rng.normal(scale=30.0, size=(count, 2 * degree + 1, 2)) @ [1, 1j]
+            sigs = [FourierSignature(row) for row in coeffs]
+            points = reconstruct_many(sigs, n_points)
+            assert points.shape == (count, n_points, 2) and points.dtype == np.float64
+            for sig, row in zip(sigs, points):
+                z = evaluate_series(sig.coeffs, n_points)  # the one-record series
+                assert row.tobytes() == reconstruct(sig, n_points).vertices.tobytes()
+                assert row.tobytes() == np.stack([z.real, z.imag], axis=1).tobytes()
+
+    def test_reconstruct_many_takes_one_degree(self, rng):
+        sigs = [FourierSignature(rng.normal(size=size) + 0j) for size in (11, 11, 7)]
+        assert reconstruct_many(sigs[:2], 9).shape == (2, 9, 2)
+        with pytest.raises(ChannelCountMismatch, match="one degree, got degrees \\[3, 5\\]"):
+            reconstruct_many(sigs, 9)
+        assert reconstruct_many([], 9).shape == (0, 9, 2)
+        with pytest.raises(ValueError, match="n_points >= 3"):
+            reconstruct_many(sigs[:1], 2)
+
+    def test_reconstruct_many_is_one_series_call(self, rng):
+        sigs = [FourierSignature(rng.normal(size=11) + 0j) for _ in range(4)]
+        with mock.patch.object(fourier, "evaluate_series", wraps=fourier.evaluate_series) as series:
+            reconstruct_many(sigs, 20)
+        assert series.call_count == 1 and series.call_args.args[0].shape == (4, 11)
 
     def test_fit_by_degree_is_the_one_contour_figures(self, rng):
         contours = [star_shaped(rng) for _ in range(3)]

@@ -23,8 +23,9 @@ from fourier_contours import (
     smooth_l1,
     total_loss,
 )
+from fourier_contours import embed_many, fourier
 from fourier_contours.fourier import coeffs_to_flat, evaluate_series, flat_to_coeffs
-from fourier_contours.synth import roundtrip_corpus
+from fourier_contours.synth import ellipse_polygon, ribbon, roundtrip_corpus
 from conftest import inline_basis, rows_to_block_end, same_bits, uncached_series
 
 
@@ -196,6 +197,24 @@ class TestRegressionGrad:
                 ) / (2 * h)
                 scale = max(abs(fd), abs(grad[r, c]), 1e-8)
                 assert abs(fd - grad[r, c]) / scale < 1e-4
+
+
+    def test_a_loop_with_embed_builds_each_basis_once(self, monkeypatch):
+        # embed_many reads the forward basis at n = 400 and the gradient the
+        # inverse one at n' = 50, the kind its series reads: 40 builds when the
+        # gradient read a forward basis, which embed_many's replaced each step
+        builds, build = [], fourier._build_basis
+        monkeypatch.setattr(fourier, "_build_basis", lambda *a: builds.append(a) or build(*a))
+        fourier._BASES.clear()
+        rng = np.random.default_rng(11)
+        contours = [ellipse_polygon(60, 40, 30, 12, rot=0.4), ribbon(80, 50, 90, 30, 10)]
+        for _ in range(20):
+            embed_many(contours, 5, 400)
+            gt = rng.normal(scale=20.0, size=(9, 22))
+            pred = gt + rng.normal(scale=1.0, size=gt.shape)
+            member = rng.integers(0, 2, size=9).astype(bool)
+            assert np.array_equal(regression_loss_grad(gt, pred, member, 50), unblocked_grad(gt, pred, member, 50))
+        assert builds == [(400, 5, -1), (50, 5, 1)]
 
 
 def unblocked_loss(gt, pred, member, n_points, beta=1.0):

@@ -22,9 +22,10 @@ PUBLIC = [
     "fit_by_degree", "flat_to_coeffs", "fmeasure", "fourier_coefficients", "generate_targets", "image_loss",
     "instance_scale", "load_config", "map_dirs", "ohem_select", "parse_delimited", "parse_detections", "parse_jsonl",
     "parse_signatures", "perimeter", "poly_nms", "polygon_iou", "rasterize_grid", "read_loss_levels", "read_map_meta",
-    "read_prediction_maps", "read_tensor", "recenter", "reconstruct", "regression_loss", "regression_loss_grad",
-    "resample_equidistant", "score_map", "shrink_polygon", "signed_area", "smooth_l1", "spans_iou", "total_loss",
-    "truncation_l2_error", "truncation_l2_errors", "write_jsonl", "write_target_maps", "write_tensor",
+    "read_prediction_maps", "read_tensor", "recenter", "reconstruct", "reconstruct_many", "regression_loss",
+    "regression_loss_grad", "resample_equidistant", "score_map", "shrink_polygon", "signed_area", "smooth_l1",
+    "spans_iou", "total_loss", "truncation_l2_error", "truncation_l2_errors", "write_jsonl", "write_target_maps",
+    "write_tensor",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_contours import InvalidPolygon, ParseError, parse_detections, parse_jsonl, parse_signatures, read_tensor
 from fourier_contours import write_tensor
@@ -15,7 +17,7 @@ from fourier_contours.config import MAX_IMAGE_SIDE, MAX_RECON_POINTS, MAX_SAMPLE
 from fourier_contours.config import apply_overrides, load_config
 from fourier_contours.config import parse_levels
 from fourier_contours.errors import ConfigError
-from fourier_contours.serialize import fmt9, json_line, round9
+from fourier_contours.serialize import _round9_array, fmt9, json_line, round9
 from fourier_contours.svg import render_svg
 
 
@@ -175,6 +177,33 @@ class TestNumberFormatting:
         line = json_line({"b": 1 / 3, "a": [1.0, 2.0], "s": "x"})
         assert line == '{"b":0.333333333,"a":[1.0,2.0],"s":"x"}'
 
+    def test_json_line_rounds_list_floats_as_round9(self, rng):
+        values = (rng.normal(size=200) * 10.0 ** rng.integers(-8, 9, size=200)).tolist()
+        nested = {"a": values, "b": [tuple(values[:3]), np.float64(values[3]), 2, True, None, "x"]}
+        head = [round9(v) for v in values[:3]]
+        want = {"a": [round9(v) for v in values], "b": [head, round9(values[3]), 2, True, None, "x"]}
+        assert json_line(nested) == json.dumps(want, separators=(",", ":"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=60))
+    def test_array_rounding_is_round9_bit_for_bit(self, values):
+        got = _round9_array(np.array(values, dtype=np.float64))
+        assert got.view(np.int64).tolist() == np.array([round9(v) for v in values]).view(np.int64).tolist()
+
+    def test_array_rounding_at_ties_and_edges(self, rng):
+        # ten-digit decimals ending in 5, whose nearest float lies on or just
+        # off a 9-digit tie; then powers of ten and their neighbours, the
+        # exponent limits, halves near 1e8, and the smallest and largest floats
+        ties = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**8, 10**9, 4000), rng.integers(-25, 32, 4000))]
+        edges = [10.0**e * f for e in range(-16, 33) for f in (1, 1 + 2**-52, 1 - 2**-53, 9.999999995, 9.99999999)]
+        halves = (np.arange(-20_000, 20_000) / 8.0 + 123456789.0).tolist()
+        values = np.array(ties + edges + halves + [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+        values = np.concatenate([values, -values, rng.normal(size=4000) * 10.0 ** rng.integers(-20, 35, 4000)])
+        want = np.array([round9(v) for v in values.tolist()])
+        assert np.array_equal(_round9_array(values).view(np.int64), want.view(np.int64))
+        grid = values[:24].reshape(2, 3, 4)
+        assert np.array_equal(_round9_array(grid.T).view(np.int64), _round9_array(grid).T.view(np.int64))
+
     def test_json_line_rejects_nan(self):
         with pytest.raises(ValueError):
             json_line({"x": float("nan")})
@@ -215,6 +244,24 @@ class TestJsonRecords:
         }[kind] % huge
         with pytest.raises(ParseError, match=f"^line 2: bad {kind} record: int too large to convert to float$"):
             reader([good, line])
+
+    @pytest.mark.parametrize("value", ["true", "false", "null", '"1"', "[1]", "[]", '{"x": 1}'])
+    @pytest.mark.parametrize("kind", READERS)
+    def test_a_number_list_holds_only_ints_and_floats(self, kind, value):
+        reader, good = READERS[kind]
+        line = {
+            "annotation": '{"image_id": "b", "width": 64, "height": 48, '
+                          '"instances": [{"points": [0, 0, 4.5, 0, 4, %s]}]}',
+            "signature": '{"image_id": "a", "instance_id": "j", "coeffs": [0, 0, 1.5, 0, 0, %s]}',
+            "detection": '{"image_id": "a", "score": 0.5, "points": [0, 0, 4.5, 0, 4, %s]}',
+        }[kind]
+        what = "coeffs" if kind == "signature" else "points"
+        with pytest.raises(ParseError, match=f"^line 2: (bad {kind} record: )?{what} must be a flat list of numbers$"):
+            reader([good, line % value])
+        reader([good, line % "4"])  # ints and floats together are read
+        if kind == "annotation":
+            with pytest.raises(InvalidPolygon, match="^line 2: points must be a flat list of numbers$"):
+                reader([good, line.replace("[0, 0, 4.5, 0, 4, %s]", "7")])
 
     def test_an_annotation_error_keeps_its_one_line_prefix(self):
         reader, good = READERS["annotation"]
