@@ -18,7 +18,6 @@ many points it had to clamp.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .config import DEFAULT_SUBSET_THRESHOLD, MAX_IMAGE_SIDE, MAX_VERTICES
 from .errors import DegenerateContour, InvalidPolygon, ParseError
 from .geometry import Contour, _removal_deltas
 from .records import _Frozen
-from .serialize import _json_records, _number_list
+from .serialize import _json_records, _json_text, _number_list
 
 __all__ = [
     "TextInstance",
@@ -157,8 +156,9 @@ def parse_delimited(lines, drop_transcription: bool = True) -> list[TextInstance
 
 
 def write_jsonl(images, fmt=lambda x: x) -> list[str]:
-    """Serialize AnnotatedImages back to JSON-lines.  `fmt` maps floats before
-    dumping (callers pass the 9-significant-digit formatter)."""
+    """Serialize AnnotatedImages back to JSON-lines, through serialize's JSON
+    text step.  `fmt` maps floats before dumping (callers pass round9, the
+    9-significant-digit formatter)."""
     lines = []
     for img in images:
         obj = {
@@ -174,7 +174,7 @@ def write_jsonl(images, fmt=lambda x: x) -> list[str]:
                 for inst in img.instances
             ],
         }
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        lines.append(_json_text(obj))
     return lines
 
 

@@ -29,12 +29,12 @@ from .annotations import curved_subset_select, parse_jsonl, write_jsonl
 from .config import NAME_CHARS, Config, apply_overrides, load_config
 from .decode import decode_all
 from .errors import ConfigError, GeometryError, ParseError
-from .evaluation import detection_line, evaluate, fmeasure, parse_detections
-from .fourier import FourierSignature, coeffs_to_flat, embed_many, fit_by_degree, parse_signatures, reconstruct_many
-from .fourier import signature_line
+from .evaluation import detection_lines, evaluate, fmeasure, parse_detections
+from .fourier import FourierSignature, embed_many, fit_by_degree, parse_signatures, reconstruct_many
+from .fourier import reconstruction_lines, signature_lines
 from .losses import LossSums, image_loss
 from .mapdir import map_dirs, read_loss_levels, read_prediction_maps, write_target_maps
-from .serialize import _json_text, _round9_array, fmt9, json_line, round9
+from .serialize import fmt9, json_line, round9
 from .svg import render_svg
 from .targets import generate_targets
 
@@ -142,10 +142,7 @@ def cmd_embed(args, cfg: Config) -> int:
 
     def one(img) -> list[str]:
         coeffs = embed_many([inst.polygon for inst in img.instances], cfg.k, cfg.n)
-        return [
-            signature_line(img.image_id, inst.id, cfg.k, inst.ignore, flat)
-            for inst, flat in zip(img.instances, coeffs_to_flat(coeffs).tolist())
-        ]
+        return signature_lines(img.image_id, img.instances, coeffs)
 
     blocks = _pmap(one, images, args.jobs)
     _write_lines(args.out, (line for block in blocks for line in block))
@@ -154,16 +151,12 @@ def cmd_embed(args, cfg: Config) -> int:
 
 def cmd_reconstruct(args, cfg: Config) -> int:
     """One reconstruct_many call per run of consecutive records of one image
-    and one degree, its points rounded as one block."""
+    and one degree, its lines written as one block."""
     records = parse_signatures(_read_lines(args.signatures))
     runs = [list(run) for _, run in groupby(records, key=lambda record: (record[0], record[2].degree))]
 
     def one(run) -> list[str]:
-        points = _round9_array(reconstruct_many([sig for _, _, sig in run], cfg.n_prime))
-        return [
-            _json_text({"image_id": image_id, "instance_id": instance_id, "points": flat})
-            for (image_id, instance_id, _), flat in zip(run, points.reshape(len(run), -1).tolist())
-        ]
+        return reconstruction_lines(run, reconstruct_many([sig for _, _, sig in run], cfg.n_prime))
 
     blocks = _pmap(one, runs, args.jobs)
     _write_lines(args.out, (line for block in blocks for line in block))
@@ -267,9 +260,9 @@ def cmd_decode(args, cfg: Config) -> int:
         maps = read_prediction_maps(img_dir)
         try:
             detections = decode_all(maps, cfg.score_thresh, cfg.nms_iou, cfg.n_prime, cfg.iou_supersample)
-        except ValueError as exc:  # decode_level's candidate bound names the level
+        except ValueError as exc:  # the candidate bound of decode._decode_cells names the level
             raise ParseError(f"{img_dir.name}/{exc}") from None
-        return [detection_line(maps.image_id, det) for det in detections]
+        return detection_lines(maps.image_id, detections)
 
     blocks = _pmap(one, map_dirs(args.maps_dir), args.jobs)
     _write_lines(args.out, (line for block in blocks for line in block))

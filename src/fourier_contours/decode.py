@@ -250,11 +250,12 @@ def decode_all(
     runs level by level in declared order, each level row-major, so equal
     scores go to the earlier level, then the earlier cell.
 
-    The pool is one (M, n_points, 2) array, sized from the levels' candidate
-    cells and filled by decode_level level by level.  maps.levels is
-    iterated once, and each level dropped once its candidates are in the
-    pool: the maps of mapdir.read_prediction_maps, read as iteration reaches
-    them, are then freed before NMS.
+    The pool is one (M, n_points, 2) array, sized from the candidate cells
+    that _candidates finds on each level and filled by _decode_cells level by
+    level, which applies the candidate bound.  maps.levels is iterated once,
+    and each level dropped once its candidates are in the pool: the maps of
+    mapdir.read_prediction_maps, read as iteration reaches them, are then
+    freed before NMS.
     """
     levels = list(maps.levels)
     if not levels:

@@ -8,7 +8,9 @@ is how do-not-care regions stay out of the score.  Matching is one-to-one:
 a second detection on an already matched ground truth is a false positive.
 
 The detection line that `fctool decode` writes and `fctool eval` reads is
-this module's: detection_line writes it, parse_detections reads it.
+this module's: detection_lines writes an image's detections, their points
+rounded as one block by serialize._record_lines, and parse_detections reads
+them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import numpy as np
 
 from .config import DEFAULT_EVAL_IOU, DEFAULT_SUPERSAMPLE, cell_count
 from .geometry import Contour, contour_spans_many, spans_iou
-from .serialize import _json_records, _number_list, json_line
+from .serialize import _json_records, _number_list, _record_lines
 
 __all__ = ["Detection", "parse_detections", "MatchRecord", "EvalReport", "evaluate", "fmeasure"]
 
 # How far, in image sides, a candidate's bounding box may reach past the
-# image before decode.decode_level rejects it.  Rasterizing a contour costs
-# memory linear in its box, so a regression map with huge finite values must
-# fail in decode, not in NMS; parse_detections bounds detections the same way.
+# image before decode._decode_cells, under decode_all and decode_level,
+# rejects it.  Rasterizing a contour costs memory linear in its box, so a
+# regression map with huge finite values must fail in decode, not in NMS;
+# parse_detections bounds detections the same way.
 _CANDIDATE_MARGIN = 1.0
 
 
@@ -44,13 +47,14 @@ def _beyond_margin(coords: np.ndarray, side: float) -> np.ndarray:
     return (coords.min(axis=-1) < -margin) | (coords.max(axis=-1) > side + margin)
 
 
-def detection_line(image_id: str, det: Detection) -> str:
-    """The JSON line, as parse_detections reads it, of a detection of image_id."""
-    return json_line({"image_id": image_id, "level": det.level, "score": det.score, "points": det.contour.flat()})
+def detection_lines(image_id: str, detections) -> list[str]:
+    """The JSON lines, as parse_detections reads them, of image_id's detections."""
+    heads = [{"image_id": image_id, "level": det.level, "score": det.score} for det in detections]
+    return _record_lines(heads, "points", [det.contour.vertices for det in detections])
 
 
 def parse_detections(lines, images=(), strides=()) -> dict[str, list[Detection]]:
-    """Detections by image id, from detection_line's JSON lines; a bad line
+    """Detections by image id, from detection_lines' JSON lines; a bad line
     raises ParseError naming it.  A detection of one of `images` that reaches
     more than _CANDIDATE_MARGIN image sides past the largest area a map at
     one of `strides` covers (each side rounded up to the stride) is a bad

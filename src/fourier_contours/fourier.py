@@ -29,7 +29,7 @@ from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAU
 from .errors import ChannelCountMismatch, DegreeTooLarge, InvalidPolygon, NonFinite
 from .geometry import Contour, ResampledContour, _cuts, _resample_many, contour_spans_many, spans_iou
 from .records import _Frozen
-from .serialize import _json_records, _number_list, json_line
+from .serialize import _json_records, _number_list, _record_lines
 
 __all__ = [
     "FourierSignature",
@@ -99,7 +99,10 @@ def flat_to_coeffs(flat) -> np.ndarray:
         raise ChannelCountMismatch(
             f"flat signature length must be 2 * (2K + 1), got {m}"
         )
-    return arr[..., 0::2] + 1j * arr[..., 1::2]
+    # 1j * inf is nan + inf j: a non-finite value stays non-finite, for the
+    # caller's finiteness check to report, and raises no numpy warning
+    with np.errstate(invalid="ignore"):
+        return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
 def coeffs_to_flat(coeffs) -> np.ndarray:
@@ -223,14 +226,25 @@ def _embed_many(verts, k: int, n: int) -> tuple[np.ndarray, list]:
     return coeffs, errors
 
 
-def signature_line(image_id: str, instance_id: str, k: int, ignore: bool, flat: list) -> str:
-    """The JSON line, as parse_signatures reads it, of a degree-k signature in its flat layout."""
-    return json_line({"image_id": image_id, "instance_id": instance_id, "k": k, "ignore": ignore, "coeffs": flat})
+def signature_lines(image_id: str, instances, coeffs: np.ndarray) -> list[str]:
+    """The JSON lines, as parse_signatures reads them, of the signatures
+    coeffs (N, 2K + 1) of image_id's instances (each with .id and .ignore),
+    in the flat layout, the degree K read from the width of coeffs."""
+    k = (coeffs.shape[-1] - 1) // 2
+    heads = [{"image_id": image_id, "instance_id": inst.id, "k": k, "ignore": inst.ignore} for inst in instances]
+    return _record_lines(heads, "coeffs", coeffs_to_flat(coeffs))
+
+
+def reconstruction_lines(records, points: np.ndarray) -> list[str]:
+    """The JSON line of each reconstruction points[i] (n', 2) of
+    parse_signatures' record records[i]: its ids, then its flat points."""
+    heads = [{"image_id": image_id, "instance_id": instance_id} for image_id, instance_id, _ in records]
+    return _record_lines(heads, "points", points)
 
 
 def parse_signatures(lines) -> list[tuple]:
     """(image_id, instance_id, FourierSignature) of each signature record, the
-    JSON lines signature_line writes; a bad line raises ParseError naming it."""
+    JSON lines signature_lines writes; a bad line raises ParseError naming it."""
 
     def parse(obj: dict, lineno: int) -> tuple:
         image_id, instance_id = obj["image_id"], obj["instance_id"]

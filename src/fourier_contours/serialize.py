@@ -9,9 +9,10 @@ Tensor file layout (all little-endian):
 
 Text outputs format every float with 9 significant digits.  Formatted values
 are re-parsed before JSON serialization so json.dumps prints the shortest
-round-trip form, which is stable across platforms.  A block of floats can be
+round-trip form, which is stable across platforms.  A block of floats is
 rounded in a few array operations instead (_round9_array), to the same
-floats.
+floats: _record_lines, the writer of signature, reconstruction and detection
+lines, rounds one block per image or run.  _json_text is the one JSON text step.
 """
 
 from __future__ import annotations
@@ -130,9 +131,7 @@ def _rounded(obj):
     if isinstance(obj, dict):
         return {key: _rounded(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # a plain float is rounded here as round9 rounds it, so a list of
-        # coordinates makes no call per value
-        return [float(f"{v:.9g}") if type(v) is float else _rounded(v) for v in obj]
+        return [_rounded(value) for value in obj]
     return obj
 
 
@@ -145,6 +144,22 @@ def _json_text(obj) -> str:
     """json_line's text of obj, whose floats are rounded already: by
     round9, or a block of them by _round9_array."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def _record_lines(heads, key, arrays) -> list[str]:
+    """json_line of each record {**heads[i], key: arrays[i] flattened}, the
+    arrays rounded by one _round9_array call over their concatenation, so
+    each record's values are one row of that block.  The arrays may differ
+    in size; no records give no lines."""
+    sizes = [np.size(a) for a in arrays]
+    if not sizes:
+        return []
+    block = _round9_array(np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)).tolist()
+    stops = np.cumsum(sizes).tolist()
+    return [
+        _json_text({**_rounded(head), key: block[stop - size:stop]})
+        for head, size, stop in zip(heads, sizes, stops)
+    ]
 
 
 def _json_records(lines, what: str, parse) -> list:

@@ -1466,6 +1466,94 @@ class TestMalformedAnnotations:
         assert peak < 16 * 2**20
 
 
+def _check_exit(argv) -> None:
+    """main(argv) exits 0 with nothing on stderr, 2 with an `error: `
+    message or 3 with a `config error: ` one."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    prefix = {0: "", 2: "error: ", 3: "config error: "}
+    assert code in prefix, (argv[0], code, err.getvalue())
+    assert err.getvalue().startswith(prefix[code]) and (code or not err.getvalue()), (argv[0], err.getvalue())
+
+
+# a line that is no JSON object, or no JSON at all
+NOT_AN_OBJECT = st.one_of(
+    st.text(max_size=8),
+    st.one_of(st.integers(), st.floats(), st.none(), st.lists(st.integers(), max_size=2)).map(json.dumps),
+)
+# one valid degree-1 signature line (a circle), and what can be wrong with it
+VALID_SIGNATURE = {"image_id": "a", "instance_id": "t0", "k": 1, "ignore": False, "coeffs": [0, 0, 32, 20, 10, 0]}
+ANY_NUMBER = st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.sampled_from([10**400, 1e300, -1e308, 5e-324]))
+BAD_COEFFS = st.one_of(
+    st.lists(ANY_NUMBER, max_size=14),  # of every length, 2 (K = 0) to 14 (K = 3) among them
+    st.lists(ANY_NUMBER, min_size=6, max_size=6),
+    st.lists(
+        st.one_of(ANY_NUMBER, st.text(max_size=2), st.none(), st.booleans(), st.lists(st.integers(), max_size=2)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.one_of(st.text(max_size=4), st.integers(), st.none(), st.dictionaries(st.text(max_size=2), st.integers())),
+)
+NOT_A_STRING = st.one_of(st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=1))
+MUTATED_SIGNATURE = st.one_of(
+    st.sampled_from(sorted(VALID_SIGNATURE)).map(lambda key: {k: v for k, v in VALID_SIGNATURE.items() if k != key}),
+    st.tuples(st.sampled_from(["image_id", "instance_id"]), st.one_of(st.text(max_size=3), NOT_A_STRING)).map(
+        lambda kv: {**VALID_SIGNATURE, kv[0]: kv[1]}
+    ),
+    BAD_COEFFS.map(lambda v: {**VALID_SIGNATURE, "coeffs": v}),
+)
+
+
+class TestMalformedSignatures:
+    @settings(max_examples=150, deadline=None)
+    @given(line=st.one_of(MUTATED_SIGNATURE.map(json.dumps), NOT_AN_OBJECT))
+    @example(line=json.dumps({**VALID_SIGNATURE, "coeffs": [0, 0, 1e300, 0, 0, 0]}))
+    @example(line=json.dumps({**VALID_SIGNATURE, "coeffs": [0, 0, 10**400, 0, 0, 0]}))
+    @example(line=json.dumps({**VALID_SIGNATURE, "coeffs": [0, 0, float("nan"), 0, 0, 0]}))
+    @example(line=json.dumps({**VALID_SIGNATURE, "coeffs": [1e306, -1e306, 0, 0, 1e306, 0]}))
+    @example(line=json.dumps({**VALID_SIGNATURE, "coeffs": [7, -3]}))
+    @example(line=json.dumps({**VALID_SIGNATURE, "coeffs": [0, 0, 0, 0, 0, float("inf")]}))  # 1j * inf is nan
+    def test_any_bad_line_is_exit_0_2_or_3(self, line):
+        # the bad line between two good ones, so runs of one image and degree split around it
+        good = json.dumps(VALID_SIGNATURE)
+        with tempfile.TemporaryDirectory() as name:
+            sigs = Path(name) / "sigs.jsonl"
+            sigs.write_text(f"{good}\n{line}\n{good}\n", encoding="utf-8")
+            for n_prime in (3, 50):
+                _check_exit([f"--set=n_prime={n_prime}", "reconstruct", str(sigs), "-o", str(Path(name) / "out")])
+
+
+# one valid detection line of VALID_RECORD's image, and what can be wrong with it
+VALID_DETECTION = {"image_id": "a", "level": "P3", "score": 0.9, "points": [8, 8, 56, 8, 56, 32, 8, 32]}
+MUTATED_DETECTION = st.one_of(
+    st.sampled_from(sorted(VALID_DETECTION)).map(lambda key: {k: v for k, v in VALID_DETECTION.items() if k != key}),
+    st.one_of(st.text(max_size=3), NOT_A_STRING).map(lambda v: {**VALID_DETECTION, "image_id": v}),
+    st.one_of(ANY_NUMBER, st.booleans(), st.text(max_size=3), st.none()).map(lambda v: {**VALID_DETECTION, "score": v}),
+    st.one_of(NOT_A_STRING, st.booleans()).map(lambda v: {**VALID_DETECTION, "level": v}),
+    st.one_of(BAD_POINTS, st.lists(ANY_NUMBER, min_size=6, max_size=8)).map(lambda v: {**VALID_DETECTION, "points": v}),
+)
+
+
+class TestMalformedDetections:
+    @settings(max_examples=150, deadline=None)
+    @given(line=st.one_of(MUTATED_DETECTION.map(json.dumps), NOT_AN_OBJECT))
+    @example(line=json.dumps({**VALID_DETECTION, "score": 10**400}))
+    @example(line=json.dumps({**VALID_DETECTION, "score": float("inf")}))
+    @example(line=json.dumps({**VALID_DETECTION, "points": [8, 8, 1e300, 8, 56, 32]}))
+    @example(line=json.dumps({**VALID_DETECTION, "points": [8, 8, 10**400, 8, 56, 32]}))
+    @example(line=json.dumps({**VALID_DETECTION, "points": [8, 8, 8, 8, 8, 8]}))
+    def test_any_bad_line_is_exit_0_2_or_3(self, line):
+        good = json.dumps(VALID_DETECTION)
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            (tmp / "ann.jsonl").write_text(json.dumps(VALID_RECORD) + "\n", encoding="utf-8")
+            (tmp / "dets.jsonl").write_text(f"{good}\n{line}\n", encoding="utf-8")
+            dets = str(tmp / "dets.jsonl")
+            _check_exit(["eval", "--detections", dets, "--annotations", str(tmp / "ann.jsonl"), "-o", str(tmp / "out")])
+            _check_exit(["plot", str(tmp / "ann.jsonl"), "--detections", dets, "--out-dir", str(tmp / "plot")])
+
+
 # strategies for what can be wrong with a map directory: a meta.json field,
 # a level entry's field, a .fct header word, a truncated or overwritten payload
 ANY_VALUE = st.one_of(

@@ -2,7 +2,9 @@
 config, which holds the operating point, is a leaf above errors and records.
 mapdir, the map format and its records, sits right above serialize, so the
 map readers load neither the annotation parser nor the target painter; and
-evaluation, which reads the detection lines, loads no stage above geometry."""
+evaluation, which reads the detection lines, loads no stage above geometry.
+cli reaches no private name of the modules it drives, and all JSON text comes
+from serialize."""
 
 import ast
 from pathlib import Path
@@ -62,3 +64,28 @@ def test_eval_reads_detections_without_decode_fourier_or_map_layers():
     tree = ast.parse((PACKAGE / "evaluation.py").read_text(encoding="utf-8"))
     assert {"Detection", "parse_detections"} <= {node.name for node in tree.body if hasattr(node, "name")}
     assert not reachable("evaluation") & {"decode", "fourier", "mapdir", "targets", "annotations"}
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert names and not [name for name in names if name.startswith("_")]
+
+
+def calls_json_dumps(module: str) -> bool:
+    """Whether `module` names json.dumps, as an attribute of json or imported from it."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return any(
+        (isinstance(node, ast.Attribute) and node.attr == "dumps" and getattr(node.value, "id", None) == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json" and "dumps" in {a.name for a in node.names})
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_serialize_writes_json_text():
+    assert [module for module in LAYERS if calls_json_dumps(module)] == ["serialize"]

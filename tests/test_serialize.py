@@ -12,11 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_contours import InvalidPolygon, ParseError, parse_detections, parse_jsonl, parse_signatures, read_tensor
-from fourier_contours import write_tensor
+from fourier_contours import serialize, write_tensor
+from fourier_contours.annotations import TextInstance
 from fourier_contours.config import MAX_IMAGE_SIDE, MAX_RECON_POINTS, MAX_SAMPLES, MAX_SUPERSAMPLE, Config
 from fourier_contours.config import apply_overrides, load_config
 from fourier_contours.config import parse_levels
 from fourier_contours.errors import ConfigError
+from fourier_contours.evaluation import Detection, detection_lines
+from fourier_contours.fourier import reconstruction_lines, signature_lines
+from fourier_contours.geometry import Contour
 from fourier_contours.serialize import _round9_array, fmt9, json_line, round9
 from fourier_contours.svg import render_svg
 
@@ -207,6 +211,75 @@ class TestNumberFormatting:
     def test_json_line_rejects_nan(self):
         with pytest.raises(ValueError):
             json_line({"x": float("nan")})
+
+
+# floats that _round9_array hands to round9 (zeros, powers of ten, exact
+# 9-digit ties, exponents out of its range), then any finite float
+FALLBACK_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -10.0, 1e8, 1e9, 1e22, 1e-14, 1e-20, 1e30,
+                   123456789.5, -1234567895.0, 12345678.25, 100000000.5]
+FINITE = st.one_of(st.sampled_from(FALLBACK_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def finite_array(data, *shape) -> np.ndarray:
+    values = data.draw(st.lists(FINITE, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+class TestRecordLines:
+    """Each block writer's lines are json_line's bytes on the same records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(0, 3), count=st.integers(0, 5), data=st.data())
+    def test_signature_lines_are_json_lines(self, k, count, data):
+        flat = finite_array(data, count, 2 * (2 * k + 1))
+        instances = [TextInstance(None, data.draw(st.booleans()), f"t{i}") for i in range(count)]
+        # the interleaved layout is the memory of the complex coefficients
+        lines = signature_lines("img", instances, flat.view(np.complex128))
+        assert lines == [
+            json_line({"image_id": "img", "instance_id": inst.id, "k": k, "ignore": inst.ignore, "coeffs": row})
+            for inst, row in zip(instances, flat.tolist())
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_points=st.integers(3, 6), count=st.integers(0, 5), data=st.data())
+    def test_reconstruction_lines_are_json_lines(self, n_points, count, data):
+        points = finite_array(data, count, n_points, 2)
+        records = [(f"img{i % 2}", f"t{i}", None) for i in range(count)]
+        assert reconstruction_lines(records, points) == [
+            json_line({"image_id": image_id, "instance_id": instance_id, "points": row.ravel().tolist()})
+            for (image_id, instance_id, _), row in zip(records, points)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(3, 7), max_size=5), data=st.data())
+    def test_ragged_detection_lines_are_json_lines(self, sizes, data):
+        detections = [
+            Detection(Contour(finite_array(data, m, 2)), data.draw(FINITE), data.draw(st.sampled_from(["", "P3"])))
+            for m in sizes
+        ]
+        assert detection_lines("img", detections) == [
+            json_line({"image_id": "img", "level": det.level, "score": det.score, "points": det.contour.flat()})
+            for det in detections
+        ]
+
+    def test_empty_blocks_give_no_lines(self):
+        assert signature_lines("img", [], np.zeros((0, 11), dtype=np.complex128)) == []
+        assert reconstruction_lines([], np.zeros((0, 50, 2))) == []
+        assert detection_lines("img", []) == []
+
+    def test_each_writer_rounds_one_block(self, monkeypatch, rng):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return _round9_array(x)
+
+        monkeypatch.setattr(serialize, "_round9_array", counted)
+        square = Contour([[0, 0], [1, 0], [1, 1], [0, 1]])
+        signature_lines("img", [TextInstance(square, False, "t0")] * 3, rng.normal(size=(3, 22)).view(np.complex128))
+        reconstruction_lines([("img", "t0", None)] * 4, rng.normal(size=(4, 50, 2)))
+        detection_lines("img", [Detection(square, 0.5), Detection(Contour(rng.normal(size=(7, 2))), 0.25)])
+        assert calls == [3 * 22, 4 * 100, 8 + 14]
 
 
 # the three JSON-lines readers, each with one good line of its kind
