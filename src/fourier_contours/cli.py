@@ -6,7 +6,10 @@ floats are formatted with 9 significant digits, iteration orders are fixed,
 and every command maps a pure per-image or per-record function through
 _pmap, whose threads collect results in order, so --jobs never changes a
 single output byte.  _pmap's pool is plain threading.Thread workers, which
-numpy has already imported; no run loads concurrent.futures.
+numpy has already imported; no run loads concurrent.futures.  At module
+level cli imports only config, errors and serialize; each command imports
+the names it runs at its top, in the main thread before _pmap starts a
+worker, so a process compiles only the modules its command needs.
 
 Exit codes: 0 success, 1 the reader of standard output closed it, 2 malformed
 input, 3 bad configuration.
@@ -25,18 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import curved_subset_select, parse_jsonl, write_jsonl
 from .config import NAME_CHARS, Config, apply_overrides, load_config
-from .decode import decode_all
 from .errors import ConfigError, GeometryError, ParseError
-from .evaluation import detection_lines, evaluate, fmeasure, parse_detections
-from .fourier import FourierSignature, embed_many, fit_by_degree, parse_signatures, reconstruct_many
-from .fourier import reconstruction_lines, signature_lines
-from .losses import LossSums, image_loss
-from .mapdir import map_dirs, read_loss_levels, read_prediction_maps, write_target_maps
 from .serialize import fmt9, json_line, round9
-from .svg import render_svg
-from .targets import generate_targets
 
 _INPUT_ERRORS = (ParseError, GeometryError, ValueError, OSError, KeyError)
 
@@ -127,6 +121,8 @@ def _config_header(cfg: Config) -> str:
 
 
 def _parse_annotations(path: str):
+    from .annotations import parse_jsonl
+
     images, clamped = parse_jsonl(_read_lines(path))
     if clamped:
         print(f"warning: clamped {clamped} out-of-bounds points", file=sys.stderr)
@@ -138,6 +134,8 @@ def _parse_annotations(path: str):
 
 
 def cmd_embed(args, cfg: Config) -> int:
+    from .fourier import embed_many, signature_lines
+
     images = _parse_annotations(args.annotations)
 
     def one(img) -> list[str]:
@@ -152,6 +150,8 @@ def cmd_embed(args, cfg: Config) -> int:
 def cmd_reconstruct(args, cfg: Config) -> int:
     """One reconstruct_many call per run of consecutive records of one image
     and one degree, its lines written as one block."""
+    from .fourier import parse_signatures, reconstruct_many, reconstruction_lines
+
     records = parse_signatures(_read_lines(args.signatures))
     runs = [list(run) for _, run in groupby(records, key=lambda record: (record[0], record[2].degree))]
 
@@ -187,6 +187,11 @@ def _median(values: list) -> float:
 def cmd_fidelity(args, cfg: Config) -> int:
     """Mean and median IoU and mean squared truncation error of each degree's
     reconstruction over the cared-for instances, one fit_by_degree per image."""
+    from .fourier import fit_by_degree
+
+    if args.svg_dir:
+        from .svg import render_svg
+
     images = _parse_annotations(args.annotations)
     degrees = sorted({_degree(tok) for tok in args.degrees.split(",")}) if args.degrees else [cfg.k]
     if any(deg < 1 for deg in degrees):
@@ -239,6 +244,9 @@ def cmd_fidelity(args, cfg: Config) -> int:
 
 
 def cmd_targets(args, cfg: Config) -> int:
+    from .mapdir import write_target_maps
+    from .targets import generate_targets
+
     images = _parse_annotations(args.annotations)
     dirnames = _safe_dir_names(images)
     out_root = Path(args.out_dir)
@@ -256,6 +264,10 @@ def cmd_targets(args, cfg: Config) -> int:
 
 
 def cmd_decode(args, cfg: Config) -> int:
+    from .decode import decode_all
+    from .evaluation import detection_lines
+    from .mapdir import map_dirs, read_prediction_maps
+
     def one(img_dir: Path) -> list[str]:
         maps = read_prediction_maps(img_dir)
         try:
@@ -270,6 +282,9 @@ def cmd_decode(args, cfg: Config) -> int:
 
 
 def cmd_loss(args, cfg: Config) -> int:
+    from .losses import LossSums, image_loss
+    from .mapdir import map_dirs, read_loss_levels
+
     gt_dirs = map_dirs(args.gt_dir)
     pred_root = Path(args.pred_dir)
 
@@ -297,6 +312,8 @@ def cmd_loss(args, cfg: Config) -> int:
 
 
 def cmd_eval(args, cfg: Config) -> int:
+    from .evaluation import evaluate, fmeasure, parse_detections
+
     images = _parse_annotations(args.annotations)
     grouped = parse_detections(_read_lines(args.detections), images, [spec.stride for spec in cfg.levels])
     unknown = sorted(set(grouped) - {img.image_id for img in images})
@@ -344,6 +361,8 @@ def cmd_eval(args, cfg: Config) -> int:
 
 
 def cmd_subset(args, cfg: Config) -> int:
+    from .annotations import curved_subset_select, write_jsonl
+
     images = _parse_annotations(args.annotations)
 
     def one(img):  # None when no instance is curved
@@ -359,9 +378,20 @@ def cmd_subset(args, cfg: Config) -> int:
 
 
 def cmd_plot(args, cfg: Config) -> int:
+    """Annotations in green; in red the detections of --detections, or else
+    each cared-for instance's reconstruction."""
+    from .svg import render_svg
+
     images = _parse_annotations(args.annotations)
     dirnames = _safe_dir_names(images)
-    grouped = parse_detections(_read_lines(args.detections)) if args.detections else None
+    if args.detections:
+        from .evaluation import parse_detections
+
+        grouped = parse_detections(_read_lines(args.detections))
+    else:
+        from .fourier import FourierSignature, embed_many, reconstruct_many
+
+        grouped = None
     out_root = Path(args.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -460,8 +490,9 @@ def main(argv=None) -> int:
     """Run one fctool command; returns the exit code.  argv None means the
     program entry (the console script, `python -m`): the objects the imports
     made then live until exit, so gc.freeze() keeps them out of every later
-    collection, the full ones at interpreter exit included.  A caller that
-    passes argv keeps its collector as it was."""
+    collection, the full ones at interpreter exit included.  It freezes
+    again once the command returns, for the modules the command imported.  A
+    caller that passes argv keeps its collector as it was."""
     if argv is None:
         gc.freeze()
     args = build_parser().parse_args(argv)
@@ -471,6 +502,8 @@ def main(argv=None) -> int:
         if not 1 <= args.jobs <= MAX_JOBS:
             raise ConfigError(f"--jobs must lie in [1, {MAX_JOBS}], got {args.jobs}")
         code = args.func(args, cfg)
+        if argv is None:
+            gc.freeze()
         # flushed here, so a reader that is gone fails inside this block
         sys.stdout.flush()
         return code

@@ -209,7 +209,7 @@ class TestEmbedReconstruct:
         good = sig_path.read_text(encoding="utf-8").splitlines()[0]
         sig_path.write_text(good + "\n\n" + '{"image_id": "x"}\n', encoding="utf-8")
         calls = []
-        monkeypatch.setattr(cli, "reconstruct_many", lambda *a: calls.append(a))
+        monkeypatch.setattr(fourier, "reconstruct_many", lambda *a: calls.append(a))
         code, out, err = run(["reconstruct", str(sig_path)], capsys)
         assert code == 2 and out == "" and calls == []
         assert "line 3: bad signature record" in err
@@ -918,13 +918,14 @@ class TestGlobalBehavior:
 
     def test_import_budget(self, corpus, tmp_path, capsys):
         """A process pays for no generated record code and no pool machinery;
-        every module the tracer patches is loaded."""
+        every module the tracer patches is in sys.modules."""
         code, out, _ = run(["embed", str(corpus)], capsys)
         sigs = tmp_path / "sigs.jsonl"
         sigs.write_text("".join(line + "\n" for line in out.splitlines()[:2]), encoding="utf-8")
         # perfbench/tracer.py looks these up in sys.modules after importing
-        # fourier_contours.cli, so this pin is the tracer's contract until the
-        # tracer imports what it traces (ROADMAP.md, item 1)
+        # fourier_contours.cli, where the package registers them as lazy
+        # modules, so this pin is the tracer's contract until the tracer
+        # imports what it traces (ROADMAP.md, item 1)
         traced = ["annotations", "geometry", "fourier", "targets", "decode", "losses", "evaluation", "serialize", "cli"]
         script = (
             "import json, sys\n"
