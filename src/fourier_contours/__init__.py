@@ -14,9 +14,9 @@ modules' __all__, in the order listed, on first use.  So a command loads
 only the modules it runs.  Before Python 3.12 two threads that first touch
 one lazy module at once can race, so a caller loads every module it needs
 before it starts threads (fctool imports each command's names at the top of
-the command).  cli, svg, synth and records are imported by module path and
-not registered: runpy warns when `python -m fourier_contours.cli` finds cli
-in sys.modules already.
+the command).  cli, svg, synth, records and contours are imported by module
+path and not registered: runpy warns when `python -m fourier_contours.cli`
+finds cli in sys.modules already.
 """
 
 import sys
@@ -46,7 +46,13 @@ del _name
 
 def __getattr__(name: str):
     """__all__, or a public name from the first module whose __all__ holds
-    it; bound in the package on first use, as a star import would bind it."""
+    it; bound in the package on first use, as a star import would bind it.
+    A submodule not imported yet is no attribute: `from fourier_contours
+    import synth` asks for it here first and imports it when this raises, so
+    that spelling loads no module that `import fourier_contours.synth` does
+    not."""
+    if "." not in name and find_spec(f"{__name__}.{name}") is not None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if name == "__all__":
         value = [public for module in _MODULES for public in globals()[module].__all__]
     else:

@@ -22,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_NMS_IOU, DEFAULT_RECON_POINTS, DEFAULT_SCORE_THRESH, DEFAULT_SUPERSAMPLE, cell_centers
+from .contours import Contour, _cuts
 from .errors import InvalidPolygon, ShapeMismatch
 from .evaluation import _CANDIDATE_MARGIN, Detection, _beyond_margin
 from .fourier import evaluate_series, flat_to_coeffs
-from .geometry import Contour, ContourSpans, _check_extent, _cuts, contour_spans, contour_spans_many, spans_iou
+from .geometry import ContourSpans, _check_extent, contour_spans, contour_spans_many, spans_iou
 from .mapdir import LevelPrediction, PredictionMaps
 
 __all__ = ["score_map", "decode_level", "poly_nms", "decode_all"]

@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAULT_SUPERSAMPLE
-from .errors import ChannelCountMismatch, DegreeTooLarge, InvalidPolygon, NonFinite
-from .geometry import Contour, ResampledContour, _cuts, _resample_many, contour_spans_many, spans_iou
+from .contours import Contour, ResampledContour, _cuts
+from .errors import ChannelCountMismatch, DegreeTooLarge, InvalidPolygon, NonFinite, ParseError
 from .records import _Frozen
 from .serialize import _json_records, _number_list, _record_lines
 
@@ -150,7 +150,7 @@ def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
 
 def _build_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
     """_dft_basis' array, built in row blocks of about
-    geometry._BATCH_ELEMENTS, so the build holds little beyond the basis
+    contours._BATCH_ELEMENTS, so the build holds little beyond the basis
     itself."""
     t = np.arange(n) / n
     ks = np.arange(n) if degree is None else np.arange(-degree, degree + 1)
@@ -174,7 +174,7 @@ def fourier_coefficients(points, k: int) -> FourierSignature:
 def _coefficient_rows(points: np.ndarray, k: int) -> np.ndarray:
     """The degree-k coefficients (N, 2k + 1) of each (n, 2) sample block in
     points (N, n, 2), as fourier_coefficients sums them: (N, 2k + 1, n)
-    basis products in blocks of about geometry._BATCH_ELEMENTS, each row
+    basis products in blocks of about contours._BATCH_ELEMENTS, each row
     summed on its own, so every value equals the one-contour value bit for
     bit."""
     n = points.shape[1]
@@ -218,6 +218,13 @@ def _embed_many(verts, k: int, n: int) -> tuple[np.ndarray, list]:
     (N, 2k + 1), and errors[i] the GeometryError polygon i raises, or None,
     where its coefficients are zeros.  One _resample_many and one
     _coefficient_rows call."""
+    # geometry is imported here and in fit_by_degree, not at the top, so
+    # reconstruct and loss do not compile it.  fctool's worker threads run
+    # both, and before Python 3.12 a lazy module's first load races across
+    # threads; every command that calls them parses annotations first, in its
+    # main thread, and annotations' import of _removal_deltas loads geometry.
+    from .geometry import _resample_many
+
     points, errors = _resample_many(verts, n)
     good = np.array([err is None for err in errors], dtype=bool)
     coeffs = np.zeros((len(verts), 2 * max(k, 0) + 1), dtype=np.complex128)
@@ -244,15 +251,56 @@ def reconstruction_lines(records, points: np.ndarray) -> list[str]:
 
 def parse_signatures(lines) -> list[tuple]:
     """(image_id, instance_id, FourierSignature) of each signature record, the
-    JSON lines signature_lines writes; a bad line raises ParseError naming it."""
+    JSON lines signature_lines writes; a bad line raises ParseError naming it.
+    Records of one length are checked as one block: one flat_to_coeffs call
+    and one finiteness and magnitude check, each signature's coefficients a
+    row of it.  Where a line or the block fails, or the lengths differ, every
+    record is parsed on its own, so an error names the first bad line as
+    that record's own check words it."""
+    lines = list(lines)
+    try:
+        fields = _json_records(lines, "signature", _signature_fields)
+    except ParseError:
+        fields = []
+    sigs = _signature_block([flat for _, _, flat in fields])
+    if sigs is None:
+        return _json_records(lines, "signature", _signature_record)
+    return [(image_id, instance_id, sig) for (image_id, instance_id, _), sig in zip(fields, sigs)]
 
-    def parse(obj: dict, lineno: int) -> tuple:
-        image_id, instance_id = obj["image_id"], obj["instance_id"]
-        if not isinstance(image_id, str) or not isinstance(instance_id, str):
-            raise TypeError("image_id and instance_id must be strings")
-        return image_id, instance_id, FourierSignature.from_flat(_number_list(obj["coeffs"], "coeffs"))
 
-    return _json_records(lines, "signature", parse)
+def _signature_fields(obj: dict, lineno: int) -> tuple:
+    """(image_id, instance_id, flat coefficient list) of one signature record."""
+    image_id, instance_id = obj["image_id"], obj["instance_id"]
+    if not isinstance(image_id, str) or not isinstance(instance_id, str):
+        raise TypeError("image_id and instance_id must be strings")
+    return image_id, instance_id, _number_list(obj["coeffs"], "coeffs")
+
+
+def _signature_record(obj: dict, lineno: int) -> tuple:
+    image_id, instance_id, flat = _signature_fields(obj, lineno)
+    return image_id, instance_id, FourierSignature.from_flat(flat)
+
+
+def _signature_block(flats: list) -> list | None:
+    """The FourierSignature of each flat coefficient list, all of one length,
+    their coefficients the rows of one read-only array that passed
+    FourierSignature's checks at once; None where there are no lists, the
+    lengths differ or any check fails."""
+    if len({len(flat) for flat in flats}) != 1:
+        return None
+    try:
+        coeffs = flat_to_coeffs(flats)
+    except (ChannelCountMismatch, OverflowError):  # OverflowError: an integer beyond the float range
+        return None
+    if not np.isfinite(coeffs).all() or np.abs(coeffs.view(np.float64)).max() > _SERIES_LIMIT / coeffs.shape[1]:
+        return None
+    coeffs.setflags(write=False)
+    sigs = []
+    for row in coeffs:
+        sig = object.__new__(FourierSignature)  # checked above: skip __init__'s copy and checks
+        _Frozen.__init__(sig, row)
+        sigs.append(sig)
+    return sigs
 
 
 def evaluate_series(coeffs, n_points: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,7 +309,7 @@ def evaluate_series(coeffs, n_points: int, out: np.ndarray | None = None) -> np.
     coeffs may be batched: shape (..., 2K + 1) gives output (..., n_points),
     written into `out` when given: a C-contiguous complex128 array of that
     shape.  The rows are taken in blocks whose (rows, n_points, 2K + 1)
-    products hold about geometry._BATCH_ELEMENTS elements, each block copied
+    products hold about contours._BATCH_ELEMENTS elements, each block copied
     to C order first and each row summed on its own, so no value depends on
     where the blocks fall or on the memory layout of coeffs, and the working
     memory beyond the output does not grow with the number of rows.
@@ -335,7 +383,7 @@ def truncation_l2_error(points, k: int) -> float:
 def truncation_l2_errors(points, degrees) -> list[float]:
     """Mean squared point error of the degree-k reconstruction at the sample
     parameters, for every k in `degrees`, from one n x n DFT, its products
-    taken in row blocks of the basis of about geometry._BATCH_ELEMENTS, and
+    taken in row blocks of the basis of about contours._BATCH_ELEMENTS, and
     the direct check's in blocks of sample columns of the same size.
 
     Each value is computed two ways that must agree to 1e-9 relative:
@@ -404,6 +452,8 @@ def fit_by_degree(
     the largest degree, each degree's series from the centre columns of its
     coefficients and inverse basis, and one contour_spans_many call for the
     contours and all their reconstructions; raises the first contour's error."""
+    from .geometry import _resample_many, contour_spans_many, spans_iou  # see _embed_many
+
     degrees = list(degrees)
     kmax = max(degrees)
     points, errors = _resample_many([c.vertices for c in contours], n)

@@ -7,17 +7,22 @@ is a positive shoelace sum over the raw coordinates.
 Order-independent accumulations (fsum) are used for the perimeter, the
 centroid, and the shoelace sum so that cyclically rotating or reversing the
 vertex list of a contour cannot move any downstream decision by even one ulp.
+
+The records Point2, Contour and ResampledContour, and the block cutter _cuts,
+live in contours, which the Fourier transforms load without this module;
+they are bound and exported here too.  The batch budget _BATCH_ELEMENTS is
+read and patched in contours only.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_SUPERSAMPLE
-from .errors import DegenerateContour, InvalidPolygon, ZeroPerimeter
+from .contours import Contour, Point2, ResampledContour, _cuts
+from .errors import DegenerateContour, ZeroPerimeter
 from .records import _Frozen
 
 __all__ = [
@@ -37,75 +42,6 @@ __all__ = [
     "contour_spans_many",
     "spans_iou",
 ]
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
-
-
-def _vertex_array(vertices) -> np.ndarray:
-    arr = np.array(vertices, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidPolygon(f"expected an (n, 2) vertex array, got shape {arr.shape}")
-    if arr.shape[0] < 3:
-        raise InvalidPolygon(f"need at least 3 vertices, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise InvalidPolygon("coordinates must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-class Contour(_Frozen):
-    """Closed polygon; the edge from the last vertex back to the first is implicit.
-
-    Vertex count (>= 3) and finiteness are checked at construction.
-    Zero-perimeter contours are representable, because a constant-term
-    reconstruction legitimately collapses to one repeated point; operations
-    that need arc length raise ZeroPerimeter instead of forbidding them here.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: np.ndarray) -> None:
-        super().__init__(_vertex_array(vertices))
-
-    @classmethod
-    def from_flat(cls, coords: Iterable[float]) -> "Contour":
-        flat = np.asarray(list(coords), dtype=np.float64)
-        if flat.size % 2:
-            raise InvalidPolygon("flat coordinate list must have an even length")
-        return cls(flat.reshape(-1, 2))
-
-    def flat(self) -> list[float]:
-        return self.vertices.ravel().tolist()
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(min_x, min_y, max_x, max_y)."""
-        v = self.vertices
-        return (
-            float(v[:, 0].min()),
-            float(v[:, 1].min()),
-            float(v[:, 0].max()),
-            float(v[:, 1].max()),
-        )
-
-    def __len__(self) -> int:
-        return int(self.vertices.shape[0])
-
-
-class ResampledContour(_Frozen):
-    """Equidistant samples of a contour, visually clockwise, starting at the
-    canonical start point.  points[j] is the sample at parameter t = j / n."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: np.ndarray) -> None:
-        super().__init__(_vertex_array(points))
-
-    @property
-    def n(self) -> int:
-        return int(self.points.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +96,6 @@ def contour_center(c: Contour) -> Point2:
 
 # ---------------------------------------------------------------------------
 # polygon batches: many closed polygons stored one after another
-
-# Elements the temporaries of one block of a batch routine hold.
-# _resample_many, _shrink_many and fourier._coefficient_rows take whole
-# polygons in blocks, a block ending where the running size crosses a multiple
-# of this, so their working memory does not grow with the number of polygons;
-# fourier.evaluate_series, fourier.truncation_l2_errors, fourier._dft_basis
-# and losses.regression_loss take rows of their series or DFT the same way.
-_BATCH_ELEMENTS = 1 << 16
-
-
-def _cuts(sizes, budget: int | None = None) -> list[tuple[int, int]]:
-    """(first, stop) of consecutive blocks of items, a new block starting
-    where the running total of sizes crosses a multiple of budget
-    (_BATCH_ELEMENTS by default), so a block holds at most budget plus its
-    last item's size."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if not sizes.size:
-        return []
-    budget = _BATCH_ELEMENTS if budget is None else budget
-    if sizes.sum() - sizes[-1] < budget:  # one block, found without the running sums
-        return [(0, sizes.size)]
-    block = (np.cumsum(sizes) - sizes) // budget
-    cuts = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [sizes.size])).tolist()
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _closing(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +219,8 @@ def _resample_many(verts, n: int) -> tuple[np.ndarray, list]:
     """resample_equidistant of each (m_i, 2) vertex array, as (points, errors):
     points (N, n, 2), and errors[i] the GeometryError polygon i raises, or
     None; a failed polygon's points are zeros.  Polygons are taken in blocks
-    of about _BATCH_ELEMENTS vertices and samples; each value equals the
-    one-polygon computation's bit for bit."""
+    of about contours._BATCH_ELEMENTS vertices and samples; each value equals
+    the one-polygon computation's bit for bit."""
     if n < 3:
         raise ValueError(f"need n >= 3 samples, got {n}")
     points = np.zeros((len(verts), n, 2))
@@ -486,7 +398,7 @@ def _shrink_many(verts, factor: float) -> tuple[list, list]:
     """shrink_polygon of each (m_i, 2) vertex array, as (shrunk, errors):
     shrunk[i] is polygon i's shrunk Contour, or None where errors[i] holds
     the GeometryError it raises.  Polygons are taken in blocks of about
-    _BATCH_ELEMENTS vertices; each vertex equals the one-polygon
+    contours._BATCH_ELEMENTS vertices; each vertex equals the one-polygon
     computation's bit for bit."""
     if verts and not 0.0 < factor < 1.0:
         raise ValueError(f"shrink factor must lie in (0, 1), got {factor}")

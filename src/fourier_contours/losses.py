@@ -24,9 +24,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_LAMBDA, DEFAULT_RECON_POINTS
+from .contours import _cuts
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
 from .fourier import _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
-from .geometry import _cuts
 from .mapdir import LevelPrediction, LevelTargets
 
 __all__ = [
@@ -96,7 +96,7 @@ def _series_blocks(gt: np.ndarray, pr: np.ndarray, n_points: int):
     """(first, stop, zg, zp) of consecutive row blocks: the ground-truth and
     predicted series of rows first .. stop - 1 at n_points parameters, a
     block's (rows, n_points, 2K + 1) products holding about
-    geometry._BATCH_ELEMENTS elements, as in evaluate_series."""
+    contours._BATCH_ELEMENTS elements, as in evaluate_series."""
     for i, j in _cuts(np.full(len(gt), n_points * (gt.shape[1] // 2))):
         zg = evaluate_series(flat_to_coeffs(gt[i:j]), n_points)
         yield i, j, zg, evaluate_series(flat_to_coeffs(pr[i:j]), n_points)

@@ -7,7 +7,7 @@ blocks."""
 import numpy as np
 import pytest
 
-from fourier_contours import Contour, DegenerateContour, geometry
+from fourier_contours import Contour, DegenerateContour, contours, geometry
 from fourier_contours.synth import (
     compactness_corpus,
     ellipse_polygon,
@@ -103,9 +103,9 @@ def same_bits(a, b):
 
 
 def rows_to_block_end(row_size, blocks=3):
-    """The row count that exactly fills the first `blocks` blocks geometry._cuts
+    """The row count that exactly fills the first `blocks` blocks contours._cuts
     makes of equal rows of row_size elements: one row more starts a new block."""
-    return -(-blocks * geometry._BATCH_ELEMENTS // row_size)
+    return -(-blocks * contours._BATCH_ELEMENTS // row_size)
 
 
 def _edge_array(c) -> np.ndarray:

@@ -23,6 +23,7 @@ from fourier_contours import (
     DegreeTooLarge,
     TextInstance,
     ZeroPerimeter,
+    contours,
     fourier,
     generate_targets,
     geometry,
@@ -146,11 +147,16 @@ def polygon_lists(draw):
 BUDGETS = st.sampled_from([None, (1, 1), (7, 3), (300, 40)])
 
 
+@contextlib.contextmanager
 def budgets(pair):
     if pair is None:
-        return contextlib.nullcontext()
+        yield
+        return
     elements, pairs = pair
-    return mock.patch.multiple(geometry, _BATCH_ELEMENTS=elements, _SIMPLE_BLOCK_PAIRS=pairs)
+    with mock.patch.object(contours, "_BATCH_ELEMENTS", elements), mock.patch.object(
+        geometry, "_SIMPLE_BLOCK_PAIRS", pairs
+    ):
+        yield
 
 
 class TestBatchesMatchOracles:
@@ -225,11 +231,11 @@ class TestBatchBudget:
 
     def test_blocks_hold_at_most_the_budget_plus_one_item(self):
         sizes = [5, 1, 9, 3, 3, 20, 2]
-        cuts = geometry._cuts(sizes, 8)
+        cuts = contours._cuts(sizes, 8)
         assert cuts[0][0] == 0 and cuts[-1][1] == len(sizes)
         assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
         assert all(sum(sizes[i : j - 1]) < 8 for i, j in cuts)
-        assert geometry._cuts([], 8) == []
+        assert contours._cuts([], 8) == []
 
     def test_errors_stay_with_their_polygon(self):
         flat = np.array([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])

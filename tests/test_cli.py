@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from fourier_contours import (
     FourierSignature,
     cli,
+    contours,
     fourier,
     fourier_coefficients,
     geometry,
@@ -301,7 +302,7 @@ class TestFidelity:
             encoding="utf-8",
         )
         calls = []
-        monkeypatch.setattr(fourier, "contour_spans_many", lambda cs, s: calls.append(len(cs)) or contour_spans_many(cs, s))
+        monkeypatch.setattr(geometry, "contour_spans_many", lambda cs, s: calls.append(len(cs)) or contour_spans_many(cs, s))
         argv = ["--set", "n_prime=37", "fidelity", str(path), "--degrees", "1,4,2"]
         code, out, _ = run(argv, capsys)
         assert code == 0
@@ -311,7 +312,7 @@ class TestFidelity:
         images = parse_jsonl(path.read_text(encoding="utf-8").splitlines())[0]
         assert out.splitlines()[1:] == per_instance_fidelity(images, [1, 2, 4], cfg)
         # a budget below one instance's series evaluation: one block each
-        monkeypatch.setattr(geometry, "_BATCH_ELEMENTS", 10)
+        monkeypatch.setattr(contours, "_BATCH_ELEMENTS", 10)
         assert run(argv, capsys)[:2] == (0, out)
 
     def test_degree_errors(self, corpus, capsys):

@@ -26,7 +26,7 @@ from fourier_contours import (
     recenter,
     score_map,
 )
-from fourier_contours import decode, geometry
+from fourier_contours import contours, decode, geometry
 from fourier_contours.config import DEFAULT_NMS_IOU
 from fourier_contours.synth import ribbon
 from conftest import exact_iou, lattice_iou_bound, star_shaped
@@ -363,8 +363,8 @@ class TestFilterAndRefine:
         points, scores = jittered_candidates(np.random.default_rng(11), 4, 10, 0.05)
         order = np.argsort(-scores, kind="stable").tolist()
         rank = {i: r for r, i in enumerate(order)}
-        for budget in (geometry._BATCH_ELEMENTS, 40):
-            with mock.patch.object(geometry, "_BATCH_ELEMENTS", budget):
+        for budget in (contours._BATCH_ELEMENTS, 40):
+            with mock.patch.object(contours, "_BATCH_ELEMENTS", budget):
                 kept, rasterized = rasterizing(poly_nms, points, scores, thresh)
             assert kept == brute_nms(points, scores, thresh, 4)
             index = [rasterized_index(points, v) for v in rasterized]
@@ -398,7 +398,7 @@ class TestFilterAndRefine:
         jitter=st.sampled_from([0.0, 0.1, 0.5]),
         supersample=st.sampled_from([3, 4]),
         thresh=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
-        budget=st.sampled_from([geometry._BATCH_ELEMENTS, 40]),
+        budget=st.sampled_from([contours._BATCH_ELEMENTS, 40]),
     )
     def test_chained_boxes_match_brute_force(
         self, seed, clusters, copies, spacing, jitter, supersample, thresh, budget
@@ -419,7 +419,7 @@ class TestFilterAndRefine:
                 points.append(base + rng.normal(0.0, jitter, base.shape))
                 scores.append(float(rng.choice([0.5, 0.7, 0.7, 0.9])))
         points, scores = np.array(points), np.array(scores)
-        with mock.patch.object(geometry, "_BATCH_ELEMENTS", budget):
+        with mock.patch.object(contours, "_BATCH_ELEMENTS", budget):
             got = poly_nms(points, scores, thresh, supersample)
         assert got == brute_nms(points, scores, thresh, supersample)
 

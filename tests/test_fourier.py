@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import sys
 import threading
@@ -36,9 +37,10 @@ from fourier_contours import (
     truncation_l2_errors,
     ZeroPerimeter,
 )
-from fourier_contours import fourier, geometry
+from fourier_contours import contours, fourier
 from fourier_contours.config import DEFAULT_EVAL_IOU
 from fourier_contours.fourier import _dft_basis
+from fourier_contours.serialize import _json_records
 from fourier_contours.synth import ribbon
 from conftest import inline_basis, rows_to_block_end, same_bits, star_shaped, uncached_series
 
@@ -404,7 +406,7 @@ class TestBasisCache:
 
     def test_truncation_errors_unchanged(self):
         # at the second n, the n x n DFT product spans three row blocks
-        for n in (64, math.isqrt(3 * geometry._BATCH_ELEMENTS) + 1):
+        for n in (64, math.isqrt(3 * contours._BATCH_ELEMENTS) + 1):
             rng = np.random.default_rng(5)
             rs = resample_equidistant(star_shaped(rng), n)
             z = rs.points[:, 0] + 1j * rs.points[:, 1]
@@ -561,6 +563,33 @@ class TestSignatureBounds:
             FourierSignature.from_flat(flat)
 
 
+# one signature record: valid, of degree 1 or 2, or one that its own check rejects
+SIGNATURE_RECORD = st.fixed_dictionaries({
+    "image_id": st.one_of(st.just("a"), st.just("b"), st.just(3)),
+    "instance_id": st.just("i"),
+    "coeffs": st.one_of(
+        st.integers(1, 2).flatmap(lambda k: st.lists(st.floats(-1e6, 1e6), min_size=4 * k + 2, max_size=4 * k + 2)),
+        st.sampled_from([
+            [0, 0, float("nan"), 0, 0, 0],  # not finite
+            [0, 0, 0, 0, 0, float("inf")],  # 1j * inf is nan
+            [0, 0, 1e308, -1e308, 0, 0],  # the series would overflow
+            [0, 0, 10**400, 0, 0, 0],  # beyond the float range
+            [0, 0, 1, 0],  # an even number of coefficients
+            [7, -3],  # degree 0
+            [],
+        ]),
+    ),
+})
+
+
+def parse_outcome(parse):
+    """parse()'s records, or its ParseError's type, message and line."""
+    try:
+        return parse()
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
 class TestBatchEntryPoints:
     def test_embed_many_is_embed_per_contour(self, rng):
         contours = [star_shaped(rng) for _ in range(5)]
@@ -604,6 +633,28 @@ class TestBatchEntryPoints:
         with pytest.raises(ParseError) as info:
             parse_signatures(['{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 0]}', line])
         assert str(info.value).startswith("line 2: ") and message in str(info.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(SIGNATURE_RECORD, max_size=6))
+    def test_parse_signatures_is_the_per_record_parse(self, records):
+        """The block parse gives what each record's own parse gives: the same
+        signatures, or the same error naming the same first bad line."""
+        lines = [json.dumps(record) for record in records]
+        got = parse_outcome(lambda: parse_signatures(lines))
+        assert got == parse_outcome(lambda: _json_records(lines, "signature", fourier._signature_record))
+        if isinstance(got, list):
+            assert not any(sig.coeffs.flags.writeable for _, _, sig in got)
+
+    def test_parse_signatures_converts_records_of_one_length_as_one_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fourier, "flat_to_coeffs", lambda flat: calls.append(len(flat)) or flat_to_coeffs(flat))
+        line = '{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 2, 0, 0]}'
+        sigs = parse_signatures([line, "", *[line] * 4])
+        assert calls == [5] and [sig.c0 for _, _, sig in sigs] == [1 + 2j] * 5
+        # records of two degrees are parsed one by one
+        calls.clear()
+        parse_signatures([line, '{"image_id": "a", "instance_id": "j", "coeffs": [7, -3]}'])
+        assert calls == [6, 2]
 
     @pytest.mark.parametrize("n_points", [3, 50, 1024])
     @pytest.mark.parametrize("degree", [1, 5, 20])

@@ -3,7 +3,8 @@ config, which holds the operating point, is a leaf above errors and records.
 mapdir, the map format and its records, sits right above serialize, so the
 map readers load neither the annotation parser nor the target painter; and
 evaluation, which reads the detection lines, loads no stage above geometry.
-cli reaches no private name of the modules it drives, and all JSON text comes
+contours, the contour records and the block cutter, is a leaf above errors
+and records, so the Fourier transforms load it without geometry.  cli reaches no private name of the modules it drives, and all JSON text comes
 from serialize."""
 
 import ast
@@ -14,8 +15,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fourier_contours"
 
 # lowest first; a module may import only the modules before it
-LAYERS = ["errors", "records", "config", "serialize", "mapdir", "svg", "geometry", "annotations", "fourier",
-          "evaluation", "targets", "decode", "losses", "synth", "cli"]
+LAYERS = ["errors", "records", "config", "serialize", "mapdir", "svg", "contours", "geometry", "annotations",
+          "fourier", "evaluation", "targets", "decode", "losses", "synth", "cli"]
 
 
 def package_imports(module: str) -> set[str]:
@@ -37,6 +38,10 @@ def test_imports_point_to_lower_layers(module):
 
 def test_config_is_a_leaf():
     assert package_imports("config") == {"errors", "records"}
+
+
+def test_contours_is_a_leaf():
+    assert package_imports("contours") == {"errors", "records"}
 
 
 def reachable(module: str) -> set[str]:
