@@ -22,11 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_SUBSET_THRESHOLD, MAX_IMAGE_SIDE, MAX_VERTICES
+from .config import DEFAULT_SUBSET_THRESHOLD, MAX_IMAGE_SIDE
 from .errors import DegenerateContour, InvalidPolygon, ParseError
 from .geometry import Contour, _removal_deltas
 from .records import _Frozen
-from .serialize import _json_records, _json_text, _number_list
+from .serialize import _json_records, _json_text, _number_list, _point_array
 
 __all__ = [
     "TextInstance",
@@ -55,18 +55,6 @@ class AnnotatedImage(_Frozen):
                 f"got {width} x {height}"
             )
         super().__init__(image_id, width, height, tuple(instances))
-
-
-def _point_array(values: list, lineno: int) -> np.ndarray:
-    """(m, 2) points of a flat coordinate list, checked: even, 3..MAX_VERTICES points, finite."""
-    if len(values) % 2:
-        raise InvalidPolygon(f"odd coordinate count {len(values)}", line=lineno)
-    if not 3 <= len(values) // 2 <= MAX_VERTICES:
-        raise InvalidPolygon(f"need 3 to {MAX_VERTICES} points, got {len(values) // 2}", line=lineno)
-    pts = np.asarray(values, dtype=np.float64).reshape(-1, 2)
-    if not np.isfinite(pts).all():
-        raise InvalidPolygon("coordinates must be finite", line=lineno)
-    return pts
 
 
 def _instance_points(raw, lineno: int, width: int, height: int) -> tuple[Contour, int]:

@@ -35,6 +35,9 @@ DEFAULT_SUPERSAMPLE = 4
 
 # Largest n accepted: fidelity's n x n DFT basis takes 256 MiB at 4096.
 MAX_SAMPLES = 4096
+# Largest degree K a configuration can embed (2K + 1 <= n); not a setting, but
+# the cap on a degree read from input, a signature line or a regression map.
+MAX_DEGREE = (MAX_SAMPLES - 1) // 2
 # Largest n' accepted: decode holds all candidates' n' points, 16 KiB each at 1024.
 MAX_RECON_POINTS = 1024
 # Largest supersample accepted: a span record holds s rows per pixel of height.

@@ -13,7 +13,7 @@ the IoU lattice: geometry binds every name here that it exports.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class Contour(_Frozen):
 
     def __init__(self, vertices: np.ndarray) -> None:
         super().__init__(_vertex_array(vertices))
-
-    @classmethod
-    def from_flat(cls, coords: Iterable[float]) -> "Contour":
-        flat = np.asarray(list(coords), dtype=np.float64)
-        if flat.size % 2:
-            raise InvalidPolygon("flat coordinate list must have an even length")
-        return cls(flat.reshape(-1, 2))
 
     def flat(self) -> list[float]:
         return self.vertices.ravel().tolist()

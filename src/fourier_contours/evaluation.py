@@ -10,7 +10,8 @@ a second detection on an already matched ground truth is a false positive.
 The detection line that `fctool decode` writes and `fctool eval` reads is
 this module's: detection_lines writes an image's detections, their points
 rounded as one block by serialize._record_lines, and parse_detections reads
-them.
+them, each detection's points through serialize._point_array, the reader of
+annotation points, so a detection too has at most config.MAX_VERTICES points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_EVAL_IOU, DEFAULT_SUPERSAMPLE, cell_count
 from .geometry import Contour, contour_spans_many, spans_iou
-from .serialize import _json_records, _number_list, _record_lines
+from .serialize import _json_records, _number_list, _point_array, _record_lines
 
 __all__ = ["Detection", "parse_detections", "MatchRecord", "EvalReport", "evaluate", "fmeasure"]
 
@@ -55,7 +56,8 @@ def detection_lines(image_id: str, detections) -> list[str]:
 
 def parse_detections(lines, images=(), strides=()) -> dict[str, list[Detection]]:
     """Detections by image id, from detection_lines' JSON lines; a bad line
-    raises ParseError naming it.  A detection of one of `images` that reaches
+    raises ParseError naming it, as a detection of more than MAX_VERTICES
+    points does.  A detection of one of `images` that reaches
     more than _CANDIDATE_MARGIN image sides past the largest area a map at
     one of `strides` covers (each side rounded up to the stride) is a bad
     record: evaluate rasterizes it on a lattice linear in its box."""
@@ -74,7 +76,7 @@ def parse_detections(lines, images=(), strides=()) -> dict[str, list[Detection]]
             raise TypeError("score must be a finite number")
         if not isinstance(level, str):
             raise TypeError("level must be a string")
-        contour = Contour.from_flat(_number_list(obj["points"], "points"))
+        contour = Contour(_point_array(_number_list(obj["points"], "points")))
         if image_id in sizes:
             width, height = sizes[image_id]
             v = contour.vertices.T

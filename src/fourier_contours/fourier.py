@@ -16,6 +16,11 @@ center, and the flat real layout interleaves real and imaginary parts from
 k = -K upward:
 
     [u_-K, v_-K, ..., u_0, v_0, ..., u_K, v_K]      length 2 * (2K + 1)
+
+signature_lines writes one JSON line per signature, and parse_signatures
+reads each through serialize._json_records, one record at a time: a degree
+above config.MAX_DEGREE, the largest a configuration embeds, or a k field
+that is not the degree of the coefficients is a bad record.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAULT_SUPERSAMPLE
+from .config import DEFAULT_DEGREE, DEFAULT_RECON_POINTS, DEFAULT_SAMPLES, DEFAULT_SUPERSAMPLE, MAX_DEGREE
 from .contours import Contour, ResampledContour, _cuts
-from .errors import ChannelCountMismatch, DegreeTooLarge, InvalidPolygon, NonFinite, ParseError
+from .errors import ChannelCountMismatch, DegreeTooLarge, InvalidPolygon, NonFinite
 from .records import _Frozen
 from .serialize import _json_records, _number_list, _record_lines
 
@@ -251,56 +256,25 @@ def reconstruction_lines(records, points: np.ndarray) -> list[str]:
 
 def parse_signatures(lines) -> list[tuple]:
     """(image_id, instance_id, FourierSignature) of each signature record, the
-    JSON lines signature_lines writes; a bad line raises ParseError naming it.
-    Records of one length are checked as one block: one flat_to_coeffs call
-    and one finiteness and magnitude check, each signature's coefficients a
-    row of it.  Where a line or the block fails, or the lengths differ, every
-    record is parsed on its own, so an error names the first bad line as
-    that record's own check words it."""
-    lines = list(lines)
-    try:
-        fields = _json_records(lines, "signature", _signature_fields)
-    except ParseError:
-        fields = []
-    sigs = _signature_block([flat for _, _, flat in fields])
-    if sigs is None:
-        return _json_records(lines, "signature", _signature_record)
-    return [(image_id, instance_id, sig) for (image_id, instance_id, _), sig in zip(fields, sigs)]
-
-
-def _signature_fields(obj: dict, lineno: int) -> tuple:
-    """(image_id, instance_id, flat coefficient list) of one signature record."""
-    image_id, instance_id = obj["image_id"], obj["instance_id"]
-    if not isinstance(image_id, str) or not isinstance(instance_id, str):
-        raise TypeError("image_id and instance_id must be strings")
-    return image_id, instance_id, _number_list(obj["coeffs"], "coeffs")
+    JSON lines signature_lines writes; a bad line raises ParseError naming it."""
+    return _json_records(lines, "signature", _signature_record)
 
 
 def _signature_record(obj: dict, lineno: int) -> tuple:
-    image_id, instance_id, flat = _signature_fields(obj, lineno)
-    return image_id, instance_id, FourierSignature.from_flat(flat)
-
-
-def _signature_block(flats: list) -> list | None:
-    """The FourierSignature of each flat coefficient list, all of one length,
-    their coefficients the rows of one read-only array that passed
-    FourierSignature's checks at once; None where there are no lists, the
-    lengths differ or any check fails."""
-    if len({len(flat) for flat in flats}) != 1:
-        return None
-    try:
-        coeffs = flat_to_coeffs(flats)
-    except (ChannelCountMismatch, OverflowError):  # OverflowError: an integer beyond the float range
-        return None
-    if not np.isfinite(coeffs).all() or np.abs(coeffs.view(np.float64)).max() > _SERIES_LIMIT / coeffs.shape[1]:
-        return None
-    coeffs.setflags(write=False)
-    sigs = []
-    for row in coeffs:
-        sig = object.__new__(FourierSignature)  # checked above: skip __init__'s copy and checks
-        _Frozen.__init__(sig, row)
-        sigs.append(sig)
-    return sigs
+    """One signature record.  Its degree may not exceed MAX_DEGREE, checked on
+    the length of coeffs before any conversion, and its k, where given, must
+    be the integer degree its coefficients give."""
+    image_id, instance_id = obj["image_id"], obj["instance_id"]
+    if not isinstance(image_id, str) or not isinstance(instance_id, str):
+        raise TypeError("image_id and instance_id must be strings")
+    flat = _number_list(obj["coeffs"], "coeffs")
+    if len(flat) > 4 * MAX_DEGREE + 2:
+        raise ValueError(f"{len(flat)} coeffs exceed the {4 * MAX_DEGREE + 2} of the largest degree, {MAX_DEGREE}")
+    sig = FourierSignature.from_flat(flat)
+    # type() is int: JSON true and false are bools, which isinstance counts as int
+    if "k" in obj and (type(obj["k"]) is not int or obj["k"] != sig.degree):
+        raise ValueError(f"k must be {sig.degree}, the degree of the coeffs, got {obj['k']!r}")
+    return image_id, instance_id, sig
 
 
 def evaluate_series(coeffs, n_points: int, out: np.ndarray | None = None) -> np.ndarray:

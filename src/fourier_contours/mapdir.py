@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_IMAGE_SIDE, NAME_CHARS, LevelSpec, cell_count, distinct_tokens
+from .config import MAX_DEGREE, MAX_IMAGE_SIDE, NAME_CHARS, LevelSpec, cell_count, distinct_tokens
 from .errors import ChannelCountMismatch, ParseError, ShapeMismatch
 from .records import _Frozen, _Record
 from .serialize import json_line, read_tensor, write_tensor
@@ -165,10 +165,15 @@ def read_map_meta(map_dir) -> dict:
 
 def _read_level(map_dir: Path, meta: dict, entry: dict, keys, like: dict | None = None) -> dict:
     """One level's tensors by key, each of the shape meta.json gives; with
-    `like`, each must also have its target's shape."""
+    `like`, each must also have its target's shape.  reg may hold the
+    channels of at most config.MAX_DEGREE, the largest degree a
+    configuration embeds."""
     name, stride = entry["name"], entry["stride"]
     hw = (cell_count(meta["height"], stride), cell_count(meta["width"], stride))
     level = {key: read_tensor(map_dir / f"{name}_{key}.fct", _VALUES[key]) for key in keys}
+    if len(level.get("reg", ())) > 4 * MAX_DEGREE + 2:
+        raise ParseError(f"{map_dir / f'{name}_reg.fct'}: {len(level['reg'])} regression channels exceed "
+                         f"the {4 * MAX_DEGREE + 2} of the largest degree, {MAX_DEGREE}")
     for key, arr in level.items():
         want = arr.shape[:1] + hw if key == "reg" else hw
         if arr.shape != want:

@@ -13,6 +13,10 @@ round-trip form, which is stable across platforms.  A block of floats is
 rounded in a few array operations instead (_round9_array), to the same
 floats: _record_lines, the writer of signature, reconstruction and detection
 lines, rounds one block per image or run.  _json_text is the one JSON text step.
+
+Every JSON-lines record is read through _json_records, and every flat point
+list, of an annotation, a delimited line or a detection, through
+_point_array, which caps it at config.MAX_VERTICES points.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import struct
 
 import numpy as np
 
+from .config import MAX_VERTICES
 from .errors import InvalidPolygon, ParseError
 
 __all__ = ["write_tensor", "read_tensor"]
@@ -191,3 +196,17 @@ def _number_list(raw, what: str, lineno: int | None = None) -> list:
     if not isinstance(raw, list) or not {*map(type, raw)} <= {int, float}:
         raise InvalidPolygon(f"{what} must be a flat list of numbers", line=lineno)
     return raw
+
+
+def _point_array(values: list, lineno: int | None = None) -> np.ndarray:
+    """(m, 2) points of a flat coordinate list, checked: even, 3..MAX_VERTICES
+    points, finite.  The InvalidPolygon names lineno when given; without it,
+    _json_records words the error as a bad record of its kind."""
+    if len(values) % 2:
+        raise InvalidPolygon(f"odd coordinate count {len(values)}", line=lineno)
+    if not 3 <= len(values) // 2 <= MAX_VERTICES:
+        raise InvalidPolygon(f"need 3 to {MAX_VERTICES} points, got {len(values) // 2}", line=lineno)
+    pts = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise InvalidPolygon("coordinates must be finite", line=lineno)
+    return pts

@@ -13,7 +13,7 @@ from fourier_contours import (
     parse_jsonl,
     write_jsonl,
 )
-from fourier_contours.annotations import MAX_VERTICES
+from fourier_contours.config import MAX_VERTICES
 from fourier_contours.serialize import round9
 from fourier_contours.synth import rect14, ribbon
 

@@ -33,9 +33,9 @@ from fourier_contours import (
     resample_equidistant,
     truncation_l2_errors,
 )
-from fourier_contours.annotations import MAX_IMAGE_SIDE, MAX_VERTICES, parse_jsonl
+from fourier_contours.annotations import parse_jsonl
 from fourier_contours.cli import main
-from fourier_contours.config import Config, load_config
+from fourier_contours.config import MAX_DEGREE, MAX_IMAGE_SIDE, MAX_RECON_POINTS, MAX_VERTICES, Config, load_config
 from fourier_contours.errors import ParseError
 from fourier_contours.geometry import Contour, contour_spans_many
 from fourier_contours.serialize import fmt9, read_tensor, round9, write_tensor
@@ -1504,6 +1504,7 @@ MUTATED_SIGNATURE = st.one_of(
         lambda kv: {**VALID_SIGNATURE, kv[0]: kv[1]}
     ),
     BAD_COEFFS.map(lambda v: {**VALID_SIGNATURE, "coeffs": v}),
+    st.one_of(ANY_NUMBER, st.booleans(), st.none(), st.text(max_size=2)).map(lambda v: {**VALID_SIGNATURE, "k": v}),
 )
 
 
@@ -1797,3 +1798,107 @@ class TestMalformedConfig:
                 assert code in (0, 3), (argv[0], config, pairs, err.getvalue())
                 assert code == 0 or err.getvalue().startswith("config error: "), (argv[0], err.getvalue())
                 assert "Traceback" not in err.getvalue()
+
+
+def one_cell_maps(root: Path, k: int) -> Path:
+    """A map root of one 8 x 8 px image on one level of stride 8, as targets
+    writes it at degree k: its one cell is text, and its regression is a
+    circle of radius 3 about the cell centre."""
+    img = root / "a"
+    img.mkdir(parents=True)
+    meta = {"image_id": "a", "width": 8, "height": 8, "k": k, "n": 400, "shrink_factor": 0.3, "skipped": [],
+            "levels": [{"name": "P3", "stride": 8, "low": 0, "high": 1, "height": 1, "width": 1}]}
+    (img / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    one, reg = np.ones((1, 1)), np.zeros((4 * k + 2, 1, 1))
+    reg[2 * k + 2] = 3.0  # u_1: c_1 = 3
+    for key, arr in (("tr", one), ("tcr", one), ("reg", reg), ("weight", one), ("care", one)):
+        write_tensor(img / f"P3_{key}.fct", arr)
+    return root
+
+
+def signature_line(degree: int, **fields) -> str:
+    """A signature line of a circle of radius 3 about (4, 4), of the given degree."""
+    coeffs = [0.0] * (4 * degree + 2)
+    coeffs[2 * degree : 2 * degree + 3] = [4.0, 4.0, 3.0]
+    return json.dumps({"image_id": "a", "instance_id": "i", "coeffs": coeffs, **fields})
+
+
+def ring_detection(m: int) -> str:
+    """A detection line of img-a: an m-point circle inside the 160 x 120 px image."""
+    ang = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    points = np.stack([80 + 40 * np.cos(ang), 60 + 40 * np.sin(ang)], axis=1).ravel().tolist()
+    return json.dumps({"image_id": "img-a", "score": 0.9, "points": points})
+
+
+class TestInputCaps:
+    """A vertex count or degree read from input is capped: a detection at
+    MAX_VERTICES points, as an annotation is, and a signature's or
+    regression map's degree at MAX_DEGREE, the largest a configuration
+    embeds.  Past its cap, an input exits 2 naming its line or file."""
+
+    def test_decode_writes_no_more_points_than_eval_reads(self):
+        assert MAX_RECON_POINTS <= MAX_VERTICES
+
+    def test_eval_reads_what_decode_writes_at_the_largest_n_prime(self, corpus, tmp_path, capsys):
+        gt, dets = tmp_path / "gt", tmp_path / "dets.jsonl"
+        assert run(["targets", str(corpus), "--out-dir", str(gt)], capsys)[0] == 0
+        argv = ["--set", f"n_prime={MAX_RECON_POINTS}", "decode", "--maps-dir", str(gt), "-o", str(dets)]
+        assert run(argv, capsys) == (0, "", "")
+        lines = dets.read_text(encoding="utf-8").splitlines()
+        assert [len(json.loads(line)["points"]) for line in lines] == [2 * MAX_RECON_POINTS] * 2
+        code, out, err = run(["eval", "--detections", str(dets), "--annotations", str(corpus)], capsys)
+        assert (code, err) == (0, "") and json.loads(out)["tp"] == 2
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_a_detection_of_more_than_max_vertices_points_is_exit_2(self, command, corpus, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        argv = {
+            "eval": ["eval", "--detections", str(dets), "--annotations", str(corpus)],
+            "plot": ["plot", str(corpus), "--detections", str(dets), "--out-dir", str(tmp_path / "plot")],
+        }[command]
+        dets.write_text(ring_detection(MAX_VERTICES) + "\n", encoding="utf-8")
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        dets.write_text("\n" + ring_detection(MAX_VERTICES + 1) + "\n", encoding="utf-8")
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: bad detection record: need 3 to {MAX_VERTICES} points, got {MAX_VERTICES + 1}\n"
+
+    def test_reconstruct_reads_degrees_up_to_max_degree(self, tmp_path, capsys):
+        sigs = tmp_path / "sigs.jsonl"
+        sigs.write_text(signature_line(MAX_DEGREE, k=MAX_DEGREE) + "\n", encoding="utf-8")
+        code, out, err = run(["reconstruct", str(sigs)], capsys)
+        points = np.reshape(json.loads(out)["points"], (-1, 2))
+        assert (code, err) == (0, "") and np.allclose(np.hypot(*(points - 4.0).T), 3.0)
+        sigs.write_text("\n" + signature_line(MAX_DEGREE + 1) + "\n", encoding="utf-8")
+        code, out, err = run(["reconstruct", str(sigs)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: bad signature record: 8194 coeffs exceed the 8190 of the largest degree, 2047\n"
+
+    def test_reconstruct_rejects_a_k_that_is_not_the_degree(self, tmp_path, capsys):
+        sigs = tmp_path / "sigs.jsonl"
+        sigs.write_text(signature_line(1, k=7) + "\n", encoding="utf-8")
+        code, out, err = run(["reconstruct", str(sigs)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: bad signature record: k must be 1, the degree of the coeffs, got 7\n"
+
+    def test_maps_of_max_degree_decode_and_score(self, tmp_path, capsys):
+        maps = str(one_cell_maps(tmp_path, MAX_DEGREE))
+        code, out, err = run(["decode", "--maps-dir", maps], capsys)
+        points = np.reshape(json.loads(out)["points"], (-1, 2))
+        assert (code, err) == (0, "") and np.allclose(np.hypot(*(points - 4.0).T), 3.0)
+        code, out, err = run(["loss", "--gt-dir", maps, "--pred-dir", maps], capsys)
+        assert (code, err) == (0, "") and json.loads(out)["l_reg"] == 0.0
+
+    @pytest.mark.parametrize("side", ["decode", "loss target", "loss prediction"])
+    def test_a_regression_map_above_max_degree_is_exit_2(self, side, tmp_path, capsys):
+        ok, big = one_cell_maps(tmp_path / "ok", MAX_DEGREE), one_cell_maps(tmp_path / "big", MAX_DEGREE + 1)
+        argv = {
+            "decode": ["decode", "--maps-dir", str(big)],
+            "loss target": ["loss", "--gt-dir", str(big), "--pred-dir", str(ok)],
+            "loss prediction": ["loss", "--gt-dir", str(ok), "--pred-dir", str(big)],
+        }[side]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        path = big / "a" / "P3_reg.fct"
+        assert err == f"error: {path}: 8194 regression channels exceed the 8190 of the largest degree, 2047\n"

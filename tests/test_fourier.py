@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import sys
 import threading
@@ -38,9 +37,8 @@ from fourier_contours import (
     ZeroPerimeter,
 )
 from fourier_contours import contours, fourier
-from fourier_contours.config import DEFAULT_EVAL_IOU
+from fourier_contours.config import DEFAULT_EVAL_IOU, MAX_DEGREE
 from fourier_contours.fourier import _dft_basis
-from fourier_contours.serialize import _json_records
 from fourier_contours.synth import ribbon
 from conftest import inline_basis, rows_to_block_end, same_bits, star_shaped, uncached_series
 
@@ -563,33 +561,6 @@ class TestSignatureBounds:
             FourierSignature.from_flat(flat)
 
 
-# one signature record: valid, of degree 1 or 2, or one that its own check rejects
-SIGNATURE_RECORD = st.fixed_dictionaries({
-    "image_id": st.one_of(st.just("a"), st.just("b"), st.just(3)),
-    "instance_id": st.just("i"),
-    "coeffs": st.one_of(
-        st.integers(1, 2).flatmap(lambda k: st.lists(st.floats(-1e6, 1e6), min_size=4 * k + 2, max_size=4 * k + 2)),
-        st.sampled_from([
-            [0, 0, float("nan"), 0, 0, 0],  # not finite
-            [0, 0, 0, 0, 0, float("inf")],  # 1j * inf is nan
-            [0, 0, 1e308, -1e308, 0, 0],  # the series would overflow
-            [0, 0, 10**400, 0, 0, 0],  # beyond the float range
-            [0, 0, 1, 0],  # an even number of coefficients
-            [7, -3],  # degree 0
-            [],
-        ]),
-    ),
-})
-
-
-def parse_outcome(parse):
-    """parse()'s records, or its ParseError's type, message and line."""
-    try:
-        return parse()
-    except ParseError as exc:
-        return type(exc), str(exc), exc.line
-
-
 class TestBatchEntryPoints:
     def test_embed_many_is_embed_per_contour(self, rng):
         contours = [star_shaped(rng) for _ in range(5)]
@@ -611,6 +582,7 @@ class TestBatchEntryPoints:
         (a, ia, sa), (b, ib, sb) = parse_signatures(lines)
         assert (a, ia, b, ib) == ("a", "t0", "b", "7")
         assert np.array_equal(sa.coeffs, sig.coeffs) and sb.c0 == 1 + 2j
+        assert not sa.coeffs.flags.writeable and not sb.coeffs.flags.writeable
 
     @pytest.mark.parametrize(
         "line, message",
@@ -634,27 +606,23 @@ class TestBatchEntryPoints:
             parse_signatures(['{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 0, 0, 0]}', line])
         assert str(info.value).startswith("line 2: ") and message in str(info.value)
 
-    @settings(max_examples=200, deadline=None)
-    @given(records=st.lists(SIGNATURE_RECORD, max_size=6))
-    def test_parse_signatures_is_the_per_record_parse(self, records):
-        """The block parse gives what each record's own parse gives: the same
-        signatures, or the same error naming the same first bad line."""
-        lines = [json.dumps(record) for record in records]
-        got = parse_outcome(lambda: parse_signatures(lines))
-        assert got == parse_outcome(lambda: _json_records(lines, "signature", fourier._signature_record))
-        if isinstance(got, list):
-            assert not any(sig.coeffs.flags.writeable for _, _, sig in got)
-
-    def test_parse_signatures_converts_records_of_one_length_as_one_block(self, monkeypatch):
+    def test_parse_signatures_reads_degrees_up_to_the_largest_a_config_embeds(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fourier, "flat_to_coeffs", lambda flat: calls.append(len(flat)) or flat_to_coeffs(flat))
-        line = '{"image_id": "a", "instance_id": "i", "coeffs": [0, 0, 1, 2, 0, 0]}'
-        sigs = parse_signatures([line, "", *[line] * 4])
-        assert calls == [5] and [sig.c0 for _, _, sig in sigs] == [1 + 2j] * 5
-        # records of two degrees are parsed one by one
+        line = '{"image_id": "a", "instance_id": "i", "k": %d, "coeffs": [%s]}'
+        (_, _, sig), = parse_signatures([line % (MAX_DEGREE, ", ".join(["0"] * (4 * MAX_DEGREE + 2)))])
+        assert sig.degree == MAX_DEGREE == 2047 and calls == [4 * MAX_DEGREE + 2]
         calls.clear()
-        parse_signatures([line, '{"image_id": "a", "instance_id": "j", "coeffs": [7, -3]}'])
-        assert calls == [6, 2]
+        with pytest.raises(ParseError, match="^line 2: bad signature record: 8194 coeffs exceed the 8190 of the largest degree, 2047$"):
+            parse_signatures(["", line % (MAX_DEGREE + 1, ", ".join(["0"] * (4 * MAX_DEGREE + 6)))])
+        assert calls == []  # rejected on its length, before any conversion
+
+    @pytest.mark.parametrize("k", ["7", "0", "true", "1.0", '"1"', "null"])
+    def test_parse_signatures_rejects_a_k_that_is_not_the_degree(self, k):
+        line = '{"image_id": "a", "instance_id": "i", "k": %s, "coeffs": [0, 0, 32, 20, 10, 0]}'
+        assert parse_signatures([line % 1])[0][2].degree == 1
+        with pytest.raises(ParseError, match="^line 1: bad signature record: k must be 1, the degree of the coeffs, got "):
+            parse_signatures([line % k])
 
     @pytest.mark.parametrize("n_points", [3, 50, 1024])
     @pytest.mark.parametrize("degree", [1, 5, 20])

@@ -99,7 +99,7 @@ class TestContour:
             c.vertices[0, 0] = 5.0
 
     def test_flat_round_trip(self):
-        c = Contour.from_flat([0, 0, 2, 0, 2, 3])
+        c = Contour([(0, 0), (2, 0), (2, 3)])
         assert c.flat() == [0.0, 0.0, 2.0, 0.0, 2.0, 3.0]
         assert len(c) == 3
 
