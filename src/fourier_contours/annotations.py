@@ -1,16 +1,11 @@
-"""Annotation records and parsers.
+"""Annotation records and their JSON-lines reader and writer.
 
-Two input shapes are supported:
+Annotations are JSON-lines, one image per line:
 
-* JSON-lines, one image per line:
     {"image_id": str, "width": int, "height": int,
      "instances": [{"points": [x1, y1, x2, y2, ...], "ignore": bool}, ...]}
-  Instances may carry an optional string "id"; absent ids become "i<index>".
 
-* Delimited text, one instance per line:
-    x1,y1,x2,y2,...[,transcription]
-  A single trailing non-numeric token is treated as the transcription and
-  dropped; the token "###" marks the instance as ignored (do-not-care).
+Instances may carry an optional string "id"; absent ids become "i<index>".
 
 Point coordinates are clamped to the image bounds; the parser reports how
 many points it had to clamp.
@@ -32,7 +27,6 @@ __all__ = [
     "TextInstance",
     "AnnotatedImage",
     "parse_jsonl",
-    "parse_delimited",
     "write_jsonl",
     "curved_subset_select",
 ]
@@ -117,30 +111,6 @@ def parse_jsonl(lines) -> tuple[list[AnnotatedImage], int]:
 
     images = _json_records(lines, "annotation", parse)
     return images, clamped_total
-
-
-def parse_delimited(lines, drop_transcription: bool = True) -> list[TextInstance]:
-    """Parse comma-delimited instance lines; ids are "L<lineno>"."""
-    out: list[TextInstance] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        tokens = [tok.strip() for tok in stripped.split(",")]
-        ignore = False
-        if drop_transcription and tokens:
-            try:
-                float(tokens[-1])
-            except ValueError:
-                text = tokens.pop()
-                ignore = text == "###"
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric coordinate: {exc}", line=lineno) from None
-        pts = _point_array(values, lineno)
-        out.append(TextInstance(polygon=Contour(pts), ignore=ignore, id=f"L{lineno}"))
-    return out
 
 
 def write_jsonl(images, fmt=lambda x: x) -> list[str]:

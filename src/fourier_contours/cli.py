@@ -120,6 +120,12 @@ def _config_header(cfg: Config) -> str:
     return "# config: " + " ".join(pairs)
 
 
+def _instance_error(exc: GeometryError, image_id: str, instances) -> GeometryError:
+    """exc, raised by a batch call for the contour at exc.position of
+    instances, as an error of its type that names the image and instance."""
+    return type(exc)(f"image {image_id!r} instance {instances[exc.position].id!r}: {exc}")
+
+
 def _parse_annotations(path: str):
     from .annotations import parse_jsonl
 
@@ -139,7 +145,10 @@ def cmd_embed(args, cfg: Config) -> int:
     images = _parse_annotations(args.annotations)
 
     def one(img) -> list[str]:
-        coeffs = embed_many([inst.polygon for inst in img.instances], cfg.k, cfg.n)
+        try:
+            coeffs = embed_many([inst.polygon for inst in img.instances], cfg.k, cfg.n)
+        except GeometryError as exc:
+            raise _instance_error(exc, img.image_id, img.instances) from None
         return signature_lines(img.image_id, img.instances, coeffs)
 
     blocks = _pmap(one, images, args.jobs)
@@ -213,7 +222,10 @@ def cmd_fidelity(args, cfg: Config) -> int:
 
     def one(img):
         insts = [inst for inst in img.instances if not inst.ignore]
-        fits = fit_by_degree([inst.polygon for inst in insts], degrees, cfg.n, cfg.n_prime, cfg.iou_supersample)
+        try:
+            fits = fit_by_degree([inst.polygon for inst in insts], degrees, cfg.n, cfg.n_prime, cfg.iou_supersample)
+        except GeometryError as exc:
+            raise _instance_error(exc, img.image_id, insts) from None
         return [(img, inst, inst_fits) for inst, inst_fits in zip(insts, fits)]
 
     results = [result for block in _pmap(one, images, args.jobs) for result in block]
@@ -396,13 +408,16 @@ def cmd_plot(args, cfg: Config) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
 
     def one(img):
-        cared = [inst.polygon for inst in img.instances if not inst.ignore]
+        cared = [inst for inst in img.instances if not inst.ignore]
         if grouped is not None:
             red = [det.contour.vertices for det in grouped.get(img.image_id, [])]
         else:
-            coeffs = embed_many(cared, cfg.k, cfg.n)
+            try:
+                coeffs = embed_many([inst.polygon for inst in cared], cfg.k, cfg.n)
+            except GeometryError as exc:
+                raise _instance_error(exc, img.image_id, cared) from None
             red = reconstruct_many([FourierSignature(row) for row in coeffs], cfg.n_prime)
-        green = [polygon.vertices for polygon in cared]
+        green = [inst.polygon.vertices for inst in cared]
         _write_text(str(out_root / f"{dirnames[img.image_id]}.svg"), render_svg(img.width, img.height, green, red))
 
     _pmap(one, images, args.jobs)

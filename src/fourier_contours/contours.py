@@ -87,10 +87,9 @@ class ResampledContour(_Frozen):
 # geometry._resample_many, geometry._shrink_many and fourier._coefficient_rows
 # take whole polygons in blocks, a block ending where the running size crosses
 # a multiple of this, so their working memory does not grow with the number
-# of polygons; fourier.evaluate_series, fourier.truncation_l2_errors,
-# fourier._dft_basis and losses.regression_loss take rows of their series or
-# DFT the same way.  Only this module binds it: _cuts reads it here on every
-# call.
+# of polygons; fourier.evaluate_series, fourier._dft_basis and
+# losses.regression_loss take rows of their series or basis the same way.
+# Only this module binds it: _cuts reads it here on every call.
 _BATCH_ELEMENTS = 1 << 16
 
 

@@ -18,7 +18,12 @@ __all__ = [
 
 
 class GeometryError(Exception):
-    """Base class for geometric failures on otherwise well-formed input."""
+    """Base class for geometric failures on otherwise well-formed input.
+
+    position is the index of the failing contour in the batch that a batch
+    call (embed_many, fit_by_degree) raised it for, and None otherwise."""
+
+    position: int | None = None
 
 
 class DegenerateContour(GeometryError):

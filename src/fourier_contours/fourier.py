@@ -6,14 +6,15 @@ coefficient of harmonic k is
 
     c_k = (1 / n) * sum_j z_j * exp(-2 pi i k j / n)
 
-computed by direct summation in a fixed order, never via an FFT, so results
-are bit-identical across runs and thread counts.  Each exp(-+2 pi i k j / n)
-basis depends only on its shape, so it is kept, read-only, in a cache shared
-by every call and thread, one of each kind (forward, inverse, residues): a
-hit takes no lock, and a miss builds under one lock and replaces its kind's
-basis.  The degree-K signature keeps k in [-K, K]; c_0 is the contour
-center, and the flat real layout interleaves real and imaginary parts from
-k = -K upward:
+computed by direct summation in a fixed order, so results are bit-identical
+across runs and thread counts.  Each exp(-+2 pi i k j / n) basis depends only
+on its shape, so it is kept, read-only, in a cache shared by every call and
+thread, one of each kind (forward, inverse): a hit takes no lock, and a miss
+builds under one lock and replaces its kind's basis.  Only
+truncation_l2_errors, which needs all n residues, takes them from numpy's
+FFT, which is deterministic and single-threaded too.  The degree-K signature
+keeps k in [-K, K]; c_0 is the contour center, and the flat real layout
+interleaves real and imaginary parts from k = -K upward:
 
     [u_-K, v_-K, ..., u_0, v_0, ..., u_K, v_K]      length 2 * (2K + 1)
 
@@ -127,38 +128,36 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
-# (sign, degree is None) -> (n, degree, basis); written only under _BASIS_LOCK
-_BASES: dict[tuple, tuple] = {}
+# sign -> (n, degree, basis); written only under _BASIS_LOCK
+_BASES: dict[int, tuple] = {}
 _BASIS_LOCK = threading.Lock()
 
 
-def _dft_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
+def _dft_basis(n: int, degree: int, sign: int) -> np.ndarray:
     """The read-only basis exp(sign * 2 pi i k j / n) for j = 0 .. n - 1 and k
-    in -degree .. degree, or in 0 .. n - 1 (every DFT residue) when degree is
-    None.  sign -1 gives the forward (len(k), n) array, sign +1 the inverse
-    (n, len(k)) array, both C-contiguous.  Elements are computed one by one,
-    so the centre columns K - d .. K + d of the degree-K inverse basis hold
-    the degree-d basis' bits, and _series over that slice gives
-    evaluate_series' bits.  _BASES keeps the last basis asked for of each
-    kind (forward, inverse, residues); a hit takes no lock, and a miss builds
-    under one lock and replaces it, so threads that miss the same basis at
-    once build it once: the later ones wait and take the first one's array."""
-    kind = (sign, degree is None)
-    entry = _BASES.get(kind)
+    in -K .. K, K = degree.  sign -1 gives the forward (2K + 1, n) array, sign
+    +1 the inverse (n, 2K + 1) array, both C-contiguous.  Elements are
+    computed one by one, so the centre columns K - d .. K + d of the degree-K
+    inverse basis hold the degree-d basis' bits, and _series over that slice
+    gives evaluate_series' bits.  _BASES keeps the last basis asked for of
+    each sign; a hit takes no lock, and a miss builds under one lock and
+    replaces it, so threads that miss the same basis at once build it once:
+    the later ones wait and take the first one's array."""
+    entry = _BASES.get(sign)
     if entry is None or entry[0] != n or entry[1] != degree:
         with _BASIS_LOCK:
-            entry = _BASES.get(kind)
+            entry = _BASES.get(sign)
             if entry is None or entry[0] != n or entry[1] != degree:
-                entry = _BASES[kind] = (n, degree, _build_basis(n, degree, sign))
+                entry = _BASES[sign] = (n, degree, _build_basis(n, degree, sign))
     return entry[2]
 
 
-def _build_basis(n: int, degree: int | None, sign: int) -> np.ndarray:
+def _build_basis(n: int, degree: int, sign: int) -> np.ndarray:
     """_dft_basis' array, built in row blocks of about
     contours._BATCH_ELEMENTS, so the build holds little beyond the basis
     itself."""
     t = np.arange(n) / n
-    ks = np.arange(n) if degree is None else np.arange(-degree, degree + 1)
+    ks = np.arange(-degree, degree + 1)
     rows, cols, w = (ks, t, -2j * np.pi) if sign < 0 else (t, ks, 2j * np.pi)
     basis = np.empty((len(rows), len(cols)), dtype=np.complex128)
     for i, j in _cuts(np.full(len(rows), len(cols))):
@@ -205,14 +204,18 @@ def embed(c: Contour, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> Four
 
 
 def _raise_first(errors) -> None:
-    for err in errors:
+    """Raise the first error of a batch, its position in the batch set as its
+    .position, so a caller can name the contour."""
+    for position, err in enumerate(errors):
         if err is not None:
+            err.position = position
             raise err
 
 
 def embed_many(contours, k: int = DEFAULT_DEGREE, n: int = DEFAULT_SAMPLES) -> np.ndarray:
     """The degree-k coefficients (N, 2k + 1) of each contour, as embed takes
-    them, from one _embed_many call; raises the first contour's error."""
+    them, from one _embed_many call; raises the first contour's error, with
+    its .position."""
     coeffs, errors = _embed_many([c.vertices for c in contours], k, n)
     _raise_first(errors)
     return coeffs
@@ -356,9 +359,7 @@ def truncation_l2_error(points, k: int) -> float:
 
 def truncation_l2_errors(points, degrees) -> list[float]:
     """Mean squared point error of the degree-k reconstruction at the sample
-    parameters, for every k in `degrees`, from one n x n DFT, its products
-    taken in row blocks of the basis of about contours._BATCH_ELEMENTS, and
-    the direct check's in blocks of sample columns of the same size.
+    parameters, for every k in `degrees`, from one FFT of the samples.
 
     Each value is computed two ways that must agree to 1e-9 relative:
     directly, and as the Parseval tail sum of |c_j|^2 over the discarded DFT
@@ -374,10 +375,9 @@ def truncation_l2_errors(points, degrees) -> list[float]:
             raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
     z = pts[:, 0] + 1j * pts[:, 1]
     residues = np.arange(n)
-    basis = _dft_basis(n, None, -1)
-    coeffs = np.empty(n, dtype=np.complex128)
-    for i, j in _cuts(np.full(n, n)):
-        coeffs[i:j] = (basis[i:j] * z).sum(axis=1) / n
+    # np.fft, not a top-level import: numpy 2 loads it on first use, so only
+    # the commands that run this pay for it
+    coeffs = np.fft.fft(z) / n
     signed = np.where(residues <= n // 2, residues, residues - n)
 
     # tail over |frequency| > k, accumulated from the highest frequency down;
@@ -391,10 +391,7 @@ def truncation_l2_errors(points, degrees) -> list[float]:
         discarded = int(np.count_nonzero(np.abs(signed) > k))
         tail = float(running[discarded - 1]) if discarded else 0.0
 
-        kept = np.abs(signed) <= k
-        recon = np.empty(n, dtype=np.complex128)
-        for i, j in _cuts(np.full(n, 2 * k + 1)):  # blocks of sample columns
-            recon[i:j] = (np.conj(basis[kept, i:j]).T * coeffs[kept]).sum(axis=1)
+        recon = np.fft.ifft(np.where(np.abs(signed) <= k, coeffs, 0)) * n
         direct = float(np.mean(np.abs(z - recon) ** 2))
 
         if abs(direct - tail) > 1e-9 * max(direct, tail) + 1e-14 * max(scale, 1.0):
@@ -425,7 +422,8 @@ def fit_by_degree(
     of `degrees`, in order.  One resample and transform of all contours at
     the largest degree, each degree's series from the centre columns of its
     coefficients and inverse basis, and one contour_spans_many call for the
-    contours and all their reconstructions; raises the first contour's error."""
+    contours and all their reconstructions; raises the first contour's error,
+    with its .position."""
     from .geometry import _resample_many, contour_spans_many, spans_iou  # see _embed_many
 
     degrees = list(degrees)

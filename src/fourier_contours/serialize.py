@@ -15,8 +15,8 @@ floats: _record_lines, the writer of signature, reconstruction and detection
 lines, rounds one block per image or run.  _json_text is the one JSON text step.
 
 Every JSON-lines record is read through _json_records, and every flat point
-list, of an annotation, a delimited line or a detection, through
-_point_array, which caps it at config.MAX_VERTICES points.
+list, of an annotation or a detection, through _point_array, which caps it
+at config.MAX_VERTICES points.
 """
 
 from __future__ import annotations

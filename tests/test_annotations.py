@@ -9,7 +9,6 @@ from fourier_contours import (
     ParseError,
     TextInstance,
     curved_subset_select,
-    parse_delimited,
     parse_jsonl,
     write_jsonl,
 )
@@ -117,36 +116,6 @@ class TestParseJsonl:
         ring = np.stack([50 + 30 * np.cos(ang), 40 + 30 * np.sin(ang)], axis=1)
         with pytest.raises(ParseError, match=f"line 2: need 3 to {MAX_VERTICES} points, got 2000"):
             parse_jsonl(["", one_image(points=ring.ravel().tolist())])
-
-
-class TestParseDelimited:
-    def test_plain_coordinates(self):
-        (inst,) = parse_delimited(["0,0,10,0,10,5,0,5"])
-        assert not inst.ignore
-        assert len(inst.polygon) == 4
-        assert inst.id == "L1"
-
-    def test_ignore_marker(self):
-        (inst,) = parse_delimited(["0,0,10,0,10,5,0,5,###"])
-        assert inst.ignore
-
-    def test_transcription_dropped(self):
-        (inst,) = parse_delimited(["0,0,10,0,10,5,0,5,hello"])
-        assert not inst.ignore
-        assert len(inst.polygon) == 4
-
-    def test_transcription_kept_as_error_when_disabled(self):
-        with pytest.raises(ParseError):
-            parse_delimited(["0,0,10,0,10,5,0,5,hello"], drop_transcription=False)
-
-    def test_line_numbered_ids_skip_blanks(self):
-        a, b = parse_delimited(["0,0,10,0,10,5,0,5", "", "1,1,9,1,9,4,1,4"])
-        assert (a.id, b.id) == ("L1", "L3")
-
-    def test_odd_coordinate_count_rejected(self):
-        with pytest.raises(ParseError) as err:
-            parse_delimited(["0,0,10,0,10"])
-        assert err.value.line == 1
 
 
 class TestWriteJsonl:

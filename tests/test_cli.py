@@ -368,19 +368,20 @@ class TestBasisTraffic:
         return path
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_a_twenty_degree_sweep_builds_three_bases(self, jobs, ci_corpus, basis_builds, capsys):
-        # 88 builds at --jobs 1 when the cache held 16 bases by shape
+    def test_a_twenty_degree_sweep_builds_two_bases(self, jobs, ci_corpus, basis_builds, capsys):
+        # 88 builds at --jobs 1 when the cache held 16 bases by shape; the
+        # truncation error takes its residues from an FFT, not a basis
         degrees = ",".join(str(k) for k in range(1, 21))
         code, _, _ = run(["--jobs", jobs, "fidelity", str(ci_corpus), "--degrees", degrees], capsys)
-        assert code == 0 and len(basis_builds) == 3
-        assert set(basis_builds) == {(400, 20, -1), (50, 20, 1), (400, None, -1)}
+        assert code == 0 and len(basis_builds) == 2
+        assert set(basis_builds) == {(400, 20, -1), (50, 20, 1)}
 
     def test_each_command_builds_each_kind_once(self, ci_corpus, basis_builds, tmp_path, capsys):
         ann = str(ci_corpus)
         commands = {
             "embed": (["embed", ann, "-o", str(tmp_path / "sigs.jsonl")], [(400, 5, -1)]),
             "reconstruct": (["reconstruct", str(tmp_path / "sigs.jsonl")], [(50, 5, 1)]),
-            "fidelity": (["fidelity", ann, "--degrees", "1,5"], [(400, 5, -1), (50, 5, 1), (400, None, -1)]),
+            "fidelity": (["fidelity", ann, "--degrees", "1,5"], [(400, 5, -1), (50, 5, 1)]),
             "subset": (["subset", ann], []),
             "targets": (["targets", ann, "--out-dir", str(tmp_path / "gt")], [(400, 5, -1)]),
             "decode": (["decode", "--maps-dir", str(tmp_path / "gt"), "-o", str(tmp_path / "dets.jsonl")],
@@ -394,7 +395,7 @@ class TestBasisTraffic:
             basis_builds.clear()
             code, _, _ = run(["--jobs", "2", *argv], capsys)
             assert (name, code, basis_builds) == (name, 0, want)
-            assert len(fourier._BASES) <= 3
+            assert len(fourier._BASES) <= 2
 
 
 class TestTargetsDecodeLossEval:
@@ -1011,7 +1012,26 @@ class TestGlobalBehavior:
             }
             assert read_tensor(out_dir / "repeat" / "P3_tr.fct").any()
             code, out, err = run(["--jobs", jobs, "embed", str(path)], capsys)
-            assert (code, out, err) == (2, "", "error: contour has zero perimeter\n")
+            assert (code, out, err) == (2, "", "error: image 'repeat' instance 'dot': contour has zero perimeter\n")
+
+    @pytest.mark.parametrize("command", ["embed", "fidelity", "plot"])
+    def test_a_contour_that_cannot_be_embedded_names_its_image_and_instance(self, command, tmp_path, capsys):
+        """The first failing image's first failing contour, named alike at
+        --jobs 1 and 2; fidelity and plot skip the do-not-care "dc", so their
+        batch position of "dot" differs from embed's."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            _rect_record("a", [_inst(RECT_A, "t0")]) + "\n"
+            + _rect_record("b", [_inst(RECT_IGN, "dc", True), _inst([[30, 30]] * 3, "dot"),
+                                 _inst([[10, 50], [30, 50], [50, 50]], "line")]) + "\n"
+            + _rect_record("c", [_inst([[40, 40]] * 3, "far")]) + "\n",
+            encoding="utf-8",
+        )
+        argv = {"embed": ["embed", str(path)], "fidelity": ["fidelity", str(path)],
+                "plot": ["plot", str(path), "--out-dir", str(tmp_path / "plot")]}[command]
+        for jobs in ("1", "2"):
+            code, out, err = run(["--jobs", jobs, *argv], capsys)
+            assert (code, out, err) == (2, "", "error: image 'b' instance 'dot': contour has zero perimeter\n")
 
     def test_config_file_plus_override(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

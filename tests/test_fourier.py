@@ -293,17 +293,36 @@ class TestTruncationError:
             truncation_l2_errors(rs, [3, 60])
 
     def test_the_parseval_check_holds_no_copy_of_the_basis(self, rng):
-        # the direct check runs in blocks of sample columns; it held two
-        # (2K + 1) x n copies of the residue basis and their product, 32 MiB here
+        # the residues and the direct check are FFTs of n-vectors: no basis is
+        # built or read
         rs = resample_equidistant(star_shaped(rng), 1024)
-        _dft_basis(1024, None, -1)
+        fourier._BASES.clear()
         tracemalloc.start()
         try:
             truncation_l2_errors(rs, [5, 511])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**20 and fourier._BASES == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([3, 4, 7, 16, 31, 64, 97, 120, 127, 256, 401]))
+    def test_fft_tail_matches_the_dense_dft(self, seed, n):
+        """Odd, even and prime n at every degree up to the largest, n = 2K + 1
+        for odd n: the tails agree with the dense DFT's to 1e-9 relative,
+        never rise with K, and are 0 once nothing is truncated."""
+        rs = resample_equidistant(star_shaped(np.random.default_rng(seed)), n)
+        z = rs.points[:, 0] + 1j * rs.points[:, 1]
+        coeffs = (inline_basis(n, None, -1) * z).sum(axis=1) / n
+        signed = np.where(np.arange(n) <= n // 2, np.arange(n), np.arange(n) - n)
+        degrees = list(range((n - 1) // 2 + 1))
+        want = [float(np.sum(np.abs(coeffs[np.abs(signed) > k]) ** 2)) for k in degrees]
+        got = truncation_l2_errors(rs, degrees)
+        slack = 1e-14 * max(float(np.mean(np.abs(z) ** 2)), 1.0)
+        for k, g, w in zip(degrees, got, want):
+            assert abs(g - w) <= 1e-9 * max(g, w) + slack, (k, g, w)
+        assert all(a >= b for a, b in zip(got, got[1:]))
+        assert got[-1] == 0.0 or n % 2 == 0
 
     def test_zero_when_inversion_exact(self, rng):
         c = star_shaped(rng)
@@ -324,13 +343,11 @@ class TestTruncationError:
 class TestBasisCache:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from([(-1, "degree"), (1, "degree"), (-1, "residues")]),
+        st.sampled_from([-1, 1]),
         st.integers(1, 420),
         st.integers(0, 30),
     )
-    def test_cached_basis_is_the_inline_expression(self, kind, n, degree):
-        sign, keys = kind
-        degree = None if keys == "residues" else degree
+    def test_cached_basis_is_the_inline_expression(self, sign, n, degree):
         basis = _dft_basis(n, degree, sign)
         assert same_bits(basis, inline_basis(n, degree, sign))
         assert basis.flags.c_contiguous and not basis.flags.writeable
@@ -341,14 +358,13 @@ class TestBasisCache:
     def test_another_shape_replaces_only_its_kind(self):
         # the rule the README and the _dft_basis docstring state: one basis
         # of each kind, the last shape asked for
-        shapes = {"forward": [(20, 2, -1), (21, 2, -1)], "inverse": [(30, 2, 1), (30, 3, 1)],
-                  "residues": [(40, None, -1), (41, None, -1)]}
+        shapes = {"forward": [(20, 2, -1), (21, 2, -1)], "inverse": [(30, 2, 1), (30, 3, 1)]}
         for kind, (old, new) in shapes.items():
             fourier._BASES.clear()
             held = {other: _dft_basis(*pair[0]) for other, pair in shapes.items()}
-            assert len(fourier._BASES) == 3
+            assert len(fourier._BASES) == 2
             wanted = _dft_basis(*new)
-            assert same_bits(wanted, inline_basis(*new)) and len(fourier._BASES) == 3
+            assert same_bits(wanted, inline_basis(*new)) and len(fourier._BASES) == 2
             for other, pair in shapes.items():
                 assert _dft_basis(*(new if other == kind else pair[0])) is (wanted if other == kind else held[other])
             again = _dft_basis(*old)
@@ -397,18 +413,18 @@ class TestBasisCache:
             assert same_bits(evaluate_series(coeffs, n_points), uncached_series(coeffs, n_points))
 
     @pytest.mark.parametrize(
-        "n, degree, sign", [(400, None, -1), (1024, None, -1), (50, 5, 1), (1024, 300, 1), (3000, 12, -1)]
+        "n, degree, sign", [(400, 199, -1), (1024, 511, -1), (50, 5, 1), (1024, 300, 1), (3000, 12, -1)]
     )
     def test_basis_built_in_row_blocks_is_the_one_shot_expression(self, n, degree, sign):
         assert same_bits(fourier._build_basis(n, degree, sign), inline_basis(n, degree, sign))
 
     def test_truncation_errors_unchanged(self):
-        # at the second n, the n x n DFT product spans three row blocks
+        # at the second n, a dense n x n DFT product spans three row blocks
         for n in (64, math.isqrt(3 * contours._BATCH_ELEMENTS) + 1):
             rng = np.random.default_rng(5)
             rs = resample_equidistant(star_shaped(rng), n)
             z = rs.points[:, 0] + 1j * rs.points[:, 1]
-            coeffs = (inline_basis(n, None, -1) * z).sum(axis=1) / n
+            coeffs = np.fft.fft(z) / n
             signed = np.where(np.arange(n) <= n // 2, np.arange(n), np.arange(n) - n)
             order = np.lexsort((-signed, -np.abs(signed)))
             running = np.cumsum(np.abs(coeffs[order]) ** 2)
@@ -451,7 +467,7 @@ class TestBasisCache:
     def test_a_hit_does_not_wait_for_a_build(self):
         """While one thread builds a basis, another thread's hit of a cached
         basis returns."""
-        slow_key, cached_key = (64, None, -1), (257, 5, 1)
+        slow_key, cached_key = (64, 5, -1), (257, 5, 1)
         started, release = threading.Event(), threading.Event()
         cuts = fourier._cuts
         got = {}
@@ -510,8 +526,8 @@ class TestBasisCache:
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
-        assert bad == [] and list(fourier._BASES) == [(1, False)]
-        n, degree, basis = fourier._BASES[1, False]
+        assert bad == [] and list(fourier._BASES) == [1]
+        n, degree, basis = fourier._BASES[1]
         assert same_bits(basis, want[n, degree, 1])
 
     def test_threads_share_the_cache(self):

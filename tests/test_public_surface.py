@@ -20,7 +20,7 @@ PUBLIC = [
     "coeffs_to_flat", "contour_center", "contour_spans", "contour_spans_many", "cross_entropy",
     "curved_subset_select", "decode_all", "decode_level", "embed", "embed_many", "evaluate", "evaluate_series",
     "fit_by_degree", "flat_to_coeffs", "fmeasure", "fourier_coefficients", "generate_targets", "image_loss",
-    "instance_scale", "load_config", "map_dirs", "ohem_select", "parse_delimited", "parse_detections", "parse_jsonl",
+    "instance_scale", "load_config", "map_dirs", "ohem_select", "parse_detections", "parse_jsonl",
     "parse_signatures", "perimeter", "poly_nms", "polygon_iou", "rasterize_grid", "read_loss_levels", "read_map_meta",
     "read_prediction_maps", "read_tensor", "recenter", "reconstruct", "reconstruct_many", "regression_loss",
     "regression_loss_grad", "resample_equidistant", "score_map", "shrink_polygon", "signed_area", "smooth_l1",
