@@ -33,8 +33,8 @@ DEFAULT_EVAL_IOU = 0.5
 DEFAULT_SUBSET_THRESHOLD = 0.07
 DEFAULT_SUPERSAMPLE = 4
 
-# Largest n accepted: the (2K + 1) x n forward DFT basis takes 256 MiB at 4096
-# and K = MAX_DEGREE.
+# Largest n accepted: the forward transform makes and sums n (2K + 1) basis
+# terms per contour, 16.8 million at 4096 and K = MAX_DEGREE.
 MAX_SAMPLES = 4096
 # Largest degree K a configuration can embed (2K + 1 <= n); not a setting, but
 # the cap on a degree read from input, a signature line or a regression map.

@@ -84,11 +84,12 @@ class ResampledContour(_Frozen):
 
 
 # Elements the temporaries of one block of a batch routine hold.
-# geometry._resample_many, geometry._shrink_many and fourier._coefficient_rows
-# take whole polygons in blocks, a block ending where the running size crosses
-# a multiple of this, so their working memory does not grow with the number
-# of polygons; fourier.evaluate_series, fourier._dft_basis and
-# losses.regression_loss take rows of their series or basis the same way.
+# geometry._resample_many and geometry._shrink_many take whole polygons in
+# blocks, a block ending where the running size crosses a multiple of this,
+# so their working memory does not grow with the number of polygons;
+# fourier._coefficient_rows takes harmonics, and fourier.evaluate_series,
+# fourier._build_basis and losses.regression_loss take rows of their series
+# or basis, the same way.
 # Only this module binds it: _cuts reads it here on every call.
 _BATCH_ELEMENTS = 1 << 16
 

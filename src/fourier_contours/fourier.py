@@ -7,10 +7,9 @@ coefficient of harmonic k is
     c_k = (1 / n) * sum_j z_j * exp(-2 pi i k j / n)
 
 computed by direct summation in a fixed order, so results are bit-identical
-across runs and thread counts.  Each exp(-+2 pi i k j / n) basis depends only
-on its shape, so it is kept, read-only, in a cache shared by every call and
-thread, one of each kind (forward, inverse): a hit takes no lock, and a miss
-builds under one lock and replaces its kind's basis.  Only
+across runs and thread counts.  Each call makes the exp(-+2 pi i k j / n)
+basis it reads and holds no state between calls: the forward transform a
+block of harmonics at a time, the inverse one whole, in row blocks.  Only
 truncation_l2_errors, which needs all n residues, takes them from numpy's
 FFT, which is deterministic and single-threaded too.  The degree-K signature
 keeps k in [-K, K]; c_0 is the contour center, and the flat real layout
@@ -26,7 +25,6 @@ that is not the degree of the coefficients is a bad record.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -128,41 +126,18 @@ def _sample_array(points) -> np.ndarray:
     return arr
 
 
-# sign -> (n, degree, basis); written only under _BASIS_LOCK
-_BASES: dict[int, tuple] = {}
-_BASIS_LOCK = threading.Lock()
-
-
-def _dft_basis(n: int, degree: int, sign: int) -> np.ndarray:
-    """The read-only basis exp(sign * 2 pi i k j / n) for j = 0 .. n - 1 and k
-    in -K .. K, K = degree.  sign -1 gives the forward (2K + 1, n) array, sign
-    +1 the inverse (n, 2K + 1) array, both C-contiguous.  Elements are
-    computed one by one, so the centre columns K - d .. K + d of the degree-K
-    inverse basis hold the degree-d basis' bits, and _series over that slice
-    gives evaluate_series' bits.  _BASES keeps the last basis asked for of
-    each sign; a hit takes no lock, and a miss builds under one lock and
-    replaces it, so threads that miss the same basis at once build it once:
-    the later ones wait and take the first one's array."""
-    entry = _BASES.get(sign)
-    if entry is None or entry[0] != n or entry[1] != degree:
-        with _BASIS_LOCK:
-            entry = _BASES.get(sign)
-            if entry is None or entry[0] != n or entry[1] != degree:
-                entry = _BASES[sign] = (n, degree, _build_basis(n, degree, sign))
-    return entry[2]
-
-
-def _build_basis(n: int, degree: int, sign: int) -> np.ndarray:
-    """_dft_basis' array, built in row blocks of about
-    contours._BATCH_ELEMENTS, so the build holds little beyond the basis
-    itself."""
+def _build_basis(n: int, degree: int) -> np.ndarray:
+    """The inverse basis exp(2 pi i k j / n), (n, 2K + 1) and C-contiguous,
+    for j = 0 .. n - 1 and k in -K .. K, K = degree.  Elements are computed
+    one by one, so the centre columns K - d .. K + d hold the degree-d
+    basis' bits, and _series over that slice gives evaluate_series' bits.
+    Built in row blocks of about contours._BATCH_ELEMENTS, so the build holds
+    little beyond the basis itself."""
     t = np.arange(n) / n
     ks = np.arange(-degree, degree + 1)
-    rows, cols, w = (ks, t, -2j * np.pi) if sign < 0 else (t, ks, 2j * np.pi)
-    basis = np.empty((len(rows), len(cols)), dtype=np.complex128)
-    for i, j in _cuts(np.full(len(rows), len(cols))):
-        basis[i:j] = np.exp(w * np.outer(rows[i:j], cols))
-    basis.setflags(write=False)
+    basis = np.empty((n, len(ks)), dtype=np.complex128)
+    for i, j in _cuts(np.full(n, len(ks))):
+        basis[i:j] = np.exp(2j * np.pi * np.outer(t[i:j], ks))
     return basis
 
 
@@ -177,20 +152,25 @@ def fourier_coefficients(points, k: int) -> FourierSignature:
 
 def _coefficient_rows(points: np.ndarray, k: int) -> np.ndarray:
     """The degree-k coefficients (N, 2k + 1) of each (n, 2) sample block in
-    points (N, n, 2), as fourier_coefficients sums them: (N, 2k + 1, n)
-    basis products in blocks of about contours._BATCH_ELEMENTS, each row
-    summed on its own, so every value equals the one-contour value bit for
-    bit."""
+    points (N, n, 2), as fourier_coefficients sums them.  The harmonics are
+    taken in blocks whose (N, harmonics, n) basis products hold about
+    contours._BATCH_ELEMENTS elements, one harmonic when a single one holds
+    more, and each block's forward basis rows exp(-2 pi i k j / n) are made
+    for it.  Each row is summed on its own, so every value equals the
+    one-contour value bit for bit, and the working memory beyond the samples
+    and the output does not grow with the degree."""
     n = points.shape[1]
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     if 2 * k + 1 > n:
         raise DegreeTooLarge(f"degree {k} needs 2k + 1 <= {n} samples")
-    basis = _dft_basis(n, k, -1)
+    t = np.arange(n) / n
+    ks = np.arange(-k, k + 1)
     z = points[..., 0] + 1j * points[..., 1]
     out = np.empty((len(points), 2 * k + 1), dtype=np.complex128)
-    for i, j in _cuts(np.full(len(points), basis.size)):
-        out[i:j] = (basis * z[i:j, None, :]).sum(axis=2) / n
+    for a, b in _cuts(np.full(len(ks), z.size)):
+        basis = np.exp(-2j * np.pi * np.outer(ks[a:b], t))
+        out[:, a:b] = (basis * z[:, None, :]).sum(axis=2) / n
     return out
 
 
@@ -303,12 +283,14 @@ def evaluate_series(coeffs, n_points: int, out: np.ndarray | None = None) -> np.
         raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
     rows = arr.reshape(-1, arr.shape[-1])
     # out.reshape is a view: out is C-contiguous
-    _series(rows, _dft_basis(n_points, (arr.shape[-1] - 1) // 2, 1), out.reshape(len(rows), n_points))
+    _series(rows, _build_basis(n_points, (arr.shape[-1] - 1) // 2), out.reshape(len(rows), n_points))
     return out
 
 
-def _series(rows: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _series(rows: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """evaluate_series' blocked product of rows (R, 2K + 1) and basis (n', 2K + 1), into out (R, n')."""
+    if out is None:
+        out = np.empty((len(rows), len(basis)), dtype=np.complex128)
     for i, j in _cuts(np.full(len(rows), basis.size)):
         out[i:j] = (np.ascontiguousarray(rows[i:j])[:, None, :] * basis).sum(axis=-1)
     return out
@@ -431,9 +413,9 @@ def fit_by_degree(
     points, errors = _resample_many([c.vertices for c in contours], n)
     _raise_first(errors)
     full = _coefficient_rows(points, kmax)
-    wide = _dft_basis(n_points, kmax, 1)
+    wide = _build_basis(n_points, kmax)
     cols = [slice(kmax - deg, kmax + deg + 1) for deg in degrees]
-    series = [_series(full[:, c], wide[:, c], np.empty((len(full), n_points), dtype=np.complex128)) for c in cols]
+    series = [_series(full[:, c], wide[:, c]) for c in cols]
     recons = [[Contour(np.stack([zd.real, zd.imag], axis=1)) for zd in zs] for zs in zip(*series)]
     # one record batch: the contours, then their reconstructions in order
     spans = contour_spans_many(list(contours) + [r for rs in recons for r in rs], supersample)

@@ -26,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_LAMBDA, DEFAULT_RECON_POINTS
 from .contours import _cuts
 from .errors import AlignmentMismatch, NonFinite, ShapeMismatch
-from .fourier import _dft_basis, coeffs_to_flat, evaluate_series, flat_to_coeffs
+from .fourier import _build_basis, _series, coeffs_to_flat, flat_to_coeffs
 from .mapdir import LevelPrediction, LevelTargets
 
 __all__ = [
@@ -92,14 +92,14 @@ def _check_pairs(gt_flat, pred_flat, in_tcr):
     return gt, pr, member
 
 
-def _series_blocks(gt: np.ndarray, pr: np.ndarray, n_points: int):
+def _series_blocks(gt: np.ndarray, pr: np.ndarray, basis: np.ndarray):
     """(first, stop, zg, zp) of consecutive row blocks: the ground-truth and
-    predicted series of rows first .. stop - 1 at n_points parameters, a
-    block's (rows, n_points, 2K + 1) products holding about
-    contours._BATCH_ELEMENTS elements, as in evaluate_series."""
-    for i, j in _cuts(np.full(len(gt), n_points * (gt.shape[1] // 2))):
-        zg = evaluate_series(flat_to_coeffs(gt[i:j]), n_points)
-        yield i, j, zg, evaluate_series(flat_to_coeffs(pr[i:j]), n_points)
+    predicted series of rows first .. stop - 1 over the inverse basis
+    (n_points, 2K + 1) of fourier._build_basis, a block's (rows, n_points,
+    2K + 1) products holding about contours._BATCH_ELEMENTS elements, as in
+    evaluate_series, whose bits they are."""
+    for i, j in _cuts(np.full(len(gt), basis.size)):
+        yield i, j, _series(flat_to_coeffs(gt[i:j]), basis), _series(flat_to_coeffs(pr[i:j]), basis)
 
 
 def regression_loss(
@@ -116,7 +116,8 @@ def regression_loss(
     if gt.shape[0] == 0:
         return 0.0
     per_cell = np.empty(gt.shape[0])
-    for i, j, zg, zp in _series_blocks(gt, pr, n_points):
+    basis = _build_basis(n_points, (gt.shape[1] // 2 - 1) // 2)
+    for i, j, zg, zp in _series_blocks(gt, pr, basis):
         per_point = smooth_l1(zp.real - zg.real, beta) + smooth_l1(zp.imag - zg.imag, beta)
         per_cell[i:j] = per_point.sum(axis=1)
     weights = np.where(member, 1.0, 0.5)
@@ -130,17 +131,17 @@ def regression_loss_grad(
     gt, pr, member = _check_pairs(gt_flat, pred_flat, in_tcr)
     if gt.shape[0] == 0:
         return np.zeros_like(pr)
-    # the forward basis by value, from the inverse one the series reads
-    basis = np.ascontiguousarray(np.conj(_dft_basis(n_points, (gt.shape[1] // 2 - 1) // 2, 1)).T)
+    inverse = _build_basis(n_points, (gt.shape[1] // 2 - 1) // 2)
+    forward = np.ascontiguousarray(np.conj(inverse).T)  # (2K + 1, n)
     coeff_grad = np.empty((gt.shape[0], gt.shape[1] // 2), dtype=np.complex128)  # (M, 2K + 1)
-    for i, j, zg, zp in _series_blocks(gt, pr, n_points):
+    for i, j, zg, zp in _series_blocks(gt, pr, inverse):
         gx = _smooth_l1_grad(zp.real - zg.real, beta)  # (rows, n)
         gy = _smooth_l1_grad(zp.imag - zg.imag, beta)
         g = gx + 1j * gy
         # the IFT is linear in c_k = u_k + i v_k with d(x + iy)/du_k = e^{i theta}
         # and d(x + iy)/dv_k = i e^{i theta}, so (dL/du_k, dL/dv_k) is the real and
         # imaginary part of sum_n g_n e^{-i theta}: the forward transform of g
-        coeff_grad[i:j] = (g[:, None, :] * basis).sum(axis=-1)
+        coeff_grad[i:j] = (g[:, None, :] * forward).sum(axis=-1)
     weights = np.where(member, 1.0, 0.5)[:, None] / n_points
     return coeffs_to_flat(coeff_grad * weights)
 

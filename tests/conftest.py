@@ -80,8 +80,9 @@ def dedupe(v):
 
 
 def inline_basis(n, degree, sign):
-    """Each caller's basis as it was built on every call before the cache:
-    one array expression, no row blocks."""
+    """The DFT basis as one array expression, no row or harmonic blocks: the
+    forward (2K + 1, n) array for sign -1, the inverse (n, 2K + 1) array for
+    sign +1, and all n residues for degree None."""
     t = np.arange(n) / n
     if degree is None:
         return np.exp(-2j * np.pi * np.outer(np.arange(n), t))

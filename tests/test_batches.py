@@ -29,7 +29,7 @@ from fourier_contours import (
     geometry,
 )
 from fourier_contours.geometry import _edges, _signed_area
-from conftest import point_in_polygon
+from conftest import inline_basis, point_in_polygon
 from test_geometry import scalar_is_simple, scalar_shrink, shapes
 
 
@@ -72,7 +72,7 @@ def scalar_coefficients(points, k):
     """Reference for _coefficient_rows: one sample block's direct sum."""
     n = points.shape[0]
     z = points[:, 0] + 1j * points[:, 1]
-    return (fourier._dft_basis(n, k, -1) * z).sum(axis=1) / n
+    return (inline_basis(n, k, -1) * z).sum(axis=1) / n
 
 
 def outcome(fn, *args):

@@ -2,7 +2,6 @@ import cmath
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from unittest import mock
 
@@ -38,7 +37,6 @@ from fourier_contours import (
 )
 from fourier_contours import contours, fourier
 from fourier_contours.config import DEFAULT_EVAL_IOU, MAX_DEGREE
-from fourier_contours.fourier import _dft_basis
 from fourier_contours.synth import ribbon
 from conftest import inline_basis, rows_to_block_end, same_bits, star_shaped, uncached_series
 
@@ -296,14 +294,13 @@ class TestTruncationError:
         # the residues and the direct check are FFTs of n-vectors: no basis is
         # built or read
         rs = resample_equidistant(star_shaped(rng), 1024)
-        fourier._BASES.clear()
         tracemalloc.start()
         try:
             truncation_l2_errors(rs, [5, 511])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20 and fourier._BASES == {}
+        assert peak < 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([3, 4, 7, 16, 31, 64, 97, 120, 127, 256, 401]))
@@ -342,33 +339,10 @@ class TestTruncationError:
 
 class TestBasisCache:
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([-1, 1]),
-        st.integers(1, 420),
-        st.integers(0, 30),
-    )
-    def test_cached_basis_is_the_inline_expression(self, sign, n, degree):
-        basis = _dft_basis(n, degree, sign)
-        assert same_bits(basis, inline_basis(n, degree, sign))
-        assert basis.flags.c_contiguous and not basis.flags.writeable
-        with pytest.raises(ValueError):
-            basis[0, 0] = 0.0
-        assert _dft_basis(n, degree, sign) is basis
-
-    def test_another_shape_replaces_only_its_kind(self):
-        # the rule the README and the _dft_basis docstring state: one basis
-        # of each kind, the last shape asked for
-        shapes = {"forward": [(20, 2, -1), (21, 2, -1)], "inverse": [(30, 2, 1), (30, 3, 1)]}
-        for kind, (old, new) in shapes.items():
-            fourier._BASES.clear()
-            held = {other: _dft_basis(*pair[0]) for other, pair in shapes.items()}
-            assert len(fourier._BASES) == 2
-            wanted = _dft_basis(*new)
-            assert same_bits(wanted, inline_basis(*new)) and len(fourier._BASES) == 2
-            for other, pair in shapes.items():
-                assert _dft_basis(*(new if other == kind else pair[0])) is (wanted if other == kind else held[other])
-            again = _dft_basis(*old)
-            assert again is not held[kind] and same_bits(again, held[kind])
+    @given(st.integers(1, 420), st.integers(0, 30))
+    def test_built_basis_is_the_inline_expression(self, n, degree):
+        basis = fourier._build_basis(n, degree)
+        assert same_bits(basis, inline_basis(n, degree, 1)) and basis.flags.c_contiguous
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 400), st.integers(0, 25), st.data())
@@ -380,7 +354,7 @@ class TestBasisCache:
         wide = rng.normal(size=(rows, 2 * kmax + 1)) + 1j * rng.normal(size=(rows, 2 * kmax + 1))
         cols = slice(kmax - deg, kmax + deg + 1)
         out = np.empty((rows, n_points), dtype=np.complex128)
-        got = fourier._series(wide[:, cols], _dft_basis(n_points, kmax, 1)[:, cols], out)
+        got = fourier._series(wide[:, cols], inline_basis(n_points, kmax, 1)[:, cols], out)
         assert same_bits(got, evaluate_series(wide[:, cols], n_points))
 
     @settings(max_examples=40, deadline=None)
@@ -412,11 +386,32 @@ class TestBasisCache:
         for coeffs in (wide[:, 1:-1], np.stack([wide[:, 2:], wide[::-1, :-2]])):
             assert same_bits(evaluate_series(coeffs, n_points), uncached_series(coeffs, n_points))
 
-    @pytest.mark.parametrize(
-        "n, degree, sign", [(400, 199, -1), (1024, 511, -1), (50, 5, 1), (1024, 300, 1), (3000, 12, -1)]
-    )
-    def test_basis_built_in_row_blocks_is_the_one_shot_expression(self, n, degree, sign):
-        assert same_bits(fourier._build_basis(n, degree, sign), inline_basis(n, degree, sign))
+    @pytest.mark.parametrize("n, degree", [(400, 199), (1024, 511), (50, 5), (1024, 300), (3000, 12)])
+    def test_basis_built_in_row_blocks_is_the_one_shot_expression(self, n, degree):
+        assert same_bits(fourier._build_basis(n, degree), inline_basis(n, degree, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([25, 64, 400]), st.booleans(), st.data())
+    def test_coefficient_rows_in_harmonic_blocks_are_the_one_shot_expression(self, seed, n, past_budget, data):
+        # past_budget: so many contours that one harmonic's products exceed
+        # contours._BATCH_ELEMENTS, and each block holds a single harmonic
+        count = contours._BATCH_ELEMENTS // n + 1 if past_budget else data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(0, (n - 1) // 2))
+        points = np.random.default_rng(seed).normal(scale=50.0, size=(count, n, 2))
+        basis = inline_basis(n, k, -1)
+        want = np.stack([(basis * (zi[:, 0] + 1j * zi[:, 1])).sum(axis=1) / n for zi in points])
+        assert same_bits(fourier._coefficient_rows(points, k), want)
+
+    def test_one_contour_at_the_caps_embeds_in_little_memory(self, rng):
+        # a (2K + 1) x n forward basis at n = 4096, K = 2047 alone takes 256 MiB
+        contour = star_shaped(rng)
+        tracemalloc.start()
+        try:
+            embed_many([contour], MAX_DEGREE, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_truncation_errors_unchanged(self):
         # at the second n, a dense n x n DFT product spans three row blocks
@@ -432,107 +427,10 @@ class TestBasisCache:
             want = [float(running[np.count_nonzero(np.abs(signed) > k) - 1]) for k in degrees]
             assert truncation_l2_errors(rs, degrees) == want
 
-    def test_concurrent_misses_build_once(self):
-        """A thread that misses the cache while another builds the same
-        basis waits for that build and takes its array."""
-        key = (331, 7, 1)
-        builds, started = [], threading.Event()
-        cuts = fourier._cuts
-
-        def slow_cuts(sizes, budget=None):
-            # _build_basis cuts its rows once per build
-            builds.append(threading.get_ident())
-            started.set()
-            time.sleep(0.3)
-            return cuts(sizes, budget)
-
-        got = [None, None]
-
-        def run(i):
-            got[i] = _dft_basis(*key)
-
-        fourier._BASES.clear()
-        with mock.patch.object(fourier, "_cuts", slow_cuts):
-            first = threading.Thread(target=run, args=(0,))
-            first.start()
-            assert started.wait(timeout=30)
-            second = threading.Thread(target=run, args=(1,))
-            second.start()
-            first.join(timeout=60)
-            second.join(timeout=60)
-        assert not first.is_alive() and not second.is_alive()
-        assert len(builds) == 1
-        assert got[0] is got[1] and same_bits(got[0], inline_basis(*key))
-
-    def test_a_hit_does_not_wait_for_a_build(self):
-        """While one thread builds a basis, another thread's hit of a cached
-        basis returns."""
-        slow_key, cached_key = (64, 5, -1), (257, 5, 1)
-        started, release = threading.Event(), threading.Event()
-        cuts = fourier._cuts
-        got = {}
-
-        def held_cuts(sizes, budget=None):
-            if threading.current_thread() is first:
-                started.set()
-                assert release.wait(timeout=60)
-            return cuts(sizes, budget)
-
-        def run(key):
-            got[key] = _dft_basis(*key)
-
-        fourier._BASES.clear()
-        cached = _dft_basis(*cached_key)
-        first = threading.Thread(target=run, args=(slow_key,))
-        second = threading.Thread(target=run, args=(cached_key,))
-        with mock.patch.object(fourier, "_cuts", held_cuts):
-            try:
-                first.start()
-                assert started.wait(timeout=30)
-                second.start()
-                second.join(timeout=10)
-                assert not second.is_alive() and first.is_alive()
-            finally:
-                release.set()
-                first.join(timeout=60)
-                second.join(timeout=60)
-        assert not first.is_alive() and not second.is_alive()
-        assert got[cached_key] is cached
-        assert same_bits(got[slow_key], inline_basis(*slow_key))
-
-    def test_threads_read_while_their_kind_is_replaced(self):
-        """Eight threads on two cores, switching every microsecond, each ask
-        for 24 inverse bases, one kind, from their own start: every basis
-        they get is the fresh build, and the cache ends holding one."""
-        keys = [(n, 3, 1) for n in range(40, 64)]
-        want = {key: inline_basis(*key) for key in keys}
-        fourier._BASES.clear()
-        bad = []
-
-        def run(i):
-            for _ in range(3):
-                for key in keys[3 * i:] + keys[:3 * i]:
-                    if not same_bits(_dft_basis(*key), want[key]):
-                        bad.append(key)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert bad == [] and list(fourier._BASES) == [1]
-        n, degree, basis = fourier._BASES[1]
-        assert same_bits(basis, want[n, degree, 1])
-
-    def test_threads_share_the_cache(self):
-        """Eight threads on two cores, switching every microsecond, fill and
-        read one cleared cache; every result equals the single-thread one."""
+    def test_threads_give_the_single_thread_bits(self):
+        """Eight threads on two cores, switching every microsecond, each
+        transform its own contour: every result equals the single-thread
+        one."""
         rng = np.random.default_rng(11)
         shapes = [resample_equidistant(star_shaped(rng), 96) for _ in range(8)]
 
@@ -541,7 +439,6 @@ class TestBasisCache:
             return sig.coeffs, evaluate_series(sig.coeffs, 40), truncation_l2_errors(rs, [2, 6])
 
         want = [work(rs) for rs in shapes]
-        fourier._BASES.clear()
         got = [None] * len(shapes)
 
         def run(i):
